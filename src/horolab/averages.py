@@ -14,7 +14,9 @@ from .geometry import (
     INFINITY,
     BoundaryPoint,
     UnitTangent,
+    frame_angle,
     frame_distance,
+    frame_point,
     from_coordinates,
     geodesic_flow,
     mobius_apply,
@@ -29,7 +31,7 @@ from .measures import (
 
 __all__ = [
     "AveragesError",
-    "HoroBall",
+    "Integrand",
     "TestFunction",
     "ConstantFunction",
     "ShiftedFunction",
@@ -73,18 +75,6 @@ def build_vector(group: FuchsianGroup, minus, plus, s: float = 0.0):
     return u, VectorClass(kind)
 
 
-@dataclass(frozen=True)
-class HoroBall:
-    """Parameter ball {h^s u : |s| < r} on the expanding leaf of u."""
-
-    center: UnitTangent
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise AveragesError("horoball radius must be positive")
-
-
 def pointed_frame(x: float, y: float, theta: float) -> UnitTangent:
     """Frame with base point x + iy and direction angle theta."""
     if not y > 0:
@@ -99,15 +89,6 @@ def pointed_frame(x: float, y: float, theta: float) -> UnitTangent:
     )
 
 
-def _frame_coordinates(mats: np.ndarray):
-    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
-    den = c * c + d * d
-    x = (a * c + b * d) / den
-    y = 1.0 / den
-    theta = np.arctan2(d * d - c * c, 2.0 * c * d)
-    return x, y, theta
-
-
 def _leaf_frames(u: UnitTangent, s: np.ndarray) -> np.ndarray:
     a, b, c, d = u.frame.entries()
     out = np.empty((len(s), 2, 2))
@@ -118,8 +99,26 @@ def _leaf_frames(u: UnitTangent, s: np.ndarray) -> np.ndarray:
     return out
 
 
+class Integrand:
+    """Shared entry points of the test-function protocol.
+
+    An integrand defines evaluate_points(x, y, theta) on fundamental-domain
+    coordinates, which the quadratures call directly. Leaf averages pass
+    frames to evaluate_frames, which reduces them once and then evaluates;
+    a single vector goes through __call__.
+    """
+
+    def evaluate_frames(self, mats):
+        a, b, c, d = self.group.reduce_frames(mats).reshape(-1, 4).T
+        x, y = frame_point(a, b, c, d)
+        return self.evaluate_points(x, y, frame_angle(c, d))
+
+    def __call__(self, u: UnitTangent) -> float:
+        return float(self.evaluate_frames(np.reshape(u.frame.entries(), (1, 2, 2)))[0])
+
+
 @dataclass
-class TestFunction:
+class TestFunction(Integrand):
     """Smooth bump on the quotient in (base distance, angle) coordinates.
 
     Evaluation reduces the input to its fundamental-domain representative
@@ -154,23 +153,9 @@ class TestFunction:
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
         return out
 
-    def evaluate_frames(self, mats: np.ndarray, reduced: bool = False):
-        mats = np.asarray(mats, dtype=float)
-        if not reduced:
-            mats = self.group.reduce_frames(mats)
-        return self.evaluate_points(*_frame_coordinates(mats))
-
-    def __call__(self, u: UnitTangent) -> float:
-        return float(self.evaluate_frames(np.array([_entry_matrix(u)]))[0])
-
-
-def _entry_matrix(u: UnitTangent) -> np.ndarray:
-    a, b, c, d = u.frame.entries()
-    return np.array([[a, b], [c, d]])
-
 
 @dataclass
-class ConstantFunction:
+class ConstantFunction(Integrand):
     """Constant test integrand; keeps the quadrature interfaces uniform."""
 
     value: float = 1.0
@@ -179,14 +164,11 @@ class ConstantFunction:
     def evaluate_points(self, x, y, theta):
         return np.full(np.shape(x), self.value)
 
-    def evaluate_frames(self, mats, reduced: bool = False):
+    def evaluate_frames(self, mats):
         return np.full(len(mats), self.value)
 
-    def __call__(self, u: UnitTangent) -> float:
-        return self.value
 
-
-class ShiftedFunction:
+class ShiftedFunction(Integrand):
     """psi composed with the time-t geodesic flow; invariance is inherited."""
 
     def __init__(self, psi, t: float):
@@ -194,7 +176,7 @@ class ShiftedFunction:
         self.t = t
         self.label = "%s.g%g" % (getattr(psi, "label", "psi"), t)
 
-    def evaluate_frames(self, mats, reduced: bool = False):
+    def evaluate_frames(self, mats):
         mats = np.asarray(mats, dtype=float)
         e = math.exp(0.5 * self.t)
         flowed = np.empty_like(mats)
@@ -202,11 +184,8 @@ class ShiftedFunction:
         flowed[:, :, 1] = mats[:, :, 1] / e
         return self.psi.evaluate_frames(flowed)
 
-    def __call__(self, u: UnitTangent) -> float:
-        return self.psi(geodesic_flow(u, self.t))
 
-
-class WeightedFunction:
+class WeightedFunction(Integrand):
     """Pointwise product of an integrand with a base-point density."""
 
     def __init__(self, psi, density, label: str = "weighted"):
@@ -217,15 +196,16 @@ class WeightedFunction:
     def evaluate_points(self, x, y, theta):
         return self.psi.evaluate_points(x, y, theta) * self.density(x, y)
 
-    def evaluate_frames(self, mats, reduced: bool = False):
+    def evaluate_frames(self, mats):
+        # on a leaf the density weighs the point itself, not its reduced image
         mats = np.asarray(mats, dtype=float)
-        vals = self.psi.evaluate_frames(mats, reduced=reduced)
-        x, y, _ = _frame_coordinates(mats)
+        vals = self.psi.evaluate_frames(mats)
+        x, y = frame_point(*mats.reshape(-1, 4).T)
         return vals * self.density(x, y)
 
 
 @dataclass
-class CuspHeightCap:
+class CuspHeightCap(Integrand):
     """Smoothed indicator of the thick part: one below the height cap.
 
     Heights are measured in the charts sending each cusp to infinity; the
@@ -253,16 +233,6 @@ class CuspHeightCap:
             h = np.maximum(h, hh)
         s = np.clip((self.k_height - h) / self.ramp, 0.0, 1.0)
         return s * s * (3.0 - 2.0 * s)
-
-    def evaluate_frames(self, mats, reduced: bool = False):
-        mats = np.asarray(mats, dtype=float)
-        if not reduced:
-            mats = self.group.reduce_frames(mats)
-        x, y, _ = _frame_coordinates(mats)
-        return self.evaluate_points(x, y)
-
-    def __call__(self, u: UnitTangent) -> float:
-        return float(self.evaluate_frames(np.array([_entry_matrix(u)]))[0])
 
 
 @dataclass
@@ -309,8 +279,10 @@ class AverageSeries:
 
 
 def _average_on_conditional(cond, u: UnitTangent, r: float, psi) -> float:
-    ball = HoroBall(u, r)
-    sel = np.abs(cond.params) < ball.radius
+    # mean over the leaf ball {h^s u : |s| < r}
+    if not r > 0:
+        raise AveragesError("horoball radius must be positive")
+    sel = np.abs(cond.params) < r
     if not sel.any():
         raise AveragesError("no conditional atoms inside radius %g" % r)
     lw = cond.log_weights[sel]
@@ -376,19 +348,10 @@ def average_haar(u: UnitTangent, r: float, psi, alpha: HaarDensity) -> float:
     if alpha.choice == "ps":
         return average_ps(u, r, psi, alpha.measure, alpha.exponent)
     num = average_lebesgue(u, r, WeightedFunction(psi, alpha.density))
-    den = average_lebesgue(u, r, _DensityOnly(alpha.density))
+    den = average_lebesgue(u, r, WeightedFunction(ConstantFunction(), alpha.density))
     if den == 0.0:
         raise AveragesError("weighted density integrated to zero")
     return num / den
-
-
-class _DensityOnly:
-    def __init__(self, density):
-        self.density = density
-
-    def evaluate_frames(self, mats, reduced: bool = False):
-        x, y, _ = _frame_coordinates(np.asarray(mats, dtype=float))
-        return np.asarray(self.density(x, y), dtype=float)
 
 
 def ratio_series(

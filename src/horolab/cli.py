@@ -13,8 +13,6 @@ diagnostics), 2 numeric failure propagated from the library.
 from __future__ import annotations
 
 import argparse
-import io as _stdio
-import csv as _csv
 import math
 import os
 import sys
@@ -126,8 +124,18 @@ def parse_config_text(text: str, source: str = "<config>"):
     return values, lines
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number, got %r" % raw)
+    return value
+
+
 def _parse_floats(raw: str):
-    return tuple(float(tok) for tok in raw.split())
+    values = tuple(_parse_float(tok) for tok in raw.split())
+    if not values:
+        raise ValueError("expected at least one number")
+    return values
 
 
 def _parse_letters(raw: str):
@@ -144,7 +152,7 @@ def _parse_flag(raw: str) -> bool:
 
 
 _PARSERS = {
-    "float": float,
+    "float": _parse_float,
     "int": int,
     "str": str,
     "floats": _parse_floats,
@@ -249,7 +257,7 @@ def _resolve_exponent(st: Settings, group, builtin: str | None):
             raise ConfigError("exponent = fit needs fit_radius for a file group")
         return critical_exponent(group, t_max=t_max).delta, "fit"
     try:
-        return float(raw), "given"
+        return _parse_float(raw), "given"
     except ValueError:
         raise ConfigError(
             "%s: key 'exponent': expected a number, 'fit' or 'default', got %r"
@@ -330,14 +338,6 @@ def _bumps_from_settings(st: Settings, group, builtin):
     return funcs, coords, (wb, wa)
 
 
-def _svg_from_csv_text(text: str) -> str:
-    rows = list(_csv.DictReader(_stdio.StringIO(text)))
-    xs = [float(r["abscissa"]) for r in rows]
-    ys = [float(r["value"]) for r in rows]
-    refs = [float(r["reference"]) for r in rows]
-    return artifacts.line_plot_svg(xs, ys, refs, rows[0]["experiment_id"] or "series")
-
-
 # ------------------------------------------------------------- experiments
 #
 # Each runner returns (files, stdout lines, extra manifest payload, failed).
@@ -412,7 +412,7 @@ def run_exponent(st: Settings, args):
     text = artifacts.series_rows_csv_text(rows)
     files = [("exponent.csv", text)]
     if st.get("svg", "flag", False):
-        files.append(("exponent.svg", _svg_from_csv_text(text)))
+        files.append(("exponent.svg", artifacts.svg_from_series_csv(text)))
     lines = [
         "group %s: exponent %.6f +/- %.2g over window [%.3g, %.3g], %d orbit points"
         % (spec, fit.delta, fit.stderr, fit.window[0], fit.window[1], int(fit.counts[-1]))
@@ -490,7 +490,7 @@ def run_equidist(st: Settings, args):
         name = "equidist_%s.csv" % psi.label
         files.append((name, text))
         if want_svg:
-            files.append((name[:-4] + ".svg", _svg_from_csv_text(text)))
+            files.append((name[:-4] + ".svg", artifacts.svg_from_series_csv(text)))
         final = abs(vals[-1] - ref) / abs(ref) if ref != 0 else math.inf
         lines.append(
             "%s: integral %.6g, ball averages %s, final relative gap %.3g"
@@ -526,7 +526,7 @@ def run_mixing(st: Settings, args):
     text = artifacts.series_csv_text(ser)
     files = [("mixing.csv", text)]
     if st.get("svg", "flag", False):
-        files.append(("mixing.svg", _svg_from_csv_text(text)))
+        files.append(("mixing.svg", artifacts.svg_from_series_csv(text)))
     final = abs(ser.values[-1] / ser.reference - 1.0)
     lines = [
         "mixing at radius %g: integral %.6g, value at t=%g is %.6g (relative gap %.3g)"
@@ -562,7 +562,7 @@ def run_nondiv(st: Settings, args):
     text = artifacts.series_csv_text(ser)
     files = [("nondiv.csv", text)]
     if st.get("svg", "flag", False):
-        files.append(("nondiv.svg", _svg_from_csv_text(text)))
+        files.append(("nondiv.svg", artifacts.svg_from_series_csv(text)))
     low = float(min(ser.values))
     lines = [
         "thick-part mass at height cap %g: %s (min %.4f)"
@@ -612,7 +612,7 @@ def run_closure(st: Settings, args):
     text = artifacts.series_rows_csv_text(rows)
     files = [("closure.csv", text)]
     if st.get("svg", "flag", False):
-        files.append(("closure.svg", _svg_from_csv_text(text)))
+        files.append(("closure.svg", artifacts.svg_from_series_csv(text)))
     worst = max(residuals.values())
     lines = [
         "closure time of %r: t0 %.9g (residual %.3g), dilation residuals worst %.3g"
@@ -676,11 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default horolab-out/<experiment>)")
         p.add_argument("--seed", type=int, help="seed for randomized vector choices")
         p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="single-worker, entropy-free mode; reruns are bitwise identical",
-        )
-        p.add_argument(
             "--override",
             action="append",
             metavar="KEY=VALUE",
@@ -712,7 +707,6 @@ def main(argv=None) -> int:
         "version": __version__,
         "config": st.echo(),
         "seed": args.seed,
-        "deterministic": bool(args.deterministic),
         "workers": 1,
         "wall_seconds": round(time.perf_counter() - started, 3),
         "enumerated_words": enumerated_word_count(),

@@ -6,6 +6,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "GeometryError",
     "Isometry",
@@ -23,6 +25,8 @@ __all__ = [
     "geodesic_flow",
     "horocycle_flow",
     "from_coordinates",
+    "frame_point",
+    "frame_angle",
     "isometry_distance",
     "frame_distance",
     "same_leaf",
@@ -251,8 +255,7 @@ class UnitTangent:
     @property
     def base_point(self) -> PlanePoint:
         g = self.frame
-        den = g.c * g.c + g.d * g.d
-        return PlanePoint((g.a * g.c + g.b * g.d) / den, 1.0 / den)
+        return PlanePoint(*frame_point(g.a, g.b, g.c, g.d))
 
     @property
     def minus(self) -> BoundaryPoint:
@@ -280,6 +283,7 @@ class UnitTangent:
         """Angle of the vector in the flat chart, in (-pi, pi]."""
         g = self.frame
         # push the upward vector i at i through the frame derivative 1/(cz+d)^2
+        # (not frame_angle, which rounds differently and would move bump centers)
         w = 1j / complex(g.c * 1j + g.d) ** 2
         return cmath.phase(w)
 
@@ -288,8 +292,18 @@ class UnitTangent:
         return cls(Isometry.identity())
 
 
-def endpoints(u: UnitTangent) -> tuple[BoundaryPoint, BoundaryPoint]:
-    return (u.minus, u.plus)
+def frame_point(a, b, c, d):
+    """Base point (x, y) of the frame [[a, b], [c, d]], the image of i.
+
+    Plain arithmetic, so entries may be floats or numpy arrays alike.
+    """
+    den = c * c + d * d
+    return (a * c + b * d) / den, 1.0 / den
+
+
+def frame_angle(c, d):
+    """Direction angle in the flat chart, arg(i / (ci + d)^2), vectorized."""
+    return np.arctan2(d * d - c * c, 2.0 * c * d)
 
 
 def geodesic_flow(u: UnitTangent, t: float) -> UnitTangent:

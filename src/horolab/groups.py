@@ -13,6 +13,7 @@ from .geometry import (
     BoundaryPoint,
     Isometry,
     UnitTangent,
+    frame_point,
     from_coordinates,
     isometry_distance,
     mobius_apply,
@@ -212,7 +213,7 @@ class FuchsianGroup:
     intervals share exactly the fixed point. The base point is i.
     """
 
-    def __init__(self, letters: list[Generator], name: str = "", validate: bool = True):
+    def __init__(self, letters: list[Generator], name: str = ""):
         if not letters:
             self.name = name or "trivial"
             self.letters = {}
@@ -265,10 +266,9 @@ class FuchsianGroup:
                 chart = self._build_parabolic_chart(self.letters[l])
                 self._parabolic_charts[l] = chart
                 self._parabolic_charts[chart.label.swapcase()] = chart
-        if validate:
-            self._validate_domains()
-            self._validate_ping_pong()
-            self._spot_check_freeness()
+        self._validate_domains()
+        self._validate_ping_pong()
+        self._spot_check_freeness()
 
     # ------------------------------------------------------------ validation
 
@@ -550,17 +550,40 @@ class FuchsianGroup:
 
     # ------------------------------------------------------------ reduction
 
-    def in_fundamental_domain(self, z: complex) -> bool:
-        if self.rank == 0:
-            return True
-        dx = z.real - self._centers
-        return bool(np.all(dx * dx + z.imag * z.imag >= self._radii * self._radii))
+    def containing_letter(self, x, y):
+        """Position in order of the letter whose open half-disk holds x + iy,
+        or -1 in the fundamental domain; vectorized over x and y.
 
-    def _containing_letter(self, z: complex) -> int:
-        dx = z.real - self._centers
-        inside = dx * dx + z.imag * z.imag < self._radii * self._radii
-        hits = np.flatnonzero(inside)
-        return int(hits[0]) if hits.size else -1
+        The half-disks are disjoint in the plane (a parabolic pair touches
+        only at its fixed point on the boundary), so at most one term of the
+        sum is nonzero at any point.
+        """
+        hit = np.full(np.shape(x), -1, dtype=np.int16)
+        y2 = y * y
+        for k, (ctr, rad) in enumerate(zip(self._centers, self._radii)):
+            hit += ((x - ctr) ** 2 + y2 < rad * rad) * np.int16(k + 1)
+        return hit
+
+    def in_fundamental_domain(self, z: complex) -> bool:
+        return bool(self.containing_letter(z.real, z.imag) < 0)
+
+    def parabolic_jump(self, label: str, x, y):
+        """Shift power that pushes x + iy out of the half-disk of the parabolic
+        letter `label`, vectorized: (signed powers n of the chart letter,
+        matrices I - n N applying them).
+
+        n is the nearest whole number of shifts back to the chart center, at
+        least one step in the direction that leaves the half-disk, so a cusp
+        excursion is peeled in one step instead of one step per letter.
+        """
+        chart = self._parabolic_charts[label]
+        ca, cb, cc, cd = chart.conjugator.entries()
+        den = (cc * x + cd) ** 2 + (cc * y) ** 2
+        wre = ((ca * x + cb) * (cc * x + cd) + ca * cc * y * y) / den
+        n = np.round((wre - chart.center) / chart.tau).astype(int)
+        side = 1 if label == chart.label else -1
+        n = np.where(n * side <= 0, side, n)
+        return n, np.eye(2) - n[..., None, None] * chart.nilpotent
 
     def reduce(self, u: UnitTangent, max_steps: int = 100000) -> tuple[UnitTangent, Word]:
         """Representative of u with base point in the fundamental domain.
@@ -571,42 +594,26 @@ class FuchsianGroup:
         """
         frame = u.frame
         applied: list[str] = []
-        steps = 0
-        while steps < max_steps:
-            ut = UnitTangent(frame)
-            z = ut.base_point.as_complex
-            k = self._containing_letter(z)
+        for _ in range(max_steps):
+            z = UnitTangent(frame).base_point
+            k = int(self.containing_letter(z.x, z.y))
             if k < 0:
                 break
             label = self.order[k]
             g = self.letters[label]
             if g.kind == "parabolic":
-                chart = self._parabolic_charts[label]
-                n = self._parabolic_jump(chart, z, label)
-                power = np.eye(2) - n * chart.nilpotent
-                frame = Isometry(power[0, 0], power[0, 1], power[1, 0], power[1, 1]) @ frame
-                peel = chart.label.swapcase() if n > 0 else chart.label
-                applied.extend([peel] * abs(n))
-                steps += 1
+                n, power = self.parabolic_jump(label, z.x, z.y)
+                frame = Isometry(*power.ravel()) @ frame
+                base = self._parabolic_charts[label].label
+                applied.extend([base.swapcase() if n > 0 else base] * abs(int(n)))
             else:
                 frame = g.matrix.inverse() @ frame
                 applied.append(g.inverse_label)
-                steps += 1
         else:
             raise GroupError("reduction did not terminate in %d steps" % max_steps)
         letters = tuple(reversed(applied))
         m = self.word_matrix(letters)
         return UnitTangent(frame), Word(letters, m, self.displacement(m))
-
-    def _parabolic_jump(self, chart: _ParabolicChart, z: complex, label: str) -> int:
-        """Signed power of the base parabolic letter to peel off at z."""
-        w = chart.conjugator.apply_complex(z)
-        rho = (w.real - chart.center) / chart.tau
-        n = int(round(rho))
-        side = 1 if label == chart.label else -1
-        if n * side <= 0:
-            n = side
-        return n
 
     def reduce_frames(self, frames: np.ndarray, max_steps: int = 4000) -> np.ndarray:
         """Vectorized reduce for a stack of frames (n, 2, 2); returns new array."""
@@ -616,32 +623,18 @@ class FuchsianGroup:
         active = np.arange(len(frames))
         for _ in range(max_steps):
             sub = frames[active]
-            den = sub[:, 1, 0] ** 2 + sub[:, 1, 1] ** 2
-            x = (sub[:, 0, 0] * sub[:, 1, 0] + sub[:, 0, 1] * sub[:, 1, 1]) / den
-            y = 1.0 / den
-            dx = x[:, None] - self._centers[None, :]
-            inside = dx * dx + (y * y)[:, None] < (self._radii * self._radii)[None, :]
-            hit = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+            x, y = frame_point(sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1])
+            hit = self.containing_letter(x, y)
             live = hit >= 0
             if not live.any():
                 break
-            for k in range(len(self.order)):
-                pts = np.flatnonzero(live & (hit == k))
+            for k, label in enumerate(self.order):
+                pts = np.flatnonzero(hit == k)
                 if not pts.size:
                     continue
-                label = self.order[k]
                 g = self.letters[label]
                 if g.kind == "parabolic":
-                    chart = self._parabolic_charts[label]
-                    ca, cb, cc, cd = chart.conjugator.entries()
-                    zx, zy = x[pts], y[pts]
-                    dren = (cc * zx + cd) ** 2 + (cc * zy) ** 2
-                    wre = ((ca * zx + cb) * (cc * zx + cd) + ca * cc * zy * zy) / dren
-                    rho = (wre - chart.center) / chart.tau
-                    n = np.round(rho).astype(int)
-                    side = 1 if label == chart.label else -1
-                    n = np.where(n * side <= 0, side, n)
-                    power = np.eye(2)[None] - n[:, None, None] * chart.nilpotent[None]
+                    _, power = self.parabolic_jump(label, x[pts], y[pts])
                     frames[active[pts]] = power @ frames[active[pts]]
                 else:
                     inv = np.array(g.matrix.inverse().entries()).reshape(2, 2)

@@ -195,11 +195,11 @@ def line_plot_svg(xs, ys, refs, title: str = "series") -> str:
     return "\n".join(out)
 
 
-def svg_from_series_csv(csv_path) -> str:
-    """Render the plot straight from an already-written series CSV."""
-    rows = read_csv_rows(csv_path)
+def svg_from_series_csv(text: str) -> str:
+    """Render the plot straight from the text of a series CSV."""
+    rows = list(csv.DictReader(io.StringIO(text)))
     if not rows:
-        raise ValueError("series CSV %s has no rows" % (csv_path,))
+        raise ValueError("series CSV has no rows")
     xs = [float(r["abscissa"]) for r in rows]
     ys = [float(r["value"]) for r in rows]
     refs = [float(r["reference"]) for r in rows]

@@ -18,6 +18,8 @@ from .geometry import (
     BoundaryPoint,
     Isometry,
     UnitTangent,
+    frame_angle,
+    frame_point,
     isometry_distance,
     mobius_apply,
 )
@@ -28,7 +30,6 @@ __all__ = [
     "PattersonConfig",
     "AtomicBoundaryMeasure",
     "ConditionalHorocycleMeasure",
-    "TransversalSlice",
     "build_patterson",
     "conformality_defect",
     "conditional_on_horocycle",
@@ -133,9 +134,9 @@ def build_patterson(group: FuchsianGroup, cfg: PattersonConfig) -> AtomicBoundar
         else:
             keep = disp <= cfg.radius
             m, dk = mats[keep], disp[keep]
-        den = m[:, 1, 0] ** 2 + m[:, 1, 1] ** 2
-        xs.append((m[:, 0, 0] * m[:, 1, 0] + m[:, 0, 1] * m[:, 1, 1]) / den)
-        ys.append(1.0 / den)
+        x, y = frame_point(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
+        xs.append(x)
+        ys.append(y)
         ds.append(dk)
         ls.append(np.full(len(dk), level))
     if not xs:
@@ -272,9 +273,7 @@ def conditional_on_horocycle(
     xi, num, den = xi[keep], num[keep], den[keep]
     s = den / num
     a, b, c, d = u.frame.entries()
-    ds_den = (c + d * s) ** 2 + d * d
-    px = ((a + b * s) * (c + d * s) + b * d) / ds_den
-    py = 1.0 / ds_den
+    px, py = frame_point(a + b * s, b, c + d * s, d)
     lam = measure.log_weights[keep] + hat_delta * _busemann_at_origin(xi, px, py)
     order = np.argsort(s, kind="stable")
     return ConditionalHorocycleMeasure(
@@ -288,18 +287,6 @@ def horoball_mass(cond: ConditionalHorocycleMeasure, r: float) -> float:
 
 
 # ------------------------------------------------------------- quadratures
-
-
-def _direction_angles(c, d):
-    # angle of the frame direction: arg(i / (c i + d)^2) without complex math
-    return np.arctan2(d * d - c * c, 2.0 * c * d)
-
-
-def _fundamental_mask(group: FuchsianGroup, x, y):
-    inside = np.zeros(x.shape, dtype=bool)
-    for ctr, rad in zip(group._centers, group._radii):
-        inside |= (x - ctr) ** 2 + y * y < rad * rad
-    return ~inside
 
 
 def _evaluate(psi, x, y, theta):
@@ -352,9 +339,7 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
         d0 = np.where(swap, -1.0, 1.0)
         rs = 1.0 / np.sqrt(a0 * d0 - b0 * c0)
         a0, b0, c0, d0 = a0 * rs, b0 * rs, c0 * rs, d0 * rs
-        bden = c0 * c0 + d0 * d0
-        bx = (a0 * c0 + b0 * d0) / bden
-        by = 1.0 / bden
+        bx, by = frame_point(a0, b0, c0, d0)
         # leaf coordinate of the raw frame; flow so it matches the grid
         beta0 = -_busemann_at_origin(xm, bx, by)
         e = np.exp(0.5 * (t_grid[None, :] - beta0[:, None]))
@@ -362,12 +347,10 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
         B = b0[:, None] / e
         C = c0[:, None] * e
         D = d0[:, None] / e
-        den = C * C + D * D
-        X = (A * C + B * D) / den
-        Y = 1.0 / den
-        mask = _fundamental_mask(measure.group, X, Y)
+        X, Y = frame_point(A, B, C, D)
+        mask = measure.group.containing_letter(X, Y) < 0
         if mask.any():
-            TH = _direction_angles(C[mask], D[mask])
+            TH = frame_angle(C[mask], D[mask])
             W = np.broadcast_to((w * dt)[:, None], mask.shape)[mask]
             parts.append((X[mask], Y[mask], TH, W))
     if not parts:
@@ -413,23 +396,6 @@ def quadrature_report(
     return est, int(len(w)), float(t_grid[1] - t_grid[0])
 
 
-@dataclass(frozen=True)
-class TransversalSlice:
-    """Cells of a quadrature transverse to the expanding foliation.
-
-    One cell per (atom, leaf coordinate); the holonomy-invariant density is
-    exp(-s t) times the atom weight, stored in log space.
-    """
-
-    atom_points: np.ndarray
-    t_values: np.ndarray
-    log_density: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.diff(self.t_values) > 0):
-            raise MeasureError("transversal grid must be strictly increasing")
-
-
 def _plaque_points(xi_minus, t, sigma):
     """Phase coordinates of h^sigma applied to the leaf frame with backward
     endpoint xi_minus and leaf coordinate t; sigma is the arc-length grid."""
@@ -439,9 +405,7 @@ def _plaque_points(xi_minus, t, sigma):
     B = np.broadcast_to((xi_minus / e)[:, None], A.shape)
     C = (1.0 / e)[:, None] * sigma[None, :]
     D = np.broadcast_to((1.0 / e)[:, None], A.shape)
-    den = C * C + D * D
-    X = (A * C + B * D) / den
-    Y = 1.0 / den
+    X, Y = frame_point(A, B, C, D)
     return X, Y, C, D
 
 
@@ -467,26 +431,26 @@ def br_integral(
     if t_grid is None:
         t_grid = np.arange(-4.0, 4.0 + 1e-9, 0.1)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.diff(t_grid) > 0):
+        raise MeasureError("transversal grid must be strictly increasing")
     idx = measure.heaviest(top_k)
     xi = measure.points[idx]
     lw = measure.log_weights[idx]
     dt = float(t_grid[1] - t_grid[0])
-    slate = TransversalSlice(
-        atom_points=xi,
-        t_values=t_grid,
-        log_density=lw[:, None] - hat_delta * t_grid[None, :],
-    )
+    # transversal cells (atom, leaf coordinate) with the holonomy-invariant
+    # density exp(-s t) times the atom weight, in log space
+    log_density = lw[:, None] - hat_delta * t_grid[None, :]
     sigma = np.arange(-sigma_span, sigma_span + 1e-9, sigma_step)
     win = np.abs(sigma) <= window_span
     num = 0.0
     den = 0.0
     for k, t in enumerate(t_grid):
-        scale = np.exp(slate.log_density[:, k]) * dt
+        scale = np.exp(log_density[:, k]) * dt
         X, Y, C, D = _plaque_points(xi, np.full(len(xi), t), sigma)
-        mask = _fundamental_mask(measure.group, X, Y)
+        mask = measure.group.containing_letter(X, Y) < 0
         if mask.any():
             vals = np.zeros_like(X)
-            vals[mask] = _evaluate(psi, X[mask], Y[mask], _direction_angles(C[mask], D[mask]))
+            vals[mask] = _evaluate(psi, X[mask], Y[mask], frame_angle(C[mask], D[mask]))
             num += float(np.sum(scale * np.sum(vals, axis=1) * sigma_step))
         den += float(np.sum(scale * np.sum(mask[:, win], axis=1) * sigma_step))
     if den <= 0.0:

@@ -79,10 +79,10 @@ def test_13_budget_and_deterministic_rerun(battery, tmp_path, capsys):
     # the manifest must carry the calibrated tolerances and the witnesses
     assert manifest["tolerances"] == TOLERANCES
     assert "vector_periods" in manifest["witnesses"]
-    # bitwise-identical reruns through the CLI in deterministic mode
+    # bitwise-identical reruns through the CLI
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["checks", "--out", str(out1), "--deterministic"]) == 0
-    assert main(["checks", "--out", str(out2), "--deterministic"]) == 0
+    assert main(["checks", "--out", str(out1)]) == 0
+    assert main(["checks", "--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "checks.csv").read_bytes() == (out2 / "checks.csv").read_bytes()
     m1 = json.loads((out1 / "manifest.json").read_text())

@@ -31,7 +31,6 @@ from horolab.averages import (
     ConstantFunction,
     CuspHeightCap,
     HaarDensity,
-    HoroBall,
     ShiftedFunction,
     TestFunction,
     VectorClass,
@@ -315,15 +314,16 @@ def test_periodic_closure_rejects_hyperbolic(sch, cus):
         periodic_closure(cus, "b")
 
 
-def test_series_validation():
+def test_series_validation(u8, m_sch):
     with pytest.raises(AveragesError):
         AverageSeries(np.array([1.0, 2.0]), np.array([0.5]), 1.0)
     with pytest.raises(AveragesError):
         AverageSeries(np.array([2.0, 1.0]), np.array([0.5, 0.6]), 1.0)
     with pytest.raises(AveragesError):
         AverageSeries(np.array([1.0, 2.0]), np.array([0.5, math.nan]), 1.0)
-    with pytest.raises(AveragesError):
-        HoroBall(pointed_frame(0.0, 1.0, 0.0), 0.0)
+    for r in (0.0, math.nan):
+        with pytest.raises(AveragesError):
+            average_ps(u8, r, ConstantFunction(), m_sch, DELTA_SCH)
 
 
 def test_shifted_and_weighted_functions(sch, u8):

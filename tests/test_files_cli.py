@@ -55,13 +55,28 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_bad_value_reports_location(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "experiment, line",
+    [
+        pytest.param("nondiv", "k_height = tall", id="nondiv-word"),
+        pytest.param("exponent", "t_max = inf", id="exponent-inf"),
+        pytest.param("exponent", "t_max = nan", id="exponent-nan"),
+        pytest.param("equidist", "radii =", id="equidist-empty"),
+        pytest.param("nondiv", "radii =", id="nondiv-empty"),
+        pytest.param("mixing", "times =", id="mixing-empty"),
+        pytest.param("closure", "refine_tol = nan", id="closure-nan"),
+        pytest.param("patterson", "exponent = inf", id="patterson-inf"),
+    ],
+)
+def test_cli_bad_value_reports_location(experiment, line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("k_height = tall\n")
-    code = main(["nondiv", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    code = main([experiment, "--config", str(cfg), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "k_height" in err and "line 1" in err
+    assert line.split()[0] in err and "line 1" in err
+    assert not out.exists()
 
 
 def test_cli_numeric_failure_exits_2(tmp_path, capsys):
@@ -80,8 +95,8 @@ def test_cli_bad_override_exits_1(tmp_path, capsys):
 
 def test_cli_closure_artifacts_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["closure", "--out", str(out1), "--deterministic", "--override", "svg=yes"]) == 0
-    assert main(["closure", "--out", str(out2), "--deterministic", "--override", "svg=yes"]) == 0
+    assert main(["closure", "--out", str(out1), "--override", "svg=yes"]) == 0
+    assert main(["closure", "--out", str(out2), "--override", "svg=yes"]) == 0
     capsys.readouterr()
     csv1 = (out1 / "closure.csv").read_bytes()
     csv2 = (out2 / "closure.csv").read_bytes()
@@ -96,7 +111,7 @@ def test_cli_closure_artifacts_and_determinism(tmp_path, capsys):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["experiment"] == "closure"
     assert manifest["version"]
-    assert manifest["deterministic"] is True
+    assert manifest["workers"] == 1 and "deterministic" not in manifest
     assert "wall_seconds" in manifest and "config" in manifest
     svg = (out1 / "closure.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
@@ -180,8 +195,10 @@ def test_svg_helpers(tmp_path):
     path = tmp_path / "s.csv"
     ser = AverageSeries(np.array([1.0, 2.0]), np.array([0.5, 0.25]), 0.3, "demo")
     atomic_write_text(path, series_csv_text(ser))
-    svg = svg_from_series_csv(path)
+    svg = svg_from_series_csv(path.read_text(encoding="utf-8"))
     assert svg.startswith("<svg") and "demo" in svg
+    with pytest.raises(ValueError):
+        svg_from_series_csv("abscissa,value,reference,experiment_id,seed\n")
 
 
 def test_manifest_text_sorted_and_parseable():

@@ -16,7 +16,9 @@ from horolab.geometry import (
     UnitTangent,
     busemann,
     closest_point_on_geodesic,
+    frame_angle,
     frame_distance,
+    frame_point,
     from_coordinates,
     geodesic_between,
     geodesic_flow,
@@ -146,6 +148,25 @@ def test_identity_frame_conventions():
     assert u.plus.is_infinity
     assert u.busemann_coordinate == pytest.approx(0.0, abs=1e-14)
     assert u.direction_angle == pytest.approx(math.pi / 2)
+
+
+def test_frame_point_matches_base_point_bitwise(rng):
+    frames = [random_frame(rng).frame for _ in range(300)]
+    # frames with c == 0: the base point sits straight above b / d
+    frames += [Isometry(2.0, 0.3, 0.0, 0.5), Isometry(1.0, -4.0, 0.0, 1.0), Isometry.identity()]
+    frames += [geodesic_flow(UnitTangent(Isometry(1.0, x, 0.0, 1.0)), t).frame
+               for x, t in rng.uniform(-3.0, 3.0, (20, 2))]
+    a, b, c, d = np.array([g.entries() for g in frames]).T
+    assert np.count_nonzero(c == 0.0) >= 23
+    x, y = frame_point(a, b, c, d)
+    theta = frame_angle(c, d)
+    for g, xk, yk, tk in zip(frames, x, y, theta):
+        u = UnitTangent(g)
+        assert (u.base_point.x, u.base_point.y) == (xk, yk)
+        z = mobius_oracle(g, 1j)
+        assert abs(complex(xk, yk) - z) <= 1e-12 * max(1.0, abs(z))
+        gap = math.remainder(u.direction_angle - tk, 2.0 * math.pi)
+        assert abs(gap) < 1e-12
 
 
 def test_geodesic_flow_frozen_matrix():

@@ -1,6 +1,7 @@
 """Group layer: ping-pong validation, counting, reduction, limit points."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -381,8 +382,45 @@ def test_reduce_fixes_fundamental_domain_points():
     assert frame_distance(rep, u0) == 0.0
 
 
-def test_reduce_frames_matches_scalar(rng):
-    g = cusped_group()
+def _letter_oracle(g, x, y):
+    """Letter whose open half-disk holds x + iy, decided in exact arithmetic;
+    None when the point lies too close to a circle for float to decide."""
+    fx, fy = Fraction(x), Fraction(y)
+    hits = []
+    for k, lab in enumerate(g.order):
+        lo, hi = (Fraction(v) for v in g.letters[lab].domain)
+        ctr, rad = (lo + hi) / 2, (hi - lo) / 2
+        margin = (fx - ctr) ** 2 + fy * fy - rad * rad
+        if abs(margin) < Fraction(1, 10**9) * rad * rad:
+            return None
+        if margin < 0:
+            hits.append(k)
+    assert len(hits) <= 1, "half-disks of %s overlap at %r" % (g.name, (x, y))
+    return hits[0] if hits else -1
+
+
+@pytest.mark.parametrize("make", [schottky_group, cusped_group])
+def test_containing_letter_matches_oracle(make, rng):
+    g = make()
+    x = rng.uniform(-7.0, 7.0, 1500)
+    y = np.exp(rng.uniform(math.log(1e-4), math.log(4.0), 1500))
+    # near the tangency of the cusped group's parabolic pair at 0
+    x = np.concatenate([x, rng.uniform(-1e-3, 1e-3, 500)])
+    y = np.concatenate([y, np.exp(rng.uniform(math.log(1e-8), math.log(1e-3), 500))])
+    got = g.containing_letter(x, y)
+    want = [_letter_oracle(g, float(a), float(b)) for a, b in zip(x, y)]
+    decided = [k for k, w in enumerate(want) if w is not None]
+    assert len(decided) > 1900
+    assert [int(got[k]) for k in decided] == [want[k] for k in decided]
+    assert {want[k] for k in decided} == set(range(-1, len(g.order)))
+    for k in decided[:200]:
+        assert int(g.containing_letter(float(x[k]), float(y[k]))) == want[k]
+        assert g.in_fundamental_domain(complex(x[k], y[k])) == (want[k] < 0)
+
+
+@pytest.mark.parametrize("make", [schottky_group, cusped_group])
+def test_reduce_frames_matches_scalar(make, rng):
+    g = make()
     frames = []
     expect = []
     for _ in range(40):
