@@ -141,16 +141,26 @@ class TestFunction(Integrand):
         self._x0 = bp.x
         self._y0 = bp.y
         self._th0 = self.center.direction_angle
+        # the bump vanishes where the base distance reaches base_width, i.e.
+        # where d2 >= 2 (cosh(base_width) - 1) y y0 for the squared Euclidean
+        # offset d2; widened so rounding never skips a point it keeps
+        edge = math.cosh(self.base_width) - 1.0
+        self._reach = 2.0 * self._y0 * (edge * (1.0 + 1e-6) + 1e-12)
 
     def evaluate_points(self, x, y, theta):
         """Bump values at fundamental-domain coordinates (no reduction)."""
+        x, y, theta = np.broadcast_arrays(x, y, theta)
         d2 = (x - self._x0) ** 2 + (y - self._y0) ** 2
+        out = np.zeros(d2.shape)
+        near = ~(d2 >= self._reach * y)  # NaN stays near and is computed
+        d2, y = d2[near], y[near]
         dist = np.arccosh(1.0 + d2 / (2.0 * y * self._y0))
-        dth = np.mod(theta - self._th0 + np.pi, 2.0 * np.pi) - np.pi
+        dth = np.mod(theta[near] - self._th0 + np.pi, 2.0 * np.pi) - np.pi
         rho2 = (dist / self.base_width) ** 2 + (dth / self.angle_width) ** 2
-        out = np.zeros_like(rho2)
+        vals = np.zeros_like(rho2)
         inside = rho2 < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
+        vals[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
+        out[near] = vals
         return out
 
 
@@ -457,6 +467,7 @@ def _golden_refine(f, lo: float, hi: float, tol: float) -> float:
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
@@ -465,6 +476,8 @@ def _golden_refine(f, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + inv * (b - a)
             fd = f(d)
+        if not b - a < width:  # float resolution reached before tol
+            break
     return 0.5 * (a + b)
 
 
@@ -489,6 +502,8 @@ def periodic_closure(
         gen = group.generator(p)
     if gen.kind != "parabolic":
         raise AveragesError("closure time needs a parabolic letter, got %r" % gen.kind)
+    if not refine_tol > 0:
+        raise AveragesError("refine_tol must be positive, got %r" % (refine_tol,))
     fp, _ = fixed_points(gen.matrix)
     if u is None:
         if fp.is_infinity:

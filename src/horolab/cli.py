@@ -131,6 +131,13 @@ def _parse_float(raw: str) -> float:
     return value
 
 
+def _parse_positive(raw: str) -> float:
+    value = _parse_float(raw)
+    if not value > 0:
+        raise ValueError("expected a positive number, got %r" % raw)
+    return value
+
+
 def _parse_floats(raw: str):
     values = tuple(_parse_float(tok) for tok in raw.split())
     if not values:
@@ -153,6 +160,7 @@ def _parse_flag(raw: str) -> bool:
 
 _PARSERS = {
     "float": _parse_float,
+    "positive": _parse_positive,
     "int": int,
     "str": str,
     "floats": _parse_floats,
@@ -399,7 +407,13 @@ def run_exponent(st: Settings, args):
     t_max = st.get("t_max", "float", EXPONENT_RADIUS.get(builtin))
     if t_max is None:
         raise ConfigError("key 't_max' is required for file groups")
-    grid_step = st.get("grid_step", "float", 0.5)
+    grid_step = st.get("grid_step", "positive", 0.5)
+    if not t_max >= grid_step:
+        key = "t_max" if st.has("t_max") else "grid_step"
+        raise ConfigError(
+            "%s: key %r: t_max %g below grid_step %g leaves no count grid"
+            % (st.where(key), key, t_max, grid_step)
+        )
     window = st.get("window", "float", None)
     min_points = st.get("min_points", "int", 1000)
     fit = critical_exponent(
@@ -595,7 +609,7 @@ def run_closure(st: Settings, args):
     elif letter not in group.letters:
         raise ConfigError("group %s has no letter %r" % (spec, letter))
     dilations = sorted(st.get("dilations", "floats", (0.5, 1.0, 2.0)))
-    refine_tol = st.get("refine_tol", "float", 1e-10)
+    refine_tol = st.get("refine_tol", "positive", 1e-10)
     from .geometry import INFINITY, from_coordinates, geodesic_flow
     from .groups import fixed_points
 

@@ -700,7 +700,11 @@ def critical_exponent(
     """
     if group.rank == 0:
         return ExponentFit(0.0, 0.0, np.zeros(0), np.zeros(0), (0.0, 0.0))
+    if not grid_step > 0:
+        raise GroupError("grid step must be positive, got %r" % (grid_step,))
     grid = np.arange(grid_step, t_max + 0.5 * grid_step, grid_step)
+    if len(grid) == 0:
+        raise GroupError("radius %.3g is below the grid step %.3g: empty count grid" % (t_max, grid_step))
     if group.rank == 1:
         counts = np.array([group.cyclic_count(t) for t in grid], dtype=float)
     else:

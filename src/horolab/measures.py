@@ -288,10 +288,88 @@ def horoball_mass(cond: ConditionalHorocycleMeasure, r: float) -> float:
 
 # ------------------------------------------------------------- quadratures
 
+# Both quadratures sample one curve per grid row and keep the samples that
+# lie in the fundamental domain, the outside of disjoint half-disks. Where
+# a curve can be outside them follows in closed form from its circle
+# crossings, so frames are computed only on that window of the row, padded
+# by _PAD cells a side; the half-disk test still decides every sample.
+_PAD = 2
+# two atoms in one interval span a geodesic inside its half-disk; the pair
+# is skipped only when both sit deeper than this times the squared radius
+_EDGE = 1e-9
+
 
 def _evaluate(psi, x, y, theta):
     """Test-function values at already-reduced phase points."""
     return np.asarray(psi.evaluate_points(x, y, theta), dtype=float)
+
+
+def _grid_window(grid, lo, hi):
+    """Padded cell ranges [first, stop) of the sorted grid covering [lo, hi]
+    per row; the whole grid where either end is NaN."""
+    n = len(grid)
+    first = np.clip(np.searchsorted(grid, lo) - _PAD, 0, n)
+    stop = np.clip(np.searchsorted(grid, hi, side="right") + _PAD, 0, n)
+    lost = np.isnan(lo) | np.isnan(hi)
+    return np.where(lost, 0, first), np.where(lost, n, stop)
+
+
+def _clip_cells(first, stop, width, inside_at):
+    """Cells (row, col) with first <= col < stop in row-major order, with
+    what inside_at(row, col) returns for them: (in-domain mask, data).
+
+    first and stop give one window per row, or (2-D) ordered disjoint
+    segments per row. A segment with an in-domain cell at an edge short of
+    the grid's end may have cut its row too short, so the closed form is
+    not trusted there: the row is recomputed on its full grid.
+    """
+    first = first.reshape(len(first), -1)
+    stop = stop.reshape(len(stop), -1)
+    while True:
+        n = np.maximum(stop - first, 0).ravel()
+        end = np.cumsum(n)
+        seg = np.repeat(np.arange(len(n)), n)
+        col = np.arange(len(seg)) - np.repeat(end - n - first.ravel(), n)
+        row = seg // first.shape[1]
+        inside, data = inside_at(row, col)
+        edge = np.append(inside, False)  # position len(inside) reads False
+        head = edge[np.where(n > 0, end - n, len(inside))]
+        tail = edge[np.where(n > 0, end - 1, len(inside))]
+        short = ((first.ravel() > 0) & head) | ((stop.ravel() < width) & tail)
+        short = short.reshape(first.shape).any(axis=1)
+        if not short.any():
+            return row, col, inside, data
+        first = np.where(short[:, None], 0, first)
+        stop = np.where(short[:, None], 0, stop)
+        stop[short, 0] = width
+
+
+def _pair_window(group, xm, xp, beta0):
+    """Leaf coordinates (lo, hi) between which the geodesic from xm to xp
+    lies outside every half-disk; beta0 is the coordinate of its raw frame.
+
+    Pulled back by that frame, half-disk k meets the leaf i E at
+    E^2 = -a(xm) / a(xp), a(x) = (x - c_k)^2 - r_k^2: the leaf is inside it
+    below the crossing when xm is in interval k, above it when xp is, and
+    everywhere when both are (lo = +inf, hi = -inf). A NaN end asks for
+    the full grid.
+    """
+    lo = np.full(len(xm), -np.inf)
+    hi = np.full(len(xm), np.inf)
+    for ctr, rad in zip(group._centers, group._radii):
+        r2 = rad * rad
+        am = (xm - ctr) ** 2 - r2
+        ap = (xp - ctr) ** 2 - r2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tk = beta0 + 0.5 * np.log(-am / ap)
+        inm, inp = am < 0.0, ap < 0.0
+        lo = np.maximum(lo, np.where(inm & ~inp, tk, -np.inf))
+        hi = np.minimum(hi, np.where(inp & ~inm, tk, np.inf))
+        both = inm & inp
+        deep = np.maximum(am, ap) < -_EDGE * r2
+        lo = np.where(both, np.where(deep, np.inf, np.nan), lo)
+        hi = np.where(both & deep, -np.inf, hi)
+    return lo, hi
 
 
 def _pair_field(measure, hat_delta, t_grid, top_k):
@@ -306,6 +384,8 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
     hit = measure._pair_cache.get(key)
     if hit is not None:
         return hit
+    if not np.all(np.diff(t_grid) > 0):
+        raise MeasureError("leaf-coordinate grid must be strictly increasing")
     idx = measure.heaviest(top_k)
     xi = measure.points[idx]
     lw = measure.log_weights[idx]
@@ -326,33 +406,36 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
     )
     logw -= np.max(logw)  # common scale cancels in the normalized integral
     dt = float(t_grid[1] - t_grid[0])
+    w = np.exp(logw) * dt
+    xm, xp = xi[ii], xi[jj]
+    # interval pairing matrix sending (0, inf) to (xm, xp), det one
+    swap = xp <= xm
+    a0 = xp
+    b0 = np.where(swap, -xm, xm)
+    c0 = np.ones_like(xp)
+    d0 = np.where(swap, -1.0, 1.0)
+    rs = 1.0 / np.sqrt(a0 * d0 - b0 * c0)
+    a0, b0, c0, d0 = a0 * rs, b0 * rs, c0 * rs, d0 * rs
+    bx, by = frame_point(a0, b0, c0, d0)
+    # leaf coordinate of the raw frame; flow so it matches the grid
+    beta0 = -_busemann_at_origin(xm, bx, by)
+    first, stop = _grid_window(t_grid, *_pair_window(measure.group, xm, xp, beta0))
+
+    def samples(row, col):
+        e = np.exp(0.5 * (t_grid[col] - beta0[row]))
+        C = c0[row] * e
+        D = d0[row] / e
+        X, Y = frame_point(a0[row] * e, b0[row] / e, C, D)
+        return measure.group.containing_letter(X, Y) < 0, (X, Y, C, D)
+
     parts = []
     for lo in range(0, len(ii), 4096):
         sl = slice(lo, lo + 4096)
-        xm, xp = xi[ii[sl]], xi[jj[sl]]
-        w = np.exp(logw[sl])
-        # interval pairing matrix sending (0, inf) to (xm, xp), det one
-        swap = xp <= xm
-        a0 = xp
-        b0 = np.where(swap, -xm, xm)
-        c0 = np.ones_like(xp)
-        d0 = np.where(swap, -1.0, 1.0)
-        rs = 1.0 / np.sqrt(a0 * d0 - b0 * c0)
-        a0, b0, c0, d0 = a0 * rs, b0 * rs, c0 * rs, d0 * rs
-        bx, by = frame_point(a0, b0, c0, d0)
-        # leaf coordinate of the raw frame; flow so it matches the grid
-        beta0 = -_busemann_at_origin(xm, bx, by)
-        e = np.exp(0.5 * (t_grid[None, :] - beta0[:, None]))
-        A = a0[:, None] * e
-        B = b0[:, None] / e
-        C = c0[:, None] * e
-        D = d0[:, None] / e
-        X, Y = frame_point(A, B, C, D)
-        mask = measure.group.containing_letter(X, Y) < 0
+        row, _, mask, (X, Y, C, D) = _clip_cells(
+            first[sl], stop[sl], len(t_grid), lambda r, c, lo=lo: samples(r + lo, c)
+        )
         if mask.any():
-            TH = frame_angle(C[mask], D[mask])
-            W = np.broadcast_to((w * dt)[:, None], mask.shape)[mask]
-            parts.append((X[mask], Y[mask], TH, W))
+            parts.append((X[mask], Y[mask], frame_angle(C[mask], D[mask]), w[lo + row[mask]]))
     if not parts:
         raise MeasureError("pair quadrature found no fundamental-domain samples")
     out = tuple(np.concatenate([p[k] for p in parts]) for k in range(4))
@@ -396,19 +479,6 @@ def quadrature_report(
     return est, int(len(w)), float(t_grid[1] - t_grid[0])
 
 
-def _plaque_points(xi_minus, t, sigma):
-    """Phase coordinates of h^sigma applied to the leaf frame with backward
-    endpoint xi_minus and leaf coordinate t; sigma is the arc-length grid."""
-    b0 = -np.log(xi_minus * xi_minus + 1.0)  # leaf coordinate of [[1, xm], [0, 1]]
-    e = np.exp(0.5 * (t - b0))
-    A = e[:, None] + (xi_minus / e)[:, None] * sigma[None, :]
-    B = np.broadcast_to((xi_minus / e)[:, None], A.shape)
-    C = (1.0 / e)[:, None] * sigma[None, :]
-    D = np.broadcast_to((1.0 / e)[:, None], A.shape)
-    X, Y = frame_point(A, B, C, D)
-    return X, Y, C, D
-
-
 def br_integral(
     psi,
     measure: AtomicBoundaryMeasure,
@@ -433,6 +503,7 @@ def br_integral(
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all(np.diff(t_grid) > 0):
         raise MeasureError("transversal grid must be strictly increasing")
+    group = measure.group
     idx = measure.heaviest(top_k)
     xi = measure.points[idx]
     lw = measure.log_weights[idx]
@@ -442,17 +513,61 @@ def br_integral(
     log_density = lw[:, None] - hat_delta * t_grid[None, :]
     sigma = np.arange(-sigma_span, sigma_span + 1e-9, sigma_step)
     win = np.abs(sigma) <= window_span
+    b0 = -np.log(xi * xi + 1.0)  # leaf coordinate of [[1, xi], [0, 1]]
+    # The plaque point at arc parameter s is xi + E s/(1+s^2) + i E/(1+s^2);
+    # it lies in half-disk k iff al s^2 + 2 u E s + al + E^2 < 0, where
+    # u = xi - c_k and al = u^2 - r_k^2. For the letter whose interval holds
+    # xi (al < 0) the domain part lies between the roots, or near the vertex
+    # when there is none; atoms in no interval keep the whole grid. Every
+    # other letter (al > 0) cuts out the cells between its roots.
+    u = xi[:, None] - group._centers[None, :]
+    r2 = group._radii * group._radii
+    al = u * u - r2
+    held = al < 0.0
     num = 0.0
     den = 0.0
     for k, t in enumerate(t_grid):
         scale = np.exp(log_density[:, k]) * dt
-        X, Y, C, D = _plaque_points(xi, np.full(len(xi), t), sigma)
-        mask = measure.group.containing_letter(X, Y) < 0
+        e = np.exp(0.5 * (t - b0))
+        E = (e * e)[:, None]
+        sq = np.sqrt(np.maximum(E * E * r2 - al * al, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s1 = (-u * E - sq) / al
+            s2 = (-u * E + sq) / al
+        first, stop = _grid_window(
+            sigma,
+            np.where(held, s2, -np.inf).max(axis=1),
+            np.where(held, s1, np.inf).min(axis=1),
+        )
+        # holes [cut, back), shrunk by the padding and sorted by position
+        # (unused letters sort last); segments run between them
+        cut = np.searchsorted(sigma, s1, side="right") + _PAD
+        back = np.searchsorted(sigma, s2) - _PAD
+        hole = (al > 0.0) & (cut < back)
+        cut = np.where(hole, cut, len(sigma))
+        back = np.where(hole, back, len(sigma))
+        order = np.argsort(cut, axis=1, kind="stable")
+        cut = np.take_along_axis(cut, order, axis=1)
+        back = np.take_along_axis(back, order, axis=1)
+        seg_first = np.maximum(np.column_stack([first, back]), first[:, None])
+        seg_stop = np.minimum(np.column_stack([cut, stop]), stop[:, None])
+        xe, ie = xi / e, 1.0 / e
+
+        def samples(row, col):
+            C = ie[row] * sigma[col]
+            D = ie[row]
+            X, Y = frame_point(e[row] + xe[row] * sigma[col], xe[row], C, D)
+            return group.containing_letter(X, Y) < 0, (X, Y, C, D)
+
+        row, col, mask, (X, Y, C, D) = _clip_cells(seg_first, seg_stop, len(sigma), samples)
         if mask.any():
-            vals = np.zeros_like(X)
-            vals[mask] = _evaluate(psi, X[mask], Y[mask], frame_angle(C[mask], D[mask]))
+            vals = np.zeros((len(xi), len(sigma)))
+            vals[row[mask], col[mask]] = _evaluate(
+                psi, X[mask], Y[mask], frame_angle(C[mask], D[mask])
+            )
             num += float(np.sum(scale * np.sum(vals, axis=1) * sigma_step))
-        den += float(np.sum(scale * np.sum(mask[:, win], axis=1) * sigma_step))
+        counts = np.bincount(row[mask & win[col]], minlength=len(xi))
+        den += float(np.sum(scale * counts * sigma_step))
     if den <= 0.0:
         raise MeasureError("reference window has zero mass")
     return num / den

@@ -147,6 +147,50 @@ def test_bump_validation(sch):
         TestFunction(sch, pointed_frame(0.0, 1.0, 0.0), base_width=0.0)
 
 
+def _bump_formula(psi, x, y, theta):
+    """TestFunction.evaluate_points before it skipped points off the support."""
+    d2 = (x - psi._x0) ** 2 + (y - psi._y0) ** 2
+    dist = np.arccosh(1.0 + d2 / (2.0 * y * psi._y0))
+    dth = np.mod(theta - psi._th0 + np.pi, 2.0 * np.pi) - np.pi
+    rho2 = (dist / psi.base_width) ** 2 + (dth / psi.angle_width) ** 2
+    out = np.zeros_like(rho2)
+    inside = rho2 < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
+    return out
+
+
+def test_bump_support_filter_matches_formula(sch, cus):
+    rng = np.random.default_rng(2024)
+    for group, name in ((sch, "schottky"), (cus, "cusped")):
+        for psi in _bumps(group, name):
+            # random points, heights from 1e-8 to 1e3
+            n = 10**6
+            x = psi._x0 + rng.uniform(-4.0, 4.0, n)
+            y = np.exp(rng.uniform(math.log(1e-8), math.log(1e3), n))
+            th = rng.uniform(-math.pi, math.pi, n)
+            got = psi.evaluate_points(x, y, th)
+            assert np.array_equal(got, _bump_formula(psi, x, y, th))
+            assert 0 < np.count_nonzero(got) < n
+            # points within 1e-9 of base distance base_width from the center,
+            # and of the slightly larger distance where the filter starts
+            # skipping; half of them at the center's angle
+            skip_from = math.acosh(1.0 + psi._reach / (2.0 * psi._y0))
+            for edge in (psi.base_width, skip_from):
+                m = 20000
+                rho = edge + rng.uniform(-1e-9, 1e-9, m)
+                phi = rng.uniform(-math.pi, math.pi, m)
+                # distance rho from i in direction phi, then z -> x0 + y0 z
+                zr = np.tanh(0.5 * rho) * np.exp(1j * phi)  # disk model
+                z = 1j * (1.0 + zr) / (1.0 - zr)
+                x, y = psi._x0 + psi._y0 * z.real, psi._y0 * z.imag
+                th = np.where(np.arange(m) % 2 == 0, psi._th0, rng.uniform(-math.pi, math.pi, m))
+                assert np.array_equal(psi.evaluate_points(x, y, th), _bump_formula(psi, x, y, th))
+                d2 = (x - psi._x0) ** 2 + (y - psi._y0) ** 2
+                dist = np.arccosh(1.0 + d2 / (2.0 * y * psi._y0))
+                assert 0 < np.count_nonzero(dist < edge) < m  # the ring straddles its edge
+            assert 0 < np.count_nonzero(d2 >= psi._reach * y) < m
+
+
 def test_build_vector_classes(sch, cus):
     u, cls = build_vector(sch, BoundaryPoint(30.0), BoundaryPoint(0.5))
     assert cls is VectorClass.WANDERING
@@ -312,6 +356,21 @@ def test_periodic_closure_rejects_hyperbolic(sch, cus):
         periodic_closure(sch, "a")
     with pytest.raises(AveragesError):
         periodic_closure(cus, "b")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_periodic_closure_rejects_bad_tolerance(cus, tol):
+    # a golden-section search to a tolerance <= 0 would never stop
+    with pytest.raises(AveragesError):
+        periodic_closure(cus, "p", refine_tol=tol)
+
+
+def test_periodic_closure_stops_at_float_resolution(cus):
+    # a tolerance below the spacing of floats ends when the bracket stops
+    # shrinking, at the same closure time
+    t0, _ = periodic_closure(cus, "p")
+    t1, res = periodic_closure(cus, "p", refine_tol=1e-300)
+    assert t1 == pytest.approx(t0, abs=1e-9) and res < 1e-12
 
 
 def test_series_validation(u8, m_sch):

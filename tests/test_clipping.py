@@ -1,0 +1,278 @@
+"""The clipped boundary quadratures against their full-grid form.
+
+_pair_field and br_integral compute frames only on the closed-form window
+of each grid row where the sampled curve can lie in the fundamental domain.
+The oracles below are the full-grid versions they replaced: every cell of
+the rectangular grid, then the half-disk test. Clipping keeps the same
+samples in the same order with the same arithmetic, so the results must be
+equal bit for bit, on the builtins and on conjugates of them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from horolab import measures
+from horolab.averages import ConstantFunction, TestFunction, pointed_frame
+from horolab.defaults import (
+    BUMP_WIDTHS,
+    DEFAULT_BUMPS,
+    KNOWN_EXPONENTS,
+    PATTERSON_RADIUS,
+    RATIO_BUMPS,
+    resolve_group,
+)
+from horolab.geometry import Isometry, frame_angle, frame_point, mobius_apply
+from horolab.groups import parse_group_text
+from horolab.measures import (
+    MeasureError,
+    PattersonConfig,
+    _busemann_at_origin,
+    _evaluate,
+    _pair_field,
+    br_integral,
+    build_patterson,
+)
+
+DEFAULT_T = np.arange(-8.0, 8.0 + 1e-9, 0.05)
+
+
+def full_pair_field(measure, hat_delta, t_grid, top_k):
+    """_pair_field on the whole (pair, t) grid, in blocks of 4096 pairs."""
+    idx = measure.heaviest(top_k)
+    xi = measure.points[idx]
+    lw = measure.log_weights[idx]
+    n = len(xi)
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ii, jj = ii.ravel(), jj.ravel()
+    sep = np.abs(xi[ii] - xi[jj])
+    ok = sep > 1e-12
+    ii, jj, sep = ii[ok], jj[ok], sep[ok]
+    logw = (
+        lw[ii]
+        + lw[jj]
+        - 2.0 * hat_delta * np.log(sep)
+        + hat_delta * (np.log1p(xi[ii] ** 2) + np.log1p(xi[jj] ** 2))
+    )
+    logw -= np.max(logw)
+    dt = float(t_grid[1] - t_grid[0])
+    parts = []
+    for lo in range(0, len(ii), 4096):
+        sl = slice(lo, lo + 4096)
+        xm, xp = xi[ii[sl]], xi[jj[sl]]
+        w = np.exp(logw[sl])
+        swap = xp <= xm
+        a0 = xp
+        b0 = np.where(swap, -xm, xm)
+        c0 = np.ones_like(xp)
+        d0 = np.where(swap, -1.0, 1.0)
+        rs = 1.0 / np.sqrt(a0 * d0 - b0 * c0)
+        a0, b0, c0, d0 = a0 * rs, b0 * rs, c0 * rs, d0 * rs
+        bx, by = frame_point(a0, b0, c0, d0)
+        beta0 = -_busemann_at_origin(xm, bx, by)
+        e = np.exp(0.5 * (t_grid[None, :] - beta0[:, None]))
+        A = a0[:, None] * e
+        B = b0[:, None] / e
+        C = c0[:, None] * e
+        D = d0[:, None] / e
+        X, Y = frame_point(A, B, C, D)
+        mask = measure.group.containing_letter(X, Y) < 0
+        if mask.any():
+            TH = frame_angle(C[mask], D[mask])
+            W = np.broadcast_to((w * dt)[:, None], mask.shape)[mask]
+            parts.append((X[mask], Y[mask], TH, W))
+    if not parts:
+        raise MeasureError("pair quadrature found no fundamental-domain samples")
+    return tuple(np.concatenate([p[k] for p in parts]) for k in range(4))
+
+
+def full_br_integral(
+    psi, measure, hat_delta, t_grid=None, sigma_span=30.0, sigma_step=0.05, window_span=5.0, top_k=200
+):
+    """br_integral on the whole (atom, sigma) grid of every leaf coordinate."""
+    if t_grid is None:
+        t_grid = np.arange(-4.0, 4.0 + 1e-9, 0.1)
+    t_grid = np.asarray(t_grid, dtype=float)
+    idx = measure.heaviest(top_k)
+    xi = measure.points[idx]
+    lw = measure.log_weights[idx]
+    dt = float(t_grid[1] - t_grid[0])
+    log_density = lw[:, None] - hat_delta * t_grid[None, :]
+    sigma = np.arange(-sigma_span, sigma_span + 1e-9, sigma_step)
+    win = np.abs(sigma) <= window_span
+    b0 = -np.log(xi * xi + 1.0)
+    num = 0.0
+    den = 0.0
+    for k, t in enumerate(t_grid):
+        scale = np.exp(log_density[:, k]) * dt
+        e = np.exp(0.5 * (np.full(len(xi), t) - b0))
+        A = e[:, None] + (xi / e)[:, None] * sigma[None, :]
+        B = np.broadcast_to((xi / e)[:, None], A.shape)
+        C = (1.0 / e)[:, None] * sigma[None, :]
+        D = np.broadcast_to((1.0 / e)[:, None], A.shape)
+        X, Y = frame_point(A, B, C, D)
+        mask = measure.group.containing_letter(X, Y) < 0
+        if mask.any():
+            vals = np.zeros_like(X)
+            vals[mask] = _evaluate(psi, X[mask], Y[mask], frame_angle(C[mask], D[mask]))
+            num += float(np.sum(scale * np.sum(vals, axis=1) * sigma_step))
+        den += float(np.sum(scale * np.sum(mask[:, win], axis=1) * sigma_step))
+    if den <= 0.0:
+        raise MeasureError("reference window has zero mass")
+    return num / den
+
+
+def assert_same_field(measure, delta, t_grid, top_k):
+    measure._pair_cache.clear()
+    got = _pair_field(measure, delta, t_grid, top_k)
+    want = full_pair_field(measure, delta, t_grid, top_k)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+    return len(got[0])
+
+
+def bumps(group, centers, moved=Isometry.identity()):
+    wb, wa = BUMP_WIDTHS
+    return [
+        TestFunction(group, mobius_apply(moved, pointed_frame(*cd)), base_width=wb, angle_width=wa)
+        for cd in centers
+    ]
+
+
+@pytest.fixture(scope="module")
+def builtin_measures():
+    out = {}
+    for name in ("schottky", "cusped"):
+        group = resolve_group(name)
+        delta = KNOWN_EXPONENTS[name]
+        out[name] = (group, build_patterson(group, PattersonConfig(delta, 14, PATTERSON_RADIUS[name])), delta)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, t_grid, top_k",
+    [
+        pytest.param("schottky", DEFAULT_T, 220, id="schottky-default"),
+        pytest.param("cusped", DEFAULT_T, 220, id="cusped-default"),
+        pytest.param("schottky", np.arange(-5.0, 6.0, 0.125), 90, id="schottky-coarse"),
+        pytest.param("cusped", np.linspace(-8.0, 8.0, 97), 300, id="cusped-wide"),
+        pytest.param("cusped", np.arange(-2.0, 2.0, 0.01), 40, id="cusped-fine"),
+    ],
+)
+def test_pair_field_matches_full_grid(builtin_measures, name, t_grid, top_k):
+    _, measure, delta = builtin_measures[name]
+    assert assert_same_field(measure, delta, t_grid, top_k) > 0
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        pytest.param("cusped", {}, id="cusped-default"),
+        pytest.param("schottky", {}, id="schottky-default"),
+        pytest.param("cusped", dict(sigma_span=8.0, window_span=9.0), id="window-past-span"),
+        pytest.param(
+            "cusped",
+            dict(t_grid=np.arange(-3.0, 3.01, 0.2), sigma_step=0.1, top_k=120, window_span=2.0),
+            id="cusped-coarse",
+        ),
+        pytest.param(
+            "schottky", dict(t_grid=np.arange(-6.0, 2.0, 0.25), sigma_span=50.0, top_k=80), id="schottky-long"
+        ),
+    ],
+)
+def test_br_integral_matches_full_grid(builtin_measures, name, kwargs):
+    group, measure, delta = builtin_measures[name]
+    centers = RATIO_BUMPS if name == "cusped" else DEFAULT_BUMPS[name][:1]
+    for psi in [ConstantFunction()] + bumps(group, centers):
+        got = br_integral(psi, measure, delta, **kwargs)
+        assert got == full_br_integral(psi, measure, delta, **kwargs)
+
+
+def conjugate(group, rng):
+    """group conjugated by a random real Moebius map M that sends every
+    generator interval to a finite interval and keeps i in the fundamental
+    domain; returned as parsed from its text form, with M."""
+    while True:
+        theta = rng.uniform(-1.2, 1.2)
+        e = math.exp(0.5 * rng.uniform(-1.0, 1.0))
+        shift = rng.uniform(-2.0, 2.0)
+        c, s = math.cos(theta), math.sin(theta)
+        m = Isometry(e, shift / e, 0.0, 1.0 / e) @ Isometry(c, s, -s, c)
+        a, b, cc, d = m.entries()
+        pole = -d / cc
+        if any(lo - 1e-9 <= pole <= hi + 1e-9 for lo, hi in group.hull_intervals()):
+            continue
+        lines = []
+        for lab in group.order:
+            gen = group.letters[lab]
+            lo, hi = ((a * x + b) / (cc * x + d) for x in gen.domain)
+            lines += [
+                "label = %s" % lab,
+                "kind = %s" % gen.kind,
+                "matrix = %.17g %.17g %.17g %.17g" % (m @ gen.matrix @ m.inverse()).entries(),
+                "domain = %.17g %.17g" % (lo, hi),
+            ]
+        conj = parse_group_text("\n".join(lines) + "\n")
+        if conj.in_fundamental_domain(1j):
+            return conj, m
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_conjugates_match_full_grid(seed):
+    name = ("schottky", "cusped")[seed % 2]
+    group, m = conjugate(resolve_group(name), np.random.default_rng(seed))
+    delta = KNOWN_EXPONENTS[name]
+    # widen the radius by twice the distance M moves i, so that the orbit
+    # sample has the size it has for the builtin
+    z = m.apply_complex(1j)
+    moved = math.acosh(1.0 + abs(z - 1j) ** 2 / (2.0 * z.imag))
+    radius = (18.0 if name == "schottky" else 12.0) + 2.0 * moved
+    measure = build_patterson(group, PattersonConfig(delta, 12, radius))
+    assert assert_same_field(measure, delta, DEFAULT_T, 80) > 0
+    (psi,) = bumps(group, DEFAULT_BUMPS[name][:1], m)
+    for kwargs in (
+        dict(t_grid=np.arange(-4.0, 4.01, 0.25), sigma_span=12.0, top_k=60),
+        dict(t_grid=np.arange(-2.0, 2.01, 0.5), sigma_span=6.0, window_span=7.0, top_k=40),
+    ):
+        got = br_integral(psi, measure, delta, **kwargs)
+        assert got == full_br_integral(psi, measure, delta, **kwargs)
+
+
+def test_short_windows_fall_back_to_full_rows(builtin_measures, monkeypatch):
+    # cut every closed-form window by one cell more than its padding (down
+    # to its middle cell): a row whose curve reaches the domain then shows
+    # an in-domain cell at a window edge, and must be recomputed on its
+    # full grid to match the oracle
+    group, measure, delta = builtin_measures["cusped"]
+    grid_window = measures._grid_window
+    clip_cells = measures._clip_cells
+    widened = []
+
+    def cut(grid, lo, hi):
+        first, stop = grid_window(grid, lo, hi)
+        mid = np.minimum((first + stop) // 2, len(grid) - 1)
+        step = measures._PAD + 1
+        return np.minimum(first + step, mid), np.maximum(stop - step, mid + 1)
+
+    def counting(first, stop, width, inside_at):
+        row, col, inside, data = clip_cells(first, stop, width, inside_at)
+        widened.append(len(row) - int(np.sum(np.maximum(stop - first, 0))))
+        return row, col, inside, data
+
+    monkeypatch.setattr(measures, "_grid_window", cut)
+    monkeypatch.setattr(measures, "_clip_cells", counting)
+    assert_same_field(measure, delta, DEFAULT_T, 60)
+    assert sum(widened) > 0
+    widened.clear()
+    (psi,) = bumps(group, RATIO_BUMPS[:1])
+    kwargs = dict(t_grid=np.arange(-4.0, 4.01, 0.5), sigma_span=10.0, top_k=60)
+    assert br_integral(psi, measure, delta, **kwargs) == full_br_integral(psi, measure, delta, **kwargs)
+    assert sum(widened) > 0
+
+
+def test_pair_grid_must_increase(builtin_measures):
+    _, measure, delta = builtin_measures["schottky"]
+    with pytest.raises(MeasureError):
+        _pair_field(measure, delta, DEFAULT_T[::-1].copy(), 40)

@@ -296,6 +296,21 @@ def test_cusped_exponent_exceeds_half():
     assert fit.delta - 3.0 * fit.stderr > 0.5
 
 
+@pytest.mark.parametrize(
+    "group, kwargs",
+    [
+        pytest.param(schottky_group, dict(t_max=20.0, grid_step=0.0), id="zero-step"),
+        pytest.param(schottky_group, dict(t_max=20.0, grid_step=-1.0), id="negative-step"),
+        pytest.param(schottky_group, dict(t_max=20.0, grid_step=float("nan")), id="nan-step"),
+        pytest.param(schottky_group, dict(t_max=0.1, min_points=0), id="empty-grid"),
+        pytest.param(unit_parabolic_group, dict(t_max=0.1, min_points=0), id="empty-grid-rank-one"),
+    ],
+)
+def test_critical_exponent_rejects_empty_grid(group, kwargs):
+    with pytest.raises(GroupError):
+        critical_exponent(group(), **kwargs)
+
+
 def test_trivial_group_exponent_zero():
     fit = critical_exponent(FuchsianGroup([]), 10.0)
     assert fit.delta == 0.0 and fit.stderr == 0.0
