@@ -86,6 +86,11 @@ NUMERIC_ERRORS = (
 )
 
 
+# count-grid step of the orbit-growth fit; the `exponent` experiment's
+# grid_step key overrides it there
+_FIT_GRID_STEP = 0.5
+
+
 class ConfigError(ValueError):
     """Bad configuration: unknown keys, unparsable values, missing files."""
 
@@ -260,10 +265,15 @@ def _resolve_exponent(st: Settings, group, builtin: str | None):
             )
         return KNOWN_EXPONENTS[builtin], "frozen"
     if raw == "fit":
-        t_max = st.get("fit_radius", "float", EXPONENT_RADIUS.get(builtin))
+        t_max = st.get("fit_radius", "positive", EXPONENT_RADIUS.get(builtin))
         if t_max is None:
             raise ConfigError("exponent = fit needs fit_radius for a file group")
-        return critical_exponent(group, t_max=t_max).delta, "fit"
+        if not t_max >= _FIT_GRID_STEP:
+            raise ConfigError(
+                "%s: key 'fit_radius': fit_radius %g below the fit's grid step %g "
+                "leaves no count grid" % (st.where("fit_radius"), t_max, _FIT_GRID_STEP)
+            )
+        return critical_exponent(group, t_max=t_max, grid_step=_FIT_GRID_STEP).delta, "fit"
     try:
         return _parse_float(raw), "given"
     except ValueError:
@@ -407,7 +417,7 @@ def run_exponent(st: Settings, args):
     t_max = st.get("t_max", "float", EXPONENT_RADIUS.get(builtin))
     if t_max is None:
         raise ConfigError("key 't_max' is required for file groups")
-    grid_step = st.get("grid_step", "positive", 0.5)
+    grid_step = st.get("grid_step", "positive", _FIT_GRID_STEP)
     if not t_max >= grid_step:
         key = "t_max" if st.has("t_max") else "grid_step"
         raise ConfigError(

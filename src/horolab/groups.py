@@ -50,6 +50,10 @@ _KIND_TOL = 1e-10
 # margin above the requested radius and filters exactly afterwards.
 _PRUNE_SLACK = 2.0
 
+# rows per matmul when a level's children are formed, which bounds the
+# gathered parent and letter stacks on wide levels
+_CHILD_CHUNK = 16384
+
 # global tally of words materialized by breadth-first enumeration, for run manifests
 _enumerated_words = 0
 
@@ -400,10 +404,13 @@ class FuchsianGroup:
     def _level_arrays(self, max_len: int | None, radius: float | None = None):
         """Breadth-first reduced words as stacked matrices, one level at a time.
 
-        Yields (mats, disp, first, last, parent) per word length; pruning by
-        displacement keeps a slack margin so near-radius words still appear.
-        With a radius the walk dies out on its own (cusp corridors get long
-        but not short), so max_len may be None.
+        Yields (mats, disp, last, parent) per word length: the matrices, their
+        displacements, each word's last letter (position in order) and the
+        row of its prefix in the previous level (-1 on the first level).
+        Children come letter by letter, in parent order within a letter.
+        Pruning by displacement keeps a slack margin so near-radius words
+        still appear. With a radius the walk dies out on its own (cusp
+        corridors get long but not short), so max_len may be None.
         """
         if self.rank == 0:
             return
@@ -412,60 +419,41 @@ class FuchsianGroup:
         nl = len(self.order)
         cap = None if radius is None else radius + _PRUNE_SLACK
         mats = self._mats.copy()
-        disp = _displacement_from_entries(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
-        first = np.arange(nl)
         last = np.arange(nl)
         parent = np.full(nl, -1)
         _charge_words(1 + nl)  # identity plus the first level
-        if cap is not None:
-            keep = disp <= cap
-            mats, disp, first, last, parent = (
-                mats[keep],
-                disp[keep],
-                first[keep],
-                last[keep],
-                parent[keep],
-            )
         level = 1
-        while (max_len is None or level <= max_len) and len(mats):
-            yield mats, disp, first, last, parent
-            if level == max_len:
-                break
-            blocks = []
-            for j in range(nl):
-                ok = last != self._inv_index[j]
-                if not ok.any():
-                    continue
-                child = mats[ok] @ self._mats[j]
-                det = child[:, 0, 0] * child[:, 1, 1] - child[:, 0, 1] * child[:, 1, 0]
-                child /= np.sqrt(det)[:, None, None]
-                blocks.append((child, first[ok], np.full(ok.sum(), j), np.flatnonzero(ok)))
-            if not blocks:
-                break
-            mats = np.concatenate([b[0] for b in blocks])
-            first = np.concatenate([b[1] for b in blocks])
-            last = np.concatenate([b[2] for b in blocks])
-            parent = np.concatenate([b[3] for b in blocks])
+        while max_len is None or level <= max_len:
             disp = _displacement_from_entries(
                 mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
             )
-            _charge_words(len(mats))
             if cap is not None:
                 keep = disp <= cap
-                mats, disp, first, last, parent = (
-                    mats[keep],
-                    disp[keep],
-                    first[keep],
-                    last[keep],
-                    parent[keep],
-                )
+                mats, disp, last, parent = mats[keep], disp[keep], last[keep], parent[keep]
+            if not len(mats):
+                break
+            yield mats, disp, last, parent
+            if level == max_len:
+                break
+            # every reduced child at once, letter-major: row j of ok marks
+            # the parents that letter j extends
+            ok = last[None, :] != self._inv_index[:, None]
+            last, parent = np.nonzero(ok)
+            child = np.empty((len(parent), 2, 2))
+            for lo in range(0, len(parent), _CHILD_CHUNK):
+                sl = slice(lo, lo + _CHILD_CHUNK)
+                np.matmul(mats[parent[sl]], self._mats[last[sl]], out=child[sl])
+            det = child[:, 0, 0] * child[:, 1, 1] - child[:, 0, 1] * child[:, 1, 0]
+            child /= np.sqrt(det)[:, None, None]
+            mats = child
+            _charge_words(len(mats))
             level += 1
 
     def enumerate_words(self, max_len: int, radius: float | None = None):
         """Yield reduced words by length, the empty word first, in letter order."""
         yield Word((), Isometry.identity(), 0.0)
         letter_lists: list[list[tuple[str, ...]]] = []
-        for mats, disp, first, last, parent in self._level_arrays(max_len, radius):
+        for mats, disp, last, parent in self._level_arrays(max_len, radius):
             if letter_lists:
                 prev = letter_lists[-1]
                 current = [prev[p] + (self.order[l],) for p, l in zip(parent, last)]
@@ -620,9 +608,11 @@ class FuchsianGroup:
         frames = np.array(frames, dtype=float)
         if self.rank == 0 or not len(frames):
             return frames
+        # the frames still moving, as a compact stack: rows `active` of the
+        # result, written back when they settle
         active = np.arange(len(frames))
+        sub = frames
         for _ in range(max_steps):
-            sub = frames[active]
             x, y = frame_point(sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1])
             hit = self.containing_letter(x, y)
             live = hit >= 0
@@ -635,18 +625,19 @@ class FuchsianGroup:
                 g = self.letters[label]
                 if g.kind == "parabolic":
                     _, power = self.parabolic_jump(label, x[pts], y[pts])
-                    frames[active[pts]] = power @ frames[active[pts]]
+                    sub[pts] = power @ sub[pts]
                 else:
                     inv = np.array(g.matrix.inverse().entries()).reshape(2, 2)
-                    frames[active[pts]] = inv[None] @ frames[active[pts]]
-            det = (
-                frames[active, 0, 0] * frames[active, 1, 1]
-                - frames[active, 0, 1] * frames[active, 1, 0]
-            )
-            frames[active] /= np.sqrt(det)[:, None, None]
-            active = active[live]
+                    sub[pts] = inv[None] @ sub[pts]
+            det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+            sub /= np.sqrt(det)[:, None, None]
+            if not live.all():
+                done = ~live
+                frames[active[done]] = sub[done]
+                active, sub = active[live], sub[live]
         else:
             raise GroupError("vectorized reduction did not settle in %d rounds" % max_steps)
+        frames[active] = sub
         return frames
 
 

@@ -297,6 +297,8 @@ _PAD = 2
 # two atoms in one interval span a geodesic inside its half-disk; the pair
 # is skipped only when both sit deeper than this times the squared radius
 _EDGE = 1e-9
+# relative spread of grid steps still taken as one cell width
+_GRID_UNIFORMITY = 1e-9
 
 
 def _evaluate(psi, x, y, theta):
@@ -372,6 +374,24 @@ def _pair_window(group, xm, xp, beta0):
     return lo, hi
 
 
+def _uniform_step(t_grid, what):
+    """Cell width of a strictly increasing, uniform grid of two or more points.
+
+    Both quadratures weigh every cell by this one width, and find windows
+    by binary search, so any other grid is an error.
+    """
+    steps = np.diff(t_grid)
+    if not len(steps):
+        raise MeasureError("%s grid needs at least two points" % what)
+    if not np.all(steps > 0):
+        raise MeasureError("%s grid must be strictly increasing" % what)
+    dt = float(steps[0])
+    if np.any(np.abs(steps - dt) > _GRID_UNIFORMITY * dt):
+        raise MeasureError("%s grid must be uniform: steps range over [%.17g, %.17g]"
+                           % (what, steps.min(), steps.max()))
+    return dt
+
+
 def _pair_field(measure, hat_delta, t_grid, top_k):
     """Fundamental-domain samples of the geodesic-pair quadrature.
 
@@ -380,12 +400,11 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
     width. Cached on the measure: the field is integrand-independent, so
     several test functions share one geometry pass.
     """
-    key = (round(hat_delta, 12), len(t_grid), float(t_grid[0]), float(t_grid[-1]), top_k)
+    dt = _uniform_step(t_grid, "leaf-coordinate")
+    key = (round(hat_delta, 12), t_grid.tobytes(), top_k)
     hit = measure._pair_cache.get(key)
     if hit is not None:
         return hit
-    if not np.all(np.diff(t_grid) > 0):
-        raise MeasureError("leaf-coordinate grid must be strictly increasing")
     idx = measure.heaviest(top_k)
     xi = measure.points[idx]
     lw = measure.log_weights[idx]
@@ -405,7 +424,6 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
         + hat_delta * (np.log1p(xi[ii] ** 2) + np.log1p(xi[jj] ** 2))
     )
     logw -= np.max(logw)  # common scale cancels in the normalized integral
-    dt = float(t_grid[1] - t_grid[0])
     w = np.exp(logw) * dt
     xm, xp = xi[ii], xi[jj]
     # interval pairing matrix sending (0, inf) to (xm, xp), det one
@@ -501,13 +519,11 @@ def br_integral(
     if t_grid is None:
         t_grid = np.arange(-4.0, 4.0 + 1e-9, 0.1)
     t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.diff(t_grid) > 0):
-        raise MeasureError("transversal grid must be strictly increasing")
+    dt = _uniform_step(t_grid, "transversal")
     group = measure.group
     idx = measure.heaviest(top_k)
     xi = measure.points[idx]
     lw = measure.log_weights[idx]
-    dt = float(t_grid[1] - t_grid[0])
     # transversal cells (atom, leaf coordinate) with the holonomy-invariant
     # density exp(-s t) times the atom weight, in log space
     log_density = lw[:, None] - hat_delta * t_grid[None, :]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from horolab.geometry import Isometry, UnitTangent
+from horolab.groups import parse_group_text
 
 
 def iwasawa(x: float, t: float, theta: float) -> Isometry:
@@ -29,3 +30,32 @@ def random_frame(rng: np.random.Generator, spread: float = 2.0) -> UnitTangent:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
+
+
+def conjugate(group, rng):
+    """group conjugated by a random real Moebius map M that sends every
+    generator interval to a finite interval and keeps i in the fundamental
+    domain; returned as parsed from its text form, with M."""
+    while True:
+        theta = rng.uniform(-1.2, 1.2)
+        e = math.exp(0.5 * rng.uniform(-1.0, 1.0))
+        shift = rng.uniform(-2.0, 2.0)
+        c, s = math.cos(theta), math.sin(theta)
+        m = Isometry(e, shift / e, 0.0, 1.0 / e) @ Isometry(c, s, -s, c)
+        a, b, cc, d = m.entries()
+        pole = -d / cc
+        if any(lo - 1e-9 <= pole <= hi + 1e-9 for lo, hi in group.hull_intervals()):
+            continue
+        lines = []
+        for lab in group.order:
+            gen = group.letters[lab]
+            lo, hi = ((a * x + b) / (cc * x + d) for x in gen.domain)
+            lines += [
+                "label = %s" % lab,
+                "kind = %s" % gen.kind,
+                "matrix = %.17g %.17g %.17g %.17g" % (m @ gen.matrix @ m.inverse()).entries(),
+                "domain = %.17g %.17g" % (lo, hi),
+            ]
+        conj = parse_group_text("\n".join(lines) + "\n")
+        if conj.in_fundamental_domain(1j):
+            return conj, m

@@ -8,6 +8,7 @@ samples in the same order with the same arithmetic, so the results must be
 equal bit for bit, on the builtins and on conjugates of them.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from horolab.defaults import (
     resolve_group,
 )
 from horolab.geometry import Isometry, frame_angle, frame_point, mobius_apply
-from horolab.groups import parse_group_text
 from horolab.measures import (
     MeasureError,
     PattersonConfig,
@@ -34,6 +34,8 @@ from horolab.measures import (
     br_integral,
     build_patterson,
 )
+
+from conftest import conjugate
 
 DEFAULT_T = np.arange(-8.0, 8.0 + 1e-9, 0.05)
 
@@ -190,35 +192,6 @@ def test_br_integral_matches_full_grid(builtin_measures, name, kwargs):
         assert got == full_br_integral(psi, measure, delta, **kwargs)
 
 
-def conjugate(group, rng):
-    """group conjugated by a random real Moebius map M that sends every
-    generator interval to a finite interval and keeps i in the fundamental
-    domain; returned as parsed from its text form, with M."""
-    while True:
-        theta = rng.uniform(-1.2, 1.2)
-        e = math.exp(0.5 * rng.uniform(-1.0, 1.0))
-        shift = rng.uniform(-2.0, 2.0)
-        c, s = math.cos(theta), math.sin(theta)
-        m = Isometry(e, shift / e, 0.0, 1.0 / e) @ Isometry(c, s, -s, c)
-        a, b, cc, d = m.entries()
-        pole = -d / cc
-        if any(lo - 1e-9 <= pole <= hi + 1e-9 for lo, hi in group.hull_intervals()):
-            continue
-        lines = []
-        for lab in group.order:
-            gen = group.letters[lab]
-            lo, hi = ((a * x + b) / (cc * x + d) for x in gen.domain)
-            lines += [
-                "label = %s" % lab,
-                "kind = %s" % gen.kind,
-                "matrix = %.17g %.17g %.17g %.17g" % (m @ gen.matrix @ m.inverse()).entries(),
-                "domain = %.17g %.17g" % (lo, hi),
-            ]
-        conj = parse_group_text("\n".join(lines) + "\n")
-        if conj.in_fundamental_domain(1j):
-            return conj, m
-
-
 @pytest.mark.parametrize("seed", range(24))
 def test_conjugates_match_full_grid(seed):
     name = ("schottky", "cusped")[seed % 2]
@@ -276,3 +249,43 @@ def test_pair_grid_must_increase(builtin_measures):
     _, measure, delta = builtin_measures["schottky"]
     with pytest.raises(MeasureError):
         _pair_field(measure, delta, DEFAULT_T[::-1].copy(), 40)
+
+
+def test_pair_field_cache_keys_on_grid_contents(builtin_measures):
+    # The cache key once held only the grid's length and ends, so a squeezed
+    # grid with the same ones reused the uniform grid's field (0.06058 both
+    # times; 0.10136 for the squeezed grid alone, weighted by its first step).
+    group, built, delta = builtin_measures["schottky"]
+    measure = dataclasses.replace(built, _pair_cache={})
+    (psi,) = bumps(group, DEFAULT_BUMPS["schottky"][:1])
+    t = np.linspace(-8.0, 8.0, 161)
+    squeezed = np.sign(t) * t**2 / 8.0
+    assert (len(squeezed), squeezed[0], squeezed[-1]) == (len(t), t[0], t[-1])
+    uniform = measures.ps_integral(psi, measure, delta, t_grid=t)
+    assert abs(uniform - 0.06058) < 1e-5
+    with pytest.raises(MeasureError, match="uniform"):
+        measures.ps_integral(psi, measure, delta, t_grid=squeezed)
+    with pytest.raises(MeasureError, match="uniform"):
+        measures.ps_integral(psi, dataclasses.replace(built, _pair_cache={}), delta, t_grid=squeezed)
+    # an equal grid hits the one cached field; a shifted one does not
+    assert measures.ps_integral(psi, measure, delta, t_grid=t.copy()) == uniform
+    assert len(measure._pair_cache) == 1
+    measures.ps_integral(psi, measure, delta, t_grid=t + 0.025)
+    assert len(measure._pair_cache) == 2
+
+
+@pytest.mark.parametrize(
+    "t_grid",
+    [
+        pytest.param(np.sign(DEFAULT_T) * DEFAULT_T**2 / 8.0, id="squeezed"),
+        pytest.param(np.concatenate([DEFAULT_T[:100], DEFAULT_T[101:]]), id="one-gap"),
+        pytest.param(DEFAULT_T[:1], id="one-point"),
+    ],
+)
+def test_quadrature_grids_must_be_uniform(builtin_measures, t_grid):
+    group, measure, delta = builtin_measures["cusped"]
+    (psi,) = bumps(group, RATIO_BUMPS[:1])
+    with pytest.raises(MeasureError):
+        _pair_field(measure, delta, t_grid, 40)
+    with pytest.raises(MeasureError):
+        br_integral(psi, measure, delta, t_grid=t_grid / 2.0, top_k=40)

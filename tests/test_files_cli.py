@@ -71,6 +71,9 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
         pytest.param("exponent", "grid_step = 0", id="exponent-zero-step"),
         pytest.param("exponent", "t_max = 0.1\nmin_points = 0", id="exponent-empty-grid"),
         pytest.param("patterson", "exponent = inf", id="patterson-inf"),
+        pytest.param("patterson", "fit_radius = 0.2\nexponent = fit", id="patterson-fit-below-step"),
+        pytest.param("equidist", "fit_radius = -1\nexponent = fit", id="equidist-fit-negative"),
+        pytest.param("mixing", "fit_radius = 0\nexponent = fit", id="mixing-fit-zero"),
     ],
 )
 def test_cli_bad_value_reports_location(experiment, line, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Regression pins for refactors: output bytes and the benchmark's hooks.
+"""Regression pins for refactors: output bytes, the benchmark's hooks and
+the benchmark's recorded orbit-enumeration outputs.
 
 The digests below pin the exact bytes that each built-in experiment writes
 on its defaults. They were recorded before the frame kernel, the half-disk
@@ -9,6 +10,7 @@ re-record the digest.
 
 import hashlib
 import importlib.util
+import json
 import os
 import sys
 
@@ -46,7 +48,14 @@ DIGESTS = {
     },
 }
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, os.path.join(PERFBENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("experiment", sorted(DIGESTS))
@@ -65,9 +74,7 @@ def test_benchmark_tracer_finds_every_traced_method():
     # defines it; a method moved into a base class fails here first
     import horolab.cli  # noqa: F401  (binds every traced module)
 
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -76,3 +83,18 @@ def test_benchmark_tracer_finds_every_traced_method():
     for modname, clsname, attr, _ in tracing.METHODS:
         method = getattr(sys.modules[modname], clsname).__dict__[attr]
         assert not hasattr(method, "__wrapped__"), (clsname, attr)
+
+
+def test_orbit_enumeration_op_matches_benchmark_references():
+    # one orbit-enumeration op (both exponent fits, both deep measures, every
+    # conformality defect) against the benchmark's recorded outputs, so that
+    # a last-bit drift in enumeration fails here before the benchmark runs
+    workloads = load_perfbench("workloads")
+    with open(os.path.join(PERFBENCH, "references.json"), encoding="utf-8") as fh:
+        refs = json.load(fh)["orbit-enumeration"]
+    meter = workloads.WordMeter()
+    meter.start()
+    out = workloads.orbit_op(workloads.orbit_setup(0), 0)
+    assert meter.read() == refs["words"]
+    for key in ("deltas", "kept", "atoms", "defects"):
+        assert out[key] == refs[key], key
