@@ -1,11 +1,19 @@
-"""Regression pins for refactors: output bytes, the benchmark's hooks and
-the benchmark's recorded orbit-enumeration outputs.
+"""Regression pins for refactors: output bytes, manifests, the battery's
+details, the benchmark's hooks and the benchmark's recorded
+orbit-enumeration outputs.
 
 The digests below pin the exact bytes that each built-in experiment writes
 on its defaults. They were recorded before the frame kernel, the half-disk
 lookup and the cusp jump were shared, and they pin bytes, not correctness:
 a change that moves any of these files must say why in CHANGES.md and
 re-record the digest.
+
+The manifest digests pin every manifest field but the times, which are the
+run's `wall_seconds`, each battery criterion's `seconds` and the budget
+criterion's detail; they were recorded before the CLI and the battery
+shared one loader. A loader that quietly used the frozen exponent in place
+of the fitted one moves them, and the battery's detail strings, while the
+CSV bytes above stay put.
 """
 
 import hashlib
@@ -17,6 +25,7 @@ import sys
 import pytest
 
 from horolab.cli import main
+from horolab.io import manifest_text
 
 DIGESTS = {
     "group-info": {
@@ -48,6 +57,43 @@ DIGESTS = {
     },
 }
 
+MANIFEST_DIGESTS = {
+    "group-info": "b693c6066c726e67d9b76f91cd1395a956db2b776f22d3d059baa14762aea781",
+    "exponent": "3aadb6eac28702330f2a618d1941ed1eca2a5b705b2e17b99cea186850be2ab5",
+    "patterson": "52d218f9fcd27b063326ec2c505b07a8708a11796cbfe864ad4e3287b0626766",
+    "equidist": "5312c45d94819fce1616ec6431475454097d468328fa4de3e29b4eb757718e6b",
+    "mixing": "3c3de88760db730e52aed45c200ebdb8fc07c915b3c109468e8e5df8a643eb7d",
+    "nondiv": "317e3cf89989ca72efb491b1e4ac280950f30c607cd4d3caf9e5fee7bf9b44ca",
+    "closure": "620e0e3c607146a09a24fd0fc2f088af4ad7572f96fd52bcfd1e77908fd6886b",
+    "checks": "151e87a6fa6a350adf17900e04896df15f6413bd6d8fcbf8e45740e84e632fac",
+}
+
+BATTERY_WORDS = 171_944
+
+BATTERY_DETAILS = {
+    "busemann-oracle": "max |busemann - distance difference| 1.11e-12 <= 1e-06",
+    "leaf-parameter-distance": "max |d(u, h^t u) - |t|| 4.76e-11 <= 1e-09",
+    "flow-conjugation": "max frame gap of g^t h^s = h^{s e^t} g^t 1.25e-12 <= 1e-09",
+    "flow-commutation": "max commutation residual on the 5x5x5 grid 2.31e-14 <= 1e-09",
+    "parabolic-exponent": "exponent 0.499999 in 0.5 +/- 0.02, growth pinch 2.052 <= 10",
+    "ball-scaling": "mass scaling error 2.22e-16 <= 0.05, atom reweighting drift 3.55e-15 <= 1e-10",
+    "conformality-trend": (
+        "median defects s.a 6.20e-09->4.88e-11, s.A 6.20e-09->4.97e-11, "
+        "s.b 3.80e-07->1.12e-09, s.B 3.80e-07->1.12e-09, c.b 9.10e-07->5.30e-08, "
+        "c.B 9.10e-07->5.30e-08, c.p 6.54e-06->3.24e-07, c.P 6.54e-06->3.24e-07"
+    ),
+    "equidistribution-trend": (
+        "psi1 err 0.0605->0.000264 rel 0.00436; psi2 err 0.00538->0.0038 rel 0.118; "
+        "psi3 err 0.0843->0.000733 rel 0.0258 (final rel <= 0.2, errors decreasing)"
+    ),
+    "ratio-limit": "ratio drift 0.0738 <= 0.1, final vs transverse reference 0.0384 <= 0.25",
+    "mixing-approach": "|average/integral - 1| at t=6 is 0.00436 <= 0.2",
+    "thick-part-mass": "min thick-part mass over radii 0.8823 >= 0.80 at height cap 6",
+    "periodic-closure": (
+        "closure residual 1.36e-11 <= 1e-08, dilation law error 1.38e-11 <= 1e-08 (t0 -4.000000)"
+    ),
+}
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -58,15 +104,61 @@ def load_perfbench(name):
     return module
 
 
+_DEFAULT_RUNS = {}
+
+
+def default_run(experiment, tmp_path_factory):
+    """Output directory of one default run per experiment and test session."""
+    if experiment not in _DEFAULT_RUNS:
+        out = tmp_path_factory.mktemp(experiment)
+        assert main([experiment, "--out", str(out)]) == 0
+        _DEFAULT_RUNS[experiment] = out
+    return _DEFAULT_RUNS[experiment]
+
+
+def timeless(manifest):
+    """The manifest without the fields that hold a time."""
+    manifest = dict(manifest)
+    del manifest["wall_seconds"]
+    if "criteria" in manifest:
+        manifest["criteria"] = [
+            {k: v for k, v in c.items()
+             if k != "seconds" and not (k == "detail" and c["name"] == "word-and-time-budget")}
+            for c in manifest["criteria"]
+        ]
+    return manifest
+
+
 @pytest.mark.parametrize("experiment", sorted(DIGESTS))
-def test_default_outputs_are_byte_identical(experiment, tmp_path, capsys):
-    out = tmp_path / experiment
-    assert main([experiment, "--out", str(out)]) == 0
+def test_default_outputs_are_byte_identical(experiment, tmp_path_factory, capsys):
+    out = default_run(experiment, tmp_path_factory)
     capsys.readouterr()
     written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
     assert written == sorted(DIGESTS[experiment])
     for name, want in DIGESTS[experiment].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+
+
+@pytest.mark.parametrize("experiment", sorted(MANIFEST_DIGESTS))
+def test_default_manifests_are_pinned(experiment, tmp_path_factory, capsys):
+    out = default_run(experiment, tmp_path_factory)
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    text = manifest_text(timeless(manifest))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MANIFEST_DIGESTS[experiment]
+
+
+def test_battery_details_and_words_are_pinned(tmp_path_factory, capsys):
+    out = default_run("checks", tmp_path_factory)
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["enumerated_words"] == BATTERY_WORDS
+    *criteria, budget = manifest["criteria"]
+    assert {c["name"]: c["detail"] for c in criteria} == BATTERY_DETAILS
+    assert [c["name"] for c in criteria] == list(BATTERY_DETAILS)
+    assert budget["name"] == "word-and-time-budget"
+    assert budget["detail"].startswith("%d words <= 1000000, " % BATTERY_WORDS)
+    assert all(c["passed"] for c in manifest["criteria"])
 
 
 def test_benchmark_tracer_finds_every_traced_method():
