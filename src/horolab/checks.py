@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .defaults import (
+    BUILTIN_NAMES,
     BUMP_WIDTHS,
     DEFAULT_BUMPS,
     DEFECT_LADDER,
@@ -29,9 +30,7 @@ from .defaults import (
     NONDIV_HEIGHT,
     PATTERSON_RADIUS,
     RATIO_BUMPS,
-    cusped_group,
-    schottky_group,
-    unit_parabolic_group,
+    Loader,
 )
 from .geometry import (
     INFINITY,
@@ -50,35 +49,19 @@ from .geometry import (
     hyperbolic_distance,
     mobius_apply,
 )
-from .groups import (
-    WordSpec,
-    check_parabolic_growth,
-    critical_exponent,
-    enumerated_word_count,
-    reset_word_counter,
-    sample_limit_point,
-)
-from .measures import (
-    PattersonConfig,
-    build_patterson,
-    conditional_on_horocycle,
-    conformality_defect,
-    ps_integral,
-)
+from .groups import check_parabolic_growth, enumerated_word_count, reset_word_counter
+from .measures import conditional_on_horocycle, conformality_defect, ps_integral
 from .averages import (
     HaarDensity,
-    TestFunction,
     average_ps,
-    build_vector,
     flow_commutation_residual,
     mass_in_compact,
     mixing_series,
     periodic_closure,
-    pointed_frame,
     ratio_series,
 )
 
-__all__ = ["TOLERANCES", "CheckResult", "CheckContext", "CHECK_ORDER", "run_all", "witnesses"]
+__all__ = ["TOLERANCES", "CheckResult", "CHECK_ORDER", "run_all", "witnesses"]
 
 SEED = 20260814
 WORD_BUDGET = 1_000_000
@@ -123,65 +106,6 @@ def witnesses() -> dict:
     }
 
 
-class CheckContext:
-    """Caches groups, exponents, measures and vectors across the battery."""
-
-    def __init__(self):
-        self._groups = {}
-        self._exponents = {}
-        self._measures = {}
-        self._vectors = {}
-        self._bumps = {}
-
-    def group(self, name: str):
-        if name not in self._groups:
-            maker = {
-                "schottky": schottky_group,
-                "cusped": cusped_group,
-                "unit-parabolic": unit_parabolic_group,
-            }[name]
-            self._groups[name] = maker()
-        return self._groups[name]
-
-    def exponent(self, name: str) -> float:
-        if name not in self._exponents:
-            fit = critical_exponent(self.group(name), t_max=EXPONENT_RADIUS[name])
-            self._exponents[name] = fit.delta
-        return self._exponents[name]
-
-    def measure(self, name: str, cutoff: int = 14, radius: float | None = None):
-        if radius is None:
-            radius = PATTERSON_RADIUS[name]
-        key = (name, cutoff, radius)
-        if key not in self._measures:
-            cfg = PattersonConfig(self.exponent(name), cutoff, radius)
-            self._measures[key] = build_patterson(self.group(name), cfg)
-        return self._measures[key]
-
-    def vector(self, name: str, s: float = 0.0) -> UnitTangent:
-        key = (name, s)
-        if key not in self._vectors:
-            pm, pp = EXPERIMENT_PERIODS[name]
-            group = self.group(name)
-            u, _ = build_vector(
-                group,
-                sample_limit_point(group, WordSpec(period=pm)),
-                sample_limit_point(group, WordSpec(period=pp)),
-                s=s,
-            )
-            self._vectors[key] = u
-        return self._vectors[key]
-
-    def bumps(self, name: str) -> list[TestFunction]:
-        if name not in self._bumps:
-            wb, wa = BUMP_WIDTHS
-            self._bumps[name] = [
-                TestFunction(self.group(name), pointed_frame(*cd), base_width=wb, angle_width=wa)
-                for cd in DEFAULT_BUMPS[name]
-            ]
-        return self._bumps[name]
-
-
 def _random_frame(rng, spread: float = 2.0) -> UnitTangent:
     x = spread * rng.standard_normal()
     t = spread * 0.5 * rng.standard_normal()
@@ -200,7 +124,7 @@ def _busemann_probe(xi, p, q, probe_distance: float) -> float:
     return hyperbolic_distance(p, z) - hyperbolic_distance(q, z)
 
 
-def check_busemann_oracle(ctx: CheckContext):
+def check_busemann_oracle(load: dict[str, Loader]):
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for k in range(500):
@@ -212,7 +136,7 @@ def check_busemann_oracle(ctx: CheckContext):
     return worst <= 1e-6, "max |busemann - distance difference| %.3g <= 1e-06" % worst
 
 
-def check_leaf_distance(ctx: CheckContext):
+def check_leaf_distance(load: dict[str, Loader]):
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     for _ in range(1000):
@@ -222,7 +146,7 @@ def check_leaf_distance(ctx: CheckContext):
     return worst <= 1e-9, "max |d(u, h^t u) - |t|| %.3g <= 1e-09" % worst
 
 
-def check_flow_conjugation(ctx: CheckContext):
+def check_flow_conjugation(load: dict[str, Loader]):
     rng = np.random.default_rng(SEED + 2)
     worst = 0.0
     for _ in range(1000):
@@ -235,11 +159,10 @@ def check_flow_conjugation(ctx: CheckContext):
     return worst <= 1e-9, "max frame gap of g^t h^s = h^{s e^t} g^t %.3g <= 1e-09" % worst
 
 
-def check_flow_commutation(ctx: CheckContext):
-    delta = ctx.exponent("schottky")
-    m = ctx.measure("schottky")
-    psi = ctx.bumps("schottky")[0]
-    base = ctx.vector("schottky")
+def check_flow_commutation(load: dict[str, Loader]):
+    sch = load["schottky"]
+    delta, m, psi = sch.exponent, sch.measure(), sch.bumps()[0]
+    base, _ = sch.vector()
     worst = 0.0
     for sigma in (-0.7, -0.3, 0.0, 0.3, 0.7):
         u = horocycle_flow(base, sigma)
@@ -249,18 +172,18 @@ def check_flow_commutation(ctx: CheckContext):
     return worst <= 1e-9, "max commutation residual on the 5x5x5 grid %.3g <= 1e-09" % worst
 
 
-def check_parabolic_exponent(ctx: CheckContext):
-    group = ctx.group("unit-parabolic")
-    fit = critical_exponent(group, t_max=EXPONENT_RADIUS["unit-parabolic"])
-    growth = check_parabolic_growth(group, t_max=30.0)
-    ok = abs(fit.delta - 0.5) <= 0.02 and growth <= 10.0
-    return ok, "exponent %.6f in 0.5 +/- 0.02, growth pinch %.3f <= 10" % (fit.delta, growth)
+def check_parabolic_exponent(load: dict[str, Loader]):
+    up = load["unit-parabolic"]
+    delta = up.exponent
+    growth = check_parabolic_growth(up.group, t_max=30.0)
+    ok = abs(delta - 0.5) <= 0.02 and growth <= 10.0
+    return ok, "exponent %.6f in 0.5 +/- 0.02, growth pinch %.3f <= 10" % (delta, growth)
 
 
-def check_ball_scaling(ctx: CheckContext):
-    delta = ctx.exponent("schottky")
-    m = ctx.measure("schottky")
-    u = ctx.vector("schottky")
+def check_ball_scaling(load: dict[str, Loader]):
+    sch = load["schottky"]
+    delta, m = sch.exponent, sch.measure()
+    u, _ = sch.vector()
     cond = conditional_on_horocycle(u, m, delta)
     worst_mass = 0.0
     worst_atom = 0.0
@@ -293,16 +216,13 @@ def check_ball_scaling(ctx: CheckContext):
     )
 
 
-def check_conformality_trend(ctx: CheckContext):
+def check_conformality_trend(load: dict[str, Loader]):
     parts = []
     ok = True
     for name in ("schottky", "cusped"):
-        delta = ctx.exponent(name)
-        group = ctx.group(name)
-        ladder = [
-            ctx.measure(name, cutoff=c, radius=r) for c, r in DEFECT_LADDER[name]
-        ]
-        for lab in group.order:
+        delta = load[name].exponent
+        ladder = [load[name].measure(c, r) for c, r in DEFECT_LADDER[name]]
+        for lab in load[name].group.order:
             seq = [conformality_defect(m, lab, delta) for m in ladder]
             decreasing = all(a > b for a, b in zip(seq, seq[1:]))
             ok = ok and decreasing
@@ -310,14 +230,14 @@ def check_conformality_trend(ctx: CheckContext):
     return ok, "median defects " + ", ".join(parts)
 
 
-def check_equidistribution_trend(ctx: CheckContext):
-    delta = ctx.exponent("schottky")
-    m = ctx.measure("schottky")
-    u = ctx.vector("schottky")
+def check_equidistribution_trend(load: dict[str, Loader]):
+    sch = load["schottky"]
+    delta, m = sch.exponent, sch.measure()
+    u, _ = sch.vector()
     tol = TOLERANCES["equidist_final_rel"]
     ok = True
     parts = []
-    for k, psi in enumerate(ctx.bumps("schottky")):
+    for k, psi in enumerate(sch.bumps()):
         ref = ps_integral(psi, m, delta)
         errs = [abs(average_ps(u, r, psi, m, delta) - ref) for r in EQUIDIST_RADII]
         final_rel = errs[-1] / abs(ref)
@@ -327,16 +247,11 @@ def check_equidistribution_trend(ctx: CheckContext):
     return ok, "; ".join(parts) + " (final rel <= %.2g, errors decreasing)" % tol
 
 
-def check_ratio_limit(ctx: CheckContext):
-    delta = ctx.exponent("cusped")
-    m = ctx.measure("cusped")
-    u = ctx.vector("cusped")
-    wb, wa = BUMP_WIDTHS
-    group = ctx.group("cusped")
-    psi, phi = (
-        TestFunction(group, pointed_frame(*cd), base_width=wb, angle_width=wa)
-        for cd in RATIO_BUMPS
-    )
+def check_ratio_limit(load: dict[str, Loader]):
+    cus = load["cusped"]
+    delta, m = cus.exponent, cus.measure()
+    u, _ = cus.vector()
+    psi, phi = cus.bumps(RATIO_BUMPS)
     alpha = HaarDensity("constant", measure=m, exponent=delta)
     ser = ratio_series(u, psi, phi, EQUIDIST_RADII, alpha)
     drift = abs(ser.values[-1] - ser.values[-2]) / abs(ser.values[-1])
@@ -350,11 +265,10 @@ def check_ratio_limit(ctx: CheckContext):
     )
 
 
-def check_mixing_approach(ctx: CheckContext):
-    delta = ctx.exponent("schottky")
-    m = ctx.measure("schottky")
-    u = ctx.vector("schottky", s=MIXING_LEAF_COORDINATE)
-    psi = ctx.bumps("schottky")[0]
+def check_mixing_approach(load: dict[str, Loader]):
+    sch = load["schottky"]
+    delta, m, psi = sch.exponent, sch.measure(), sch.bumps()[0]
+    u, _ = sch.vector(s=MIXING_LEAF_COORDINATE)
     ser = mixing_series(u, 1.0, psi, MIXING_TIMES, m, delta)
     final = abs(ser.values[-1] / ser.reference - 1.0)
     ok = final <= TOLERANCES["mixing_final_rel"]
@@ -365,10 +279,10 @@ def check_mixing_approach(ctx: CheckContext):
     )
 
 
-def check_thick_part_mass(ctx: CheckContext):
-    delta = ctx.exponent("cusped")
-    m = ctx.measure("cusped")
-    u = ctx.vector("cusped")
+def check_thick_part_mass(load: dict[str, Loader]):
+    cus = load["cusped"]
+    delta, m = cus.exponent, cus.measure()
+    u, _ = cus.vector()
     ser = mass_in_compact(u, EQUIDIST_RADII, NONDIV_HEIGHT, m, delta)
     low = float(min(ser.values))
     ok = low >= TOLERANCES["nondiv_min_mass"]
@@ -379,8 +293,8 @@ def check_thick_part_mass(ctx: CheckContext):
     )
 
 
-def check_periodic_closure(ctx: CheckContext):
-    group = ctx.group("cusped")
+def check_periodic_closure(load: dict[str, Loader]):
+    group = load["cusped"].group
     t0, residual = periodic_closure(group, "p")
     fp = BoundaryPoint(0.0)
     u0 = from_coordinates(fp, INFINITY, 0.0)
@@ -420,12 +334,12 @@ def run_all() -> tuple[list[CheckResult], dict]:
     run alone; budget compliance is itself the final check.
     """
     reset_word_counter()
-    ctx = CheckContext()
+    load = {name: Loader(name, exponent="fit") for name in BUILTIN_NAMES}
     start = time.perf_counter()
     results = []
     for name, fn in CHECK_ORDER:
         t0 = time.perf_counter()
-        passed, detail = fn(ctx)
+        passed, detail = fn(load)
         results.append(CheckResult(name, bool(passed), detail, time.perf_counter() - t0))
     elapsed = time.perf_counter() - start
     words = enumerated_word_count()

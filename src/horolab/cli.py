@@ -26,41 +26,36 @@ from .defaults import (
     EQUIDIST_RADII,
     EXPERIMENT_PERIODS,
     EXPONENT_RADIUS,
+    FIT_GRID_STEP,
     KNOWN_EXPONENTS,
     MIXING_LEAF_COORDINATE,
     MIXING_TIMES,
     NONDIV_HEIGHT,
     PATTERSON_RADIUS,
+    Loader,
     builtin_name,
-    resolve_group,
 )
 from .geometry import GeometryError
 from .groups import (
     GroupError,
-    WordSpec,
     critical_exponent,
     dumps_group,
     enumerated_word_count,
     reset_word_counter,
-    sample_limit_point,
 )
 from .measures import (
     MeasureError,
-    PattersonConfig,
-    build_patterson,
     conformality_defect,
+    ps_integral,
     quadrature_report,
 )
 from .averages import (
     AveragesError,
     ConstantFunction,
-    TestFunction,
     average_ps,
-    build_vector,
     mass_in_compact,
     mixing_series,
     periodic_closure,
-    pointed_frame,
 )
 from .checks import run_all as run_check_battery
 
@@ -84,11 +79,6 @@ NUMERIC_ERRORS = (
     FloatingPointError,
     ZeroDivisionError,
 )
-
-
-# count-grid step of the orbit-growth fit; the `exponent` experiment's
-# grid_step key overrides it there
-_FIT_GRID_STEP = 0.5
 
 
 class ConfigError(ValueError):
@@ -150,8 +140,15 @@ def _parse_floats(raw: str):
     return values
 
 
-def _parse_letters(raw: str):
-    return tuple(raw.split())
+def _parse_radius(raw: str):
+    return None if raw.lower() == "none" else _parse_positive(raw)
+
+
+def _parse_positives(raw: str):
+    values = _parse_floats(raw)
+    if not min(values) > 0:
+        raise ValueError("expected positive numbers, got %r" % raw)
+    return values
 
 
 def _parse_flag(raw: str) -> bool:
@@ -169,7 +166,8 @@ _PARSERS = {
     "int": int,
     "str": str,
     "floats": _parse_floats,
-    "letters": _parse_letters,
+    "positives": _parse_positives,
+    "radius": _parse_radius,
     "flag": _parse_flag,
 }
 
@@ -245,115 +243,98 @@ def load_settings(args, allowed: set[str]) -> Settings:
     return st
 
 
-# ---------------------------------------------------------- shared loaders
+# ------------------------------------------------- settings to loader input
+#
+# These translate settings into Loader arguments and check each one first,
+# so a bad value ends the run before anything is enumerated.
 
 
-def _load_group(st: Settings, default_spec: str):
-    spec = st.get("group", "str", default_spec)
+def _loader(st: Settings, default_group: str, **loader_args) -> Loader:
     try:
-        return resolve_group(spec), builtin_name(spec), spec
+        return Loader(st.get("group", "str", default_group), **loader_args)
     except GroupError as e:
         raise ConfigError(str(e)) from None
 
 
-def _resolve_exponent(st: Settings, group, builtin: str | None):
-    raw = st.get("exponent", "str", "default")
-    if raw == "default":
+def _measure_loader(st: Settings, default_group: str) -> Loader:
+    """Loader for a run on a Patterson measure: exponent, cutoff, radius."""
+    builtin = builtin_name(st.get("group", "str", default_group))
+    exponent = st.get("exponent", "str", "default")
+    fit_radius = None
+    if exponent == "default":
         if builtin is None:
             raise ConfigError(
                 "key 'exponent' is required for file groups: give a number or 'fit'"
             )
-        return KNOWN_EXPONENTS[builtin], "frozen"
-    if raw == "fit":
-        t_max = st.get("fit_radius", "positive", EXPONENT_RADIUS.get(builtin))
-        if t_max is None:
+        exponent = "frozen"
+    elif exponent == "fit":
+        fit_radius = st.get("fit_radius", "positive", EXPONENT_RADIUS.get(builtin))
+        if fit_radius is None:
             raise ConfigError("exponent = fit needs fit_radius for a file group")
-        if not t_max >= _FIT_GRID_STEP:
+        if not fit_radius >= FIT_GRID_STEP:
             raise ConfigError(
                 "%s: key 'fit_radius': fit_radius %g below the fit's grid step %g "
-                "leaves no count grid" % (st.where("fit_radius"), t_max, _FIT_GRID_STEP)
+                "leaves no count grid" % (st.where("fit_radius"), fit_radius, FIT_GRID_STEP)
             )
-        return critical_exponent(group, t_max=t_max, grid_step=_FIT_GRID_STEP).delta, "fit"
-    try:
-        return _parse_float(raw), "given"
-    except ValueError:
-        raise ConfigError(
-            "%s: key 'exponent': expected a number, 'fit' or 'default', got %r"
-            % (st.where("exponent"), raw)
-        ) from None
-
-
-def _build_measure(st: Settings, group, builtin, delta):
+    else:
+        try:
+            exponent = _parse_positive(exponent)
+        except ValueError:
+            raise ConfigError(
+                "%s: key 'exponent': expected a positive number, 'fit' or 'default', got %r"
+                % (st.where("exponent"), exponent)
+            ) from None
     cutoff = st.get("cutoff", "int", 14)
-    if st.has("radius"):
-        raw = st.values["radius"]
-        radius = None if raw.lower() == "none" else st.get("radius", "float")
-    else:
-        radius = PATTERSON_RADIUS.get(builtin)
-    return build_patterson(group, PattersonConfig(delta, cutoff, radius)), cutoff, radius
+    if cutoff < 4:
+        raise ConfigError(
+            "%s: key 'cutoff': expected at least 4, got %d" % (st.where("cutoff"), cutoff)
+        )
+    radius = st.get("radius", "radius", PATTERSON_RADIUS.get(builtin))
+    return _loader(st, default_group, exponent=exponent, fit_radius=fit_radius,
+                   cutoff=cutoff, radius=radius)
 
 
-def _period_spec(st: Settings, key: str, group, builtin, slot: int, seed):
-    raw = st.get(key, "str", None)
-    if raw is None:
-        periods = EXPERIMENT_PERIODS.get(builtin)
-        if periods is None:
-            raise ConfigError("key %r is required for this group" % key)
-        return WordSpec(period=periods[slot]), " ".join(periods[slot])
-    if raw == "random":
-        if seed is None:
-            raise ConfigError("--seed is mandatory when %s = random" % key)
-        spec = WordSpec.random(group, seed + slot)
-        return spec, "random(seed %d)" % (seed + slot)
-    letters = tuple(raw.split())
-    return WordSpec(period=letters), raw
-
-
-def _experiment_vector(st: Settings, group, builtin, seed, default_s=0.0):
-    spec_m, wit_m = _period_spec(st, "minus_period", group, builtin, 0, seed)
-    spec_p, wit_p = _period_spec(st, "plus_period", group, builtin, 1, seed)
-    s = st.get("leaf_coordinate", "float", default_s)
-    minus = sample_limit_point(group, spec_m)
-    plus = sample_limit_point(group, spec_p)
-    u, cls = build_vector(group, minus, plus, s=s)
-    witness = {
-        "minus_period": wit_m,
-        "plus_period": wit_p,
-        "leaf_coordinate": s,
-        "vector_class": cls.value,
-        "minus_point": float(minus.point.value),
-        "plus_point": float(plus.point.value),
-    }
-    return u, witness
-
-
-def _bumps_from_settings(st: Settings, group, builtin):
-    wb = st.get("base_width", "float", BUMP_WIDTHS[0])
-    wa = st.get("angle_width", "float", BUMP_WIDTHS[1])
-    keys = st.bump_keys()
-    if keys:
-        coords = []
-        for key in keys:
-            vals = st.get(key, "floats")
-            if len(vals) != 3:
+def _vector(st: Settings, loader: Loader, seed, default_s=0.0):
+    """The run's vector and its witness, from the period keys."""
+    periods = []
+    for slot, key in enumerate(("minus_period", "plus_period")):
+        period = st.get(key, "str", None)
+        if period is None:
+            if loader.builtin not in EXPERIMENT_PERIODS:
+                raise ConfigError("key %r is required for this group" % key)
+        elif period == "random":
+            if seed is None:
+                raise ConfigError("--seed is mandatory when %s = random" % key)
+            period = seed + slot
+        else:
+            letters = period.split()
+            unknown = [lab for lab in letters if lab not in loader.group.letters]
+            if not letters or unknown or not loader.group.is_reduced(letters + letters):
                 raise ConfigError(
-                    "%s: key %r needs 'x y angle', got %d values"
-                    % (st.where(key), key, len(vals))
+                    "%s: key %r: expected a reduced period of letters %s, got %r"
+                    % (st.where(key), key, " ".join(loader.group.order), period)
                 )
-            coords.append(vals)
-    else:
-        if builtin not in DEFAULT_BUMPS:
-            raise ConfigError("give at least one bump1 = x y angle for this group")
-        coords = list(DEFAULT_BUMPS[builtin])
+        periods.append(period)
+    return loader.vector(*periods, s=st.get("leaf_coordinate", "float", default_s))
+
+
+def _bumps(st: Settings, loader: Loader):
+    """The run's bumps with their centers and widths, from the bump keys."""
+    widths = (st.get("base_width", "positive", BUMP_WIDTHS[0]),
+              st.get("angle_width", "positive", BUMP_WIDTHS[1]))
+    keys = st.bump_keys()
+    if not keys and loader.builtin not in DEFAULT_BUMPS:
+        raise ConfigError("give at least one bump1 = x y angle for this group")
+    coords = [st.get(key, "floats") for key in keys] or list(DEFAULT_BUMPS[loader.builtin])
+    for key, vals in zip(keys, coords):
+        if len(vals) != 3:
+            raise ConfigError(
+                "%s: key %r needs 'x y angle', got %d values" % (st.where(key), key, len(vals))
+            )
     try:
-        funcs = [
-            TestFunction(group, pointed_frame(*cd), base_width=wb, angle_width=wa,
-                         label="psi%d" % (k + 1))
-            for k, cd in enumerate(coords)
-        ]
+        return loader.bumps(coords, widths), coords, widths
     except AveragesError as e:
         raise ConfigError("bad bump: %s" % e) from None
-    return funcs, coords, (wb, wa)
 
 
 # ------------------------------------------------------------- experiments
@@ -382,7 +363,8 @@ ALLOWED = {
 
 
 def run_group_info(st: Settings, args):
-    group, builtin, spec = _load_group(st, "builtin:schottky")
+    loader = _loader(st, "builtin:schottky")
+    group, spec = loader.group, loader.spec
     lines = ["group %s (%s): rank %d, %d letters" % (group.name or spec, spec, group.rank, len(group.order))]
     for lab in group.order:
         gen = group.letters[lab]
@@ -393,8 +375,8 @@ def run_group_info(st: Settings, args):
         )
     hull = group.hull_intervals()
     lines.append("  limit set inside " + ", ".join("[%g, %g]" % iv for iv in hull))
-    if builtin is not None:
-        lines.append("  growth exponent %.6f (frozen)" % KNOWN_EXPONENTS[builtin])
+    if loader.builtin is not None:
+        lines.append("  growth exponent %.6f (frozen)" % KNOWN_EXPONENTS[loader.builtin])
     payload = {
         "group": spec,
         "rank": group.rank,
@@ -413,11 +395,11 @@ def run_group_info(st: Settings, args):
 
 
 def run_exponent(st: Settings, args):
-    group, builtin, spec = _load_group(st, "builtin:schottky")
-    t_max = st.get("t_max", "float", EXPONENT_RADIUS.get(builtin))
+    loader = _loader(st, "builtin:schottky")
+    t_max = st.get("t_max", "float", EXPONENT_RADIUS.get(loader.builtin))
     if t_max is None:
         raise ConfigError("key 't_max' is required for file groups")
-    grid_step = st.get("grid_step", "positive", _FIT_GRID_STEP)
+    grid_step = st.get("grid_step", "positive", FIT_GRID_STEP)
     if not t_max >= grid_step:
         key = "t_max" if st.has("t_max") else "grid_step"
         raise ConfigError(
@@ -427,22 +409,19 @@ def run_exponent(st: Settings, args):
     window = st.get("window", "float", None)
     min_points = st.get("min_points", "int", 1000)
     fit = critical_exponent(
-        group, t_max=t_max, window=window, grid_step=grid_step, min_points=min_points
+        loader.group, t_max=t_max, window=window, grid_step=grid_step, min_points=min_points
     )
     rows = [
         (float(t), float(c), fit.delta, "exponent", args.seed)
         for t, c in zip(fit.grid, fit.counts)
     ]
-    text = artifacts.series_rows_csv_text(rows)
-    files = [("exponent.csv", text)]
-    if st.get("svg", "flag", False):
-        files.append(("exponent.svg", artifacts.svg_from_series_csv(text)))
+    files = [("exponent.csv", artifacts.series_rows_csv_text(rows))]
     lines = [
         "group %s: exponent %.6f +/- %.2g over window [%.3g, %.3g], %d orbit points"
-        % (spec, fit.delta, fit.stderr, fit.window[0], fit.window[1], int(fit.counts[-1]))
+        % (loader.spec, fit.delta, fit.stderr, fit.window[0], fit.window[1], int(fit.counts[-1]))
     ]
     payload = {
-        "group": spec,
+        "group": loader.spec,
         "delta": fit.delta,
         "stderr": fit.stderr,
         "window": list(fit.window),
@@ -453,56 +432,45 @@ def run_exponent(st: Settings, args):
 
 
 def run_patterson(st: Settings, args):
-    group, builtin, spec = _load_group(st, "builtin:schottky")
-    delta, how = _resolve_exponent(st, group, builtin)
-    measure, cutoff, radius = _build_measure(st, group, builtin, delta)
-    rows = []
-    est, n_cells, grid_h = quadrature_report(ConstantFunction(), measure, delta)
-    rows.append(("one", est, n_cells, grid_h))
-    if builtin in DEFAULT_BUMPS or st.bump_keys():
-        funcs, coords, widths = _bumps_from_settings(st, group, builtin)
-        for psi in funcs:
-            est, n_cells, grid_h = quadrature_report(psi, measure, delta)
-            rows.append((psi.label, est, n_cells, grid_h))
-    defects = {lab: conformality_defect(measure, lab, delta) for lab in group.order}
+    loader = _measure_loader(st, "builtin:schottky")
+    funcs = []
+    if loader.builtin in DEFAULT_BUMPS or st.bump_keys():
+        funcs, _, _ = _bumps(st, loader)
+    measure, delta = loader.measure(), loader.exponent
+    rows = [("one", *quadrature_report(ConstantFunction(), measure, delta))]
+    rows += [(psi.label, *quadrature_report(psi, measure, delta)) for psi in funcs]
+    defects = {lab: conformality_defect(measure, lab, delta) for lab in loader.group.order}
     files = [
         ("atoms.csv", artifacts.atoms_csv_text(measure)),
         ("quadrature.csv", artifacts.quadrature_csv_text(rows)),
     ]
+    radius = "%g" % loader.radius if loader.radius is not None else "none"
     lines = [
         "group %s: %d atoms at cutoff %d, radius %s, exponent %.6f (%s)"
-        % (spec, len(measure), cutoff, "%g" % radius if radius is not None else "none", delta, how),
+        % (loader.spec, len(measure), loader.cutoff, radius, delta, loader.exponent_source),
         "conformality defects: "
-        + ", ".join("%s %.2e" % (lab, defects[lab]) for lab in group.order),
+        + ", ".join("%s %.2e" % (lab, defects[lab]) for lab in loader.group.order),
     ]
-    payload = {
-        "group": spec,
-        "exponent": delta,
-        "exponent_source": how,
-        "cutoff": cutoff,
-        "radius": radius,
-        "atoms": len(measure),
-        "conformality_defects": defects,
-        "quadrature": [
+    payload = dict(
+        loader.manifest(),
+        atoms=len(measure),
+        conformality_defects=defects,
+        quadrature=[
             {"psi_id": r[0], "estimate": r[1], "n_cells": r[2], "grid_h": r[3]} for r in rows
         ],
-    }
+    )
     return files, lines, payload, False
 
 
 def run_equidist(st: Settings, args):
-    group, builtin, spec = _load_group(st, "builtin:schottky")
-    delta, how = _resolve_exponent(st, group, builtin)
-    measure, cutoff, radius = _build_measure(st, group, builtin, delta)
-    u, witness = _experiment_vector(st, group, builtin, args.seed)
-    radii = sorted(st.get("radii", "floats", EQUIDIST_RADII))
-    funcs, coords, widths = _bumps_from_settings(st, group, builtin)
-    from .measures import ps_integral
-
+    loader = _measure_loader(st, "builtin:schottky")
+    u, witness = _vector(st, loader, args.seed)
+    radii = sorted(st.get("radii", "positives", EQUIDIST_RADII))
+    funcs, coords, widths = _bumps(st, loader)
+    measure, delta = loader.measure(), loader.exponent
     files = []
     lines = []
     report = []
-    want_svg = st.get("svg", "flag", False)
     for psi in funcs:
         ref = ps_integral(psi, measure, delta)
         vals = [average_ps(u, r, psi, measure, delta) for r in radii]
@@ -510,105 +478,77 @@ def run_equidist(st: Settings, args):
             (float(r), float(v), float(ref), "equidist:%s" % psi.label, args.seed)
             for r, v in zip(radii, vals)
         ]
-        text = artifacts.series_rows_csv_text(rows)
-        name = "equidist_%s.csv" % psi.label
-        files.append((name, text))
-        if want_svg:
-            files.append((name[:-4] + ".svg", artifacts.svg_from_series_csv(text)))
+        files.append(("equidist_%s.csv" % psi.label, artifacts.series_rows_csv_text(rows)))
         final = abs(vals[-1] - ref) / abs(ref) if ref != 0 else math.inf
         lines.append(
             "%s: integral %.6g, ball averages %s, final relative gap %.3g"
             % (psi.label, ref, ", ".join("%.6g" % v for v in vals), final)
         )
         report.append({"psi_id": psi.label, "reference": ref, "values": vals, "final_rel": final})
-    payload = {
-        "group": spec,
-        "exponent": delta,
-        "exponent_source": how,
-        "cutoff": cutoff,
-        "radius": radius,
-        "radii": list(radii),
-        "bumps": [list(c) for c in coords],
-        "bump_widths": list(widths),
-        "vector": witness,
-        "series": report,
-    }
+    payload = dict(
+        loader.manifest(witness),
+        radii=list(radii),
+        bumps=[list(c) for c in coords],
+        bump_widths=list(widths),
+        series=report,
+    )
     return files, lines, payload, False
 
 
 def run_mixing(st: Settings, args):
-    group, builtin, spec = _load_group(st, "builtin:schottky")
-    delta, how = _resolve_exponent(st, group, builtin)
-    measure, cutoff, radius = _build_measure(st, group, builtin, delta)
-    u, witness = _experiment_vector(st, group, builtin, args.seed, default_s=MIXING_LEAF_COORDINATE)
-    ball_radius = st.get("ball_radius", "float", 1.0)
+    loader = _measure_loader(st, "builtin:schottky")
+    u, witness = _vector(st, loader, args.seed, default_s=MIXING_LEAF_COORDINATE)
+    ball_radius = st.get("ball_radius", "positive", 1.0)
     times = sorted(st.get("times", "floats", MIXING_TIMES))
-    funcs, coords, widths = _bumps_from_settings(st, group, builtin)
+    funcs, coords, widths = _bumps(st, loader)
     psi = funcs[0]
-    ser = mixing_series(u, ball_radius, psi, times, measure, delta,
+    ser = mixing_series(u, ball_radius, psi, times, loader.measure(), loader.exponent,
                         experiment_id="mixing:%s" % psi.label, seed=args.seed)
-    text = artifacts.series_csv_text(ser)
-    files = [("mixing.csv", text)]
-    if st.get("svg", "flag", False):
-        files.append(("mixing.svg", artifacts.svg_from_series_csv(text)))
+    files = [("mixing.csv", artifacts.series_csv_text(ser))]
     final = abs(ser.values[-1] / ser.reference - 1.0)
     lines = [
         "mixing at radius %g: integral %.6g, value at t=%g is %.6g (relative gap %.3g)"
         % (ball_radius, ser.reference, ser.abscissae[-1], ser.values[-1], final)
     ]
-    payload = {
-        "group": spec,
-        "exponent": delta,
-        "exponent_source": how,
-        "cutoff": cutoff,
-        "radius": radius,
-        "ball_radius": ball_radius,
-        "times": list(times),
-        "bump": list(coords[0]),
-        "bump_widths": list(widths),
-        "vector": witness,
-        "reference": float(ser.reference),
-        "final_rel": final,
-    }
+    payload = dict(
+        loader.manifest(witness),
+        ball_radius=ball_radius,
+        times=list(times),
+        bump=list(coords[0]),
+        bump_widths=list(widths),
+        reference=float(ser.reference),
+        final_rel=final,
+    )
     return files, lines, payload, False
 
 
 def run_nondiv(st: Settings, args):
-    group, builtin, spec = _load_group(st, "builtin:cusped")
-    delta, how = _resolve_exponent(st, group, builtin)
-    measure, cutoff, radius = _build_measure(st, group, builtin, delta)
-    u, witness = _experiment_vector(st, group, builtin, args.seed)
-    k_height = st.get("k_height", "float", NONDIV_HEIGHT)
-    ramp = st.get("ramp", "float", 0.1)
-    radii = sorted(st.get("radii", "floats", EQUIDIST_RADII))
-    ser = mass_in_compact(u, radii, k_height, measure, delta, ramp=ramp,
+    loader = _measure_loader(st, "builtin:cusped")
+    u, witness = _vector(st, loader, args.seed)
+    k_height = st.get("k_height", "positive", NONDIV_HEIGHT)
+    ramp = st.get("ramp", "positive", 0.1)
+    radii = sorted(st.get("radii", "positives", EQUIDIST_RADII))
+    ser = mass_in_compact(u, radii, k_height, loader.measure(), loader.exponent, ramp=ramp,
                           experiment_id="nondiv", seed=args.seed)
-    text = artifacts.series_csv_text(ser)
-    files = [("nondiv.csv", text)]
-    if st.get("svg", "flag", False):
-        files.append(("nondiv.svg", artifacts.svg_from_series_csv(text)))
+    files = [("nondiv.csv", artifacts.series_csv_text(ser))]
     low = float(min(ser.values))
     lines = [
         "thick-part mass at height cap %g: %s (min %.4f)"
         % (k_height, ", ".join("%.4f" % v for v in ser.values), low)
     ]
-    payload = {
-        "group": spec,
-        "exponent": delta,
-        "exponent_source": how,
-        "cutoff": cutoff,
-        "radius": radius,
-        "k_height": k_height,
-        "ramp": ramp,
-        "radii": list(radii),
-        "vector": witness,
-        "min_mass": low,
-    }
+    payload = dict(
+        loader.manifest(witness),
+        k_height=k_height,
+        ramp=ramp,
+        radii=list(radii),
+        min_mass=low,
+    )
     return files, lines, payload, False
 
 
 def run_closure(st: Settings, args):
-    group, builtin, spec = _load_group(st, "builtin:cusped")
+    loader = _loader(st, "builtin:cusped")
+    group, spec = loader.group, loader.spec
     letter = st.get("letter", "str", None)
     if letter is None:
         letter = next(
@@ -633,10 +573,7 @@ def run_closure(st: Settings, args):
         ts, rs = periodic_closure(group, letter, u=geodesic_flow(u0, s), refine_tol=refine_tol)
         rows.append((float(s), float(ts), float(math.exp(s) * t0), "closure:%s" % letter, args.seed))
         residuals[s] = rs
-    text = artifacts.series_rows_csv_text(rows)
-    files = [("closure.csv", text)]
-    if st.get("svg", "flag", False):
-        files.append(("closure.svg", artifacts.svg_from_series_csv(text)))
+    files = [("closure.csv", artifacts.series_rows_csv_text(rows))]
     worst = max(residuals.values())
     lines = [
         "closure time of %r: t0 %.9g (residual %.3g), dilation residuals worst %.3g"
@@ -719,6 +656,7 @@ def main(argv=None) -> int:
     reset_word_counter()
     started = time.perf_counter()
     try:
+        want_svg = st.get("svg", "flag", False)
         files, lines, payload, failed = RUNNERS[args.experiment](st, args)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
@@ -737,6 +675,13 @@ def main(argv=None) -> int:
     }
     for key, value in payload.items():
         manifest.setdefault(key, value)
+    if want_svg:
+        # every file of an experiment that takes the svg key is a series CSV
+        files = [
+            pair
+            for rel, text in files
+            for pair in ((rel, text), (rel[:-4] + ".svg", artifacts.svg_from_series_csv(text)))
+        ]
     files = list(files) + [("manifest.json", artifacts.manifest_text(manifest))]
     for rel, text in files:
         artifacts.atomic_write_text(os.path.join(out_dir, rel), text)

@@ -1,12 +1,24 @@
-"""Built-in example groups with calibrated enumeration radii."""
+"""Built-in example groups with calibrated enumeration radii, and the one
+loader that builds every experiment's and check's inputs from them."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
 from .geometry import Isometry
-from .groups import FuchsianGroup, Generator, GroupError, parse_group_file
+from .groups import (
+    FuchsianGroup,
+    Generator,
+    GroupError,
+    WordSpec,
+    critical_exponent,
+    parse_group_file,
+    sample_limit_point,
+)
+from .measures import PattersonConfig, build_patterson
+from .averages import TestFunction, build_vector, pointed_frame
 
 __all__ = [
     "schottky_group",
@@ -26,7 +38,9 @@ __all__ = [
     "EQUIDIST_RADII",
     "MIXING_TIMES",
     "KNOWN_EXPONENTS",
+    "FIT_GRID_STEP",
     "builtin_name",
+    "Loader",
 ]
 
 
@@ -142,6 +156,10 @@ MIXING_LEAF_COORDINATE = -6.0
 # cusp-height cap for the non-divergence experiment (compact mass >= 0.8)
 NONDIV_HEIGHT = 6.0
 
+# count-grid step of every exponent fit a Loader makes; the `exponent`
+# experiment's grid_step key overrides it there
+FIT_GRID_STEP = 0.5
+
 EQUIDIST_RADII = (math.e ** 2, math.e ** 4, math.e ** 6)
 
 MIXING_TIMES = tuple(0.5 * k for k in range(13))
@@ -176,3 +194,107 @@ def resolve_group(spec: str) -> FuchsianGroup:
     if os.path.exists(spec):
         return parse_group_file(spec)
     raise GroupError("no builtin group or file named %r" % spec)
+
+
+# a Loader's default radius: PATTERSON_RADIUS, which None (no prune) cannot mark
+_OWN_RADIUS = object()
+
+
+class Loader:
+    """The inputs of runs on one group, each built once, when first asked for.
+
+    Construction only resolves the group, so a caller can check every other
+    setting before anything is enumerated. The exponent source is
+    `exponent`: "frozen" reads KNOWN_EXPONENTS, "fit" fits
+    critical_exponent at `fit_radius` (EXPONENT_RADIUS by default) on the
+    FIT_GRID_STEP grid, and a number is used as given. `cutoff` and `radius`
+    set the run's own measure; the radius defaults to PATTERSON_RADIUS, and
+    None means no prune. Measures are cached per (cutoff, radius), vectors
+    per (periods, leaf coordinate) and bumps per (centers, widths).
+    """
+
+    def __init__(self, spec, exponent="frozen", fit_radius=None, cutoff=14, radius=_OWN_RADIUS):
+        self.spec = spec
+        self.builtin = builtin_name(spec)
+        self.group = resolve_group(spec)
+        if exponent not in ("frozen", "fit"):
+            self.exponent = float(exponent)  # fills the cached property below
+            exponent = "given"
+        self.exponent_source = exponent
+        self.fit_radius = EXPONENT_RADIUS.get(self.builtin) if fit_radius is None else fit_radius
+        self.cutoff = cutoff
+        self.radius = PATTERSON_RADIUS.get(self.builtin) if radius is _OWN_RADIUS else radius
+        self._measures = {}
+        self._vectors = {}
+        self._bumps = {}
+
+    @functools.cached_property
+    def exponent(self) -> float:
+        if self.exponent_source == "frozen":
+            if self.builtin is None:
+                raise GroupError("group %s has no frozen exponent" % self.spec)
+            return KNOWN_EXPONENTS[self.builtin]
+        if self.fit_radius is None:
+            raise GroupError("group %s has no default fit radius" % self.spec)
+        return critical_exponent(self.group, t_max=self.fit_radius, grid_step=FIT_GRID_STEP).delta
+
+    def measure(self, cutoff=None, radius=None):
+        """Patterson measure at (cutoff, radius); the run's own without a cutoff."""
+        key = (self.cutoff, self.radius) if cutoff is None else (cutoff, radius)
+        if key not in self._measures:
+            self._measures[key] = build_patterson(self.group, PattersonConfig(self.exponent, *key))
+        return self._measures[key]
+
+    def vector(self, minus=None, plus=None, s=0.0):
+        """Vector at leaf coordinate s from the limit points of two periodic
+        words, with its manifest witness.
+
+        Each period is a string of letters, an int seed for a random reduced
+        word (seeded as given), or None for the group's EXPERIMENT_PERIODS.
+        """
+        key = (minus, plus, s)
+        if key not in self._vectors:
+            points = []
+            witness = {"leaf_coordinate": s}
+            for slot, (name, period) in enumerate((("minus", minus), ("plus", plus))):
+                if period is None:
+                    period = " ".join(EXPERIMENT_PERIODS[self.builtin][slot])
+                if isinstance(period, int):
+                    word, period = WordSpec.random(self.group, period), "random(seed %d)" % period
+                else:
+                    word = WordSpec(period=tuple(period.split()))
+                points.append(sample_limit_point(self.group, word))
+                witness[name + "_period"] = period
+                witness[name + "_point"] = float(points[-1].point.value)
+            u, cls = build_vector(self.group, *points, s=s)
+            witness["vector_class"] = cls.value
+            self._vectors[key] = (u, witness)
+        return self._vectors[key]
+
+    def bumps(self, centers=None, widths=BUMP_WIDTHS):
+        """Bumps psi1, psi2, ... at (x, y, angle) centers, DEFAULT_BUMPS by default."""
+        if centers is None:
+            centers = DEFAULT_BUMPS[self.builtin]
+        key = (tuple(map(tuple, centers)), tuple(widths))
+        if key not in self._bumps:
+            wb, wa = widths
+            self._bumps[key] = [
+                TestFunction(self.group, pointed_frame(*cd), base_width=wb, angle_width=wa,
+                             label="psi%d" % (k + 1))
+                for k, cd in enumerate(centers)
+            ]
+        return self._bumps[key]
+
+    def manifest(self, witness=None) -> dict:
+        """Manifest fields of a run on the loader's own measure, plus its
+        vector's witness when the run has one."""
+        fields = {
+            "group": self.spec,
+            "exponent": self.exponent,
+            "exponent_source": self.exponent_source,
+            "cutoff": self.cutoff,
+            "radius": self.radius,
+        }
+        if witness is not None:
+            fields["vector"] = witness
+        return fields

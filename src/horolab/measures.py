@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    BoundaryPoint,
     Isometry,
     UnitTangent,
     frame_angle,
@@ -23,7 +22,7 @@ from .geometry import (
     isometry_distance,
     mobius_apply,
 )
-from .groups import FuchsianGroup, Word
+from .groups import FuchsianGroup
 
 __all__ = [
     "MeasureError",
@@ -33,7 +32,6 @@ __all__ = [
     "build_patterson",
     "conformality_defect",
     "conditional_on_horocycle",
-    "horoball_mass",
     "ps_integral",
     "quadrature_report",
     "br_integral",
@@ -95,13 +93,6 @@ class AtomicBoundaryMeasure:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def atoms(self):
-        return [
-            (BoundaryPoint(float(x)), float(lw))
-            for x, lw in zip(self.points, self.log_weights)
-        ]
 
     def total_mass(self) -> float:
         m = float(np.max(self.log_weights))
@@ -175,14 +166,6 @@ def build_patterson(group: FuchsianGroup, cfg: PattersonConfig) -> AtomicBoundar
     )
 
 
-def _as_isometry_and_length(group: FuchsianGroup, gamma):
-    if isinstance(gamma, Isometry):
-        return gamma, 1
-    if isinstance(gamma, Word):
-        return gamma.matrix, len(gamma.letters)
-    return group.word_matrix(gamma), len(gamma)
-
-
 def conformality_defect(
     measure: AtomicBoundaryMeasure,
     gamma,
@@ -191,6 +174,7 @@ def conformality_defect(
 ) -> float:
     """Median deviation of matched atom pairs from the conformal scaling law.
 
+    gamma is a group word given by its letters, such as "a" or ("a", "b").
     For atoms xi whose image gamma(xi) lands within match_tol of another
     atom eta, the defect is |log(w(eta)/w(xi)) - s beta_xi(o, gamma^-1 o)|.
     Matching is nearest-atom at the documented tolerance 1e-5, chosen
@@ -202,7 +186,7 @@ def conformality_defect(
     that restriction a deep atom would match the truncated prefix of its
     continuation, which carries an O(1) wrong weight.
     """
-    m, glen = _as_isometry_and_length(measure.group, gamma)
+    m, glen = measure.group.word_matrix(gamma), len(gamma)
     if isometry_distance(m, Isometry.identity()) < 1e-14:
         return 0.0
     a, b, c, d = m.entries()
@@ -245,6 +229,7 @@ class ConditionalHorocycleMeasure:
         return len(self.params)
 
     def horoball_mass(self, r: float) -> float:
+        """Mass of the leaf ball {h^s u : |s| < r}; nondecreasing in r."""
         if not r > 0:
             raise MeasureError("ball radius must be positive")
         sel = np.abs(self.params) < r
@@ -279,11 +264,6 @@ def conditional_on_horocycle(
     return ConditionalHorocycleMeasure(
         leaf=u, exponent=hat_delta, params=s[order], log_weights=lam[order]
     )
-
-
-def horoball_mass(cond: ConditionalHorocycleMeasure, r: float) -> float:
-    """Mass of the leaf ball {h^s u : |s| < r}; nondecreasing in r."""
-    return cond.horoball_mass(r)
 
 
 # ------------------------------------------------------------- quadratures

@@ -7,6 +7,14 @@ import pytest
 
 from horolab.averages import AverageSeries
 from horolab.cli import ConfigError, main, parse_config_text
+from horolab.defaults import (
+    DEFAULT_BUMPS,
+    EXPERIMENT_PERIODS,
+    KNOWN_EXPONENTS,
+    PATTERSON_RADIUS,
+    schottky_group,
+)
+from horolab.groups import dumps_group, enumerated_word_count
 from horolab.io import (
     atomic_write_text,
     atoms_csv_text,
@@ -74,6 +82,18 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
         pytest.param("patterson", "fit_radius = 0.2\nexponent = fit", id="patterson-fit-below-step"),
         pytest.param("equidist", "fit_radius = -1\nexponent = fit", id="equidist-fit-negative"),
         pytest.param("mixing", "fit_radius = 0\nexponent = fit", id="mixing-fit-zero"),
+        pytest.param("patterson", "cutoff = 2", id="patterson-cutoff-low"),
+        pytest.param("patterson", "exponent = -0.3", id="patterson-exponent-negative"),
+        pytest.param("patterson", "radius = -1", id="patterson-radius-negative"),
+        pytest.param("mixing", "ball_radius = -1", id="mixing-ball-negative"),
+        pytest.param("equidist", "radii = -1 5", id="equidist-radii-negative"),
+        pytest.param("nondiv", "radii = 0 5", id="nondiv-radii-zero"),
+        pytest.param("equidist", "minus_period = a A", id="equidist-period-unreduced"),
+        pytest.param("equidist", "minus_period = x y", id="equidist-period-unknown"),
+        pytest.param("nondiv", "plus_period = p b P", id="nondiv-period-cyclic"),
+        pytest.param("nondiv", "ramp = -1", id="nondiv-ramp-negative"),
+        pytest.param("nondiv", "k_height = -1", id="nondiv-height-negative"),
+        pytest.param("exponent", "svg = maybe", id="exponent-svg-word"),
     ],
 )
 def test_cli_bad_value_reports_location(experiment, line, tmp_path, capsys):
@@ -85,6 +105,7 @@ def test_cli_bad_value_reports_location(experiment, line, tmp_path, capsys):
     err = capsys.readouterr().err
     assert line.split()[0] in err and "line 1" in err
     assert not out.exists()
+    assert enumerated_word_count() == 0  # rejected before any enumeration
 
 
 def test_cli_numeric_failure_exits_2(tmp_path, capsys):
@@ -93,6 +114,75 @@ def test_cli_numeric_failure_exits_2(tmp_path, capsys):
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def schottky_file(tmp_path):
+    path = tmp_path / "schottky.group"
+    path.write_text(dumps_group(schottky_group()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides, message",
+    [
+        pytest.param("equidist", [], "key 'exponent' is required for file groups", id="exponent"),
+        pytest.param("patterson", ["exponent=fit"], "exponent = fit needs fit_radius", id="fit-radius"),
+        pytest.param("equidist", ["exponent=0.43"], "key 'minus_period' is required", id="period"),
+        pytest.param(
+            "equidist",
+            ["exponent=0.43", "minus_period=a b", "plus_period=B A"],
+            "give at least one bump1 = x y angle",
+            id="bumps",
+        ),
+        pytest.param("exponent", [], "key 't_max' is required for file groups", id="t-max"),
+        pytest.param("closure", [], "has no parabolic letter", id="closure-letter"),
+    ],
+)
+def test_cli_file_group_reports_missing_key(experiment, overrides, message, schottky_file,
+                                            tmp_path, capsys):
+    # a file group has no calibrated defaults; each gap is reported before any
+    # word is enumerated (an unpruned cutoff-14 measure is 9.5M words)
+    out = tmp_path / "out"
+    argv = [experiment, "--out", str(out), "--override", "group=" + schottky_file]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert enumerated_word_count() == 0
+
+
+def test_cli_file_group_matches_builtin(schottky_file, tmp_path, capsys):
+    # the same group read from its file, with the builtin's defaults spelled out
+    periods = [" ".join(p) for p in EXPERIMENT_PERIODS["schottky"]]
+    overrides = [
+        "group=" + schottky_file,
+        "exponent=%r" % KNOWN_EXPONENTS["schottky"],
+        "radius=%r" % PATTERSON_RADIUS["schottky"],
+        "minus_period=" + periods[0],
+        "plus_period=" + periods[1],
+    ] + ["bump%d=%r %r %r" % (k + 1, *c) for k, c in enumerate(DEFAULT_BUMPS["schottky"])]
+    argv = ["equidist", "--out", str(tmp_path / "file")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 0
+    assert main(["equidist", "--out", str(tmp_path / "builtin")]) == 0
+    capsys.readouterr()
+    for k in (1, 2, 3):
+        # the file's generators differ from the builtin's in the last bits (a
+        # matrix is renormalized to determinant one again when it is read);
+        # the ball averages move by about 1e-9 relative, the quadrature
+        # reference of psi3 by 2.4e-4
+        got = read_csv_rows(tmp_path / "file" / ("equidist_psi%d.csv" % k))
+        want = read_csv_rows(tmp_path / "builtin" / ("equidist_psi%d.csv" % k))
+        for g, w in zip(got, want, strict=True):
+            assert g["abscissa"] == w["abscissa"]
+            assert float(g["value"]) == pytest.approx(float(w["value"]), rel=1e-6, abs=1e-12)
+            assert float(g["reference"]) == pytest.approx(float(w["reference"]), rel=1e-3)
+    manifest = json.loads((tmp_path / "file" / "manifest.json").read_text())
+    assert manifest["exponent_source"] == "given"
+    assert manifest["vector"]["minus_period"] == periods[0]
 
 
 def test_cli_bad_override_exits_1(tmp_path, capsys):
@@ -150,6 +240,17 @@ def test_cli_nondiv_small_config(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == {"radii": "5 60", "k_height": "6.0"}
     assert manifest["enumerated_words"] > 0
+
+
+def test_cli_svg_follows_each_series_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["equidist", "--out", str(out), "--override", "svg=yes"]) == 0
+    wrote = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    names = ["equidist_psi%d.%s" % (k, ext) for k in (1, 2, 3) for ext in ("csv", "svg")]
+    assert wrote == [str(out / name) for name in names + ["manifest.json"]]
+    csv = (out / "equidist_psi2.csv").read_text(encoding="utf-8")
+    assert (out / "equidist_psi2.svg").read_text(encoding="utf-8") == svg_from_series_csv(csv)
 
 
 def test_cli_random_vector_requires_seed(tmp_path, capsys):

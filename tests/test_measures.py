@@ -20,7 +20,6 @@ from horolab.measures import (
     build_patterson,
     conditional_on_horocycle,
     conformality_defect,
-    horoball_mass,
     ps_integral,
 )
 from horolab.averages import TestFunction, build_vector, pointed_frame
@@ -219,7 +218,7 @@ def test_flow_by_zero_is_identity(u8, m_sch, cond8):
 
 def test_horoball_mass_monotone_and_frozen(cond8):
     e2, e4 = math.e ** 2, math.e ** 4
-    masses = [horoball_mass(cond8, r) for r in (1.0, e2, e4)]
+    masses = [cond8.horoball_mass(r) for r in (1.0, e2, e4)]
     assert masses[0] < masses[1] < masses[2]
     assert masses[1] == pytest.approx(1.155412925010575, rel=1e-9)
     assert masses[2] == pytest.approx(4.122445697587423, rel=1e-9)
