@@ -21,7 +21,14 @@ from .geometry import (
     geodesic_flow,
     mobius_apply,
 )
-from .groups import FuchsianGroup, Generator, fixed_points, tangent_from_samples
+from .groups import (
+    FuchsianGroup,
+    Generator,
+    fixed_points,
+    renormalized,
+    replayed,
+    tangent_from_samples,
+)
 from .measures import (
     AtomicBoundaryMeasure,
     br_integral,
@@ -99,19 +106,26 @@ def _leaf_frames(u: UnitTangent, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frame_coordinates(frames: np.ndarray):
+    """(x, y, theta) of a stack of frames (n, 2, 2)."""
+    a, b, c, d = frames.reshape(-1, 4).T
+    x, y = frame_point(a, b, c, d)
+    return x, y, frame_angle(c, d)
+
+
 class Integrand:
     """Shared entry points of the test-function protocol.
 
     An integrand defines evaluate_points(x, y, theta) on fundamental-domain
-    coordinates, which the quadratures call directly. Leaf averages pass
-    frames to evaluate_frames, which reduces them once and then evaluates;
-    a single vector goes through __call__.
+    coordinates, which the quadratures call directly. evaluate_frames
+    reduces a stack of frames once and then evaluates; a single vector goes
+    through __call__. Leaf averages of an integrand that keeps this
+    evaluate_frames settle the leaf frames once on its group and call
+    evaluate_points; an integrand that overrides it gets the frames.
     """
 
     def evaluate_frames(self, mats):
-        a, b, c, d = self.group.reduce_frames(mats).reshape(-1, 4).T
-        x, y = frame_point(a, b, c, d)
-        return self.evaluate_points(x, y, frame_angle(c, d))
+        return self.evaluate_points(*_frame_coordinates(self.group.reduce_frames(mats)))
 
     def __call__(self, u: UnitTangent) -> float:
         return float(self.evaluate_frames(np.reshape(u.frame.entries(), (1, 2, 2)))[0])
@@ -288,26 +302,91 @@ class AverageSeries:
 # ------------------------------------------------------------------ means
 
 
-def _average_on_conditional(cond, u: UnitTangent, r: float, psi) -> float:
-    # mean over the leaf ball {h^s u : |s| < r}
-    if not r > 0:
-        raise AveragesError("horoball radius must be positive")
-    sel = np.abs(cond.params) < r
-    if not sel.any():
-        raise AveragesError("no conditional atoms inside radius %g" % r)
-    lw = cond.log_weights[sel]
-    w = np.exp(lw - np.max(lw))
-    vals = psi.evaluate_frames(_leaf_frames(u, cond.params[sel]))
-    return float(np.sum(w * vals) / np.sum(w))
+def _settling_group(psi):
+    # the group psi reduces its frames on before it evaluates the points, or
+    # None when psi evaluates frames its own way
+    if type(psi).evaluate_frames is Integrand.evaluate_frames:
+        return psi.group
+    return None
+
+
+class _Leaf:
+    """One leaf of a measure: its conditional measure, built once, and its
+    frames settled row by row out to the largest radius asked for so far.
+
+    Each settled row keeps its moves count and the (x, y, theta) of both the
+    settled frame and that frame renormalized once, so a ball average
+    replays the batch rule of reduce_frames over its own rows exactly.
+    """
+
+    def __init__(self, u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float):
+        self.u = u
+        self.group = measure.group
+        self.cond = conditional_on_horocycle(u, measure, hat_delta)
+        self.dist = np.abs(self.cond.params)
+        n = len(self.dist)
+        self.reach = 0.0
+        self.moves = np.zeros(n, dtype=np.int64)
+        self.plain = np.empty((3, n))
+        self.once = np.empty((3, n))
+
+    def _settle(self, r: float) -> None:
+        if r <= self.reach:
+            return
+        rows = np.flatnonzero((self.dist < r) & (self.dist >= self.reach))
+        settled, moves = self.group.settle_frames(_leaf_frames(self.u, self.cond.params[rows]))
+        self.moves[rows] = moves
+        self.plain[:, rows] = _frame_coordinates(settled)
+        self.once[:, rows] = _frame_coordinates(renormalized(settled))
+        self.reach = r
+
+    def average(self, r: float, psi) -> float:
+        """Mean over the leaf ball {h^s u : |s| < r}."""
+        if not r > 0:
+            raise AveragesError("horoball radius must be positive")
+        sel = self.dist < r
+        if not sel.any():
+            raise AveragesError("no conditional atoms inside radius %g" % r)
+        lw = self.cond.log_weights[sel]
+        w = np.exp(lw - np.max(lw))
+        if _settling_group(psi) is self.group:
+            self._settle(r)
+            moves = self.moves[sel]
+            x, y, theta = np.where(moves < moves.max(), self.once[:, sel], self.plain[:, sel])
+            vals = psi.evaluate_points(x, y, theta)
+        else:
+            vals = psi.evaluate_frames(_leaf_frames(self.u, self.cond.params[sel]))
+        return float(np.sum(w * vals) / np.sum(w))
+
+
+# leaves a measure keeps: a ball average and its flow-commuted form alternate
+# between two leaves
+_LEAF_MEMO = 2
+
+
+def _leaf(u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float) -> _Leaf:
+    """The measure's leaf through u, most recently used last in its memo."""
+    key = (u.frame.entries(), hat_delta)
+    memo = measure._leaves
+    leaf = memo.pop(key, None)
+    if leaf is None:
+        leaf = _Leaf(u, measure, hat_delta)
+        if len(memo) == _LEAF_MEMO:
+            del memo[next(iter(memo))]
+    memo[key] = leaf
+    return leaf
 
 
 def average_ps(
     u: UnitTangent, r: float, psi, measure: AtomicBoundaryMeasure, hat_delta: float
 ) -> float:
     """Mean of psi over the leaf ball of radius r against the conditional
-    measure: the atom-weighted average of psi(h^s u) over |s| < r."""
-    cond = conditional_on_horocycle(u, measure, hat_delta)
-    return _average_on_conditional(cond, u, r, psi)
+    measure: the atom-weighted average of psi(h^s u) over |s| < r.
+
+    The measure keeps the leaf of u (its conditional measure and its
+    settled frames) for the next calls on the same vector and exponent.
+    """
+    return _leaf(u, measure, hat_delta).average(r, psi)
 
 
 def flow_commutation_residual(
@@ -326,20 +405,42 @@ def flow_commutation_residual(
     return abs(lhs - rhs)
 
 
+def _settle_grid(group: FuchsianGroup, u: UnitTangent, s: np.ndarray, prev):
+    """(s, settled, moves) of the leaf frames at the nodes s. When the nodes
+    of the previous triple are bit for bit the even nodes of s, only the odd
+    nodes are settled."""
+    if prev is None or s[::2].tobytes() != prev[0].tobytes():
+        return (s,) + group.settle_frames(_leaf_frames(u, s))
+    mid, mid_moves = group.settle_frames(_leaf_frames(u, s[1::2]))
+    settled = np.empty((len(s), 2, 2))
+    moves = np.empty(len(s), dtype=np.int64)
+    settled[::2], settled[1::2] = prev[1], mid
+    moves[::2], moves[1::2] = prev[2], mid_moves
+    return s, settled, moves
+
+
 def average_lebesgue(u: UnitTangent, t: float, psi, tol: float = 1e-6) -> float:
     """Arc-length mean of psi over {h^s u : |s| <= t}.
 
     Composite Simpson rule, refined until the classical stepwise error
     estimate meets the absolute tolerance tol * (2t); the shipped bumps are
-    resolved already at the initial step 0.05.
+    resolved already at the initial step 0.05. Each halving settles only
+    the new midpoints and replays the batch rule of reduce_frames over the
+    whole grid, which gives the bits of reducing the grid afresh.
     """
     if not t > 0:
         raise AveragesError("window must be positive")
     m = max(4, int(math.ceil(2.0 * t / 0.1)))
     coarse = None
+    group = _settling_group(psi)
+    grid = None
     for _ in range(8):
         s = np.linspace(-t, t, 2 * m + 1)
-        f = psi.evaluate_frames(_leaf_frames(u, s))
+        if group is not None:
+            grid = _settle_grid(group, u, s, grid)
+            f = psi.evaluate_points(*_frame_coordinates(replayed(*grid[1:])))
+        else:
+            f = psi.evaluate_frames(_leaf_frames(u, s))
         h = s[1] - s[0]
         integral = (h / 3.0) * (
             f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-2:2])
@@ -420,11 +521,8 @@ def mixing_series(
     to the invariant integral of psi as the flow stretches the ball across
     the non-wandering set.
     """
-    cond = conditional_on_horocycle(u, measure, hat_delta)
-    values = [
-        _average_on_conditional(cond, u, r, ShiftedFunction(psi, float(t)))
-        for t in times
-    ]
+    leaf = _leaf(u, measure, hat_delta)
+    values = [leaf.average(r, ShiftedFunction(psi, float(t))) for t in times]
     ref = ps_integral(psi, measure, hat_delta)
     return AverageSeries(np.asarray(times, dtype=float), values, ref, experiment_id, seed)
 
@@ -445,9 +543,9 @@ def mass_in_compact(
     without cusps the indicator is identically one and so is the series.
     """
     cap = CuspHeightCap(measure.group, k_height, ramp)
-    cond = conditional_on_horocycle(u, measure, hat_delta)
+    leaf = _leaf(u, measure, hat_delta)
     radii = np.asarray(sorted(float(r) for r in radii))
-    values = [_average_on_conditional(cond, u, r, cap) for r in radii]
+    values = [leaf.average(r, cap) for r in radii]
     return AverageSeries(radii, values, 1.0, experiment_id, seed)
 
 

@@ -76,6 +76,25 @@ class GroupError(ValueError):
     """Invalid group data: failed ping-pong checks, bad files, degenerate input."""
 
 
+def _determinants(frames: np.ndarray) -> np.ndarray:
+    return frames[:, 0, 0] * frames[:, 1, 1] - frames[:, 0, 1] * frames[:, 1, 0]
+
+
+def renormalized(frames: np.ndarray) -> np.ndarray:
+    """Frames (n, 2, 2) divided by the square roots of their determinants."""
+    return frames / np.sqrt(_determinants(frames))[:, None, None]
+
+
+def replayed(settled: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The batch rule of reduce_frames applied to rows settled one by one
+    (see FuchsianGroup.settle_frames): rows that moved fewer rounds than the
+    most in the batch are renormalized once more. Returns a new array."""
+    once = moves < moves.max(initial=0)
+    # dividing the other rows by one leaves them exact
+    scale = np.sqrt(_determinants(settled), out=np.ones(len(moves)), where=once)
+    return settled / scale[:, None, None]
+
+
 def classify_kind(m: Isometry, tol: float = _KIND_TOL) -> str:
     t = abs(m.trace)
     if t > 2.0 + tol:
@@ -603,42 +622,69 @@ class FuchsianGroup:
         m = self.word_matrix(letters)
         return UnitTangent(frame), Word(letters, m, self.displacement(m))
 
-    def reduce_frames(self, frames: np.ndarray, max_steps: int = 4000) -> np.ndarray:
-        """Vectorized reduce for a stack of frames (n, 2, 2); returns new array."""
-        frames = np.array(frames, dtype=float)
-        if self.rank == 0 or not len(frames):
-            return frames
+    def settle_frames(
+        self, frames: np.ndarray, max_steps: int = 4000
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized reduce for a stack of frames (n, 2, 2), row by row.
+
+        Returns (settled, moves): each row moved into the fundamental domain,
+        and the number of rounds in which it moved. A round moves every row
+        whose base point lies in a half-disk and renormalizes the rows it
+        moved; a row leaves the live stack in the round that finds it
+        settled, before that round's renormalization, so each row's result
+        depends on that row alone. A row whose base point is not finite or
+        lies on the boundary raises GroupError.
+        """
+        settled = np.array(frames, dtype=float)
+        moves = np.zeros(len(settled), dtype=np.int64)
+        if self.rank == 0 or not len(settled):
+            return settled, moves
         # the frames still moving, as a compact stack: rows `active` of the
         # result, written back when they settle
-        active = np.arange(len(frames))
-        sub = frames
-        for _ in range(max_steps):
-            x, y = frame_point(sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1])
-            hit = self.containing_letter(x, y)
-            live = hit >= 0
-            if not live.any():
-                break
-            for k, label in enumerate(self.order):
-                pts = np.flatnonzero(hit == k)
-                if not pts.size:
-                    continue
-                g = self.letters[label]
-                if g.kind == "parabolic":
-                    _, power = self.parabolic_jump(label, x[pts], y[pts])
-                    sub[pts] = power @ sub[pts]
-                else:
-                    inv = np.array(g.matrix.inverse().entries()).reshape(2, 2)
-                    sub[pts] = inv[None] @ sub[pts]
-            det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-            sub /= np.sqrt(det)[:, None, None]
-            if not live.all():
-                done = ~live
-                frames[active[done]] = sub[done]
-                active, sub = active[live], sub[live]
-        else:
-            raise GroupError("vectorized reduction did not settle in %d rounds" % max_steps)
-        frames[active] = sub
-        return frames
+        active = np.arange(len(settled))
+        sub = settled
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for n in range(max_steps):
+                x, y = frame_point(sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1])
+                hit = self.containing_letter(x, y)
+                live = hit >= 0
+                if not live.all():
+                    done = ~live
+                    if not np.all(np.isfinite(x[done]) & np.isfinite(y[done]) & (y[done] > 0)):
+                        raise GroupError(
+                            "frame reduction broke down: a base point is not finite or on the boundary"
+                        )
+                    settled[active[done]] = sub[done]
+                    moves[active[done]] = n
+                    if not live.any():
+                        return settled, moves
+                    active, sub, x, y, hit = active[live], sub[live], x[live], y[live], hit[live]
+                for k, label in enumerate(self.order):
+                    pts = np.flatnonzero(hit == k)
+                    if not pts.size:
+                        continue
+                    g = self.letters[label]
+                    if g.kind == "parabolic":
+                        _, power = self.parabolic_jump(label, x[pts], y[pts])
+                        sub[pts] = power @ sub[pts]
+                    else:
+                        inv = np.array(g.matrix.inverse().entries()).reshape(2, 2)
+                        sub[pts] = inv[None] @ sub[pts]
+                sub = renormalized(sub)
+        raise GroupError("vectorized reduction did not settle in %d rounds" % max_steps)
+
+    def reduce_frames(self, frames: np.ndarray, max_steps: int = 4000) -> np.ndarray:
+        """Vectorized reduce for a stack of frames (n, 2, 2); returns new array.
+
+        The batch rule: with M the most rounds any row of the batch moved
+        (see settle_frames), every row that moved fewer than M rounds is
+        renormalized once more, and the rows that moved M rounds are not.
+        This is what one loop over the whole batch gives when each round
+        renormalizes every row still on its stack, including the rows that
+        round finds settled, and round M, where no row moves, renormalizes
+        none. A row's last bits therefore depend on its batch through M alone.
+        """
+        return replayed(*self.settle_frames(frames, max_steps))
 
 
 # ---------------------------------------------------------------- counting

@@ -90,6 +90,8 @@ class AtomicBoundaryMeasure:
     displacements: np.ndarray
     lengths: np.ndarray
     _pair_cache: dict = field(default_factory=dict, repr=False)
+    # most recent leaves of averages.average_ps and its kin, by (frame, exponent)
+    _leaves: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)

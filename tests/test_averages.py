@@ -16,7 +16,7 @@ from horolab.defaults import (
     cusped_group,
     schottky_group,
 )
-from horolab.groups import WordSpec, sample_limit_point
+from horolab.groups import WordSpec, dumps_group, parse_group_text, sample_limit_point
 from horolab.geometry import (
     INFINITY,
     BoundaryPoint,
@@ -24,8 +24,9 @@ from horolab.geometry import (
     geodesic_flow,
     horocycle_flow,
 )
-from horolab.measures import PattersonConfig, build_patterson, ps_integral
+from horolab.measures import PattersonConfig, build_patterson, conditional_on_horocycle, ps_integral
 from horolab.averages import (
+    _LEAF_MEMO,
     AverageSeries,
     AveragesError,
     ConstantFunction,
@@ -35,6 +36,7 @@ from horolab.averages import (
     TestFunction,
     VectorClass,
     WeightedFunction,
+    _leaf_frames,
     average_haar,
     average_lebesgue,
     average_ps,
@@ -393,3 +395,130 @@ def test_shifted_and_weighted_functions(sch, u8):
     v = pointed_frame(0.0, 1.4, 0.0)
     frames = np.array([np.array(v.frame.entries()).reshape(2, 2)])
     assert wf.evaluate_frames(frames)[0] == pytest.approx(2.0 * psi.evaluate_frames(frames)[0], rel=1e-12)
+
+# ------------------------------------------- one settled leaf, exact replay
+
+
+def fresh_average(u, r, psi, measure, delta):
+    """The ball average through a new conditional measure and one
+    reduce_frames batch of the ball's rows."""
+    cond = conditional_on_horocycle(u, measure, delta)
+    sel = np.abs(cond.params) < r
+    lw = cond.log_weights[sel]
+    w = np.exp(lw - np.max(lw))
+    vals = psi.evaluate_frames(_leaf_frames(u, cond.params[sel]))
+    return float(np.sum(w * vals) / np.sum(w))
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _integrands(group, name):
+    psi = _bumps(group, name)
+    return psi + [
+        CuspHeightCap(group, NONDIV_HEIGHT),
+        ConstantFunction(),
+        ShiftedFunction(psi[0], 1.5),
+        WeightedFunction(psi[1], lambda x, y: 1.0 + x * x * y),
+    ]
+
+
+LEAF_RADII = (math.e ** 2, math.e ** 3, math.e ** 4, math.e ** 5, math.e ** 6)
+
+
+@pytest.mark.parametrize("name", ["schottky", "cusped"])
+def test_leaf_averages_match_fresh_computation(request, name):
+    group = request.getfixturevalue({"schottky": "sch", "cusped": "cus"}[name])
+    m = request.getfixturevalue({"schottky": "m_sch", "cusped": "m_cus"}[name])
+    delta = {"schottky": DELTA_SCH, "cusped": DELTA_CUS}[name]
+    base = _vector(group, name)
+    funcs = _integrands(group, name)
+    rng = np.random.default_rng(404)
+    shuffled = [LEAF_RADII[k] for k in rng.permutation(len(LEAF_RADII))]
+    orders = {
+        "ascending": [(r, f) for f in funcs for r in LEAF_RADII],
+        "descending": [(r, f) for f in funcs for r in LEAF_RADII[::-1]],
+        # radii jump up and down while the integrand changes every call
+        "interleaved": [(r, f) for r in shuffled for f in funcs],
+    }
+    for sigma, (label, calls) in zip((0.0, 0.4, -0.7), orders.items()):
+        # a new leaf for each order, settled from nothing
+        u = horocycle_flow(base, sigma)
+        for r, f in calls:
+            got = average_ps(u, r, f, m, delta)
+            assert same_bits(got, fresh_average(u, r, f, m, delta)), (label, r, f.label)
+        ser = mixing_series(u, math.e ** 3, funcs[0], MIXING_TIMES, m, delta)
+        for t, v in zip(MIXING_TIMES, ser.values):
+            want = fresh_average(u, math.e ** 3, ShiftedFunction(funcs[0], t), m, delta)
+            assert same_bits(v, want), (label, t)
+        ser = mass_in_compact(u, LEAF_RADII, NONDIV_HEIGHT, m, delta)
+        cap = CuspHeightCap(group, NONDIV_HEIGHT)
+        for r, v in zip(LEAF_RADII, ser.values):
+            assert same_bits(v, fresh_average(u, r, cap, m, delta)), (label, r)
+    # mass_in_compact on a leaf nobody has settled yet
+    u = horocycle_flow(base, 1.1)
+    ser = mass_in_compact(u, LEAF_RADII[::-1], NONDIV_HEIGHT, m, delta)
+    cap = CuspHeightCap(group, NONDIV_HEIGHT)
+    assert all(same_bits(v, fresh_average(u, r, cap, m, delta)) for r, v in zip(LEAF_RADII, ser.values))
+
+
+class Rereduced:
+    """psi through its own evaluate_frames, so every Simpson grid is reduced
+    in full; counts the grids."""
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.grids = 0
+
+    def evaluate_frames(self, mats):
+        self.grids += 1
+        return self.psi.evaluate_frames(mats)
+
+
+def test_simpson_reuse_matches_full_rereduction(sch, cus, u8, u9):
+    deep, cls = build_vector(
+        cus, sample_limit_point(cus, WordSpec.random(cus, 4)), sample_limit_point(cus, WordSpec.random(cus, 5))
+    )
+    assert cls is VectorClass.RADIAL
+    cases = [(u8, math.e ** 3, _bumps(sch, "schottky")), (u9, math.e ** 3, _bumps(cus, "cusped"))]
+    cases.append((deep, math.e ** 3, _bumps(cus, "cusped")))
+    halvings = []
+    for u, t, bumps in cases:
+        for psi in bumps + [CuspHeightCap(bumps[0].group, NONDIV_HEIGHT)]:
+            full = Rereduced(psi)
+            assert same_bits(average_lebesgue(u, t, psi), average_lebesgue(u, t, full))
+            halvings.append(full.grids - 1)
+    assert max(halvings[-4:]) >= 3
+
+
+def test_leaf_memo_stays_at_bound(sch, m_sch):
+    psi = _bumps(sch, "schottky")[0]
+    for j in range(40):
+        u, cls = build_vector(
+            sch, sample_limit_point(sch, WordSpec.random(sch, 2 * j)),
+            sample_limit_point(sch, WordSpec.random(sch, 2 * j + 1)),
+        )
+        try:
+            average_ps(u, math.e ** 4, psi, m_sch, DELTA_SCH)
+        except AveragesError:  # no atom in this ball
+            pass
+        assert len(m_sch._leaves) <= _LEAF_MEMO
+    assert len(m_sch._leaves) == _LEAF_MEMO
+
+
+def test_foreign_group_bump_takes_fresh_path(sch, m_sch):
+    # the group read back from its text form has matrices that differ in the
+    # last bits, so its bumps must not use frames settled on the builtin group
+    foreign = parse_group_text(dumps_group(sch))
+    u = horocycle_flow(_vector(sch, "schottky"), 0.25)
+    differ = False
+    for cd in DEFAULT_BUMPS["schottky"]:
+        own = TestFunction(sch, pointed_frame(*cd), base_width=WB, angle_width=WA)
+        other = TestFunction(foreign, pointed_frame(*cd), base_width=WB, angle_width=WA)
+        for r in EQUIDIST_RADII:
+            a = average_ps(u, r, own, m_sch, DELTA_SCH)  # settles the builtin leaf first
+            b = average_ps(u, r, other, m_sch, DELTA_SCH)
+            assert same_bits(b, fresh_average(u, r, other, m_sch, DELTA_SCH))
+            differ |= not same_bits(a, b)
+    assert differ  # the two paths can be told apart on this leaf

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ def test_cli_numeric_failure_exits_2(tmp_path, capsys):
     code = main(["patterson", "--out", str(out), "--override", "radius=5"])
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_frame_reduction_breakdown_exits_2(tmp_path, capsys):
+    # flowing the ball by t = -800 overflows the frame entries; the reduction
+    # must stop the run instead of averaging the bump over NaN base points
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["mixing", "--out", str(out), "--override", "times=-800"])
+    assert code == 2
+    assert "numeric failure: frame reduction broke down" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,13 +1,17 @@
 """Group layer: ping-pong validation, counting, reduction, limit points."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from horolab.averages import _leaf_frames
 from horolab.defaults import (
+    EXPERIMENT_PERIODS,
     EXPONENT_RADIUS,
+    MIXING_TIMES,
     cusped_group,
     resolve_group,
     schottky_group,
@@ -20,6 +24,7 @@ from horolab.geometry import (
     Isometry,
     UnitTangent,
     frame_distance,
+    from_coordinates,
     hyperbolic_distance,
     isometry_distance,
     mobius_apply,
@@ -38,6 +43,7 @@ from horolab.groups import (
     orbit_count,
     parse_group_text,
     poincare_series,
+    replayed,
     reset_word_counter,
     sample_limit_point,
     tangent_from_samples,
@@ -448,6 +454,72 @@ def test_reduce_frames_matches_scalar(make, rng):
     for got, want in zip(out, expect):
         u = UnitTangent(Isometry(got[0, 0], got[0, 1], got[1, 0], got[1, 1]))
         assert frame_distance(u, want) < 1e-6
+
+
+def _leaf_stack(group, name, rng):
+    """Leaf frames of the experiment vector and, on a cusped group, of a
+    vector based at each parabolic fixed point, at random leaf parameters;
+    then the same frames flowed by every mixing time."""
+    pm, pp = EXPERIMENT_PERIODS[name]
+    u, _ = tangent_from_samples(
+        group,
+        sample_limit_point(group, WordSpec(period=pm)),
+        sample_limit_point(group, WordSpec(period=pp)),
+    )
+    vectors = [u] + [
+        from_coordinates(fixed_points(group.letters[lab].matrix)[0], INFINITY, 0.0)
+        for lab in group.order
+        if group.letters[lab].kind == "parabolic"
+    ]
+    s = rng.choice([-1.0, 1.0], 150) * np.exp(rng.uniform(-3.0, 9.0, 150))
+    leaf = np.concatenate([_leaf_frames(v, s) for v in vectors])
+    stacks = [leaf]
+    for t in MIXING_TIMES:
+        e = math.exp(0.5 * t)
+        flowed = leaf.copy()
+        flowed[:, :, 0] *= e
+        flowed[:, :, 1] /= e
+        stacks.append(flowed)
+    return np.concatenate(stacks)
+
+
+@pytest.mark.parametrize("make, name", [(schottky_group, "schottky"), (cusped_group, "cusped")])
+def test_reduce_frames_is_replay_of_settle_frames(make, name):
+    g = make()
+    rng = np.random.default_rng(6060)
+    frames = _leaf_stack(g, name, rng)
+    settled, moves = g.settle_frames(frames)
+    assert moves.max() >= 4 and len(np.unique(moves)) >= 4
+    picks = [np.arange(len(frames)), np.zeros(0, dtype=int)]
+    picks += [rng.choice(len(frames), int(rng.integers(2, 400)), replace=False) for _ in range(8)]
+    picks += [np.array([k]) for k in rng.choice(len(frames), 12, replace=False)]
+    for rows in picks:
+        want = g.reduce_frames(frames[rows])
+        assert want.tobytes() == replayed(settled[rows], moves[rows]).tobytes()
+        # each row settles on its own, whatever its batch
+        alone, alone_moves = g.settle_frames(frames[rows])
+        assert alone.tobytes() == settled[rows].tobytes()
+        assert np.array_equal(alone_moves, moves[rows])
+
+
+def test_settle_frames_rejects_non_finite_base_points():
+    g = cusped_group()
+    u = UnitTangent(iwasawa(0.3, 0.2, 0.4))
+    frame = np.array(u.frame.entries()).reshape(1, 2, 2)
+    # flowing by t = -800 overflows c^2 + d^2, so y = 0 and x is NaN
+    e = math.exp(-400.0)
+    flowed = frame.copy()
+    flowed[:, :, 0] *= e
+    flowed[:, :, 1] /= e
+    nan = np.full((1, 2, 2), np.nan)
+    for bad in (flowed, nan):
+        stack = np.concatenate([frame, bad, frame])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GroupError, match="not finite"):
+                g.settle_frames(stack)
+            with pytest.raises(GroupError, match="not finite"):
+                g.reduce_frames(stack)
 
 
 # ---------------------------------------------------------------- limit set

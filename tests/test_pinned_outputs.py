@@ -190,3 +190,15 @@ def test_orbit_enumeration_op_matches_benchmark_references():
     assert meter.read() == refs["words"]
     for key in ("deltas", "kept", "atoms", "defects"):
         assert out[key] == refs[key], key
+
+
+def test_leaf_averages_op_matches_benchmark_references():
+    # one leaf-averages op (ball, mixing, arc-length and thick-part averages
+    # on both builtins) against the benchmark's recorded digest, so that a
+    # last-bit drift in frame reduction fails here before the benchmark runs
+    workloads = load_perfbench("workloads")
+    with open(os.path.join(PERFBENCH, "references.json"), encoding="utf-8") as fh:
+        refs = json.load(fh)["leaf-averages"]
+    out = workloads.leaf_op(workloads.leaf_setup(0), 0)
+    assert out["values"]
+    assert workloads.leaf_check(out, refs, 0, 0) == []
