@@ -13,12 +13,14 @@ import numpy as np
 from .geometry import (
     INFINITY,
     BoundaryPoint,
+    Isometry,
     UnitTangent,
     frame_angle,
     frame_distance,
     frame_point,
     from_coordinates,
     geodesic_flow,
+    horocycle_flow,
     mobius_apply,
 )
 from .groups import (
@@ -89,8 +91,6 @@ def pointed_frame(x: float, y: float, theta: float) -> UnitTangent:
     phi = 0.5 * (0.5 * math.pi - theta)
     cp, sp = math.cos(phi), math.sin(phi)
     ry = math.sqrt(y)
-    from .geometry import Isometry
-
     return UnitTangent(
         Isometry(ry * cp + x * sp / ry, -ry * sp + x * cp / ry, sp / ry, cp / ry)
     )
@@ -419,14 +419,19 @@ def _settle_grid(group: FuchsianGroup, u: UnitTangent, s: np.ndarray, prev):
     return s, settled, moves
 
 
-def average_lebesgue(u: UnitTangent, t: float, psi, tol: float = 1e-6) -> float:
+# error bound of average_lebesgue's Simpson rule, per unit length of window
+_SIMPSON_TOL = 1e-6
+
+
+def average_lebesgue(u: UnitTangent, t: float, psi) -> float:
     """Arc-length mean of psi over {h^s u : |s| <= t}.
 
     Composite Simpson rule, refined until the classical stepwise error
-    estimate meets the absolute tolerance tol * (2t); the shipped bumps are
-    resolved already at the initial step 0.05. Each halving settles only
-    the new midpoints and replays the batch rule of reduce_frames over the
-    whole grid, which gives the bits of reducing the grid afresh.
+    estimate meets the absolute tolerance _SIMPSON_TOL * (2t); the shipped
+    bumps are resolved already at the initial step 0.05. Each halving
+    settles only the new midpoints and replays the batch rule of
+    reduce_frames over the whole grid, which gives the bits of reducing the
+    grid afresh.
     """
     if not t > 0:
         raise AveragesError("window must be positive")
@@ -445,7 +450,7 @@ def average_lebesgue(u: UnitTangent, t: float, psi, tol: float = 1e-6) -> float:
         integral = (h / 3.0) * (
             f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-2:2])
         )
-        if coarse is not None and abs(integral - coarse) / 15.0 <= tol * 2.0 * t:
+        if coarse is not None and abs(integral - coarse) / 15.0 <= _SIMPSON_TOL * 2.0 * t:
             return float(integral / (2.0 * t))
         coarse = integral
         m *= 2
@@ -471,8 +476,6 @@ def ratio_series(
     phi,
     radii,
     alpha: HaarDensity,
-    experiment_id: str = "ratio",
-    seed: int | None = None,
 ) -> AverageSeries:
     """Ratios of leaf means of two test functions over growing balls.
 
@@ -502,7 +505,7 @@ def ratio_series(
         ref = br_integral(top, alpha.measure, alpha.exponent) / br_integral(
             bot, alpha.measure, alpha.exponent
         )
-    return AverageSeries(radii, values, ref, experiment_id, seed)
+    return AverageSeries(radii, values, ref, "ratio")
 
 
 def mixing_series(
@@ -553,8 +556,6 @@ def mass_in_compact(
 
 
 def _closure_gap(target: UnitTangent, u: UnitTangent, t: float) -> float:
-    from .geometry import horocycle_flow
-
     return frame_distance(target, horocycle_flow(u, t))
 
 

@@ -35,12 +35,13 @@ from .defaults import (
     Loader,
     builtin_name,
 )
-from .geometry import GeometryError
+from .geometry import INFINITY, GeometryError, from_coordinates, geodesic_flow
 from .groups import (
     GroupError,
     critical_exponent,
     dumps_group,
     enumerated_word_count,
+    fixed_points,
     reset_word_counter,
 )
 from .measures import (
@@ -197,11 +198,6 @@ class Settings:
             return _PARSERS[kind](raw)
         except ValueError as e:
             raise ConfigError("%s: key %r: %s" % (self.where(key), key, e)) from None
-
-    def require(self, key: str, kind: str, hint: str = ""):
-        if key not in self.values:
-            raise ConfigError("missing required key %r%s" % (key, " (%s)" % hint if hint else ""))
-        return self.get(key, kind)
 
     def bump_keys(self):
         found = []
@@ -560,9 +556,6 @@ def run_closure(st: Settings, args):
         raise ConfigError("group %s has no letter %r" % (spec, letter))
     dilations = sorted(st.get("dilations", "floats", (0.5, 1.0, 2.0)))
     refine_tol = st.get("refine_tol", "positive", 1e-10)
-    from .geometry import INFINITY, from_coordinates, geodesic_flow
-    from .groups import fixed_points
-
     gen = group.letters[letter]
     t0, res0 = periodic_closure(group, letter, refine_tol=refine_tol)
     fp, _ = fixed_points(gen.matrix)

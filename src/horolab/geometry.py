@@ -117,10 +117,6 @@ class PlanePoint:
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "PlanePoint":
-        return cls(z.real, z.imag)
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:

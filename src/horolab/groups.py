@@ -22,16 +22,12 @@ from .geometry import (
 __all__ = [
     "GroupError",
     "Generator",
-    "Word",
     "FuchsianGroup",
-    "OrbitCount",
     "ExponentFit",
     "WordSpec",
     "LimitSample",
     "classify_kind",
     "fixed_points",
-    "orbit_count",
-    "poincare_series",
     "critical_exponent",
     "check_parabolic_growth",
     "sample_limit_point",
@@ -53,6 +49,9 @@ _PRUNE_SLACK = 2.0
 # rows per matmul when a level's children are formed, which bounds the
 # gathered parent and letter stacks on wide levels
 _CHILD_CHUNK = 16384
+
+# rounds a frame reduction may take before it is declared stuck
+_SETTLE_ROUNDS = 4000
 
 # global tally of words materialized by breadth-first enumeration, for run manifests
 _enumerated_words = 0
@@ -176,27 +175,6 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class Word:
-    """Reduced word over the group letters, with its matrix and displacement."""
-
-    letters: tuple[str, ...]
-    matrix: Isometry
-    displacement: float
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
-class OrbitCount:
-    value: int
-    complete: bool
-
-    def __int__(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
 class ExponentFit:
     """Least-squares slope of log orbit counts over a trailing window."""
 
@@ -238,19 +216,7 @@ class FuchsianGroup:
 
     def __init__(self, letters: list[Generator], name: str = ""):
         if not letters:
-            self.name = name or "trivial"
-            self.letters = {}
-            self.order = []
-            self.rank = 0
-            self.kind = "convex_cocompact"
-            self.basepoint = ORIGIN
-            self._mats = np.zeros((0, 2, 2))
-            self._inv_mats = np.zeros((0, 2, 2))
-            self._inv_index = np.zeros(0, dtype=int)
-            self._centers = np.zeros(0)
-            self._radii = np.zeros(0)
-            self._parabolic_charts = {}
-            return
+            raise GroupError("a group needs at least one letter pair")
         self.name = name or "unnamed"
         self.letters = {g.label: g for g in letters}
         if len(self.letters) != len(letters):
@@ -431,8 +397,6 @@ class FuchsianGroup:
         still appear. With a radius the walk dies out on its own (cusp
         corridors get long but not short), so max_len may be None.
         """
-        if self.rank == 0:
-            return
         if max_len is None and radius is None:
             raise GroupError("need a length cap or a radius to enumerate")
         nl = len(self.order)
@@ -467,38 +431,6 @@ class FuchsianGroup:
             mats = child
             _charge_words(len(mats))
             level += 1
-
-    def enumerate_words(self, max_len: int, radius: float | None = None):
-        """Yield reduced words by length, the empty word first, in letter order."""
-        yield Word((), Isometry.identity(), 0.0)
-        letter_lists: list[list[tuple[str, ...]]] = []
-        for mats, disp, last, parent in self._level_arrays(max_len, radius):
-            if letter_lists:
-                prev = letter_lists[-1]
-                current = [prev[p] + (self.order[l],) for p, l in zip(parent, last)]
-            else:
-                current = [(self.order[l],) for l in last]
-            letter_lists.append(current)
-            for ls, m, dd in zip(current, mats, disp):
-                if radius is not None and dd > radius:
-                    continue
-                yield Word(ls, Isometry(m[0, 0], m[0, 1], m[1, 0], m[1, 1]), float(dd))
-
-    def orbit_displacements(self, radius: float, max_len: int | None = None) -> tuple[np.ndarray, bool]:
-        """Sorted displacements of orbit points within the radius, and a
-        completeness flag that drops when the length cutoff was the binding one."""
-        if self.rank == 1:
-            return self._cyclic_displacements(radius), True
-        parts = [np.zeros(1)]
-        levels = 0
-        tail_alive = False
-        for mats, disp, *_ in self._level_arrays(max_len, radius):
-            parts.append(disp[disp <= radius])
-            levels += 1
-            tail_alive = len(disp) > 0
-        # survivors at the length cap mean longer words may still fit the radius
-        complete = max_len is None or levels < max_len or not tail_alive
-        return np.sort(np.concatenate(parts)), complete
 
     # cyclic groups: powers of the single letter, displacement monotone in the
     # exponent, so counts come from bisection instead of enumeration
@@ -544,14 +476,6 @@ class FuchsianGroup:
                 hi = mid
         return lo
 
-    def _cyclic_displacements(self, radius: float) -> np.ndarray:
-        nmax = self._cyclic_max_power(radius)
-        if nmax == 0:
-            return np.zeros(1)
-        ns = np.arange(1, nmax + 1, dtype=float)
-        d = self._cyclic_power_displacement(ns)
-        return np.sort(np.concatenate([np.zeros(1), d, d]))
-
     def cyclic_count(self, radius: float) -> int:
         return 1 + 2 * self._cyclic_max_power(radius)
 
@@ -592,40 +516,8 @@ class FuchsianGroup:
         n = np.where(n * side <= 0, side, n)
         return n, np.eye(2) - n[..., None, None] * chart.nilpotent
 
-    def reduce(self, u: UnitTangent, max_steps: int = 100000) -> tuple[UnitTangent, Word]:
-        """Representative of u with base point in the fundamental domain.
-
-        Returns (rep, word) with rep = word * u. Whole parabolic shift powers
-        are applied in one step, so cusp excursions do not cost one iteration
-        per letter.
-        """
-        frame = u.frame
-        applied: list[str] = []
-        for _ in range(max_steps):
-            z = UnitTangent(frame).base_point
-            k = int(self.containing_letter(z.x, z.y))
-            if k < 0:
-                break
-            label = self.order[k]
-            g = self.letters[label]
-            if g.kind == "parabolic":
-                n, power = self.parabolic_jump(label, z.x, z.y)
-                frame = Isometry(*power.ravel()) @ frame
-                base = self._parabolic_charts[label].label
-                applied.extend([base.swapcase() if n > 0 else base] * abs(int(n)))
-            else:
-                frame = g.matrix.inverse() @ frame
-                applied.append(g.inverse_label)
-        else:
-            raise GroupError("reduction did not terminate in %d steps" % max_steps)
-        letters = tuple(reversed(applied))
-        m = self.word_matrix(letters)
-        return UnitTangent(frame), Word(letters, m, self.displacement(m))
-
-    def settle_frames(
-        self, frames: np.ndarray, max_steps: int = 4000
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized reduce for a stack of frames (n, 2, 2), row by row.
+    def settle_frames(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frames (n, 2, 2) moved into the fundamental domain, row by row.
 
         Returns (settled, moves): each row moved into the fundamental domain,
         and the number of rounds in which it moved. A round moves every row
@@ -633,18 +525,20 @@ class FuchsianGroup:
         moved; a row leaves the live stack in the round that finds it
         settled, before that round's renormalization, so each row's result
         depends on that row alone. A row whose base point is not finite or
-        lies on the boundary raises GroupError.
+        lies on the boundary, or that has not settled after _SETTLE_ROUNDS
+        rounds, raises GroupError. Whole parabolic shift powers are applied
+        in one round, so a cusp excursion does not cost one round per letter.
         """
         settled = np.array(frames, dtype=float)
         moves = np.zeros(len(settled), dtype=np.int64)
-        if self.rank == 0 or not len(settled):
+        if not len(settled):
             return settled, moves
         # the frames still moving, as a compact stack: rows `active` of the
         # result, written back when they settle
         active = np.arange(len(settled))
         sub = settled
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for n in range(max_steps):
+            for n in range(_SETTLE_ROUNDS):
                 x, y = frame_point(sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1])
                 hit = self.containing_letter(x, y)
                 live = hit >= 0
@@ -671,10 +565,10 @@ class FuchsianGroup:
                         inv = np.array(g.matrix.inverse().entries()).reshape(2, 2)
                         sub[pts] = inv[None] @ sub[pts]
                 sub = renormalized(sub)
-        raise GroupError("vectorized reduction did not settle in %d rounds" % max_steps)
+        raise GroupError("vectorized reduction did not settle in %d rounds" % _SETTLE_ROUNDS)
 
-    def reduce_frames(self, frames: np.ndarray, max_steps: int = 4000) -> np.ndarray:
-        """Vectorized reduce for a stack of frames (n, 2, 2); returns new array.
+    def reduce_frames(self, frames: np.ndarray) -> np.ndarray:
+        """Frames (n, 2, 2) moved into the fundamental domain; returns a new array.
 
         The batch rule: with M the most rounds any row of the batch moved
         (see settle_frames), every row that moved fewer than M rounds is
@@ -684,42 +578,10 @@ class FuchsianGroup:
         round finds settled, and round M, where no row moves, renormalizes
         none. A row's last bits therefore depend on its batch through M alone.
         """
-        return replayed(*self.settle_frames(frames, max_steps))
+        return replayed(*self.settle_frames(frames))
 
 
 # ---------------------------------------------------------------- counting
-
-
-def orbit_count(group: FuchsianGroup, radius: float, max_len: int | None = None) -> OrbitCount:
-    """Number of orbit points of the base point within the given distance."""
-    if radius < 0:
-        raise GroupError("radius must be nonnegative")
-    if group.rank == 0:
-        return OrbitCount(1, True)
-    if group.rank == 1:
-        return OrbitCount(group.cyclic_count(radius), True)
-    disp, complete = group.orbit_displacements(radius, max_len)
-    return OrbitCount(int(np.searchsorted(disp, radius, side="right")), complete)
-
-
-def poincare_series(group: FuchsianGroup, s: float, max_len: int | None, radius: float | None = None) -> float:
-    """Partial sum of exp(-s * displacement) over reduced words up to max_len."""
-    if group.rank == 0:
-        return 1.0
-    if max_len is None and radius is None:
-        raise GroupError("need a length cap or a radius for a partial sum")
-    if group.rank == 1:
-        nmax = max_len if max_len is not None else group._cyclic_max_power(radius)
-        ns = np.arange(1, nmax + 1, dtype=float)
-        d = group._cyclic_power_displacement(ns)
-        if radius is not None:
-            d = d[d <= radius]
-        return float(1.0 + 2.0 * np.sum(np.exp(-s * d)))
-    total = 1.0
-    for mats, disp, *_ in group._level_arrays(max_len, radius):
-        keep = disp if radius is None else disp[disp <= radius]
-        total += float(np.sum(np.exp(-s * keep)))
-    return total
 
 
 def critical_exponent(
@@ -728,15 +590,14 @@ def critical_exponent(
     window: float | None = None,
     grid_step: float = 0.5,
     min_points: int = 1000,
-    max_len: int | None = None,
 ) -> ExponentFit:
     """Exponential growth rate of the orbit counting function.
 
     Fits log count(T) ~ delta * T over the trailing window of the count grid
-    and returns the slope with its regression standard error.
+    and returns the slope with its regression standard error. A cyclic group
+    is counted in closed form; otherwise the orbit points within t_max come
+    from a breadth-first walk bounded by that radius, which is complete.
     """
-    if group.rank == 0:
-        return ExponentFit(0.0, 0.0, np.zeros(0), np.zeros(0), (0.0, 0.0))
     if not grid_step > 0:
         raise GroupError("grid step must be positive, got %r" % (grid_step,))
     grid = np.arange(grid_step, t_max + 0.5 * grid_step, grid_step)
@@ -745,9 +606,10 @@ def critical_exponent(
     if group.rank == 1:
         counts = np.array([group.cyclic_count(t) for t in grid], dtype=float)
     else:
-        disp, complete = group.orbit_displacements(t_max, max_len)
-        if not complete:
-            raise GroupError("length cutoff binds before radius %.3g; raise max_len" % t_max)
+        parts = [np.zeros(1)]
+        for _, disp, *_ in group._level_arrays(None, t_max):
+            parts.append(disp[disp <= t_max])
+        disp = np.sort(np.concatenate(parts))
         counts = np.searchsorted(disp, grid, side="right").astype(float)
     if counts[-1] < min_points:
         raise GroupError(
@@ -787,6 +649,9 @@ def check_parabolic_growth(group: FuchsianGroup, t_max: float = 30.0, grid_step:
 
 # ---------------------------------------------------------------- limit set
 
+# head length of WordSpec.random, ahead of its two-letter period
+_RANDOM_HEAD = 12
+
 
 @dataclass(frozen=True)
 class WordSpec:
@@ -805,10 +670,13 @@ class WordSpec:
         return tuple(self.letter(i) for i in range(n))
 
     @classmethod
-    def random(cls, group: FuchsianGroup, seed: int, depth: int = 24, head_len: int = 12) -> "WordSpec":
+    def random(cls, group: FuchsianGroup, seed: int, depth: int = 24) -> "WordSpec":
+        """Seeded random spec: a reduced head of _RANDOM_HEAD letters, then a
+        two-letter period (a letter repeated if the pair is not cyclically
+        reduced)."""
         rng = np.random.default_rng(seed)
-        letters = group._random_reduced_letters(rng, head_len + 2)
-        head, period = letters[:head_len], letters[head_len:]
+        letters = group._random_reduced_letters(rng, _RANDOM_HEAD + 2)
+        head, period = letters[:_RANDOM_HEAD], letters[_RANDOM_HEAD:]
         if group.generator(period[-1]).inverse_label == period[0]:
             period = (period[0], period[0])
         return cls(period=period, head=head, depth=depth)
@@ -835,8 +703,6 @@ def sample_limit_point(group: FuchsianGroup, spec: WordSpec) -> LimitSample:
     Nested images of the letter domains pin the point for a radial tail; a
     parabolic tail collapses onto the image of the parabolic fixed point.
     """
-    if group.rank == 0:
-        raise GroupError("trivial group has no limit set")
     if not spec.period:
         raise GroupError("word spec needs a nonempty period")
     probe = spec.prefix(len(spec.head) + 2 * len(spec.period))
@@ -896,7 +762,9 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
 
     Blocks start at a 'label =' line and need 'matrix = a b c d',
     'domain = lo hi' and 'kind = hyperbolic|parabolic'; '#' starts a comment.
-    Every letter, inverses included, gets its own block.
+    Every letter, inverses included, gets its own block, and a group needs
+    at least one letter pair. name is the group's name unless the text sets
+    one; an error for text without letters names it as the source.
     """
     blocks: list[dict] = []
     top: dict[str, str] = {}
@@ -914,6 +782,11 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
             blocks[-1][key] = val
         else:
             top[key] = val
+    if not blocks:
+        raise GroupError(
+            "%s defines no generators; a group needs at least one letter pair"
+            % (name or "group text")
+        )
     letters = []
     for b in blocks:
         missing = [k for k in ("matrix", "domain", "kind") if k not in b]

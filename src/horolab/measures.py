@@ -168,16 +168,15 @@ def build_patterson(group: FuchsianGroup, cfg: PattersonConfig) -> AtomicBoundar
     )
 
 
-def conformality_defect(
-    measure: AtomicBoundaryMeasure,
-    gamma,
-    hat_delta: float,
-    match_tol: float = 1e-5,
-) -> float:
+# atom matching tolerance of conformality_defect (see its docstring)
+_MATCH_TOL = 1e-5
+
+
+def conformality_defect(measure: AtomicBoundaryMeasure, gamma, hat_delta: float) -> float:
     """Median deviation of matched atom pairs from the conformal scaling law.
 
     gamma is a group word given by its letters, such as "a" or ("a", "b").
-    For atoms xi whose image gamma(xi) lands within match_tol of another
+    For atoms xi whose image gamma(xi) lands within _MATCH_TOL of another
     atom eta, the defect is |log(w(eta)/w(xi)) - s beta_xi(o, gamma^-1 o)|.
     Matching is nearest-atom at the documented tolerance 1e-5, chosen
     between two scales: the image of an atom with a genuine combinatorial
@@ -205,7 +204,7 @@ def conformality_defect(
     cand = np.stack([np.clip(j - 1, 0, len(xi) - 1), np.clip(j, 0, len(xi) - 1)])
     dist = np.abs(measure.points[cand] - eta[None, :])
     pick = cand[np.argmin(dist, axis=0), np.arange(len(xi))]
-    matched = finite & (np.abs(measure.points[pick] - eta) <= match_tol)
+    matched = finite & (np.abs(measure.points[pick] - eta) <= _MATCH_TOL)
     if not matched.any():
         raise MeasureError("no atom pairs matched under %r" % (gamma,))
     q = mobius_apply(m.inverse(), UnitTangent.identity().base_point)

@@ -13,6 +13,7 @@ from horolab.defaults import (
     NONDIV_HEIGHT,
     PATTERSON_RADIUS,
     RATIO_BUMPS,
+    Loader,
     cusped_group,
     schottky_group,
 )
@@ -24,6 +25,8 @@ from horolab.geometry import (
     geodesic_flow,
     horocycle_flow,
 )
+from horolab import averages
+from horolab.checks import check_flow_commutation
 from horolab.measures import PattersonConfig, build_patterson, conditional_on_horocycle, ps_integral
 from horolab.averages import (
     _LEAF_MEMO,
@@ -505,6 +508,21 @@ def test_leaf_memo_stays_at_bound(sch, m_sch):
             pass
         assert len(m_sch._leaves) <= _LEAF_MEMO
     assert len(m_sch._leaves) == _LEAF_MEMO
+
+
+def test_flow_commutation_builds_each_leaf_once(monkeypatch):
+    # with t outside r the memo holds u and g^-t u while r runs: one leaf per
+    # sigma and one per (sigma, t), 5 + 25 conditional measures in all
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return conditional_on_horocycle(*args, **kwargs)
+
+    monkeypatch.setattr(averages, "conditional_on_horocycle", counting)
+    passed, detail = check_flow_commutation({"schottky": Loader("schottky", exponent="fit")})
+    assert passed, detail
+    assert len(built) <= 30
 
 
 def test_foreign_group_bump_takes_fresh_path(sch, m_sch):

@@ -136,32 +136,50 @@ def schottky_file(tmp_path):
     return str(path)
 
 
+# a group file with no letter blocks, which is no group
+EMPTY_GROUP = "name = empty\n"
+NO_GENERATORS = "empty.group defines no generators"
+
+
 @pytest.mark.parametrize(
-    "experiment, overrides, message",
+    "experiment, overrides, message, text",
     [
-        pytest.param("equidist", [], "key 'exponent' is required for file groups", id="exponent"),
-        pytest.param("patterson", ["exponent=fit"], "exponent = fit needs fit_radius", id="fit-radius"),
-        pytest.param("equidist", ["exponent=0.43"], "key 'minus_period' is required", id="period"),
+        pytest.param("equidist", [], "key 'exponent' is required for file groups", None, id="exponent"),
+        pytest.param("patterson", ["exponent=fit"], "exponent = fit needs fit_radius", None, id="fit-radius"),
+        pytest.param("equidist", ["exponent=0.43"], "key 'minus_period' is required", None, id="period"),
         pytest.param(
             "equidist",
             ["exponent=0.43", "minus_period=a b", "plus_period=B A"],
             "give at least one bump1 = x y angle",
+            None,
             id="bumps",
         ),
-        pytest.param("exponent", [], "key 't_max' is required for file groups", id="t-max"),
-        pytest.param("closure", [], "has no parabolic letter", id="closure-letter"),
+        pytest.param("exponent", [], "key 't_max' is required for file groups", None, id="t-max"),
+        pytest.param("closure", [], "has no parabolic letter", None, id="closure-letter"),
+        pytest.param("exponent", ["t_max=10"], NO_GENERATORS, EMPTY_GROUP, id="empty-exponent"),
+        pytest.param("exponent", ["t_max=10", "min_points=0"], NO_GENERATORS, EMPTY_GROUP,
+                     id="empty-exponent-no-minimum"),
+        pytest.param("patterson", ["exponent=0.43"], NO_GENERATORS, EMPTY_GROUP, id="empty-patterson"),
+        pytest.param("group-info", [], NO_GENERATORS, EMPTY_GROUP, id="empty-group-info"),
     ],
 )
-def test_cli_file_group_reports_missing_key(experiment, overrides, message, schottky_file,
+def test_cli_file_group_reports_missing_key(experiment, overrides, message, text, schottky_file,
                                             tmp_path, capsys):
     # a file group has no calibrated defaults; each gap is reported before any
     # word is enumerated (an unpruned cutoff-14 measure is 9.5M words)
+    path = schottky_file
+    if text is not None:
+        path = str(tmp_path / "empty.group")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     out = tmp_path / "out"
-    argv = [experiment, "--out", str(out), "--override", "group=" + schottky_file]
+    argv = [experiment, "--out", str(out), "--override", "group=" + path]
     for item in overrides:
         argv += ["--override", item]
     assert main(argv) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
     assert not out.exists()
     assert enumerated_word_count() == 0
 

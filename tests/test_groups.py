@@ -40,9 +40,7 @@ from horolab.groups import (
     dumps_group,
     enumerated_word_count,
     fixed_points,
-    orbit_count,
     parse_group_text,
-    poincare_series,
     replayed,
     reset_word_counter,
     sample_limit_point,
@@ -50,6 +48,7 @@ from horolab.groups import (
 )
 
 from conftest import iwasawa
+from test_level_kernels import scalar_reduce
 
 
 def fixed_point_oracle(m):
@@ -76,6 +75,19 @@ def brute_orbit_points(group, max_len):
             z = mobius_apply(m, ORIGIN)
             seen[letters] = hyperbolic_distance(ORIGIN, z)
     return seen
+
+
+def level_words(group, max_len):
+    """(letters, (2, 2) matrix, displacement) of every nonempty reduced word
+    up to max_len, rebuilt from the levels of _level_arrays."""
+    out, prev = [], None
+    for mats, disp, last, parent in group._level_arrays(max_len):
+        cur = [
+            (prev[p] if prev else ()) + (group.order[l],) for p, l in zip(parent, last)
+        ]
+        out += [(w, m, float(d)) for w, m, d in zip(cur, mats, disp)]
+        prev = cur
+    return out
 
 
 # ------------------------------------------------------------- construction
@@ -161,19 +173,18 @@ def test_ping_pong_failure_rejected():
 
 
 def test_word_count_rank_two_length_three():
-    # 1 + 4 + 4*3 + 4*9 reduced words of length <= 3
+    # 4 + 4*3 + 4*9 nonempty reduced words of length <= 3, plus the identity
     g = schottky_group()
-    words = list(g.enumerate_words(3))
-    assert len(words) == 53
-    assert words[0].letters == ()
-    assert len({w.letters for w in words}) == 53
-    assert all(g.is_reduced(w.letters) for w in words)
+    words = [w for w, _, _ in level_words(g, 3)]
+    assert 1 + len(words) == 53
+    assert len(set(words)) == 52 and () not in words
+    assert all(g.is_reduced(w) for w in words)
 
 
 def test_word_counter_charges_enumeration():
     g = schottky_group()
     reset_word_counter()
-    list(g.enumerate_words(3))
+    list(g._level_arrays(3))
     assert enumerated_word_count() == 53
     reset_word_counter()
     assert enumerated_word_count() == 0
@@ -181,15 +192,17 @@ def test_word_counter_charges_enumeration():
 
 def test_enumeration_deterministic():
     g = cusped_group()
-    runs = [tuple(w.letters for w in g.enumerate_words(4)) for _ in range(2)]
+    runs = [[w for w, _, _ in level_words(g, 4)] for _ in range(2)]
     assert runs[0] == runs[1]
 
 
 def test_displacement_matches_distance_oracle():
     g = cusped_group()
-    for w in g.enumerate_words(4):
-        direct = hyperbolic_distance(ORIGIN, mobius_apply(w.matrix, ORIGIN))
-        assert w.displacement == pytest.approx(direct, abs=1e-9)
+    for letters, m, disp in level_words(g, 4):
+        mat = Isometry(*m.ravel())
+        assert isometry_distance(mat, g.word_matrix(letters)) < 1e-9
+        direct = hyperbolic_distance(ORIGIN, mobius_apply(mat, ORIGIN))
+        assert disp == pytest.approx(direct, abs=1e-9)
 
 
 def test_parabolic_power_displacement_frozen():
@@ -201,27 +214,36 @@ def test_parabolic_power_displacement_frozen():
     assert g.displacement(m) == pytest.approx(2.0 * math.asinh(2.0), abs=1e-12)
 
 
+def grid_counts(group, radii):
+    """Orbit counts of the exponent fit on the unit-step grid, read at radii."""
+    fit = critical_exponent(group, max(radii), grid_step=1.0, min_points=0)
+    return [int(fit.counts[np.flatnonzero(fit.grid == r)[0]]) for r in radii]
+
+
 def test_orbit_count_against_brute_force():
     g = schottky_group()
     brute = brute_orbit_points(g, 4)
-    for radius in (2.0, 4.0, 6.0, 8.0):
-        expected = 1 + sum(1 for d in brute.values() if d <= radius)
-        got = orbit_count(g, radius)
+    fit = critical_exponent(g, 8.0, grid_step=2.0, min_points=0)
+    assert list(fit.grid) == [2.0, 4.0, 6.0, 8.0]
+    for radius, got in zip(fit.grid, fit.counts):
         # brute force is length-limited; radius 8 stays within length 4 words
-        assert got.value == expected
-        assert got.complete
+        assert got == 1 + sum(1 for d in brute.values() if d <= radius)
 
 
 def test_cyclic_fast_path_matches_brute_force():
     g = unit_parabolic_group()
-    for radius in (1.0, 3.0, 6.0, 9.0):
+    radii = (1.0, 3.0, 6.0, 9.0)
+    want = []
+    for radius in radii:
         n = 0
         while 2.0 * math.asinh(0.5 * (n + 1)) <= radius:
             n += 1
-        assert orbit_count(g, radius).value == 1 + 2 * n
+        want.append(1 + 2 * n)
+        assert g.cyclic_count(radius) == 1 + 2 * n
+    assert grid_counts(g, radii) == want
     # no enumeration happens on the fast path
     reset_word_counter()
-    orbit_count(g, 25.0)
+    critical_exponent(g, 25.0)
     assert enumerated_word_count() == 0
 
 
@@ -241,35 +263,15 @@ def test_cyclic_hyperbolic_count():
             m = m @ a
         return g.displacement(m)
 
-    for radius in (3.0, 6.0, 12.0, 20.0):
+    radii = (3.0, 6.0, 12.0, 20.0)
+    want = []
+    for radius in radii:
         n = 0
         while disp(n + 1) <= radius:
             n += 1
-        assert orbit_count(g, radius).value == 1 + 2 * n
-
-
-def test_incomplete_flag_when_length_cap_binds():
-    g = schottky_group()
-    got = orbit_count(g, 30.0, max_len=2)
-    assert not got.complete
-
-
-def test_poincare_series_monotone_and_small_at_large_s():
-    g = schottky_group()
-    s1 = poincare_series(g, 0.6, max_len=8)
-    s2 = poincare_series(g, 1.0, max_len=8)
-    s3 = poincare_series(g, 4.0, max_len=8)
-    assert s1 > s2 > s3 > 1.0
-    assert s3 == pytest.approx(1.0, abs=0.01)
-
-
-def test_poincare_series_cyclic_matches_direct_sum():
-    g = unit_parabolic_group()
-    s = 0.8
-    direct = 1.0 + 2.0 * sum(
-        math.exp(-s * 2.0 * math.asinh(0.5 * n)) for n in range(1, 201)
-    )
-    assert poincare_series(g, s, max_len=200) == pytest.approx(direct, rel=1e-12)
+        want.append(1 + 2 * n)
+        assert g.cyclic_count(radius) == 1 + 2 * n
+    assert grid_counts(g, radii) == want
 
 
 # ---------------------------------------------------------------- exponents
@@ -317,9 +319,11 @@ def test_critical_exponent_rejects_empty_grid(group, kwargs):
         critical_exponent(group(), **kwargs)
 
 
-def test_trivial_group_exponent_zero():
-    fit = critical_exponent(FuchsianGroup([]), 10.0)
-    assert fit.delta == 0.0 and fit.stderr == 0.0
+def test_empty_group_rejected():
+    with pytest.raises(GroupError, match="at least one letter pair"):
+        FuchsianGroup([])
+    with pytest.raises(GroupError, match="empty.group defines no generators"):
+        parse_group_text("name = empty\n", name="empty.group")
 
 
 # ---------------------------------------------------------------- fixed points
@@ -376,12 +380,13 @@ def test_reduce_inverts_group_motion(make, rng):
     for _ in range(25):
         letters = g._random_reduced_letters(rng, int(rng.integers(1, 9)))
         moved = UnitTangent(g.word_matrix(letters) @ u0.frame)
-        rep, word = g.reduce(moved)
+        frame, word = scalar_reduce(g, moved)
+        rep = UnitTangent(frame)
         # round trip through words of length 8 loses ~|w|^2 eps to cancellation
         assert frame_distance(rep, u0) < 1e-5
         assert g.in_fundamental_domain(rep.base_point.as_complex)
-        assert word.letters == tuple(x.swapcase() for x in reversed(letters))
-        assert g.word_matrix(word.letters).entries() == pytest.approx(word.matrix.entries())
+        assert word == tuple(x.swapcase() for x in reversed(letters))
+        assert isometry_distance(g.word_matrix(word) @ moved.frame, frame) < 1e-6
 
 
 def test_reduce_deep_cusp_excursion():
@@ -389,18 +394,18 @@ def test_reduce_deep_cusp_excursion():
     u0 = UnitTangent(iwasawa(-0.6, 0.2, 0.0))
     letters = ("b",) + ("p",) * 400 + ("b", "b")
     moved = UnitTangent(g.word_matrix(letters) @ u0.frame)
-    rep, word = g.reduce(moved, max_steps=50)
+    frame, word = scalar_reduce(g, moved, max_steps=50)
     # parabolic jumps peel the power in one step, so 50 iterations suffice
-    assert frame_distance(rep, u0) < 1e-5
-    assert len(word.letters) == len(letters)
+    assert frame_distance(UnitTangent(frame), u0) < 1e-5
+    assert word == tuple(x.swapcase() for x in reversed(letters))
 
 
 def test_reduce_fixes_fundamental_domain_points():
     g = schottky_group()
     u0 = UnitTangent(iwasawa(0.0, 0.4, 1.2))
-    rep, word = g.reduce(u0)
-    assert word.letters == ()
-    assert frame_distance(rep, u0) == 0.0
+    frame, word = scalar_reduce(g, u0)
+    assert word == ()
+    assert frame_distance(UnitTangent(frame), u0) == 0.0
 
 
 def _letter_oracle(g, x, y):
@@ -449,7 +454,7 @@ def test_reduce_frames_matches_scalar(make, rng):
         letters = g._random_reduced_letters(rng, int(rng.integers(0, 7)))
         moved = UnitTangent(g.word_matrix(letters) @ u0.frame)
         frames.append(np.array(moved.frame.entries()).reshape(2, 2))
-        expect.append(g.reduce(moved)[0])
+        expect.append(UnitTangent(scalar_reduce(g, moved)[0]))
     out = g.reduce_frames(np.array(frames))
     for got, want in zip(out, expect):
         u = UnitTangent(Isometry(got[0, 0], got[0, 1], got[1, 0], got[1, 1]))

@@ -7,7 +7,8 @@ the versions they replaced: one gather, product and renormalization per
 letter, then concatenation; and a reduction that gathers and scatters the
 active rows of the full stack each round. Both rewrites do the same float
 operations on the same operands in the same order, so every output must be
-equal bit for bit.
+equal bit for bit. scalar_reduce is the reduction one frame at a time, with
+the word it peels, which the group tests check against the group action.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from horolab import groups
 from horolab.defaults import cusped_group, resolve_group, schottky_group, unit_parabolic_group
-from horolab.geometry import frame_point
+from horolab.geometry import Isometry, UnitTangent, frame_point
 from horolab.groups import _displacement_from_entries, enumerated_word_count, reset_word_counter
 
 from conftest import conjugate, iwasawa
@@ -61,6 +62,30 @@ def letter_loop_levels(group, max_len, radius=None):
             mats, disp, last, parent = mats[keep], disp[keep], last[keep], parent[keep]
         level += 1
     return out, words
+
+
+def scalar_reduce(group, u, max_steps=100000):
+    """(frame, letters): u moved into the fundamental domain one letter or
+    one whole parabolic shift power per step, and the peeled word, with
+    frame = group.word_matrix(letters) @ u.frame."""
+    frame = u.frame
+    applied = []
+    for _ in range(max_steps):
+        z = UnitTangent(frame).base_point
+        k = int(group.containing_letter(z.x, z.y))
+        if k < 0:
+            return frame, tuple(reversed(applied))
+        label = group.order[k]
+        g = group.letters[label]
+        if g.kind == "parabolic":
+            n, power = group.parabolic_jump(label, z.x, z.y)
+            frame = Isometry(*power.ravel()) @ frame
+            base = group._parabolic_charts[label].label
+            applied.extend([base.swapcase() if n > 0 else base] * abs(int(n)))
+        else:
+            frame = g.matrix.inverse() @ frame
+            applied.append(g.inverse_label)
+    raise AssertionError("scalar reduction did not settle in %d steps" % max_steps)
 
 
 def gather_scatter_reduce(group, frames, max_steps=4000):
