@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     INFINITY,
-    BoundaryPoint,
     Isometry,
     UnitTangent,
     frame_angle,
@@ -130,6 +129,12 @@ class Integrand:
     def __call__(self, u: UnitTangent) -> float:
         return float(self.evaluate_frames(np.reshape(u.frame.entries(), (1, 2, 2)))[0])
 
+    def support(self):
+        """A disk (x0, y0, reach) outside which evaluate_points vanishes, the
+        set (x - x0)^2 + (y - y0)^2 < reach y; None, the default, names no
+        support. br_integral evaluates the integrand only inside it."""
+        return None
+
 
 @dataclass
 class TestFunction(Integrand):
@@ -177,6 +182,9 @@ class TestFunction(Integrand):
         out[near] = vals
         return out
 
+    def support(self):
+        return (self._x0, self._y0, self._reach)
+
 
 @dataclass
 class ConstantFunction(Integrand):
@@ -219,6 +227,9 @@ class WeightedFunction(Integrand):
 
     def evaluate_points(self, x, y, theta):
         return self.psi.evaluate_points(x, y, theta) * self.density(x, y)
+
+    def support(self):
+        return self.psi.support()
 
     def evaluate_frames(self, mats):
         # on a leaf the density weighs the point itself, not its reduced image

@@ -246,6 +246,9 @@ class FuchsianGroup:
         self._inv_index = np.array(
             [self.order.index(self.letters[l].inverse_label) for l in self.order]
         )
+        if not np.array_equal(self._inv_index, np.arange(len(self.order)) ^ 1):
+            # settle_frames finds a letter's inverse at position k ^ 1
+            raise GroupError("letter order must put each letter's inverse next to it")
         self._inv_mats = self._mats[self._inv_index]
         self._centers = np.array([self.letters[l].center for l in self.order])
         self._radii = np.array([self.letters[l].radius for l in self.order])
@@ -528,20 +531,28 @@ class FuchsianGroup:
         lies on the boundary, or that has not settled after _SETTLE_ROUNDS
         rounds, raises GroupError. Whole parabolic shift powers are applied
         in one round, so a cusp excursion does not cost one round per letter.
+
+        A row also settles where it is when it lands in the half-disk of the
+        inverse of the letter whose half-disk it just left. In exact
+        arithmetic the move out of a half-disk never lands in its partner's,
+        so only a base point rounded onto a paired boundary circle does this;
+        it would otherwise be sent back and forth between the two forever.
         """
         settled = np.array(frames, dtype=float)
         moves = np.zeros(len(settled), dtype=np.int64)
         if not len(settled):
             return settled, moves
         # the frames still moving, as a compact stack: rows `active` of the
-        # result, written back when they settle
+        # result, written back when they settle; `back` is the half-disk a
+        # row must not land in next, the partner of the one it just left
         active = np.arange(len(settled))
         sub = settled
+        back = np.full(len(settled), -1, dtype=np.int16)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for n in range(_SETTLE_ROUNDS):
                 x, y = frame_point(sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1])
                 hit = self.containing_letter(x, y)
-                live = hit >= 0
+                live = (hit >= 0) & (hit != back)
                 if not live.all():
                     done = ~live
                     if not np.all(np.isfinite(x[done]) & np.isfinite(y[done]) & (y[done] > 0)):
@@ -553,6 +564,7 @@ class FuchsianGroup:
                     if not live.any():
                         return settled, moves
                     active, sub, x, y, hit = active[live], sub[live], x[live], y[live], hit[live]
+                back = hit ^ np.int16(1)  # order puts each letter's inverse at k ^ 1
                 for k, label in enumerate(self.order):
                     pts = np.flatnonzero(hit == k)
                     if not pts.size:
@@ -764,8 +776,13 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
     'domain = lo hi' and 'kind = hyperbolic|parabolic'; '#' starts a comment.
     Every letter, inverses included, gets its own block, and a group needs
     at least one letter pair. name is the group's name unless the text sets
-    one; an error for text without letters names it as the source.
+    one; an error that names a line, or finds no letters, names it as the
+    source.
     """
+
+    def at(ln):
+        return "%s line %d" % (name, ln) if name else "line %d" % ln
+
     blocks: list[dict] = []
     top: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -773,7 +790,7 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
         if not line:
             continue
         if "=" not in line:
-            raise GroupError("line %d: expected key = value, got %r" % (ln, raw.strip()))
+            raise GroupError("%s: expected key = value, got %r" % (at(ln), raw.strip()))
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key == "label":
@@ -792,7 +809,7 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
         missing = [k for k in ("matrix", "domain", "kind") if k not in b]
         if missing:
             raise GroupError(
-                "generator %r (line %d) is missing %s" % (b["label"], b["_line"], ", ".join(missing))
+                "generator %r (%s) is missing %s" % (b["label"], at(b["_line"]), ", ".join(missing))
             )
         try:
             mat = [float(v) for v in b["matrix"].split()]

@@ -297,17 +297,21 @@ def _grid_window(grid, lo, hi):
     return np.where(lost, 0, first), np.where(lost, n, stop)
 
 
-def _clip_cells(first, stop, width, inside_at):
+def _clip_cells(first, stop, grid, inside_at):
     """Cells (row, col) with first <= col < stop in row-major order, with
     what inside_at(row, col) returns for them: (in-domain mask, data).
 
     first and stop give one window per row, or (2-D) ordered disjoint
-    segments per row. A segment with an in-domain cell at an edge short of
-    the grid's end may have cut its row too short, so the closed form is
-    not trusted there: the row is recomputed on its full grid.
+    segments per row. grid = (lo, hi) is the part [lo, hi) of each row its
+    cells must cover, as scalars or per-row arrays. A segment with an in-domain cell at an edge short of its
+    row's grid may have cut its row too short, so the closed form is not
+    trusted there: the row is recomputed on its whole grid.
     """
     first = first.reshape(len(first), -1)
     stop = stop.reshape(len(stop), -1)
+    lo, hi = grid
+    lo = np.broadcast_to(lo, len(first))[:, None]
+    hi = np.broadcast_to(hi, len(first))[:, None]
     while True:
         n = np.maximum(stop - first, 0).ravel()
         end = np.cumsum(n)
@@ -316,15 +320,14 @@ def _clip_cells(first, stop, width, inside_at):
         row = seg // first.shape[1]
         inside, data = inside_at(row, col)
         edge = np.append(inside, False)  # position len(inside) reads False
-        head = edge[np.where(n > 0, end - n, len(inside))]
-        tail = edge[np.where(n > 0, end - 1, len(inside))]
-        short = ((first.ravel() > 0) & head) | ((stop.ravel() < width) & tail)
-        short = short.reshape(first.shape).any(axis=1)
+        head = edge[np.where(n > 0, end - n, len(inside))].reshape(first.shape)
+        tail = edge[np.where(n > 0, end - 1, len(inside))].reshape(first.shape)
+        short = (((first > lo) & head) | ((stop < hi) & tail)).any(axis=1)
         if not short.any():
             return row, col, inside, data
-        first = np.where(short[:, None], 0, first)
-        stop = np.where(short[:, None], 0, stop)
-        stop[short, 0] = width
+        first = np.where(short[:, None], lo, first)
+        stop = np.where(short[:, None], lo, stop)
+        stop[short, 0] = hi[short, 0]
 
 
 def _pair_window(group, xm, xp, beta0):
@@ -431,7 +434,7 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
     for lo in range(0, len(ii), 4096):
         sl = slice(lo, lo + 4096)
         row, _, mask, (X, Y, C, D) = _clip_cells(
-            first[sl], stop[sl], len(t_grid), lambda r, c, lo=lo: samples(r + lo, c)
+            first[sl], stop[sl], (0, len(t_grid)), lambda r, c, lo=lo: samples(r + lo, c)
         )
         if mask.any():
             parts.append((X[mask], Y[mask], frame_angle(C[mask], D[mask]), w[lo + row[mask]]))
@@ -478,6 +481,24 @@ def quadrature_report(
     return est, int(len(w)), float(t_grid[1] - t_grid[0])
 
 
+def _plaque_support(disk, xi, E):
+    """Arc parameters (lo, hi) between which the plaques xi + E/(s - i) run
+    inside the support disk (x0, y0, reach); lo = +inf and hi = -inf where a
+    plaque misses it.
+
+    The disk pulls back to A s^2 + 2 u E s + A + E^2 - (2 y0 + reach) E < 0,
+    where u = xi - x0 and A = u^2 + y0^2.
+    """
+    x0, y0, reach = disk
+    u = xi - x0
+    A = u * u + y0 * y0
+    B = u * E
+    disc = B * B - A * (A + E * E - (2.0 * y0 + reach) * E)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    meets = disc > 0.0
+    return np.where(meets, (-B - root) / A, np.inf), np.where(meets, (-B + root) / A, -np.inf)
+
+
 def br_integral(
     psi,
     measure: AtomicBoundaryMeasure,
@@ -496,6 +517,13 @@ def br_integral(
     scale is fixed by declaring the reference window (the same cells, arc
     parameter within window_span) to have unit mass, so only ratios of
     these integrals carry meaning.
+
+    Frames are computed only on the cells that can change the result: the
+    in-domain part of the reference window, and the in-domain part of the
+    integrand's support (psi.support(), the whole grid when it names none)
+    padded by _PAD cells a side. A row
+    with an in-domain cell at a padded support edge that is still inside the
+    support disk is recomputed with its support window widened to the grid.
     """
     if t_grid is None:
         t_grid = np.arange(-4.0, 4.0 + 1e-9, 0.1)
@@ -509,7 +537,11 @@ def br_integral(
     # density exp(-s t) times the atom weight, in log space
     log_density = lw[:, None] - hat_delta * t_grid[None, :]
     sigma = np.arange(-sigma_span, sigma_span + 1e-9, sigma_step)
+    width = len(sigma)
     win = np.abs(sigma) <= window_span
+    cols = np.flatnonzero(win)
+    w0, w1 = (cols[0], cols[-1] + 1) if len(cols) else (0, 0)
+    disk = psi.support()
     b0 = -np.log(xi * xi + 1.0)  # leaf coordinate of [[1, xi], [0, 1]]
     # The plaque point at arc parameter s is xi + E s/(1+s^2) + i E/(1+s^2);
     # it lies in half-disk k iff al s^2 + 2 u E s + al + E^2 < 0, where
@@ -556,11 +588,49 @@ def br_integral(
             X, Y = frame_point(e[row] + xe[row] * sigma[col], xe[row], C, D)
             return group.containing_letter(X, Y) < 0, (X, Y, C, D)
 
-        row, col, mask, (X, Y, C, D) = _clip_cells(seg_first, seg_stop, len(sigma), samples)
-        if mask.any():
+        if disk is None:
+            sup_first, sup_stop = np.zeros(len(xi), dtype=int), np.full(len(xi), width)
+        else:
+            sup_first, sup_stop = _grid_window(sigma, *_plaque_support(disk, xi, E[:, 0]))
+        while True:
+            # two grids per row, as virtual rows 2 row and 2 row + 1: the
+            # window columns, joined with the support window where they
+            # meet, and the support window alone where they do not
+            on = sup_stop > sup_first
+            joined = on & (sup_first <= w1) & (sup_stop >= w0)
+            lo_w = np.where(joined, np.minimum(sup_first, w0), w0)
+            hi_w = np.where(joined, np.maximum(sup_stop, w1), w1)
+            lone = on & ~joined
+            lo = np.column_stack([lo_w, np.where(lone, sup_first, hi_w)])
+            hi = np.column_stack([hi_w, np.where(lone, sup_stop, hi_w)])
+            vrow, col, mask, (X, Y, C, D) = _clip_cells(
+                np.maximum(seg_first[:, None, :], lo[:, :, None]).reshape(2 * len(xi), -1),
+                np.minimum(seg_stop[:, None, :], hi[:, :, None]).reshape(2 * len(xi), -1),
+                (lo.ravel(), hi.ravel()),
+                lambda vrow, col: samples(vrow // 2, col),
+            )
+            row = vrow // 2
+            # support guard: an in-domain cell at a padded support edge
+            # short of the grid's end that is still inside the disk (a
+            # support window over the whole grid has no such edge)
+            edge = mask & on[row] & (
+                ((col == sup_first[row]) & (sup_first[row] > 0))
+                | ((col == sup_stop[row] - 1) & (sup_stop[row] < width))
+            )
+            if not edge.any():
+                break
+            x0, y0, reach = disk
+            edge[edge] = ~((X[edge] - x0) ** 2 + (Y[edge] - y0) ** 2 >= reach * Y[edge])
+            wide = np.unique(row[edge])
+            if not len(wide):
+                break
+            sup_first[wide] = 0
+            sup_stop[wide] = width
+        sel = mask & (col >= sup_first[row]) & (col < sup_stop[row])
+        if sel.any():
             vals = np.zeros((len(xi), len(sigma)))
-            vals[row[mask], col[mask]] = _evaluate(
-                psi, X[mask], Y[mask], frame_angle(C[mask], D[mask])
+            vals[row[sel], col[sel]] = _evaluate(
+                psi, X[sel], Y[sel], frame_angle(C[sel], D[sel])
             )
             num += float(np.sum(scale * np.sum(vals, axis=1) * sigma_step))
         counts = np.bincount(row[mask & win[col]], minlength=len(xi))

@@ -27,7 +27,7 @@ from horolab.geometry import (
 )
 from horolab import averages
 from horolab.checks import check_flow_commutation
-from horolab.measures import PattersonConfig, build_patterson, conditional_on_horocycle, ps_integral
+from horolab.measures import PattersonConfig, build_patterson, conditional_on_horocycle
 from horolab.averages import (
     _LEAF_MEMO,
     AverageSeries,

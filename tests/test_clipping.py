@@ -1,7 +1,9 @@
 """The clipped boundary quadratures against their full-grid form.
 
 _pair_field and br_integral compute frames only on the closed-form window
-of each grid row where the sampled curve can lie in the fundamental domain.
+of each grid row where the sampled curve can lie in the fundamental domain;
+br_integral only on its part in the reference window or in the integrand's
+support.
 The oracles below are the full-grid versions they replaced: every cell of
 the rectangular grid, then the half-disk test. Clipping keeps the same
 samples in the same order with the same arithmetic, so the results must be
@@ -15,11 +17,12 @@ import numpy as np
 import pytest
 
 from horolab import measures
-from horolab.averages import ConstantFunction, TestFunction, pointed_frame
+from horolab.averages import ConstantFunction, CuspHeightCap, TestFunction, WeightedFunction, pointed_frame
 from horolab.defaults import (
     BUMP_WIDTHS,
     DEFAULT_BUMPS,
     KNOWN_EXPONENTS,
+    NONDIV_HEIGHT,
     PATTERSON_RADIUS,
     RATIO_BUMPS,
     resolve_group,
@@ -192,8 +195,8 @@ def test_br_integral_matches_full_grid(builtin_measures, name, kwargs):
         assert got == full_br_integral(psi, measure, delta, **kwargs)
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_conjugates_match_full_grid(seed):
+def conjugate_case(seed):
+    """(builtin name, conjugated group, conjugator, its measure, exponent)."""
     name = ("schottky", "cusped")[seed % 2]
     group, m = conjugate(resolve_group(name), np.random.default_rng(seed))
     delta = KNOWN_EXPONENTS[name]
@@ -202,7 +205,12 @@ def test_conjugates_match_full_grid(seed):
     z = m.apply_complex(1j)
     moved = math.acosh(1.0 + abs(z - 1j) ** 2 / (2.0 * z.imag))
     radius = (18.0 if name == "schottky" else 12.0) + 2.0 * moved
-    measure = build_patterson(group, PattersonConfig(delta, 12, radius))
+    return name, group, m, build_patterson(group, PattersonConfig(delta, 12, radius)), delta
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_conjugates_match_full_grid(seed):
+    name, group, m, measure, delta = conjugate_case(seed)
     assert assert_same_field(measure, delta, DEFAULT_T, 80) > 0
     (psi,) = bumps(group, DEFAULT_BUMPS[name][:1], m)
     for kwargs in (
@@ -243,6 +251,92 @@ def test_short_windows_fall_back_to_full_rows(builtin_measures, monkeypatch):
     kwargs = dict(t_grid=np.arange(-4.0, 4.01, 0.5), sigma_span=10.0, top_k=60)
     assert br_integral(psi, measure, delta, **kwargs) == full_br_integral(psi, measure, delta, **kwargs)
     assert sum(widened) > 0
+
+
+def random_bumps(name, group, rng, k, moved=Isometry.identity()):
+    """k bumps of base width 0.3 to 2.0 on group, centred at points drawn in
+    the fundamental domain of the builtin `name` and then moved."""
+    builtin = resolve_group(name)
+    out = []
+    while len(out) < k:
+        x, y = rng.uniform(-4.0, 4.0), math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
+        if builtin.in_fundamental_domain(complex(x, y)):
+            center = mobius_apply(moved, pointed_frame(x, y, rng.uniform(-math.pi, math.pi)))
+            out.append(TestFunction(group, center, base_width=rng.uniform(0.3, 2.0), angle_width=BUMP_WIDTHS[1]))
+    return out
+
+
+SMALL_BOX = dict(t_grid=np.arange(-4.0, 4.01, 0.25), sigma_span=12.0, top_k=60)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_bumps_match_full_grid(builtin_measures, seed):
+    name = ("schottky", "cusped")[seed % 2]
+    group, measure, delta = builtin_measures[name]
+    rng = np.random.default_rng(7000 + seed)
+    values = []
+    for psi in random_bumps(name, group, rng, 3):
+        got = br_integral(psi, measure, delta, **SMALL_BOX)
+        assert got == full_br_integral(psi, measure, delta, **SMALL_BOX)
+        values.append(got)
+    assert any(v > 0.0 for v in values)
+
+
+@pytest.mark.parametrize("seed", range(0, 24, 3))
+def test_random_bumps_on_conjugates_match_full_grid(seed):
+    name, group, m, measure, delta = conjugate_case(seed)
+    rng = np.random.default_rng(8000 + seed)
+    for psi in random_bumps(name, group, rng, 2, m):
+        got = br_integral(psi, measure, delta, **SMALL_BOX)
+        assert got == full_br_integral(psi, measure, delta, **SMALL_BOX)
+
+
+def test_weighted_and_cap_integrands_match_full_grid(builtin_measures):
+    # a weighted bump keeps its bump's support; the cusp cap and a weighted
+    # cap name none and keep every in-domain cell
+    group, measure, delta = builtin_measures["cusped"]
+    (psi,) = bumps(group, RATIO_BUMPS[:1])
+    cap = CuspHeightCap(group, NONDIV_HEIGHT)
+
+    def density(x, y):
+        return 1.0 + x * x * y
+
+    integrands = [WeightedFunction(psi, density), cap, WeightedFunction(cap, density)]
+    assert [f.support() for f in integrands] == [psi.support(), None, None]
+    for f in integrands:
+        got = br_integral(f, measure, delta, **SMALL_BOX)
+        assert got > 0.0 and got == full_br_integral(f, measure, delta, **SMALL_BOX)
+
+
+def test_short_support_windows_widen_their_rows(builtin_measures, monkeypatch):
+    # cut every support window one cell past its padding (down to its middle):
+    # a row whose plaque crosses the bump's disk in the domain then shows an
+    # in-domain cell inside the disk at a support edge, and must be recomputed
+    # with its support widened to the grid to match the oracle
+    group, measure, delta = builtin_measures["cusped"]
+    plaque_support = measures._plaque_support
+    clip_cells = measures._clip_cells
+    kwargs = dict(t_grid=np.arange(-4.0, 4.01, 0.5), sigma_span=10.0, top_k=60)
+    calls = []
+
+    def cut(disk, xi, E):
+        lo, hi = plaque_support(disk, xi, E)
+        meets = lo <= hi
+        mid = 0.5 * (np.where(meets, lo, 0.0) + np.where(meets, hi, 0.0))
+        step = (measures._PAD + 1) * 0.05  # cells of the default sigma_step
+        return np.where(meets, np.minimum(lo + step, mid), lo), np.where(meets, np.maximum(hi - step, mid), hi)
+
+    def counting(first, stop, grid, inside_at):
+        calls.append(1)
+        return clip_cells(first, stop, grid, inside_at)
+
+    monkeypatch.setattr(measures, "_plaque_support", cut)
+    monkeypatch.setattr(measures, "_clip_cells", counting)
+    for psi in bumps(group, RATIO_BUMPS):
+        calls.clear()
+        assert br_integral(psi, measure, delta, **kwargs) == full_br_integral(psi, measure, delta, **kwargs)
+        # one pass per leaf coordinate, and one more for each that widened rows
+        assert len(calls) > len(kwargs["t_grid"])
 
 
 def test_pair_grid_must_increase(builtin_measures):

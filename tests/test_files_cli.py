@@ -258,6 +258,22 @@ def test_cli_group_info_stdout(tmp_path, capsys):
     assert sorted(echoed.letters) == ["A", "B", "a", "b"]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("label = a\ngarbage\n", "{path} line 2: expected key = value, got 'garbage'"),
+        ("label = a\nkind = hyperbolic\n", "generator 'a' ({path} line 1) is missing matrix, domain"),
+    ],
+    ids=["not-key-value", "missing-keys"],
+)
+def test_cli_group_file_parse_error_names_file(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.group"
+    path.write_text(text)
+    assert main(["group-info", "--override", "group=%s" % path]) == 1
+    # the whole of stderr: the message, naming the file, and no traceback
+    assert capsys.readouterr().err == "config error: %s\n" % message.format(path=path)
+
+
 def test_cli_nondiv_small_config(tmp_path, capsys):
     cfg = tmp_path / "nd.cfg"
     cfg.write_text("radii = 5 60\nk_height = 6.0\n")

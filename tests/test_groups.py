@@ -1,5 +1,6 @@
 """Group layer: ping-pong validation, counting, reduction, limit points."""
 
+import builtins
 import math
 import warnings
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from horolab import groups
 from horolab.averages import _leaf_frames
 from horolab.defaults import (
     EXPERIMENT_PERIODS,
@@ -24,7 +26,10 @@ from horolab.geometry import (
     Isometry,
     UnitTangent,
     frame_distance,
+    frame_point,
     from_coordinates,
+    geodesic_flow,
+    horocycle_flow,
     hyperbolic_distance,
     isometry_distance,
     mobius_apply,
@@ -33,7 +38,6 @@ from horolab.groups import (
     FuchsianGroup,
     Generator,
     GroupError,
-    LimitSample,
     WordSpec,
     check_parabolic_growth,
     critical_exponent,
@@ -505,6 +509,38 @@ def test_reduce_frames_is_replay_of_settle_frames(make, name):
         alone, alone_moves = g.settle_frames(frames[rows])
         assert alone.tobytes() == settled[rows].tobytes()
         assert np.array_equal(alone_moves, moves[rows])
+
+
+def test_settle_frames_stops_paired_circle_ping_pong():
+    # h^{+-2} u for u based at the cusp 0, flowed by t = 1..5: the base point
+    # lies where the parabolic letter maps its circle onto its inverse's, and
+    # rounding puts it inside the other half-disk after every move, so it was
+    # sent back and forth until the round limit
+    g = cusped_group()
+    u = from_coordinates(BoundaryPoint(0.0), INFINITY, 0.0)
+    frames = np.array([
+        np.reshape(geodesic_flow(horocycle_flow(u, s), float(t)).frame.entries(), (2, 2))
+        for t in range(1, 6)
+        for s in (2.0, -2.0)
+    ])
+    settled, moves = g.settle_frames(frames)
+    assert moves.max() <= 2
+    x, y = frame_point(*settled.reshape(-1, 4).T)
+    # each settles on the closure of the fundamental domain
+    margin = (x[:, None] - g._centers) ** 2 + (y * y)[:, None] - g._radii ** 2
+    assert np.all(margin > -1e-12)
+    assert g.reduce_frames(frames).tobytes() == replayed(settled, moves).tobytes()
+
+
+def test_letter_order_pairs_inverses(monkeypatch):
+    # settle_frames finds a letter's inverse at position k ^ 1 of the order
+    for make in (schottky_group, cusped_group, unit_parabolic_group):
+        h = make()
+        assert np.array_equal(h._inv_index, np.arange(len(h.order)) ^ 1)
+    # an order that sorts by plain label (A, B, a, b) is refused
+    monkeypatch.setattr(groups, "sorted", lambda items, key=None: builtins.sorted(items), raising=False)
+    with pytest.raises(GroupError, match="inverse next to it"):
+        schottky_group()
 
 
 def test_settle_frames_rejects_non_finite_base_points():

@@ -22,7 +22,7 @@ from horolab.measures import (
     conformality_defect,
     ps_integral,
 )
-from horolab.averages import TestFunction, build_vector, pointed_frame
+from horolab.averages import Integrand, TestFunction, build_vector, pointed_frame
 from horolab.geometry import geodesic_flow, horocycle_flow
 
 DELTA_SCH = 0.4322791205538202
@@ -224,7 +224,7 @@ def test_horoball_mass_monotone_and_frozen(cond8):
     assert masses[2] == pytest.approx(4.122445697587423, rel=1e-9)
 
 
-class _One:
+class _One(Integrand):
     def evaluate_points(self, x, y, theta):
         return np.ones_like(np.asarray(x, dtype=float))
 
