@@ -250,6 +250,11 @@ class FuchsianGroup:
             # settle_frames finds a letter's inverse at position k ^ 1
             raise GroupError("letter order must put each letter's inverse next to it")
         self._inv_mats = self._mats[self._inv_index]
+        # what settle_frames applies to leave a hyperbolic letter's half-disk:
+        # its matrix inverted, which differs from _inv_mats in the last bits
+        self._leave_mats = np.array(
+            [self.letters[l].matrix.inverse().entries() for l in self.order]
+        ).reshape(-1, 2, 2)
         self._centers = np.array([self.letters[l].center for l in self.order])
         self._radii = np.array([self.letters[l].radius for l in self.order])
         self._parabolic_charts = {}
@@ -574,8 +579,7 @@ class FuchsianGroup:
                         _, power = self.parabolic_jump(label, x[pts], y[pts])
                         sub[pts] = power @ sub[pts]
                     else:
-                        inv = np.array(g.matrix.inverse().entries()).reshape(2, 2)
-                        sub[pts] = inv[None] @ sub[pts]
+                        sub[pts] = self._leave_mats[k][None] @ sub[pts]
                 sub = renormalized(sub)
         raise GroupError("vectorized reduction did not settle in %d rounds" % _SETTLE_ROUNDS)
 
@@ -783,6 +787,7 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
     def at(ln):
         return "%s line %d" % (name, ln) if name else "line %d" % ln
 
+    # each block maps its keys to (value, line)
     blocks: list[dict] = []
     top: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -794,9 +799,9 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key == "label":
-            blocks.append({"label": val, "_line": ln})
+            blocks.append({"label": (val, ln)})
         elif blocks:
-            blocks[-1][key] = val
+            blocks[-1][key] = (val, ln)
         else:
             top[key] = val
     if not blocks:
@@ -804,25 +809,29 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
             "%s defines no generators; a group needs at least one letter pair"
             % (name or "group text")
         )
+
+    def numbers(block, key, count, what):
+        val, ln = block[key]
+        label = block["label"][0]
+        try:
+            out = [float(v) for v in val.split()]
+        except ValueError as e:
+            raise GroupError("%s: generator %r: %s" % (at(ln), label, e)) from None
+        if len(out) != count:
+            raise GroupError("%s: generator %r: %s needs %d %s" % (at(ln), label, key, count, what))
+        return out
+
     letters = []
     for b in blocks:
+        label, label_line = b["label"]
         missing = [k for k in ("matrix", "domain", "kind") if k not in b]
         if missing:
             raise GroupError(
-                "generator %r (%s) is missing %s" % (b["label"], at(b["_line"]), ", ".join(missing))
+                "generator %r (%s) is missing %s" % (label, at(label_line), ", ".join(missing))
             )
-        try:
-            mat = [float(v) for v in b["matrix"].split()]
-            dom = [float(v) for v in b["domain"].split()]
-        except ValueError as e:
-            raise GroupError("generator %r: %s" % (b["label"], e)) from None
-        if len(mat) != 4:
-            raise GroupError("generator %r: matrix needs 4 entries" % b["label"])
-        if len(dom) != 2:
-            raise GroupError("generator %r: domain needs 2 endpoints" % b["label"])
-        letters.append(
-            Generator(b["label"], Isometry(*mat), b["kind"], (dom[0], dom[1]))
-        )
+        mat = numbers(b, "matrix", 4, "entries")
+        dom = numbers(b, "domain", 2, "endpoints")
+        letters.append(Generator(label, Isometry(*mat), b["kind"][0], (dom[0], dom[1])))
     return FuchsianGroup(letters, name=top.get("name", name))
 
 

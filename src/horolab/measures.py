@@ -273,8 +273,13 @@ def conditional_on_horocycle(
 # lie in the fundamental domain, the outside of disjoint half-disks. Where
 # a curve can be outside them follows in closed form from its circle
 # crossings, so frames are computed only on that window of the row, padded
-# by _PAD cells a side; the half-disk test still decides every sample.
+# by _PAD cells a side; the half-disk test decides every sample a frame is
+# computed for. br_integral's normalizer needs only a count of in-domain
+# cells per row, and takes it from the closed form except within _BAND cells
+# of a crossing, where the half-disk test decides; the band covers the
+# padding, which needs _BAND >= _PAD, and one cell more.
 _PAD = 2
+_BAND = _PAD + 1
 # two atoms in one interval span a geodesic inside its half-disk; the pair
 # is skipped only when both sit deeper than this times the squared radius
 _EDGE = 1e-9
@@ -297,6 +302,20 @@ def _grid_window(grid, lo, hi):
     return np.where(lost, 0, first), np.where(lost, n, stop)
 
 
+def _cells(first, stop):
+    """(row, col) of the cells first <= col < stop in row-major order; first
+    and stop (2-D) hold ordered disjoint column ranges per row."""
+    n = np.maximum(stop - first, 0).ravel()
+    live = np.flatnonzero(n)
+    n = n[live]
+    end = np.cumsum(n)
+    col = np.arange(end[-1] if len(end) else 0)
+    col -= np.repeat(end - n - first.ravel()[live], n)
+    row = np.repeat(live, n)
+    row //= first.shape[1]
+    return row, col
+
+
 def _clip_cells(first, stop, grid, inside_at):
     """Cells (row, col) with first <= col < stop in row-major order, with
     what inside_at(row, col) returns for them: (in-domain mask, data).
@@ -313,11 +332,9 @@ def _clip_cells(first, stop, grid, inside_at):
     lo = np.broadcast_to(lo, len(first))[:, None]
     hi = np.broadcast_to(hi, len(first))[:, None]
     while True:
+        row, col = _cells(first, stop)
         n = np.maximum(stop - first, 0).ravel()
         end = np.cumsum(n)
-        seg = np.repeat(np.arange(len(n)), n)
-        col = np.arange(len(seg)) - np.repeat(end - n - first.ravel(), n)
-        row = seg // first.shape[1]
         inside, data = inside_at(row, col)
         edge = np.append(inside, False)  # position len(inside) reads False
         head = edge[np.where(n > 0, end - n, len(inside))].reshape(first.shape)
@@ -499,6 +516,56 @@ def _plaque_support(disk, xi, E):
     return np.where(meets, (-B - root) / A, np.inf), np.where(meets, (-B + root) / A, -np.inf)
 
 
+def _window_counts(span, segments, crossings, lost, inside_at):
+    """Per row, the number of in-domain cells among the columns [w0, w1) = span.
+
+    segments = (first, stop) holds the ordered disjoint column ranges of
+    each row where its curve can be in the domain, padded by _PAD cells
+    beyond every crossing; crossings holds the columns of the row's circle
+    crossings, and lost marks rows with a crossing that is not a number.
+
+    Only the segment cells within _BAND cells of a crossing column are
+    tested, with inside_at(row, col), which returns (in-domain mask, data).
+    Every other cell counts as in the domain inside a segment and as out of
+    it outside one. A row where a tested cell next to an untested one
+    disagrees with that count, and a lost row, is tested on its whole span.
+    """
+    w0, w1 = span
+    first, stop = segments
+    # the bands around the sorted crossing columns, made disjoint, met with
+    # the segments
+    at = np.sort(crossings, axis=1)
+    start = at - _BAND
+    start[:, 1:] = np.maximum(start[:, 1:], at[:, :-1] + _BAND + 1)
+    end = at + _BAND + 1
+    end[lost] = 0
+    start = np.maximum(start, w0)[:, :, None]
+    end = np.minimum(end, w1)[:, :, None]
+    row, col = _cells(
+        np.maximum(start, first[:, None, :]).reshape(len(at), -1),
+        np.minimum(end, stop[:, None, :]).reshape(len(at), -1),
+    )
+    inside = inside_at(row, col)[0]
+    free = np.clip(np.minimum(stop, w1) - np.maximum(first, w0), 0, None).sum(axis=1)
+    counts = free - np.bincount(row[~inside], minlength=len(at))
+    # the untested neighbours in the span of tested cells, and whether each
+    # of those counts as in the domain
+    nxt = np.append((row[1:] == row[:-1]) & (col[1:] == col[:-1] + 1), False)
+    prv = np.append(False, nxt[:-1])
+    left = ~prv & (col > w0)
+    right = ~nxt & (col < w1 - 1)
+    r = np.concatenate([row[left], row[right]])
+    c = np.concatenate([col[left] - 1, col[right] + 1])[:, None]
+    counted = ((first[r] <= c) & (c < stop[r])).any(axis=1)
+    wrong = lost.copy()
+    wrong[r[counted != np.concatenate([inside[left], inside[right]])]] = True
+    if wrong.any():
+        rows = np.flatnonzero(wrong)
+        row, col = _cells(np.full((len(rows), 1), w0), np.full((len(rows), 1), w1))
+        counts[rows] = np.bincount(row[inside_at(rows[row], col)[0]], minlength=len(rows))
+    return counts
+
+
 def br_integral(
     psi,
     measure: AtomicBoundaryMeasure,
@@ -518,12 +585,16 @@ def br_integral(
     parameter within window_span) to have unit mass, so only ratios of
     these integrals carry meaning.
 
-    Frames are computed only on the cells that can change the result: the
-    in-domain part of the reference window, and the in-domain part of the
-    integrand's support (psi.support(), the whole grid when it names none)
-    padded by _PAD cells a side. A row
-    with an in-domain cell at a padded support edge that is still inside the
-    support disk is recomputed with its support window widened to the grid.
+    Frames are computed only where the result reads them. The normalizer
+    reads a count of in-domain window cells per row: the closed-form domain
+    segments give it, except within _BAND cells of a circle crossing, where
+    the half-disk test decides, and a row whose tested cells disagree with
+    the segments at their edge is tested on its whole window
+    (_window_counts). The integrand is evaluated on the in-domain cells of
+    its support window (psi.support(), the whole grid when it names none),
+    padded by _PAD cells a side. A row with an in-domain cell at a padded
+    support edge that is still inside the support disk is recomputed with
+    its support window widened to the grid.
     """
     if t_grid is None:
         t_grid = np.arange(-4.0, 4.0 + 1e-9, 0.1)
@@ -538,8 +609,7 @@ def br_integral(
     log_density = lw[:, None] - hat_delta * t_grid[None, :]
     sigma = np.arange(-sigma_span, sigma_span + 1e-9, sigma_step)
     width = len(sigma)
-    win = np.abs(sigma) <= window_span
-    cols = np.flatnonzero(win)
+    cols = np.flatnonzero(np.abs(sigma) <= window_span)
     w0, w1 = (cols[0], cols[-1] + 1) if len(cols) else (0, 0)
     disk = psi.support()
     b0 = -np.log(xi * xi + 1.0)  # leaf coordinate of [[1, xi], [0, 1]]
@@ -549,73 +619,74 @@ def br_integral(
     # xi (al < 0) the domain part lies between the roots, or near the vertex
     # when there is none; atoms in no interval keep the whole grid. Every
     # other letter (al > 0) cuts out the cells between its roots.
-    u = xi[:, None] - group._centers[None, :]
+    # Rows are (leaf coordinate, atom) pairs, leaf coordinate major.
+    n = len(xi)
+    xr = np.tile(xi, len(t_grid))
+    e = np.exp(0.5 * (t_grid[:, None] - b0)).ravel()
+    E = (e * e)[:, None]
+    u = xr[:, None] - group._centers[None, :]
     r2 = group._radii * group._radii
     al = u * u - r2
     held = al < 0.0
+    sq = np.sqrt(np.maximum(E * E * r2 - al * al, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = (-u * E - sq) / al
+        s2 = (-u * E + sq) / al
+    first, stop = _grid_window(
+        sigma,
+        np.where(held, s2, -np.inf).max(axis=1),
+        np.where(held, s1, np.inf).min(axis=1),
+    )
+    # holes [cut, back), shrunk by the padding and sorted by position
+    # (unused letters sort last); segments run between them
+    past1 = np.searchsorted(sigma, s1, side="right")
+    past2 = np.searchsorted(sigma, s2)
+    cut = past1 + _PAD
+    back = past2 - _PAD
+    hole = (al > 0.0) & (cut < back)
+    cut = np.where(hole, cut, width)
+    back = np.where(hole, back, width)
+    order = np.argsort(cut, axis=1, kind="stable")
+    cut = np.take_along_axis(cut, order, axis=1)
+    back = np.take_along_axis(back, order, axis=1)
+    seg_first = np.maximum(np.column_stack([first, back]), first[:, None])
+    seg_stop = np.minimum(np.column_stack([cut, stop]), stop[:, None])
+    xe, ie = xr / e, 1.0 / e
+
+    def samples(row, col):
+        C = ie[row] * sigma[col]
+        D = ie[row]
+        X, Y = frame_point(e[row] + xe[row] * sigma[col], xe[row], C, D)
+        return group.containing_letter(X, Y) < 0, (X, Y, C, D)
+
+    counts = _window_counts(
+        (w0, w1),
+        (seg_first, seg_stop),
+        np.column_stack([past1, past2]),
+        ~(np.isfinite(s1) & np.isfinite(s2)).all(axis=1),
+        samples,
+    )
+    if disk is None:
+        sup_first, sup_stop = np.zeros(len(xr), dtype=int), np.full(len(xr), width)
+    else:
+        sup_first, sup_stop = _grid_window(sigma, *_plaque_support(disk, xr, E[:, 0]))
     num = 0.0
     den = 0.0
-    for k, t in enumerate(t_grid):
-        scale = np.exp(log_density[:, k]) * dt
-        e = np.exp(0.5 * (t - b0))
-        E = (e * e)[:, None]
-        sq = np.sqrt(np.maximum(E * E * r2 - al * al, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s1 = (-u * E - sq) / al
-            s2 = (-u * E + sq) / al
-        first, stop = _grid_window(
-            sigma,
-            np.where(held, s2, -np.inf).max(axis=1),
-            np.where(held, s1, np.inf).min(axis=1),
-        )
-        # holes [cut, back), shrunk by the padding and sorted by position
-        # (unused letters sort last); segments run between them
-        cut = np.searchsorted(sigma, s1, side="right") + _PAD
-        back = np.searchsorted(sigma, s2) - _PAD
-        hole = (al > 0.0) & (cut < back)
-        cut = np.where(hole, cut, len(sigma))
-        back = np.where(hole, back, len(sigma))
-        order = np.argsort(cut, axis=1, kind="stable")
-        cut = np.take_along_axis(cut, order, axis=1)
-        back = np.take_along_axis(back, order, axis=1)
-        seg_first = np.maximum(np.column_stack([first, back]), first[:, None])
-        seg_stop = np.minimum(np.column_stack([cut, stop]), stop[:, None])
-        xe, ie = xi / e, 1.0 / e
-
-        def samples(row, col):
-            C = ie[row] * sigma[col]
-            D = ie[row]
-            X, Y = frame_point(e[row] + xe[row] * sigma[col], xe[row], C, D)
-            return group.containing_letter(X, Y) < 0, (X, Y, C, D)
-
-        if disk is None:
-            sup_first, sup_stop = np.zeros(len(xi), dtype=int), np.full(len(xi), width)
-        else:
-            sup_first, sup_stop = _grid_window(sigma, *_plaque_support(disk, xi, E[:, 0]))
+    for k in range(len(t_grid)):
+        lo = k * n
+        sf, ss = sup_first[lo:lo + n], sup_stop[lo:lo + n]
         while True:
-            # two grids per row, as virtual rows 2 row and 2 row + 1: the
-            # window columns, joined with the support window where they
-            # meet, and the support window alone where they do not
-            on = sup_stop > sup_first
-            joined = on & (sup_first <= w1) & (sup_stop >= w0)
-            lo_w = np.where(joined, np.minimum(sup_first, w0), w0)
-            hi_w = np.where(joined, np.maximum(sup_stop, w1), w1)
-            lone = on & ~joined
-            lo = np.column_stack([lo_w, np.where(lone, sup_first, hi_w)])
-            hi = np.column_stack([hi_w, np.where(lone, sup_stop, hi_w)])
-            vrow, col, mask, (X, Y, C, D) = _clip_cells(
-                np.maximum(seg_first[:, None, :], lo[:, :, None]).reshape(2 * len(xi), -1),
-                np.minimum(seg_stop[:, None, :], hi[:, :, None]).reshape(2 * len(xi), -1),
-                (lo.ravel(), hi.ravel()),
-                lambda vrow, col: samples(vrow // 2, col),
+            row, col, mask, (X, Y, C, D) = _clip_cells(
+                np.maximum(seg_first[lo:lo + n], sf[:, None]),
+                np.minimum(seg_stop[lo:lo + n], ss[:, None]),
+                (sf, ss),
+                lambda r, c: samples(r + lo, c),
             )
-            row = vrow // 2
             # support guard: an in-domain cell at a padded support edge
             # short of the grid's end that is still inside the disk (a
             # support window over the whole grid has no such edge)
-            edge = mask & on[row] & (
-                ((col == sup_first[row]) & (sup_first[row] > 0))
-                | ((col == sup_stop[row] - 1) & (sup_stop[row] < width))
+            edge = mask & (
+                ((col == sf[row]) & (sf[row] > 0)) | ((col == ss[row] - 1) & (ss[row] < width))
             )
             if not edge.any():
                 break
@@ -624,17 +695,18 @@ def br_integral(
             wide = np.unique(row[edge])
             if not len(wide):
                 break
-            sup_first[wide] = 0
-            sup_stop[wide] = width
-        sel = mask & (col >= sup_first[row]) & (col < sup_stop[row])
-        if sel.any():
-            vals = np.zeros((len(xi), len(sigma)))
-            vals[row[sel], col[sel]] = _evaluate(
-                psi, X[sel], Y[sel], frame_angle(C[sel], D[sel])
-            )
-            num += float(np.sum(scale * np.sum(vals, axis=1) * sigma_step))
-        counts = np.bincount(row[mask & win[col]], minlength=len(xi))
-        den += float(np.sum(scale * counts * sigma_step))
+            sf[wide] = 0
+            ss[wide] = width
+        scale = np.exp(log_density[:, k]) * dt
+        if mask.any():
+            # the rows with cells, each summed as a dense row of the whole grid
+            rows, place = np.unique(row[mask], return_inverse=True)
+            vals = np.zeros((len(rows), width))
+            vals[place, col[mask]] = _evaluate(psi, X[mask], Y[mask], frame_angle(C[mask], D[mask]))
+            sums = np.zeros(n)
+            sums[rows] = np.sum(vals, axis=1)
+            num += float(np.sum(scale * sums * sigma_step))
+        den += float(np.sum(scale * counts[lo:lo + n] * sigma_step))
     if den <= 0.0:
         raise MeasureError("reference window has zero mass")
     return num / den

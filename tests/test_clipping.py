@@ -2,15 +2,18 @@
 
 _pair_field and br_integral compute frames only on the closed-form window
 of each grid row where the sampled curve can lie in the fundamental domain;
-br_integral only on its part in the reference window or in the integrand's
-support.
+br_integral only on its part in the integrand's support, and, for the count
+of in-domain reference-window cells that normalizes it, only within a few
+cells of a circle crossing: elsewhere the closed form gives that count.
 The oracles below are the full-grid versions they replaced: every cell of
 the rectangular grid, then the half-disk test. Clipping keeps the same
-samples in the same order with the same arithmetic, so the results must be
-equal bit for bit, on the builtins and on conjugates of them.
+samples with the same arithmetic and the same integer counts, so the
+results must be equal bit for bit, on the builtins and on conjugates of
+them.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -383,3 +386,74 @@ def test_quadrature_grids_must_be_uniform(builtin_measures, t_grid):
         _pair_field(measure, delta, t_grid, 40)
     with pytest.raises(MeasureError):
         br_integral(psi, measure, delta, t_grid=t_grid / 2.0, top_k=40)
+
+
+def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkeypatch):
+    # cut every segment handed to the window count by _PAD + 1 cells a side
+    # (down to its middle cell): the in-domain cells just past a cut end then
+    # count as out of the domain, while the tested cell next to them is in
+    # it, so the row must be tested on its whole window to match the oracle
+    group, measure, delta = builtin_measures["cusped"]
+    window_counts = measures._window_counts
+    fallbacks = []
+
+    def counting(span, segments, crossings, lost, inside_at, cut=0):
+        calls = []
+
+        def tested(row, col):
+            calls.append(len(row))
+            return inside_at(row, col)
+
+        first, stop = segments
+        mid = (first + stop) // 2
+        short = np.where(stop > first, np.minimum(first + cut, mid), first), np.where(
+            stop > first, np.maximum(stop - cut, mid + 1), stop
+        )
+        out = window_counts(span, short, crossings, lost, tested)
+        fallbacks.append(len(calls) - 1)
+        return out
+
+    for kwargs in ({}, SMALL_BOX):
+        for psi in [ConstantFunction()] + bumps(group, RATIO_BUMPS):
+            want = full_br_integral(psi, measure, delta, **kwargs)
+            for cut in (0, measures._PAD + 1):
+                monkeypatch.setattr(measures, "_window_counts", functools.partial(counting, cut=cut))
+                fallbacks.clear()
+                assert br_integral(psi, measure, delta, **kwargs) == want
+                # one window count per call, falling back only where segments were cut
+                assert len(fallbacks) == 1 and bool(fallbacks[0]) == bool(cut)
+
+
+@pytest.mark.parametrize("xi, label", [(0.4, "b"), (0.1, "b"), (-0.3, "B"), (-0.1, "B")])
+def test_grazing_plaques_match_full_grid(builtin_measures, xi, label):
+    # one atom whose plaques graze the half-disk of `label`: at the leaf
+    # coordinate t* the discriminant is zero up to rounding, and just past it
+    # the plaque dips into the half-disk between two crossings closer than
+    # 2 _PAD cells, a hole too short to cut
+    group, measure, delta = builtin_measures["cusped"]
+    k = group.order.index(label)
+    c, r = group._centers[k], group._radii[k]
+    u = xi - c
+    al = u * u - r * r
+    t_star = math.log(al / r) - math.log(xi * xi + 1.0)
+    t_grid = t_star + 0.0005 * np.arange(-3, 6)
+    one = dataclasses.replace(
+        measure, points=np.array([xi]), log_weights=np.array([0.0]), displacements=np.array([1.0]),
+        lengths=np.array([1]), _pair_cache={}, _leaves={},
+    )
+    # the crossings at each leaf coordinate, in arc parameter
+    E = np.exp(t_grid + math.log(xi * xi + 1.0))
+    sq = np.sqrt(np.maximum(E * E * r * r - al * al, 0.0))
+    s1, s2 = (-u * E - sq) / al, (-u * E + sq) / al
+    sigma = np.arange(-30.0, 30.0 + 1e-9, 0.05)
+    inside = [np.any((sigma > a) & (sigma < b)) for a, b in zip(s1, s2)]
+    assert any(inside) and np.all(s2 - s1 < 2 * measures._PAD * 0.05)
+    sv = -u / r
+    x, y = xi + E[3] * sv / (1 + sv * sv), E[3] / (1 + sv * sv)
+    assert abs(sv) < 5.0 and group.in_fundamental_domain(complex(x, 1.05 * y))
+    # a bump there, pointing along the plaque
+    theta = math.atan2(1.0 - sv * sv, 2.0 * sv)
+    near = TestFunction(group, pointed_frame(x, 1.05 * y, theta), base_width=0.5, angle_width=BUMP_WIDTHS[1])
+    for psi in (ConstantFunction(), near):
+        got = br_integral(psi, one, delta, t_grid=t_grid)
+        assert got > 0.0 and got == full_br_integral(psi, one, delta, t_grid=t_grid)

@@ -263,8 +263,20 @@ def test_cli_group_info_stdout(tmp_path, capsys):
     [
         ("label = a\ngarbage\n", "{path} line 2: expected key = value, got 'garbage'"),
         ("label = a\nkind = hyperbolic\n", "generator 'a' ({path} line 1) is missing matrix, domain"),
+        (
+            "label = a\nmatrix = 2 3 1\ndomain = 1 3\nkind = hyperbolic\n",
+            "{path} line 2: generator 'a': matrix needs 4 entries",
+        ),
+        (
+            "label = a\nkind = hyperbolic\nmatrix = 2 3 1 2\n\ndomain = 1 3 5\n",
+            "{path} line 5: generator 'a': domain needs 2 endpoints",
+        ),
+        (
+            "label = a\nmatrix = 2 3 1 2\ndomain = 1 x\nkind = hyperbolic\n",
+            "{path} line 3: generator 'a': could not convert string to float: 'x'",
+        ),
     ],
-    ids=["not-key-value", "missing-keys"],
+    ids=["not-key-value", "missing-keys", "matrix-count", "domain-count", "not-a-number"],
 )
 def test_cli_group_file_parse_error_names_file(text, message, tmp_path, capsys):
     path = tmp_path / "bad.group"

@@ -1,6 +1,6 @@
 """Regression pins for refactors: output bytes, manifests, the battery's
 details, the benchmark's hooks and the benchmark's recorded
-orbit-enumeration outputs.
+orbit-enumeration, leaf-averages and boundary-quadrature outputs.
 
 The digests below pin the exact bytes that each built-in experiment writes
 on its defaults. They were recorded before the frame kernel, the half-disk
@@ -202,3 +202,16 @@ def test_leaf_averages_op_matches_benchmark_references():
     out = workloads.leaf_op(workloads.leaf_setup(0), 0)
     assert out["values"]
     assert workloads.leaf_check(out, refs, 0, 0) == []
+
+
+def test_boundary_quadrature_op_matches_benchmark_references():
+    # one boundary-quadrature op (a cold Schottky pair field with its cached
+    # quadratures, and both cusped box quadratures) against the benchmark's
+    # recorded outputs, so that a last-bit drift in either quadrature fails
+    # here before the benchmark runs
+    workloads = load_perfbench("workloads")
+    with open(os.path.join(PERFBENCH, "references.json"), encoding="utf-8") as fh:
+        refs = json.load(fh)["boundary-quadrature"]
+    out = workloads.quadrature_op(workloads.quadrature_setup(0), 0)
+    for key in ("quadrature", "br", "atoms"):
+        assert out[key] == refs[key], key
