@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _SIGN_TOL,
     INFINITY,
     Isometry,
     UnitTangent,
@@ -105,6 +106,16 @@ def _leaf_frames(u: UnitTangent, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flowed(frames, t: float) -> np.ndarray:
+    """Frames (n, 2, 2) pushed by the time-t geodesic flow."""
+    frames = np.asarray(frames, dtype=float)
+    e = math.exp(0.5 * t)
+    out = np.empty_like(frames)
+    out[:, :, 0] = frames[:, :, 0] * e
+    out[:, :, 1] = frames[:, :, 1] / e
+    return out
+
+
 def _frame_coordinates(frames: np.ndarray):
     """(x, y, theta) of a stack of frames (n, 2, 2)."""
     a, b, c, d = frames.reshape(-1, 4).T
@@ -120,7 +131,9 @@ class Integrand:
     reduces a stack of frames once and then evaluates; a single vector goes
     through __call__. Leaf averages of an integrand that keeps this
     evaluate_frames settle the leaf frames once on its group and call
-    evaluate_points; an integrand that overrides it gets the frames.
+    evaluate_points, and so do those of a ShiftedFunction of such an
+    integrand, on the flowed frames; any other integrand that overrides it
+    gets the frames.
     """
 
     def evaluate_frames(self, mats):
@@ -209,12 +222,7 @@ class ShiftedFunction(Integrand):
         self.label = "%s.g%g" % (getattr(psi, "label", "psi"), t)
 
     def evaluate_frames(self, mats):
-        mats = np.asarray(mats, dtype=float)
-        e = math.exp(0.5 * self.t)
-        flowed = np.empty_like(mats)
-        flowed[:, :, 0] = mats[:, :, 0] * e
-        flowed[:, :, 1] = mats[:, :, 1] / e
-        return self.psi.evaluate_frames(flowed)
+        return self.psi.evaluate_frames(_flowed(mats, self.t))
 
 
 class WeightedFunction(Integrand):
@@ -328,6 +336,12 @@ class _Leaf:
     Each settled row keeps its moves count and the (x, y, theta) of both the
     settled frame and that frame renormalized once, so a ball average
     replays the batch rule of reduce_frames over its own rows exactly.
+
+    The leaf frames pushed by one geodesic flow time, the integrand of a
+    ShiftedFunction, are settled the same way out to the largest radius
+    asked for at that time. Only the most recent time is kept, and only its
+    settled rows are stored; a ball replays the batch rule on its own rows,
+    which gives what reduce_frames gives on them.
     """
 
     def __init__(self, u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float):
@@ -340,6 +354,8 @@ class _Leaf:
         self.moves = np.zeros(n, dtype=np.int64)
         self.plain = np.empty((3, n))
         self.once = np.empty((3, n))
+        # (t, reach, rows, settled, moves) of the flowed frames, rows ascending
+        self.flow = None
 
     def _settle(self, r: float) -> None:
         if r <= self.reach:
@@ -350,6 +366,27 @@ class _Leaf:
         self.plain[:, rows] = _frame_coordinates(settled)
         self.once[:, rows] = _frame_coordinates(renormalized(settled))
         self.reach = r
+
+    def _settle_flowed(self, r: float, t: float, sel: np.ndarray):
+        """(rows, settled, moves) of the frames flowed by t, settled at least
+        out to radius r, whose ball is sel."""
+        kept = self.flow if self.flow is not None and self.flow[0] == t else None
+        if kept is not None:
+            if r <= kept[1]:
+                return kept[2:]
+            sel = sel & (self.dist >= kept[1])
+        rows = np.flatnonzero(sel)
+        settled, moves = self.group.settle_frames(
+            _flowed(_leaf_frames(self.u, self.cond.params[rows]), t)
+        )
+        if kept is not None:
+            rows = np.concatenate([kept[2], rows])
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+            settled = np.concatenate([kept[3], settled])[order]
+            moves = np.concatenate([kept[4], moves])[order]
+        self.flow = (t, r, rows, settled, moves)
+        return rows, settled, moves
 
     def average(self, r: float, psi) -> float:
         """Mean over the leaf ball {h^s u : |s| < r}."""
@@ -365,21 +402,33 @@ class _Leaf:
             moves = self.moves[sel]
             x, y, theta = np.where(moves < moves.max(), self.once[:, sel], self.plain[:, sel])
             vals = psi.evaluate_points(x, y, theta)
+        elif isinstance(psi, ShiftedFunction) and _settling_group(psi.psi) is self.group:
+            rows, settled, moves = self._settle_flowed(r, psi.t, sel)
+            if len(rows) > len(lw):  # rows settled out to a larger radius
+                ball = self.dist[rows] < r
+                settled, moves = settled[ball], moves[ball]
+            vals = psi.psi.evaluate_points(*_frame_coordinates(replayed(settled, moves)))
         else:
             vals = psi.evaluate_frames(_leaf_frames(self.u, self.cond.params[sel]))
         return float(np.sum(w * vals) / np.sum(w))
 
 
-# leaves a measure keeps: a ball average and its flow-commuted form alternate
-# between two leaves
+# leaves a measure keeps, the most recently used last
 _LEAF_MEMO = 2
 
 
 def _leaf(u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float) -> _Leaf:
-    """The measure's leaf through u, most recently used last in its memo."""
+    """The measure's leaf through u, most recently used last in its memo.
+
+    Only that leaf keeps its flowed rows: they serve a radius ladder at one
+    flow time, and kept on every leaf they would raise the peak memory of
+    runs that average many vectors.
+    """
     key = (u.frame.entries(), hat_delta)
     memo = measure._leaves
     leaf = memo.pop(key, None)
+    for other in memo.values():
+        other.flow = None
     if leaf is None:
         leaf = _Leaf(u, measure, hat_delta)
         if len(memo) == _LEAF_MEMO:
@@ -401,19 +450,26 @@ def average_ps(
 
 
 def flow_commutation_residual(
-    u: UnitTangent, r: float, t: float, psi, measure: AtomicBoundaryMeasure, hat_delta: float
-) -> float:
-    """Difference between the ball average and its flow-commuted form.
+    u: UnitTangent, radii, times, psi, measure: AtomicBoundaryMeasure, hat_delta: float
+) -> np.ndarray:
+    """Differences between ball averages and their flow-commuted forms.
 
     The mean of psi over B(u, r) equals the mean of psi composed with g^t
     over B(g^-t u, r e^-t); both sides are computed through independent
-    conditional constructions, so the residual is float noise only.
+    conditional constructions, so each residual is float noise only. Entry
+    (i, j) is the residual at times[i] and radii[j]. Each left side is
+    computed once for all times. The right sides run time by time: the
+    leaf of each g^-t u is built once, outside the measure's memo, and its
+    flowed frames are settled once, out to the largest radius.
     """
-    lhs = average_ps(u, r, psi, measure, hat_delta)
-    rhs = average_ps(
-        geodesic_flow(u, -t), r * math.exp(-t), ShiftedFunction(psi, t), measure, hat_delta
-    )
-    return abs(lhs - rhs)
+    lhs = np.array([average_ps(u, r, psi, measure, hat_delta) for r in radii])
+    out = np.empty((len(times), len(lhs)))
+    for i, t in enumerate(times):
+        leaf = _Leaf(geodesic_flow(u, -t), measure, hat_delta)
+        shifted = ShiftedFunction(psi, t)
+        rhs = [leaf.average(r * math.exp(-t), shifted) for r in radii]
+        out[i] = np.abs(lhs - rhs)
+    return out
 
 
 def _settle_grid(group: FuchsianGroup, u: UnitTangent, s: np.ndarray, prev):
@@ -444,28 +500,48 @@ def average_lebesgue(u: UnitTangent, t: float, psi) -> float:
     reduce_frames over the whole grid, which gives the bits of reducing the
     grid afresh.
     """
+    return _lebesgue_means(u, t, [psi])[0]
+
+
+def _lebesgue_means(u: UnitTangent, t: float, funcs) -> list[float]:
+    """average_lebesgue of each of funcs, bit for bit, on shared grids.
+
+    Each integrand refines to its own depth. At each depth the grid is
+    settled once for all the integrands still refining that settle on the
+    same group.
+    """
     if not t > 0:
         raise AveragesError("window must be positive")
     m = max(4, int(math.ceil(2.0 * t / 0.1)))
-    coarse = None
-    group = _settling_group(psi)
-    grid = None
+    groups = [_settling_group(psi) for psi in funcs]
+    coarse = [None] * len(funcs)
+    means = [None] * len(funcs)
+    grids = {}  # id of a settling group -> its (s, settled, moves) grid
     for _ in range(8):
+        coords = {}
         s = np.linspace(-t, t, 2 * m + 1)
-        if group is not None:
-            grid = _settle_grid(group, u, s, grid)
-            f = psi.evaluate_points(*_frame_coordinates(replayed(*grid[1:])))
-        else:
-            f = psi.evaluate_frames(_leaf_frames(u, s))
         h = s[1] - s[0]
-        integral = (h / 3.0) * (
-            f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-2:2])
-        )
-        if coarse is not None and abs(integral - coarse) / 15.0 <= _SIMPSON_TOL * 2.0 * t:
-            return float(integral / (2.0 * t))
-        coarse = integral
+        for k, (psi, group) in enumerate(zip(funcs, groups)):
+            if means[k] is not None:
+                continue
+            if group is not None:
+                key = id(group)
+                if key not in coords:
+                    grids[key] = _settle_grid(group, u, s, grids.get(key))
+                    coords[key] = _frame_coordinates(replayed(*grids[key][1:]))
+                f = psi.evaluate_points(*coords[key])
+            else:
+                f = psi.evaluate_frames(_leaf_frames(u, s))
+            integral = (h / 3.0) * (
+                f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-2:2])
+            )
+            if coarse[k] is not None and abs(integral - coarse[k]) / 15.0 <= _SIMPSON_TOL * 2.0 * t:
+                means[k] = float(integral / (2.0 * t))
+            coarse[k] = integral
+        if all(mean is not None for mean in means):
+            return means
         m *= 2
-    return float(integral / (2.0 * t))
+    return [float(c / (2.0 * t)) if mean is None else mean for c, mean in zip(coarse, means)]
 
 
 def average_haar(u: UnitTangent, r: float, psi, alpha: HaarDensity) -> float:
@@ -496,9 +572,13 @@ def ratio_series(
     the conditional density.
     """
     radii = np.asarray(sorted(float(r) for r in radii))
-    pairs = [
-        (average_haar(u, r, psi, alpha), average_haar(u, r, phi, alpha)) for r in radii
-    ]
+    if alpha.choice == "constant":
+        # psi and phi share each Simpson grid
+        pairs = [tuple(_lebesgue_means(u, r, [psi, phi])) for r in radii]
+    else:
+        pairs = [
+            (average_haar(u, r, psi, alpha), average_haar(u, r, phi, alpha)) for r in radii
+        ]
     if pairs[-1][1] == 0.0:
         raise AveragesError("denominator average vanishes at the largest radius")
     if any(den == 0.0 for _, den in pairs):
@@ -570,6 +650,37 @@ def _closure_gap(target: UnitTangent, u: UnitTangent, t: float) -> float:
     return frame_distance(target, horocycle_flow(u, t))
 
 
+def _closure_gaps(target: UnitTangent, u: UnitTangent, ts: np.ndarray) -> np.ndarray:
+    """_closure_gap at every t of ts, bit for bit.
+
+    The arrays repeat the scalar operations in their order: the entries of
+    horocycle_flow, Isometry's renormalization and sign rule, then
+    isometry_distance. Its squares are `** 2`, libm's pow, which
+    np.float_power keeps; numpy's `** 2` and x * x round some of them
+    differently.
+    """
+    ga, gb, gc, gd = u.frame.entries()
+    a = ga + gb * ts
+    c = gc + gd * ts
+    det = a * gd - gb * c
+    bad = np.flatnonzero(~(det > 0.0) | ~np.isfinite(det))
+    if bad.size:
+        Isometry(a[bad[0]], gb, c[bad[0]], gd)  # raises the scalar error
+    scale = 1.0 / np.sqrt(det)
+    ents = np.array([a * scale, gb * scale, c * scale, gd * scale])
+    mags = np.abs(ents)
+    # the sign of the first entry of significant size
+    lead = np.select(mags > _SIGN_TOL * mags.max(axis=0), ents, 0.0)
+    ents = np.where(lead < 0.0, -ents, ents)
+
+    def norm(diff):
+        p, q, r, s = np.float_power(diff, 2.0)
+        return np.sqrt(p + q + r + s)
+
+    target = np.array(target.frame.entries())[:, None]
+    return np.minimum(norm(target - ents), norm(target + ents))
+
+
 def _golden_refine(f, lo: float, hi: float, tol: float) -> float:
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -603,8 +714,11 @@ def periodic_closure(
     p applied to u and h^t0(u); for a genuinely periodic leaf the residual
     is float noise. When u is omitted it is built with backward endpoint at
     the fixed point of p and base point on the unit horosphere through i.
-    The closed-form seed tau / Im(chart height) is refined by golden
-    section inside the window |t| <= 10 e^{|leaf coordinate|}.
+    A scan of 4097 evenly spaced times in the window
+    |t| <= 10 e^{|leaf coordinate|}, plus the closed-form seeds
+    +-tau / Im(chart height), picks the best candidate; its gaps are
+    computed as arrays, bit for bit the scalar ones (see _closure_gaps).
+    Golden section, on scalars, refines it.
     """
     if isinstance(p, Generator):
         gen = p
@@ -623,12 +737,11 @@ def periodic_closure(
     chart = group._parabolic_charts[gen.label]
     zc = chart.conjugator.apply_complex(u.base_point.as_complex)
     window = 10.0 * math.exp(abs(u.busemann_coordinate))
-    cands = list(np.linspace(-window, window, 4097))
+    cands = np.linspace(-window, window, 4097)
     if zc.imag > 0:
-        cands.extend([chart.tau / zc.imag, -chart.tau / zc.imag])
-    gaps = [_closure_gap(target, u, t) for t in cands]
-    best = int(np.argmin(gaps))
+        cands = np.append(cands, [chart.tau / zc.imag, -chart.tau / zc.imag])
+    best = int(np.argmin(_closure_gaps(target, u, cands)))
     spread = max(abs(chart.tau / zc.imag) * 0.25, 2.0 * window / 4096.0)
-    lo, hi = cands[best] - spread, cands[best] + spread
+    lo, hi = float(cands[best]) - spread, float(cands[best]) + spread
     t0 = _golden_refine(lambda t: _closure_gap(target, u, t), lo, hi, refine_tol)
     return t0, _closure_gap(target, u, t0)

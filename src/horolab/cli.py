@@ -458,6 +458,15 @@ def run_patterson(st: Settings, args):
     return files, lines, payload, False
 
 
+# a bump whose support no geodesic between atoms meets integrates to zero
+# against the invariant measure, as the cusped defaults, which sit over the
+# funnel, do; a gap relative to zero is undefined
+_ZERO_REFERENCE = (
+    "the invariant integral of %s is 0: no geodesic between atoms meets its support, "
+    "so its relative gap is undefined; center the bump over the convex core of the limit set"
+)
+
+
 def run_equidist(st: Settings, args):
     loader = _measure_loader(st, "builtin:schottky")
     u, witness = _vector(st, loader, args.seed)
@@ -469,13 +478,15 @@ def run_equidist(st: Settings, args):
     report = []
     for psi in funcs:
         ref = ps_integral(psi, measure, delta)
+        if ref == 0:
+            raise AveragesError(_ZERO_REFERENCE % psi.label)
         vals = [average_ps(u, r, psi, measure, delta) for r in radii]
         rows = [
             (float(r), float(v), float(ref), "equidist:%s" % psi.label, args.seed)
             for r, v in zip(radii, vals)
         ]
         files.append(("equidist_%s.csv" % psi.label, artifacts.series_rows_csv_text(rows)))
-        final = abs(vals[-1] - ref) / abs(ref) if ref != 0 else math.inf
+        final = abs(vals[-1] - ref) / abs(ref)
         lines.append(
             "%s: integral %.6g, ball averages %s, final relative gap %.3g"
             % (psi.label, ref, ", ".join("%.6g" % v for v in vals), final)
@@ -500,6 +511,8 @@ def run_mixing(st: Settings, args):
     psi = funcs[0]
     ser = mixing_series(u, ball_radius, psi, times, loader.measure(), loader.exponent,
                         experiment_id="mixing:%s" % psi.label, seed=args.seed)
+    if ser.reference == 0:
+        raise AveragesError(_ZERO_REFERENCE % psi.label)
     files = [("mixing.csv", artifacts.series_csv_text(ser))]
     final = abs(ser.values[-1] / ser.reference - 1.0)
     lines = [
@@ -675,7 +688,11 @@ def main(argv=None) -> int:
             for rel, text in files
             for pair in ((rel, text), (rel[:-4] + ".svg", artifacts.svg_from_series_csv(text)))
         ]
-    files = list(files) + [("manifest.json", artifacts.manifest_text(manifest))]
+    try:
+        files = list(files) + [("manifest.json", artifacts.manifest_text(manifest))]
+    except ValueError as e:
+        print("numeric failure: manifest: %s" % e, file=sys.stderr)
+        return 2
     for rel, text in files:
         artifacts.atomic_write_text(os.path.join(out_dir, rel), text)
     for line in lines:

@@ -822,16 +822,29 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
         return out
 
     letters = []
+    first_line = {}
     for b in blocks:
         label, label_line = b["label"]
+        if label in first_line:
+            raise GroupError(
+                "%s: duplicate label %r, first given on line %d"
+                % (at(label_line), label, first_line[label])
+            )
+        first_line[label] = label_line
         missing = [k for k in ("matrix", "domain", "kind") if k not in b]
         if missing:
             raise GroupError(
                 "generator %r (%s) is missing %s" % (label, at(label_line), ", ".join(missing))
             )
+        kind, kind_line = b["kind"]
+        if kind not in ("hyperbolic", "parabolic"):
+            raise GroupError(
+                "%s: generator %r: kind must be hyperbolic or parabolic, got %r"
+                % (at(kind_line), label, kind)
+            )
         mat = numbers(b, "matrix", 4, "entries")
         dom = numbers(b, "domain", 2, "endpoints")
-        letters.append(Generator(label, Isometry(*mat), b["kind"][0], (dom[0], dom[1])))
+        letters.append(Generator(label, Isometry(*mat), kind, (dom[0], dom[1])))
     return FuchsianGroup(letters, name=top.get("name", name))
 
 

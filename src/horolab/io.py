@@ -101,7 +101,9 @@ def read_csv_rows(path) -> list[dict]:
 
 
 def manifest_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; a NaN or infinite value raises ValueError,
+    since JSON has no literal for it."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ------------------------------------------------------------------- plots

@@ -235,7 +235,7 @@ def test_average_ps_empty_ball_raises(u8, m_sch):
 def test_flow_commutation_residual(sch, u8, m_sch):
     psi = _bumps(sch, "schottky")[0]
     for r, t in ((math.e ** 2, 1.0), (math.e ** 3, 2.5)):
-        assert flow_commutation_residual(u8, r, t, psi, m_sch, DELTA_SCH) < 1e-9
+        assert flow_commutation_residual(u8, [r], [t], psi, m_sch, DELTA_SCH).max() < 1e-9
 
 
 def test_average_lebesgue_basics(sch, u8):
@@ -511,8 +511,8 @@ def test_leaf_memo_stays_at_bound(sch, m_sch):
 
 
 def test_flow_commutation_builds_each_leaf_once(monkeypatch):
-    # with t outside r the memo holds u and g^-t u while r runs: one leaf per
-    # sigma and one per (sigma, t), 5 + 25 conditional measures in all
+    # one leaf per sigma and one per (sigma, t), 5 + 25 conditional measures
+    # in all
     built = []
 
     def counting(*args, **kwargs):
@@ -540,3 +540,119 @@ def test_foreign_group_bump_takes_fresh_path(sch, m_sch):
             assert same_bits(b, fresh_average(u, r, other, m_sch, DELTA_SCH))
             differ |= not same_bits(a, b)
     assert differ  # the two paths can be told apart on this leaf
+
+
+# ------------------------------------ flowed leaves, closure scan, ratio pair
+
+
+@pytest.mark.parametrize("name", ["schottky", "cusped"])
+def test_flowed_leaf_averages_match_fresh_computation(request, name):
+    group = request.getfixturevalue({"schottky": "sch", "cusped": "cus"}[name])
+    m = request.getfixturevalue({"schottky": "m_sch", "cusped": "m_cus"}[name])
+    delta = {"schottky": DELTA_SCH, "cusped": DELTA_CUS}[name]
+    base = _vector(group, name)
+    inner = _bumps(group, name)[:2] + [CuspHeightCap(group, NONDIV_HEIGHT)]
+    rng = np.random.default_rng(405)
+    orders = {
+        "ascending": LEAF_RADII,
+        "descending": LEAF_RADII[::-1],
+        "interleaved": tuple(LEAF_RADII[k] for k in rng.permutation(len(LEAF_RADII))),
+    }
+    for sigma, (label, radii) in zip((0.2, -0.5, 0.9), orders.items()):
+        u = horocycle_flow(base, sigma)
+        # one flow time over the whole ladder: the rows settle incrementally
+        for r in radii:
+            for f in inner:
+                got = average_ps(u, r, ShiftedFunction(f, 1.2), m, delta)
+                want = fresh_average(u, r, ShiftedFunction(f, 1.2), m, delta)
+                assert same_bits(got, want), (label, r, f.label)
+        leaf = averages._leaf(u, m, delta)
+        assert len(leaf.flow[2]) == np.count_nonzero(leaf.dist < max(radii))
+        # two flow times alternating on one leaf: each call starts the other over
+        for r in radii:
+            for t in (-0.9, 1.2, -0.9):
+                for f in inner:
+                    got = average_ps(u, r, ShiftedFunction(f, t), m, delta)
+                    want = fresh_average(u, r, ShiftedFunction(f, t), m, delta)
+                    assert same_bits(got, want), (label, r, t, f.label)
+        assert leaf.flow[0] == -0.9
+    # of the measure's leaves, only the most recently used keeps flowed rows
+    u = horocycle_flow(base, 0.3)
+    average_ps(u, LEAF_RADII[0], ShiftedFunction(inner[0], 1.0), m, delta)
+    *older, newest = m._leaves.values()
+    assert newest.flow is not None and all(leaf.flow is None for leaf in older)
+    # shifted integrands that evaluate frames their own way take the fresh path
+    for f in (ShiftedFunction(ConstantFunction(0.5), 1.0), ShiftedFunction(ShiftedFunction(inner[0], 0.5), 0.7)):
+        for r in LEAF_RADII[:3]:
+            assert same_bits(average_ps(u, r, f, m, delta), fresh_average(u, r, f, m, delta))
+
+
+def test_flow_commutation_grid_matches_cellwise_residuals(sch, u8, m_sch):
+    psi = _bumps(sch, "schottky")[0]
+    radii = (math.e, math.e ** 3, math.e ** 5)
+    times = (0.5, 2.0, 2.5)
+    res = flow_commutation_residual(u8, radii, times, psi, m_sch, DELTA_SCH)
+    assert res.shape == (len(times), len(radii))
+    for i, t in enumerate(times):
+        for j, r in enumerate(radii):
+            lhs = fresh_average(u8, r, psi, m_sch, DELTA_SCH)
+            rhs = fresh_average(
+                geodesic_flow(u8, -t), r * math.exp(-t), ShiftedFunction(psi, t), m_sch, DELTA_SCH
+            )
+            assert same_bits(res[i, j], abs(lhs - rhs)), (t, r)
+
+
+def test_closure_scan_matches_scalar_gaps(cus, monkeypatch):
+    # every candidate of every scan: the argmin picks the refine bracket, so
+    # each array gap must carry the scalar gap's bits, not only the argmin
+    scans = []
+    array_gaps = averages._closure_gaps
+
+    def recording(target, u, ts):
+        gaps = array_gaps(target, u, ts)
+        scans.append((target, u, ts, gaps))
+        return gaps
+
+    monkeypatch.setattr(averages, "_closure_gaps", recording)
+    u0 = from_coordinates(BoundaryPoint(0.0), INFINITY, 0.0)
+    periodic_closure(cus, "p")
+    periodic_closure(cus, "p", u=u0)
+    for s in (0.5, 1.0, 2.0, -0.5, -1.0, -2.0):
+        periodic_closure(cus, "p", u=geodesic_flow(u0, s))
+    assert len(scans) == 8
+    for target, u, ts, gaps in scans:
+        assert len(ts) == 4099
+        want = np.array([averages._closure_gap(target, u, float(t)) for t in ts])
+        assert gaps.tobytes() == want.tobytes()
+
+
+def test_ratio_pair_shares_grids_bit_for_bit(cus, u9, m_cus, monkeypatch):
+    psi, phi = _bumps(cus, "cusped")
+    cap = CuspHeightCap(cus, NONDIV_HEIGHT)
+    calls = []
+    settle = type(cus).settle_frames
+
+    def counting(self, frames):
+        calls.append(len(frames))
+        return settle(self, frames)
+
+    for t in EQUIDIST_RADII:
+        monkeypatch.setattr(type(cus), "settle_frames", counting)
+        calls.clear()
+        shared = averages._lebesgue_means(u9, t, [psi, phi, cap])
+        together = sum(calls)
+        monkeypatch.undo()
+        alone, rows = [], []
+        for f in (psi, phi, cap):
+            monkeypatch.setattr(type(cus), "settle_frames", counting)
+            calls.clear()
+            alone.append(average_lebesgue(u9, t, f))
+            rows.append(sum(calls))
+            monkeypatch.undo()
+        assert all(same_bits(a, b) for a, b in zip(shared, alone)), t
+        # the shared grids settle the rows of the deepest refinement once
+        assert together == max(rows), (t, together, rows)
+    alpha = HaarDensity("constant", measure=m_cus, exponent=DELTA_CUS)
+    ser = ratio_series(u9, psi, phi, EQUIDIST_RADII[:2], alpha)
+    for r, v in zip(EQUIDIST_RADII[:2], ser.values):
+        assert same_bits(v, average_lebesgue(u9, r, psi) / average_lebesgue(u9, r, phi))

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -127,6 +129,55 @@ def test_cli_frame_reduction_breakdown_exits_2(tmp_path, capsys):
     assert code == 2
     assert "numeric failure: frame reduction broke down" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["equidist", "mixing"])
+def test_cli_zero_reference_exits_2(experiment, tmp_path, capsys):
+    # the cusped default bumps lie over the funnel, outside the convex core,
+    # so their invariant integral is exactly 0 and no relative gap exists
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([experiment, "--out", str(out), "--override", "group=builtin:cusped"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: the invariant integral of psi1 is 0")
+    assert not out.exists()
+
+
+def test_cli_non_finite_manifest_value_exits_2(tmp_path, capsys, monkeypatch):
+    import horolab.cli as cli
+
+    def runner(st, args):
+        return [("closure.csv", "x\n")], [], {"final_rel": math.nan}, False
+
+    monkeypatch.setitem(cli.RUNNERS, "closure", runner)
+    out = tmp_path / "out"
+    assert main(["closure", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numeric failure: manifest: ")
+    assert not out.exists()
+
+
+def test_cli_equidist_cusped_core_bump(tmp_path, capsys):
+    # the README example: a bump over the convex core has a nonzero reference
+    out = tmp_path / "out"
+    code = main(["equidist", "--out", str(out), "--override", "group=builtin:cusped",
+                 "--override", "radii=7.39 54.6 403.4", "--override", "bump1=0 1 0"])
+    assert code == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all(math.isfinite(s["final_rel"]) and s["reference"] > 0 for s in manifest["series"])
+
+
+def test_python_m_horolab_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    done = subprocess.run([sys.executable, "-m", "horolab", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: horolab")
 
 
 @pytest.fixture
@@ -275,8 +326,19 @@ def test_cli_group_info_stdout(tmp_path, capsys):
             "label = a\nmatrix = 2 3 1 2\ndomain = 1 x\nkind = hyperbolic\n",
             "{path} line 3: generator 'a': could not convert string to float: 'x'",
         ),
+        (
+            "label = a\nmatrix = 2 3 1 2\ndomain = 1 3\nkind = elliptic\n",
+            "{path} line 4: generator 'a': kind must be hyperbolic or parabolic, got 'elliptic'",
+        ),
+        (
+            "label = a\nmatrix = 2 3 1 2\ndomain = 1 3\nkind = hyperbolic\n\nlabel = a\n",
+            "{path} line 6: duplicate label 'a', first given on line 1",
+        ),
     ],
-    ids=["not-key-value", "missing-keys", "matrix-count", "domain-count", "not-a-number"],
+    ids=[
+        "not-key-value", "missing-keys", "matrix-count", "domain-count", "not-a-number",
+        "elliptic-kind", "duplicate-label",
+    ],
 )
 def test_cli_group_file_parse_error_names_file(text, message, tmp_path, capsys):
     path = tmp_path / "bad.group"
@@ -367,6 +429,12 @@ def test_svg_helpers(tmp_path):
     assert svg.startswith("<svg") and "demo" in svg
     with pytest.raises(ValueError):
         svg_from_series_csv("abscissa,value,reference,experiment_id,seed\n")
+
+
+def test_manifest_text_rejects_nan_and_infinity():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            manifest_text({"final_rel": bad})
 
 
 def test_manifest_text_sorted_and_parseable():
