@@ -613,7 +613,9 @@ def mixing_series(
 
     The t-th value is the mean of psi o g^t over B(u, r); the series tends
     to the invariant integral of psi as the flow stretches the ball across
-    the non-wandering set.
+    the non-wandering set. That reference is ps_integral(psi), which the
+    measure caches per integrand object, so a psi already integrated on
+    this measure is not evaluated again.
     """
     leaf = _leaf(u, measure, hat_delta)
     values = [leaf.average(r, ShiftedFunction(psi, float(t))) for t in times]

@@ -53,6 +53,10 @@ _CHILD_CHUNK = 16384
 # rounds a frame reduction may take before it is declared stuck
 _SETTLE_ROUNDS = 4000
 
+# the largest upper bound a cyclic count doubles to, so its bisection stays
+# below 2**61 powers, far from int64 overflow
+_CYCLIC_BOUND = 2**60
+
 # global tally of words materialized by breadth-first enumeration, for run manifests
 _enumerated_words = 0
 
@@ -468,24 +472,42 @@ class FuchsianGroup:
             d = (ln * (m[1, 1] - 1.0 / lam) - lni * (m[1, 1] - lam)) / den
         return _displacement_from_entries(a, b, c, d)
 
-    def _cyclic_max_power(self, radius: float) -> int:
-        if self._cyclic_power_displacement(1.0) > radius:
-            return 0
-        hi = 1
-        while self._cyclic_power_displacement(float(2 * hi)) <= radius and hi < 2 ** 60:
-            hi *= 2
-        lo = hi
-        hi = 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._cyclic_power_displacement(float(mid)) <= radius:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def _cyclic_max_power(self, radii) -> np.ndarray:
+        """Largest power n >= 0 with d(o, g^n o) <= radius, for each radius
+        of the 1-D array radii, as int64.
+
+        One bisection runs over all radii at once: each radius doubles its
+        upper bound from 1 until the displacement of twice the bound passes
+        it, then halves the gap, comparing the same powers a search for that
+        radius alone would. A radius that takes 2**61 powers or more raises
+        GroupError: its count no longer fits the search.
+        """
+        radii = np.asarray(radii, dtype=float)
+        disp = self._cyclic_power_displacement
+        lo = np.where(disp(np.ones(len(radii))) > radii, 0, 1).astype(np.int64)
+        # rows whose bound still doubles
+        grow = np.flatnonzero(lo)
+        while len(grow):
+            grow = grow[disp(2.0 * lo[grow]) <= radii[grow]]
+            over = grow[lo[grow] == _CYCLIC_BOUND]
+            if len(over):
+                raise GroupError(
+                    "radius %.6g holds 2**61 or more powers of the cyclic letter; "
+                    "its orbit count is out of range" % radii[over[0]]
+                )
+            lo[grow] *= 2
+        hi = np.where(lo > 0, 2 * lo, 1)
+        while True:
+            wide = np.flatnonzero(hi - lo > 1)
+            if not len(wide):
+                return lo
+            mid = (lo[wide] + hi[wide]) // 2
+            below = disp(mid.astype(float)) <= radii[wide]
+            lo[wide[below]] = mid[below]
+            hi[wide[~below]] = mid[~below]
 
     def cyclic_count(self, radius: float) -> int:
-        return 1 + 2 * self._cyclic_max_power(radius)
+        return 1 + 2 * int(self._cyclic_max_power([radius])[0])
 
     # ------------------------------------------------------------ reduction
 
@@ -537,6 +559,12 @@ class FuchsianGroup:
         rounds, raises GroupError. Whole parabolic shift powers are applied
         in one round, so a cusp excursion does not cost one round per letter.
 
+        A round gathers each live row's leaving matrix (the inverse of its
+        letter, or the parabolic_jump power) and applies them all with one
+        stacked matmul. numpy rounds each 2x2 product the same way whatever
+        the batch and its layout, so this gives the bits of moving the rows
+        letter by letter.
+
         A row also settles where it is when it lands in the half-disk of the
         inverse of the letter whose half-disk it just left. In exact
         arithmetic the move out of a half-disk never lands in its partner's,
@@ -558,29 +586,33 @@ class FuchsianGroup:
                 x, y = frame_point(sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1])
                 hit = self.containing_letter(x, y)
                 live = (hit >= 0) & (hit != back)
-                if not live.all():
-                    done = ~live
-                    if not np.all(np.isfinite(x[done]) & np.isfinite(y[done]) & (y[done] > 0)):
+                keep = np.flatnonzero(live)
+                if len(keep) < len(live):
+                    done = np.flatnonzero(~live)
+                    xd, yd = np.take(x, done), np.take(y, done)
+                    if not np.all(np.isfinite(xd) & np.isfinite(yd) & (yd > 0)):
                         raise GroupError(
                             "frame reduction broke down: a base point is not finite or on the boundary"
                         )
-                    settled[active[done]] = sub[done]
-                    moves[active[done]] = n
-                    if not live.any():
+                    rows = np.take(active, done)
+                    settled[rows] = np.take(sub, done, axis=0)
+                    moves[rows] = n
+                    if not len(keep):
                         return settled, moves
-                    active, sub, x, y, hit = active[live], sub[live], x[live], y[live], hit[live]
+                    active, sub, x, y, hit = (
+                        np.take(v, keep, axis=0) for v in (active, sub, x, y, hit)
+                    )
                 back = hit ^ np.int16(1)  # order puts each letter's inverse at k ^ 1
+                # each row's leaving matrix; parabolic rows jump whole powers
+                leave = np.take(self._leave_mats, hit, axis=0)
                 for k, label in enumerate(self.order):
-                    pts = np.flatnonzero(hit == k)
-                    if not pts.size:
-                        continue
-                    g = self.letters[label]
-                    if g.kind == "parabolic":
-                        _, power = self.parabolic_jump(label, x[pts], y[pts])
-                        sub[pts] = power @ sub[pts]
-                    else:
-                        sub[pts] = self._leave_mats[k][None] @ sub[pts]
-                sub = renormalized(sub)
+                    if self.letters[label].kind == "parabolic":
+                        pts = np.flatnonzero(hit == k)
+                        if pts.size:
+                            leave[pts] = self.parabolic_jump(label, x[pts], y[pts])[1]
+                sub = np.matmul(leave, sub)
+                del leave  # kept into the next round it would raise the peak by a stack
+                sub /= np.sqrt(_determinants(sub))[:, None, None]
         raise GroupError("vectorized reduction did not settle in %d rounds" % _SETTLE_ROUNDS)
 
     def reduce_frames(self, frames: np.ndarray) -> np.ndarray:
@@ -620,7 +652,7 @@ def critical_exponent(
     if len(grid) == 0:
         raise GroupError("radius %.3g is below the grid step %.3g: empty count grid" % (t_max, grid_step))
     if group.rank == 1:
-        counts = np.array([group.cyclic_count(t) for t in grid], dtype=float)
+        counts = (1 + 2 * group._cyclic_max_power(grid)).astype(float)
     else:
         parts = [np.zeros(1)]
         for _, disp, *_ in group._level_arrays(None, t_max):
@@ -657,8 +689,12 @@ def check_parabolic_growth(group: FuchsianGroup, t_max: float = 30.0, grid_step:
     lab = group.order[0] if group.order[0].islower() else group.order[1]
     if group.letters[lab].kind != "parabolic":
         raise GroupError("parabolic growth check needs a parabolic generator")
+    if not grid_step > 0:
+        raise GroupError("grid step must be positive, got %r" % (grid_step,))
     grid = np.arange(1.0, t_max + 0.5 * grid_step, grid_step)
-    counts = np.array([group.cyclic_count(t) for t in grid], dtype=float)
+    if len(grid) == 0:
+        raise GroupError("radius %.3g is below 1: empty count grid" % t_max)
+    counts = (1 + 2 * group._cyclic_max_power(grid)).astype(float)
     ratio = counts * np.exp(-0.5 * grid)
     return float(max(ratio.max(), (1.0 / ratio).max()))
 

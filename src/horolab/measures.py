@@ -89,6 +89,7 @@ class AtomicBoundaryMeasure:
     log_weights: np.ndarray
     displacements: np.ndarray
     lengths: np.ndarray
+    # pair fields and each integrand's estimate on them, see quadrature_report
     _pair_cache: dict = field(default_factory=dict, repr=False)
     # most recent leaves of averages.average_ps and its kin, by (frame, exponent)
     _leaves: dict = field(default_factory=dict, repr=False)
@@ -396,10 +397,13 @@ def _uniform_step(t_grid, what):
 def _pair_field(measure, hat_delta, t_grid, top_k):
     """Fundamental-domain samples of the geodesic-pair quadrature.
 
-    Returns flat arrays (x, y, theta, weight); the weight already carries
-    both atom masses, the boundary-separation kernel and the grid cell
-    width. Cached on the measure: the field is integrand-independent, so
-    several test functions share one geometry pass.
+    Returns (field, estimates). The field holds flat arrays (x, y, theta,
+    weight); the weight already carries both atom masses, the
+    boundary-separation kernel and the grid cell width. Both are cached on
+    the measure, keyed by (exponent, grid contents, top_k): the field is
+    integrand-independent, so several test functions share one geometry
+    pass, and estimates is the dict in which quadrature_report keeps what
+    each integrand gave on this field.
     """
     dt = _uniform_step(t_grid, "leaf-coordinate")
     key = (round(hat_delta, 12), t_grid.tobytes(), top_k)
@@ -457,7 +461,7 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
             parts.append((X[mask], Y[mask], frame_angle(C[mask], D[mask]), w[lo + row[mask]]))
     if not parts:
         raise MeasureError("pair quadrature found no fundamental-domain samples")
-    out = tuple(np.concatenate([p[k] for p in parts]) for k in range(4))
+    out = tuple(np.concatenate([p[k] for p in parts]) for k in range(4)), {}
     measure._pair_cache[key] = out
     return out
 
@@ -475,6 +479,8 @@ def ps_integral(
     uniform leaf-coordinate grid, keeping only samples that lie in the
     fundamental domain (reduce word the identity); the same sum with the
     constant one divides out, so a constant integrates to itself exactly.
+    This is the estimate of quadrature_report, which caches it on the
+    measure.
     """
     return quadrature_report(psi, measure, hat_delta, t_grid, top_k)[0]
 
@@ -486,16 +492,29 @@ def quadrature_report(
     t_grid: np.ndarray | None = None,
     top_k: int = 220,
 ) -> tuple[float, int, float]:
-    """ps_integral together with its quadrature size: (estimate, cells, step)."""
+    """ps_integral together with its quadrature size: (estimate, cells, step).
+
+    The measure keeps, per (exponent, grid contents, top_k), the pair field
+    and the report of every integrand asked for on it, so each integrand is
+    evaluated once per field. Integrands are keyed by identity, not by
+    value: the cache holds each one, so its id cannot be reused while its
+    entry lasts, and an equal but distinct integrand is evaluated afresh.
+    An integrand must therefore not change once it has been integrated.
+    """
     if t_grid is None:
         t_grid = np.arange(-8.0, 8.0 + 1e-9, 0.05)
     t_grid = np.asarray(t_grid, dtype=float)
-    x, y, th, w = _pair_field(measure, hat_delta, t_grid, top_k)
+    (x, y, th, w), estimates = _pair_field(measure, hat_delta, t_grid, top_k)
+    hit = estimates.get(id(psi))
+    if hit is not None:
+        return hit[1]
     den = float(np.sum(w))
     if den <= 0.0:
         raise MeasureError("empty normalizer in the pair quadrature")
     est = float(np.sum(w * _evaluate(psi, x, y, th))) / den
-    return est, int(len(w)), float(t_grid[1] - t_grid[0])
+    report = est, int(len(w)), float(t_grid[1] - t_grid[0])
+    estimates[id(psi)] = (psi, report)
+    return report
 
 
 def _plaque_support(disk, xi, E):

@@ -131,6 +131,17 @@ def test_cli_frame_reduction_breakdown_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_cyclic_count_out_of_range_exits_2(tmp_path, capsys):
+    # the unit shift passes 2**61 powers at radius 84.56; the fit read the
+    # capped counts and reported an exponent of 0.333 with exit 0
+    out = tmp_path / "out"
+    code = main(["exponent", "--out", str(out), "--override", "group=unit-parabolic",
+                 "--override", "t_max=100"])
+    assert code == 2
+    assert "numeric failure: radius 85 holds 2**61 or more powers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment", ["equidist", "mixing"])
 def test_cli_zero_reference_exits_2(experiment, tmp_path, capsys):
     # the cusped default bumps lie over the funnel, outside the convex core,

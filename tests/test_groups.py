@@ -234,14 +234,50 @@ def test_orbit_count_against_brute_force():
         assert got == 1 + sum(1 for d in brute.values() if d <= radius)
 
 
+def parabolic_max_power(radius):
+    """Largest n with 2 asinh(n/2) <= radius, the displacement of the n-th
+    power of the unit shift, counted up from just below 2 sinh(radius/2)."""
+    n = max(int(2.0 * math.sinh(0.5 * radius)) - 2, 0)
+    assert n == 0 or 2.0 * math.asinh(0.5 * n) <= radius
+    while 2.0 * math.asinh(0.5 * (n + 1)) <= radius:
+        n += 1
+    return n
+
+
+def cyclic_hyperbolic_group():
+    """The cyclic group of a = [[2, 3], [1, 2]], and the displacement of a^n
+    from the entry formula on the product of n copies of a."""
+    a = Isometry(2.0, 3.0, 1.0, 2.0)
+    g = FuchsianGroup(
+        [
+            Generator("a", a, "hyperbolic", (1.0, 3.0)),
+            Generator("A", a.inverse(), "hyperbolic", (-3.0, -1.0)),
+        ],
+        name="cyclic-a",
+    )
+
+    def disp(n):
+        m = Isometry.identity()
+        for _ in range(n):
+            m = m @ a
+        return g.displacement(m)
+
+    return g, disp
+
+
+def hyperbolic_max_power(disp, radius):
+    n = 0
+    while disp(n + 1) <= radius:
+        n += 1
+    return n
+
+
 def test_cyclic_fast_path_matches_brute_force():
     g = unit_parabolic_group()
     radii = (1.0, 3.0, 6.0, 9.0)
     want = []
     for radius in radii:
-        n = 0
-        while 2.0 * math.asinh(0.5 * (n + 1)) <= radius:
-            n += 1
+        n = parabolic_max_power(radius)
         want.append(1 + 2 * n)
         assert g.cyclic_count(radius) == 1 + 2 * n
     assert grid_counts(g, radii) == want
@@ -252,30 +288,48 @@ def test_cyclic_fast_path_matches_brute_force():
 
 
 def test_cyclic_hyperbolic_count():
-    a = Isometry(2.0, 3.0, 1.0, 2.0)
-    g = FuchsianGroup(
-        [
-            Generator("a", a, "hyperbolic", (1.0, 3.0)),
-            Generator("A", a.inverse(), "hyperbolic", (-3.0, -1.0)),
-        ],
-        name="cyclic-a",
-    )
-    # displacement of a^n from the entry formula
-    def disp(n):
-        m = Isometry.identity()
-        for _ in range(n):
-            m = m @ a
-        return g.displacement(m)
-
+    g, disp = cyclic_hyperbolic_group()
     radii = (3.0, 6.0, 12.0, 20.0)
     want = []
     for radius in radii:
-        n = 0
-        while disp(n + 1) <= radius:
-            n += 1
+        n = hyperbolic_max_power(disp, radius)
         want.append(1 + 2 * n)
         assert g.cyclic_count(radius) == 1 + 2 * n
     assert grid_counts(g, radii) == want
+
+
+# the radii of the parabolic growth check: 1 to 30 in steps of 0.25
+GROWTH_GRID = np.arange(1.0, 30.0 + 0.125, 0.25)
+
+
+def test_cyclic_counts_on_growth_grid():
+    # one bisection over the whole grid counts what each radius alone does
+    assert len(GROWTH_GRID) == 117
+    g = unit_parabolic_group()
+    want = np.array([1 + 2 * parabolic_max_power(r) for r in GROWTH_GRID])
+    assert np.array_equal(1 + 2 * g._cyclic_max_power(GROWTH_GRID), want)
+    assert [g.cyclic_count(float(r)) for r in GROWTH_GRID] == list(want)
+    ratio = want * np.exp(-0.5 * GROWTH_GRID)
+    assert check_parabolic_growth(g) == max(ratio.max(), (1.0 / ratio).max())
+    h, disp = cyclic_hyperbolic_group()
+    want = np.array([1 + 2 * hyperbolic_max_power(disp, r) for r in GROWTH_GRID])
+    assert np.array_equal(1 + 2 * h._cyclic_max_power(GROWTH_GRID), want)
+    assert np.array_equal(critical_exponent(h, 30.0, grid_step=0.25, min_points=0).counts[3:], want)
+
+
+def test_cyclic_count_out_of_range_names_the_radius():
+    # 2 asinh(2**60) = 84.56: from there on a count passes 2**62 and the
+    # bisection once returned 4.6e18 for every radius, so the exponent fit
+    # at t_max = 100 read 0.333 instead of 0.5
+    g = unit_parabolic_group()
+    with pytest.raises(GroupError, match=r"radius 85 holds 2\*\*61 or more powers"):
+        critical_exponent(g, 100.0)
+    with pytest.raises(GroupError, match=r"radius 100 holds"):
+        g.cyclic_count(100.0)
+    with pytest.raises(GroupError, match=r"radius 84.75 holds"):
+        check_parabolic_growth(g, t_max=100.0)
+    # just below the edge the count is still taken
+    assert 2**61 < g.cyclic_count(84.5) < 2**62
 
 
 # ---------------------------------------------------------------- exponents
@@ -294,6 +348,20 @@ def test_parabolic_growth_constant_small():
 def test_parabolic_growth_needs_parabolic_cyclic():
     with pytest.raises(GroupError):
         check_parabolic_growth(schottky_group())
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param(dict(t_max=0.5), id="empty-grid"),
+        pytest.param(dict(grid_step=0.0), id="zero-step"),
+        pytest.param(dict(grid_step=-0.25), id="negative-step"),
+        pytest.param(dict(grid_step=float("nan")), id="nan-step"),
+    ],
+)
+def test_parabolic_growth_rejects_empty_grid(kwargs):
+    with pytest.raises(GroupError, match="empty count grid|grid step must be positive"):
+        check_parabolic_growth(unit_parabolic_group(), **kwargs)
 
 
 def test_schottky_exponent_stable_in_radius():

@@ -1,23 +1,52 @@
-"""The two level-by-level group kernels against their per-letter form.
+"""The level-by-level group kernels against their per-letter form.
 
 _level_arrays builds each enumeration level in one pass (every child found
-by one index pass, products formed in chunks of rows) and reduce_frames
-moves only the frames still live, on a compact stack. The oracles below are
-the versions they replaced: one gather, product and renormalization per
-letter, then concatenation; and a reduction that gathers and scatters the
-active rows of the full stack each round. Both rewrites do the same float
-operations on the same operands in the same order, so every output must be
-equal bit for bit. scalar_reduce is the reduction one frame at a time, with
-the word it peels, which the group tests check against the group action.
+by one index pass, products formed in chunks of rows); reduce_frames moves
+only the frames still live, on a compact stack; and settle_frames moves
+every live row of a round with one product against a gathered stack of
+leaving matrices. The oracles below are the versions they replaced: one
+gather, product and renormalization per letter, then concatenation; a
+reduction that gathers and scatters the active rows of the full stack each
+round; and a settling loop with a gather, a product and a scatter per
+letter. The rewrites do the same float operations on the same operands in
+the same order (numpy's 2x2 matmul rounds each row the same way whatever
+the batch and its layout), so every output must be equal bit for bit.
+scalar_reduce is the reduction one frame at a time, with the word it
+peels, which the group tests check against the group action.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from horolab import groups
-from horolab.defaults import cusped_group, resolve_group, schottky_group, unit_parabolic_group
-from horolab.geometry import Isometry, UnitTangent, frame_point
-from horolab.groups import _displacement_from_entries, enumerated_word_count, reset_word_counter
+from horolab.averages import _flowed, _leaf_frames
+from horolab.defaults import (
+    MIXING_TIMES,
+    Loader,
+    cusped_group,
+    resolve_group,
+    schottky_group,
+    unit_parabolic_group,
+)
+from horolab.geometry import (
+    INFINITY,
+    BoundaryPoint,
+    Isometry,
+    UnitTangent,
+    frame_point,
+    from_coordinates,
+    geodesic_flow,
+    horocycle_flow,
+)
+from horolab.groups import (
+    GroupError,
+    _displacement_from_entries,
+    enumerated_word_count,
+    renormalized,
+    reset_word_counter,
+)
 
 from conftest import conjugate, iwasawa
 
@@ -117,6 +146,44 @@ def gather_scatter_reduce(group, frames, max_steps=4000):
         frames[active] /= np.sqrt(det)[:, None, None]
         active = active[live]
     raise AssertionError("oracle reduction did not settle")
+
+
+def letter_loop_settle(group, frames):
+    """settle_frames with one gather, product and scatter per letter and
+    round, and boolean masks to settle and compact the live stack."""
+    settled = np.array(frames, dtype=float)
+    moves = np.zeros(len(settled), dtype=np.int64)
+    if not len(settled):
+        return settled, moves
+    active = np.arange(len(settled))
+    sub = settled
+    back = np.full(len(settled), -1, dtype=np.int16)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(groups._SETTLE_ROUNDS):
+            x, y = frame_point(sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1])
+            hit = group.containing_letter(x, y)
+            live = (hit >= 0) & (hit != back)
+            if not live.all():
+                done = ~live
+                if not np.all(np.isfinite(x[done]) & np.isfinite(y[done]) & (y[done] > 0)):
+                    raise GroupError("oracle settling: a base point is not finite")
+                settled[active[done]] = sub[done]
+                moves[active[done]] = n
+                if not live.any():
+                    return settled, moves
+                active, sub, x, y, hit = active[live], sub[live], x[live], y[live], hit[live]
+            back = hit ^ np.int16(1)
+            for k, label in enumerate(group.order):
+                pts = np.flatnonzero(hit == k)
+                if not pts.size:
+                    continue
+                if group.letters[label].kind == "parabolic":
+                    _, power = group.parabolic_jump(label, x[pts], y[pts])
+                    sub[pts] = power @ sub[pts]
+                else:
+                    sub[pts] = group._leave_mats[k][None] @ sub[pts]
+            sub = renormalized(sub)
+    raise AssertionError("oracle settling did not settle")
 
 
 def same_bits(a, b):
@@ -242,3 +309,61 @@ def test_reduce_frames_keeps_input_and_empty_stack():
     assert same_bits(frames, before)
     assert g.reduce_frames(np.zeros((0, 2, 2))).shape == (0, 2, 2)
     assert np.all(np.isfinite(g.reduce_frames(frames)))
+
+
+def assert_same_settle(group, frames):
+    settled, moves = group.settle_frames(frames)
+    want_settled, want_moves = letter_loop_settle(group, frames)
+    assert same_bits(settled, want_settled)
+    assert same_bits(moves, want_moves)
+    return moves
+
+
+@pytest.mark.parametrize("name", ["schottky", "cusped"])
+def test_settle_frames_matches_letter_loop_on_leaves(name):
+    g = resolve_group(name)
+    rng = np.random.default_rng(9090)
+    u, _ = Loader(name).vector()
+    # the ball averages' leaf frames at random leaf parameters
+    s = rng.choice([-1.0, 1.0], 2000) * np.exp(rng.uniform(-3.0, 9.0, 2000))
+    leaf = _leaf_frames(u, s)
+    moves = assert_same_settle(g, leaf)
+    assert moves.max() >= 4
+    # the mixing and flow-commutation stacks: leaf frames flowed both ways
+    for t in MIXING_TIMES[1::3] + (-0.5, -2.5):
+        assert_same_settle(g, _flowed(leaf, t))
+    # the arc-length Simpson grid out to radius e^6 and its first halving
+    for n in (1025, 2049):
+        assert_same_settle(g, _leaf_frames(u, np.linspace(-math.exp(6.0), math.exp(6.0), n)))
+
+
+def test_settle_frames_matches_letter_loop_on_cusp_excursions():
+    g = cusped_group()
+    frames = cusp_excursion_stack(g, np.random.default_rng(7203), 400)
+    _, y = frame_point(frames[:, 0, 0], frames[:, 0, 1], frames[:, 1, 0], frames[:, 1, 1])
+    assert np.median(y) < 1e-4  # deep in the corridor
+    # whole shift powers take each excursion out in one round or two
+    assert set(assert_same_settle(g, frames)) == {1, 2}
+
+
+def test_settle_frames_matches_letter_loop_on_paired_circles():
+    # the frames that ping-ponged between a parabolic letter's circles
+    g = cusped_group()
+    u = from_coordinates(BoundaryPoint(0.0), INFINITY, 0.0)
+    frames = np.array([
+        np.reshape(geodesic_flow(horocycle_flow(u, s), float(t)).frame.entries(), (2, 2))
+        for t in range(1, 6)
+        for s in (2.0, -2.0)
+    ])
+    assert_same_settle(g, frames)
+
+
+def test_settle_frames_matches_letter_loop_on_empty_and_non_finite_stacks():
+    g = cusped_group()
+    assert_same_settle(g, np.zeros((0, 2, 2)))
+    frame = np.array(UnitTangent(iwasawa(0.3, 0.2, 0.4)).frame.entries()).reshape(1, 2, 2)
+    stack = np.concatenate([frame, np.full((1, 2, 2), np.nan), frame])
+    with pytest.raises(GroupError, match="not finite"):
+        g.settle_frames(stack)
+    with pytest.raises(GroupError, match="not finite"):
+        letter_loop_settle(g, stack)

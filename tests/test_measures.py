@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from horolab.measures import (
     conditional_on_horocycle,
     conformality_defect,
     ps_integral,
+    quadrature_report,
 )
 from horolab.averages import Integrand, TestFunction, build_vector, pointed_frame
 from horolab.geometry import geodesic_flow, horocycle_flow
@@ -252,6 +254,45 @@ def test_ps_integral_mirror_pair(sch, m_sch):
 def test_ps_integral_vanishes_off_support(sch, m_sch):
     psi = TestFunction(sch, pointed_frame(0.0, 60.0, 0.0), base_width=0.4, angle_width=0.8)
     assert ps_integral(psi, m_sch, DELTA_SCH) == 0.0
+
+
+class _Counted(Integrand):
+    """A bump that counts its evaluate_points calls."""
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.calls = 0
+
+    def evaluate_points(self, x, y, theta):
+        self.calls += 1
+        return self.psi.evaluate_points(x, y, theta)
+
+
+def test_quadrature_report_evaluates_each_integrand_once_per_field(sch, m_sch):
+    # a coarse grid and few atoms keep the cached fields small
+    t = np.arange(-8.0, 8.0 + 1e-9, 0.1)
+    measure = dataclasses.replace(m_sch, _pair_cache={})
+    bump = TestFunction(sch, pointed_frame(0.0, 1.4, 0.0), base_width=1.2, angle_width=1.8)
+    psi = _Counted(bump)
+    first = quadrature_report(psi, measure, DELTA_SCH, t_grid=t, top_k=40)
+    assert psi.calls == 1
+    assert quadrature_report(psi, measure, DELTA_SCH, t_grid=t.copy(), top_k=40) == first
+    assert ps_integral(psi, measure, DELTA_SCH, t_grid=t, top_k=40) == first[0]
+    assert psi.calls == 1
+    # an equal integrand that is another object, another grid and another
+    # atom count each miss
+    other = _Counted(bump)
+    assert quadrature_report(other, measure, DELTA_SCH, t_grid=t, top_k=40) == first
+    assert other.calls == 1
+    quadrature_report(psi, measure, DELTA_SCH, t_grid=t + 0.05, top_k=40)
+    assert psi.calls == 2
+    quadrature_report(psi, measure, DELTA_SCH, t_grid=t, top_k=41)
+    assert psi.calls == 3
+    assert len(measure._pair_cache) == 3
+    # the cached estimate is the estimate of a measure that caches nothing yet
+    fresh = dataclasses.replace(m_sch, _pair_cache={})
+    again = quadrature_report(_Counted(bump), fresh, DELTA_SCH, t_grid=t, top_k=40)
+    assert [float(v).hex() for v in again] == [float(v).hex() for v in first]
 
 
 def test_br_integral_normalization_and_frozen(cus, m_cus):
