@@ -402,8 +402,12 @@ def run_exponent(st: Settings, args):
             "%s: key %r: t_max %g below grid_step %g leaves no count grid"
             % (st.where(key), key, t_max, grid_step)
         )
-    window = st.get("window", "float", None)
+    window = st.get("window", "positive", None)
     min_points = st.get("min_points", "int", 1000)
+    if min_points < 0:
+        raise ConfigError(
+            "%s: key 'min_points': expected at least 0, got %d" % (st.where("min_points"), min_points)
+        )
     fit = critical_exponent(
         loader.group, t_max=t_max, window=window, grid_step=grid_step, min_points=min_points
     )

@@ -142,6 +142,71 @@ def _displacement_from_entries(a, b, c, d):
     return np.arccosh(np.maximum(s, 1.0))
 
 
+def _displacement(mats: np.ndarray) -> np.ndarray:
+    return _displacement_from_entries(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+
+
+def _run_bound(mats: np.ndarray, wn: np.ndarray, cap: float) -> np.ndarray:
+    """For each row, a power past the last n with d(i, (w + n wN) i) <= cap,
+    as int64 and at least 1, given w and wN.
+
+    That displacement is at most cap where the convex quadratic
+    |w + n wN|^2 = |w|^2 + 2 n <w, wN> + n^2 |wN|^2 is at most 2 cosh(cap);
+    its larger root, floored, plus 2 leaves a margin for rounding. Without
+    a real root the first power is already past cap. For a letter that is
+    parabolic only up to rounding, w p^n = alpha_n w + beta_n wN (see
+    _RunPowers) strays from w + n wN, so the bound is a first guess.
+    """
+    a = np.einsum("kij,kij->k", mats, mats)
+    b = np.einsum("kij,kij->k", mats, wn)
+    c = np.einsum("kij,kij->k", wn, wn)
+    lim = 2.0 * math.cosh(cap)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(b * b - c * (a - lim))
+        # the larger root of c n^2 + 2 b n + a - lim, without cancellation
+        top = np.where(b < 0.0, (root - b) / c, (lim - a) / (b + root))
+    end = np.ones(len(mats), dtype=np.int64)
+    real = np.isfinite(top) & (top >= 0.0)
+    end[real] = top[real].astype(np.int64) + 2
+    return end
+
+
+class _RunPowers:
+    """Powers of parabolic letters as p^n = alpha_n I + beta_n N, up to sign.
+
+    N is the nilpotent of each letter's own matrix, p = I + N up to sign. A
+    letter read from a file is parabolic only up to rounding, so N^2 = t N -
+    d I with t = tr N and d = det N (Cayley-Hamilton) need not vanish, and
+    w + n wN would drift from w p^n over a long run. The tables hold alpha_n
+    and beta_n for n = 0..L, one row per letter, and double on demand by
+    p^(L+j) = p^L p^j:
+        alpha_(L+j) = alpha_L alpha_j - d beta_L beta_j,
+        beta_(L+j) = alpha_L beta_j + beta_L alpha_j + t beta_L beta_j.
+    For an exact parabolic alpha_n = 1 and beta_n = n exactly.
+    """
+
+    def __init__(self, mats: np.ndarray):
+        sign = np.where(mats[:, 0, 0] + mats[:, 1, 1] < 0.0, -1.0, 1.0)
+        self.nil = sign[:, None, None] * mats - np.eye(2)
+        self.t = self.nil[:, 0, 0] + self.nil[:, 1, 1]
+        self.d = _determinants(self.nil)
+        self.alpha = np.ones((len(mats), 2))
+        self.beta = np.tile([0.0, 1.0], (len(mats), 1))
+
+    def coefficients(self, letter: np.ndarray, n: np.ndarray):
+        """(alpha_n, beta_n) of each row's letter, n an int64 array >= 0."""
+        while n.max(initial=0) >= self.alpha.shape[1]:
+            a, b = self.alpha, self.beta
+            al, bl = a[:, -1:], b[:, -1:]
+            self.alpha = np.concatenate(
+                [a, al * a[:, 1:] - self.d[:, None] * bl * b[:, 1:]], axis=1
+            )
+            self.beta = np.concatenate(
+                [b, al * b[:, 1:] + bl * a[:, 1:] + self.t[:, None] * bl * b[:, 1:]], axis=1
+            )
+        return self.alpha[letter, n], self.beta[letter, n]
+
+
 @dataclass(frozen=True)
 class Generator:
     """One group letter: a matrix with its ping-pong target interval.
@@ -419,30 +484,128 @@ class FuchsianGroup:
         _charge_words(1 + nl)  # identity plus the first level
         level = 1
         while max_len is None or level <= max_len:
-            disp = _displacement_from_entries(
-                mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
-            )
+            disp = _displacement(mats)
             if cap is not None:
-                keep = disp <= cap
-                mats, disp, last, parent = mats[keep], disp[keep], last[keep], parent[keep]
+                keep = np.flatnonzero(disp <= cap)
+                mats, disp, last, parent = (
+                    np.take(v, keep, axis=0) for v in (mats, disp, last, parent)
+                )
             if not len(mats):
                 break
             yield mats, disp, last, parent
             if level == max_len:
                 break
-            # every reduced child at once, letter-major: row j of ok marks
-            # the parents that letter j extends
-            ok = last[None, :] != self._inv_index[:, None]
-            last, parent = np.nonzero(ok)
-            child = np.empty((len(parent), 2, 2))
-            for lo in range(0, len(parent), _CHILD_CHUNK):
-                sl = slice(lo, lo + _CHILD_CHUNK)
-                np.matmul(mats[parent[sl]], self._mats[last[sl]], out=child[sl])
-            det = child[:, 0, 0] * child[:, 1, 1] - child[:, 0, 1] * child[:, 1, 0]
-            child /= np.sqrt(det)[:, None, None]
-            mats = child
+            # every reduced child at once, letter-major: row j of the mask
+            # marks the parents that letter j extends
+            last, parent = np.nonzero(last[None, :] != self._inv_index[:, None])
+            mats = self._children(mats, parent, last)
             _charge_words(len(mats))
             level += 1
+
+    def _children(self, mats: np.ndarray, parent: np.ndarray, letter: np.ndarray) -> np.ndarray:
+        """Rows mats[parent] times the letters' matrices, renormalized, formed
+        _CHILD_CHUNK rows per matmul so wide levels gather bounded stacks."""
+        child = np.empty((len(parent), 2, 2))
+        for lo in range(0, len(parent), _CHILD_CHUNK):
+            sl = slice(lo, lo + _CHILD_CHUNK)
+            np.matmul(
+                np.take(mats, parent[sl], axis=0),
+                np.take(self._mats, letter[sl], axis=0),
+                out=child[sl],
+            )
+        child /= np.sqrt(_determinants(child))[:, None, None]
+        return child
+
+    def _run_arrays(self, mats: np.ndarray, letter: np.ndarray, powers: _RunPowers, cap: float):
+        """Parabolic runs w p^n, n = 1, 2, ..., of the words mats, each cut at
+        its first word displaced past cap: returns (words, disp, run) of the
+        words before the cuts, run naming each word's row of mats, and
+        charges the words formed up to each cut.
+
+        letter names each row's letter among the rows of powers, and the
+        n-th word is alpha_n w + beta_n (w N), up to sign. Each run is formed
+        up to the power _run_bound gives in blocks of at most _CHILD_CHUNK
+        rows; a run that has not crossed cap there, which only rounding or
+        a letter parabolic only up to rounding can cause, is formed on from
+        where it stopped over as many powers again.
+        """
+        wn = np.matmul(mats, np.take(powers.nil, letter, axis=0))
+        end = _run_bound(mats, wn, cap)  # the last power formed before a look
+        formed = np.zeros(len(mats), dtype=np.int64)
+        pending = np.arange(len(mats))
+        words, disp, run = [np.empty((0, 2, 2))], [np.empty(0)], [pending[:0]]
+        while len(pending):
+            # the pending runs whose next powers fill one block; a run longer
+            # than a block takes a block of its own
+            todo = np.minimum(end[pending] - formed[pending], _CHILD_CHUNK)
+            tails = np.cumsum(todo)
+            fit = max(int(np.searchsorted(tails, _CHILD_CHUNK, side="right")), 1)
+            batch, counts = pending[:fit], todo[:fit]
+            heads = tails[:fit] - counts
+            row = np.repeat(batch, counts)
+            pos = np.arange(len(row)) - np.repeat(heads, counts)  # 0 at each run's head
+            alpha, beta = powers.coefficients(np.take(letter, row), np.take(formed, row) + pos + 1)
+            block = alpha[:, None, None] * np.take(mats, row, axis=0)
+            block += beta[:, None, None] * np.take(wn, row, axis=0)
+            bd = _displacement(block)
+            # each run's first position past cap, or its count if none
+            first = np.minimum.reduceat(np.where(bd > cap, pos, np.repeat(counts, counts)), heads)
+            keep = np.flatnonzero(pos < np.repeat(first, counts))
+            crossed = first < counts
+            _charge_words(len(keep) + int(crossed.sum()))
+            words.append(np.take(block, keep, axis=0))
+            disp.append(np.take(bd, keep))
+            run.append(np.take(row, keep))
+            going = batch[~crossed]
+            formed[going] += counts[~crossed]
+            end[going[formed[going] == end[going]]] *= 2
+            pending = np.concatenate([pending[fit:], going])
+        return np.concatenate(words), np.concatenate(disp), np.concatenate(run)
+
+    def _syllable_displacements(self, radius: float):
+        """Displacements of the reduced words the pruned walk of _level_arrays
+        keeps at this radius (within radius + _PRUNE_SLACK), one array per
+        syllable instead of one per word length, and charges the same words.
+
+        A hyperbolic letter extends a word by one gathered product as there.
+        A parabolic letter p extends a word that does not end in p or its
+        inverse by the whole run w p^n in one step (see _run_arrays), cut
+        where the level walk prunes it; the run's words take the other
+        letters next. Run words are formed in closed form, so they differ
+        from the level walk's products in their last bits.
+        """
+        cap = radius + _PRUNE_SLACK
+        cusp = np.array([self.letters[l].kind == "parabolic" for l in self.order])
+        hyperbolic, parabolic = np.flatnonzero(~cusp), np.flatnonzero(cusp)
+        powers = _RunPowers(self._mats[parabolic])
+        # the identity's hyperbolic children are the letters as they are, the
+        # first level of _level_arrays; the identity also starts every run
+        letter, child = hyperbolic, self._mats[hyperbolic]
+        mats, last = np.eye(2)[None], np.full(1, -1)
+        _charge_words(1 + len(letter))
+        while True:
+            disp = _displacement(child)
+            keep = np.flatnonzero(disp <= cap)
+            child, disp, letter = (np.take(v, keep, axis=0) for v in (child, disp, letter))
+            # runs of each parabolic letter after the words ending outside
+            # its pair, which sits at positions 2i and 2i + 1 of order
+            j, parent = np.nonzero((last[None, :] >> 1) != (parabolic[:, None] >> 1))
+            words, run_disp, run = self._run_arrays(np.take(mats, parent, axis=0), j, powers, cap)
+            mats, last = child, letter
+            if len(words):
+                mats = np.concatenate([child, words])
+                disp = np.concatenate([disp, run_disp])
+                last = np.concatenate([letter, np.take(parabolic[j], run)])
+            if not len(mats):
+                return
+            yield disp
+            # held through the next products they would raise the peak
+            del child, disp, words
+            # hyperbolic children, letter-major as in _level_arrays
+            j, parent = np.nonzero(last[None, :] != self._inv_index[hyperbolic, None])
+            letter = hyperbolic[j]
+            child = self._children(mats, parent, letter)
+            _charge_words(len(child))
 
     # cyclic groups: powers of the single letter, displacement monotone in the
     # exponent, so counts come from bisection instead of enumeration
@@ -644,7 +807,10 @@ def critical_exponent(
     Fits log count(T) ~ delta * T over the trailing window of the count grid
     and returns the slope with its regression standard error. A cyclic group
     is counted in closed form; otherwise the orbit points within t_max come
-    from a breadth-first walk bounded by that radius, which is complete.
+    from a breadth-first walk bounded by that radius, which is complete. The
+    walk takes one syllable per step: each parabolic run w p^n is counted in
+    closed form, so a long cusp corridor costs one step, not one per power
+    (see FuchsianGroup._syllable_displacements).
     """
     if not grid_step > 0:
         raise GroupError("grid step must be positive, got %r" % (grid_step,))
@@ -655,7 +821,7 @@ def critical_exponent(
         counts = (1 + 2 * group._cyclic_max_power(grid)).astype(float)
     else:
         parts = [np.zeros(1)]
-        for _, disp, *_ in group._level_arrays(None, t_max):
+        for disp in group._syllable_displacements(t_max):
             parts.append(disp[disp <= t_max])
         disp = np.sort(np.concatenate(parts))
         counts = np.searchsorted(disp, grid, side="right").astype(float)

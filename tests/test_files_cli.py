@@ -81,6 +81,9 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
         pytest.param("exponent", "grid_step = -1", id="exponent-negative-step"),
         pytest.param("exponent", "grid_step = 0", id="exponent-zero-step"),
         pytest.param("exponent", "t_max = 0.1\nmin_points = 0", id="exponent-empty-grid"),
+        pytest.param("exponent", "window = -1", id="exponent-window-negative"),
+        pytest.param("exponent", "window = 0", id="exponent-window-zero"),
+        pytest.param("exponent", "min_points = -5", id="exponent-min-points-negative"),
         pytest.param("patterson", "exponent = inf", id="patterson-inf"),
         pytest.param("patterson", "fit_radius = 0.2\nexponent = fit", id="patterson-fit-below-step"),
         pytest.param("equidist", "fit_radius = -1\nexponent = fit", id="equidist-fit-negative"),
@@ -276,6 +279,19 @@ def test_cli_file_group_matches_builtin(schottky_file, tmp_path, capsys):
     manifest = json.loads((tmp_path / "file" / "manifest.json").read_text())
     assert manifest["exponent_source"] == "given"
     assert manifest["vector"]["minus_period"] == periods[0]
+
+
+@pytest.mark.parametrize("override", ["window=-1", "min_points=-5"])
+def test_cli_bad_exponent_override_names_the_key(override, tmp_path, capsys):
+    # a negative window once reached the fit and exited 2 as a numeric
+    # failure; a negative min_points ran to exit 0
+    out = tmp_path / "out"
+    assert main(["exponent", "--out", str(out), "--override", override]) == 1
+    err = capsys.readouterr().err
+    assert "command-line override: key %r" % override.split("=")[0] in err
+    assert "numeric failure" not in err
+    assert not out.exists()
+    assert enumerated_word_count() == 0
 
 
 def test_cli_bad_override_exits_1(tmp_path, capsys):

@@ -51,7 +51,7 @@ from horolab.groups import (
     tangent_from_samples,
 )
 
-from conftest import iwasawa
+from conftest import conjugate, iwasawa
 from test_level_kernels import scalar_reduce
 
 
@@ -374,6 +374,114 @@ def test_schottky_exponent_stable_in_radius():
 def test_cusped_exponent_exceeds_half():
     fit = critical_exponent(cusped_group(), EXPONENT_RADIUS["cusped"])
     assert fit.delta - 3.0 * fit.stderr > 0.5
+
+
+# ------------------------------------------------------ syllable walk oracle
+
+
+def level_walk_counts(group, t_max, grid_step=0.5):
+    """The exponent fit's counts rebuilt from the levels of _level_arrays,
+    one power of a parabolic letter per level, and the words that walk
+    materializes."""
+    reset_word_counter()
+    parts = [np.zeros(1)] + [d[d <= t_max] for _, d, *_ in group._level_arrays(None, t_max)]
+    grid = np.arange(grid_step, t_max + 0.5 * grid_step, grid_step)
+    counts = np.searchsorted(np.sort(np.concatenate(parts)), grid, side="right")
+    return counts.astype(float), enumerated_word_count()
+
+
+def assert_counts_match_level_walk(group, t_max):
+    want, words = level_walk_counts(group, t_max)
+    reset_word_counter()
+    fit = critical_exponent(group, t_max, min_points=0)
+    assert np.array_equal(fit.counts, want), t_max
+    assert enumerated_word_count() == words, t_max
+
+
+def negated_cusped_group():
+    """The cusped group with its parabolic pair given by trace -2 matrices."""
+    par = Isometry(-1.0, 0.0, 4.0, -1.0)
+    return FuchsianGroup(
+        [
+            Generator("p", par, "parabolic", (-0.5, 0.0)),
+            Generator("P", par.inverse(), "parabolic", (0.0, 0.5)),
+            cusped_group().letters["b"],
+            cusped_group().letters["B"],
+        ],
+        name="cusped-negated",
+    )
+
+
+def near_parabolic_group(excess):
+    """The cusped group with its parabolic pair moved to |trace| = 2 + excess,
+    up to rounding: a letter that reads as parabolic within the kind
+    tolerance, as a group file written to about 10 digits gives."""
+    par = Isometry(1.0, -0.25 * excess, -4.0, 1.0)
+    return FuchsianGroup(
+        [
+            Generator("p", par, "parabolic", (-0.5, 0.0)),
+            Generator("P", par.inverse(), "parabolic", (0.0, 0.5)),
+            cusped_group().letters["b"],
+            cusped_group().letters["B"],
+        ],
+        name="cusped-near-parabolic",
+    )
+
+
+def two_cusp_group(hyperbolic=True):
+    """The cusped group's parabolic pair, its copy shifted to fix 3, and,
+    with hyperbolic, the interval pairing between them."""
+    q = Isometry(-11.0, 36.0, -4.0, 13.0)  # p conjugated by z -> z + 3
+    letters = [
+        cusped_group().letters[l] for l in ("p", "P") + (("b", "B") if hyperbolic else ())
+    ] + [
+        Generator("q", q, "parabolic", (2.5, 3.0)),
+        Generator("Q", q.inverse(), "parabolic", (3.0, 3.5)),
+    ]
+    return FuchsianGroup(letters, name="two-cusps")
+
+
+ORBIT_WALKS = [
+    pytest.param(cusped_group, (6.0, 8.5, 11.0, 13.5, 15.0, 16.5), id="cusped-ladder"),
+    pytest.param(
+        lambda: parse_group_text(dumps_group(cusped_group())), (14.0,), id="cusped-round-trip"
+    ),
+    pytest.param(negated_cusped_group, (10.0, 14.0), id="cusped-trace-minus-two"),
+    # a run of about 10^4 powers: w + n wN would drift from w p^n there
+    pytest.param(lambda: near_parabolic_group(9e-11), (18.0,), id="trace-above-two"),
+    pytest.param(lambda: near_parabolic_group(-9e-11), (18.0,), id="trace-below-two"),
+    pytest.param(two_cusp_group, (12.0,), id="two-cusps"),
+    pytest.param(lambda: two_cusp_group(False), (14.0,), id="two-cusps-no-hyperbolic"),
+    pytest.param(schottky_group, (16.0,), id="schottky"),
+]
+
+
+@pytest.mark.parametrize("make, radii", ORBIT_WALKS)
+def test_syllable_walk_counts_match_level_walk(make, radii):
+    # whole parabolic runs per step count the orbit points and charge the
+    # words of the walk that takes one power per level
+    group = make()
+    for t_max in radii:
+        assert_counts_match_level_walk(group, t_max)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_syllable_walk_counts_match_level_walk_on_conjugates(seed):
+    # a conjugate's parsed parabolic is nilpotent only up to rounding
+    group, _ = conjugate(cusped_group(), np.random.default_rng(seed))
+    for t_max in (14.0, 16.0):
+        assert_counts_match_level_walk(group, t_max)
+
+
+@pytest.mark.parametrize("short_bound", [False, True], ids=["blocks", "blocks-short-bound"])
+def test_syllable_walk_counts_across_blocks(short_bound, monkeypatch):
+    # blocks of 5 rows split every long run; a bound of one power makes every
+    # run form on in doubling spans until it crosses the cap
+    monkeypatch.setattr(groups, "_CHILD_CHUNK", 5)
+    if short_bound:
+        monkeypatch.setattr(groups, "_run_bound", lambda mats, wn, cap: np.ones(len(mats), np.int64))
+    for t_max in (9.0, 12.0):
+        assert_counts_match_level_walk(cusped_group(), t_max)
 
 
 @pytest.mark.parametrize(
