@@ -1,6 +1,6 @@
 """Ergodic averages along horocycles: leafwise means against the conditional
-measures, arc length and weighted Haar densities, mixing and non-divergence
-series, and the closure time of periodic horocycles."""
+measures and against arc length, ratio, mixing and non-divergence series,
+and the closure time of periodic horocycles."""
 
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ __all__ = [
     "ShiftedFunction",
     "WeightedFunction",
     "CuspHeightCap",
-    "HaarDensity",
     "AverageSeries",
     "VectorClass",
     "pointed_frame",
@@ -54,7 +53,6 @@ __all__ = [
     "average_ps",
     "flow_commutation_residual",
     "average_lebesgue",
-    "average_haar",
     "ratio_series",
     "mixing_series",
     "mass_in_compact",
@@ -279,33 +277,12 @@ class CuspHeightCap(Integrand):
 
 
 @dataclass
-class HaarDensity:
-    """Leafwise averaging density: arc length, the conditional measure, or a
-    strictly positive continuous weight of the base point."""
-
-    choice: str = "constant"
-    measure: AtomicBoundaryMeasure | None = None
-    exponent: float | None = None
-    density: object = None
-
-    def __post_init__(self):
-        if self.choice not in ("constant", "ps", "weighted"):
-            raise AveragesError("unknown Haar density choice %r" % (self.choice,))
-        if self.choice == "ps" and (self.measure is None or self.exponent is None):
-            raise AveragesError("ps density needs a measure and an exponent")
-        if self.choice == "weighted" and self.density is None:
-            raise AveragesError("weighted density needs a density callable")
-
-
-@dataclass
 class AverageSeries:
     """A family of leaf averages over growing windows, with its limit estimate."""
 
     abscissae: np.ndarray
     values: np.ndarray
     reference: float
-    experiment_id: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         self.abscissae = np.asarray(self.abscissae, dtype=float)
@@ -544,59 +521,25 @@ def _lebesgue_means(u: UnitTangent, t: float, funcs) -> list[float]:
     return [float(c / (2.0 * t)) if mean is None else mean for c, mean in zip(coarse, means)]
 
 
-def average_haar(u: UnitTangent, r: float, psi, alpha: HaarDensity) -> float:
-    """Leaf mean against the chosen Haar density over the radius-r ball."""
-    if alpha.choice == "constant":
-        return average_lebesgue(u, r, psi)
-    if alpha.choice == "ps":
-        return average_ps(u, r, psi, alpha.measure, alpha.exponent)
-    num = average_lebesgue(u, r, WeightedFunction(psi, alpha.density))
-    den = average_lebesgue(u, r, WeightedFunction(ConstantFunction(), alpha.density))
-    if den == 0.0:
-        raise AveragesError("weighted density integrated to zero")
-    return num / den
-
-
 def ratio_series(
-    u: UnitTangent,
-    psi,
-    phi,
-    radii,
-    alpha: HaarDensity,
+    u: UnitTangent, psi, phi, radii, measure: AtomicBoundaryMeasure, hat_delta: float
 ) -> AverageSeries:
-    """Ratios of leaf means of two test functions over growing balls.
+    """Ratios of the arc-length means of two test functions over growing
+    windows, psi and phi sharing each Simpson grid.
 
-    The reference is the ratio of the corresponding invariant-measure
-    integrals: the horocycle-invariant (transverse times arc length)
-    estimator for arc-length densities, and the product-form estimator for
-    the conditional density.
+    The reference is the ratio of their horocycle-invariant integrals,
+    transverse (Burger-Roblin) measure times arc length: br_integral(psi) /
+    br_integral(phi).
     """
     radii = np.asarray(sorted(float(r) for r in radii))
-    if alpha.choice == "constant":
-        # psi and phi share each Simpson grid
-        pairs = [tuple(_lebesgue_means(u, r, [psi, phi])) for r in radii]
-    else:
-        pairs = [
-            (average_haar(u, r, psi, alpha), average_haar(u, r, phi, alpha)) for r in radii
-        ]
+    pairs = [_lebesgue_means(u, r, [psi, phi]) for r in radii]
     if pairs[-1][1] == 0.0:
         raise AveragesError("denominator average vanishes at the largest radius")
     if any(den == 0.0 for _, den in pairs):
         raise AveragesError("denominator average vanishes inside the series")
     values = [num / den for num, den in pairs]
-    if alpha.choice == "ps":
-        ref = ps_integral(psi, alpha.measure, alpha.exponent) / ps_integral(
-            phi, alpha.measure, alpha.exponent
-        )
-    else:
-        if alpha.measure is None or alpha.exponent is None:
-            raise AveragesError("reference ratio needs a measure and an exponent")
-        top = psi if alpha.choice == "constant" else WeightedFunction(psi, alpha.density)
-        bot = phi if alpha.choice == "constant" else WeightedFunction(phi, alpha.density)
-        ref = br_integral(top, alpha.measure, alpha.exponent) / br_integral(
-            bot, alpha.measure, alpha.exponent
-        )
-    return AverageSeries(radii, values, ref, "ratio")
+    ref = br_integral(psi, measure, hat_delta) / br_integral(phi, measure, hat_delta)
+    return AverageSeries(radii, values, ref)
 
 
 def mixing_series(
@@ -606,8 +549,6 @@ def mixing_series(
     times,
     measure: AtomicBoundaryMeasure,
     hat_delta: float,
-    experiment_id: str = "mixing",
-    seed: int | None = None,
 ) -> AverageSeries:
     """Ball averages of psi pushed by the geodesic flow at a fixed radius.
 
@@ -620,7 +561,7 @@ def mixing_series(
     leaf = _leaf(u, measure, hat_delta)
     values = [leaf.average(r, ShiftedFunction(psi, float(t))) for t in times]
     ref = ps_integral(psi, measure, hat_delta)
-    return AverageSeries(np.asarray(times, dtype=float), values, ref, experiment_id, seed)
+    return AverageSeries(np.asarray(times, dtype=float), values, ref)
 
 
 def mass_in_compact(
@@ -630,8 +571,6 @@ def mass_in_compact(
     measure: AtomicBoundaryMeasure,
     hat_delta: float,
     ramp: float = 0.1,
-    experiment_id: str = "nondiv",
-    seed: int | None = None,
 ) -> AverageSeries:
     """Fraction of the ball average captured below a cusp-height cap.
 
@@ -642,7 +581,7 @@ def mass_in_compact(
     leaf = _leaf(u, measure, hat_delta)
     radii = np.asarray(sorted(float(r) for r in radii))
     values = [leaf.average(r, cap) for r in radii]
-    return AverageSeries(radii, values, 1.0, experiment_id, seed)
+    return AverageSeries(radii, values, 1.0)
 
 
 # ------------------------------------------------------- periodic closure

@@ -52,7 +52,6 @@ from .geometry import (
 from .groups import check_parabolic_growth, enumerated_word_count, reset_word_counter
 from .measures import conditional_on_horocycle, conformality_defect, ps_integral
 from .averages import (
-    HaarDensity,
     average_ps,
     flow_commutation_residual,
     mass_in_compact,
@@ -260,8 +259,7 @@ def check_ratio_limit(load: dict[str, Loader]):
     delta, m = cus.exponent, cus.measure()
     u, _ = cus.vector()
     psi, phi = cus.bumps(RATIO_BUMPS)
-    alpha = HaarDensity("constant", measure=m, exponent=delta)
-    ser = ratio_series(u, psi, phi, EQUIDIST_RADII, alpha)
+    ser = ratio_series(u, psi, phi, EQUIDIST_RADII, m, delta)
     drift = abs(ser.values[-1] - ser.values[-2]) / abs(ser.values[-1])
     final = abs(ser.values[-1] / ser.reference - 1.0)
     ok = drift <= TOLERANCES["ratio_drift_rel"] and final <= TOLERANCES["ratio_final_rel"]

@@ -38,6 +38,7 @@ from .defaults import (
 from .geometry import INFINITY, GeometryError, from_coordinates, geodesic_flow
 from .groups import (
     GroupError,
+    _fit_grid,
     critical_exponent,
     dumps_group,
     enumerated_word_count,
@@ -408,6 +409,14 @@ def run_exponent(st: Settings, args):
         raise ConfigError(
             "%s: key 'min_points': expected at least 0, got %d" % (st.where("min_points"), min_points)
         )
+    grid, w = _fit_grid(t_max, grid_step, window)
+    held = int((grid >= t_max - w).sum())
+    if held < 4:
+        key = "window" if st.has("window") else "t_max" if st.has("t_max") else "grid_step"
+        raise ConfigError(
+            "%s: key %r: the fit window [%g, %g] holds %d grid points at step %g; the fit needs 4"
+            % (st.where(key), key, t_max - w, t_max, held, grid_step)
+        )
     fit = critical_exponent(
         loader.group, t_max=t_max, window=window, grid_step=grid_step, min_points=min_points
     )
@@ -513,11 +522,14 @@ def run_mixing(st: Settings, args):
     times = sorted(st.get("times", "floats", MIXING_TIMES))
     funcs, coords, widths = _bumps(st, loader)
     psi = funcs[0]
-    ser = mixing_series(u, ball_radius, psi, times, loader.measure(), loader.exponent,
-                        experiment_id="mixing:%s" % psi.label, seed=args.seed)
+    ser = mixing_series(u, ball_radius, psi, times, loader.measure(), loader.exponent)
     if ser.reference == 0:
         raise AveragesError(_ZERO_REFERENCE % psi.label)
-    files = [("mixing.csv", artifacts.series_csv_text(ser))]
+    rows = [
+        (float(t), float(v), float(ser.reference), "mixing:%s" % psi.label, args.seed)
+        for t, v in zip(ser.abscissae, ser.values)
+    ]
+    files = [("mixing.csv", artifacts.series_rows_csv_text(rows))]
     final = abs(ser.values[-1] / ser.reference - 1.0)
     lines = [
         "mixing at radius %g: integral %.6g, value at t=%g is %.6g (relative gap %.3g)"
@@ -541,9 +553,12 @@ def run_nondiv(st: Settings, args):
     k_height = st.get("k_height", "positive", NONDIV_HEIGHT)
     ramp = st.get("ramp", "positive", 0.1)
     radii = sorted(st.get("radii", "positives", EQUIDIST_RADII))
-    ser = mass_in_compact(u, radii, k_height, loader.measure(), loader.exponent, ramp=ramp,
-                          experiment_id="nondiv", seed=args.seed)
-    files = [("nondiv.csv", artifacts.series_csv_text(ser))]
+    ser = mass_in_compact(u, radii, k_height, loader.measure(), loader.exponent, ramp=ramp)
+    rows = [
+        (float(r), float(v), float(ser.reference), "nondiv", args.seed)
+        for r, v in zip(ser.abscissae, ser.values)
+    ]
+    files = [("nondiv.csv", artifacts.series_rows_csv_text(rows))]
     low = float(min(ser.values))
     lines = [
         "thick-part mass at height cap %g: %s (min %.4f)"

@@ -669,9 +669,6 @@ class FuchsianGroup:
             lo[wide[below]] = mid[below]
             hi[wide[~below]] = mid[~below]
 
-    def cyclic_count(self, radius: float) -> int:
-        return 1 + 2 * int(self._cyclic_max_power([radius])[0])
-
     # ------------------------------------------------------------ reduction
 
     def containing_letter(self, x, y):
@@ -795,6 +792,12 @@ class FuchsianGroup:
 # ---------------------------------------------------------------- counting
 
 
+def _fit_grid(t_max: float, grid_step: float, window: float | None):
+    """critical_exponent's count grid and the width of its trailing fit window."""
+    grid = np.arange(grid_step, t_max + 0.5 * grid_step, grid_step)
+    return grid, (window if window is not None else max(6.0, 0.4 * t_max))
+
+
 def critical_exponent(
     group: FuchsianGroup,
     t_max: float,
@@ -814,7 +817,7 @@ def critical_exponent(
     """
     if not grid_step > 0:
         raise GroupError("grid step must be positive, got %r" % (grid_step,))
-    grid = np.arange(grid_step, t_max + 0.5 * grid_step, grid_step)
+    grid, w = _fit_grid(t_max, grid_step, window)
     if len(grid) == 0:
         raise GroupError("radius %.3g is below the grid step %.3g: empty count grid" % (t_max, grid_step))
     if group.rank == 1:
@@ -830,7 +833,6 @@ def critical_exponent(
             "only %d orbit points below %.3g; need %d for a stable fit"
             % (int(counts[-1]), t_max, min_points)
         )
-    w = window if window is not None else max(6.0, 0.4 * t_max)
     sel = (grid >= t_max - w) & (counts > 0)
     ts, ys = grid[sel], np.log(counts[sel])
     if sel.sum() < 4:
@@ -978,12 +980,13 @@ def tangent_from_samples(
 def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
     """Parse the plain-text group format: per-letter blocks of key = value lines.
 
-    Blocks start at a 'label =' line and need 'matrix = a b c d',
-    'domain = lo hi' and 'kind = hyperbolic|parabolic'; '#' starts a comment.
-    Every letter, inverses included, gets its own block, and a group needs
-    at least one letter pair. name is the group's name unless the text sets
-    one; an error that names a line, or finds no letters, names it as the
-    source.
+    An optional 'name =' line comes first. Blocks start at a 'label =' line
+    and need 'matrix = a b c d', 'domain = lo hi' and
+    'kind = hyperbolic|parabolic'; any other key is an error, and '#' starts
+    a comment. Every letter, inverses included, gets its own block, and a
+    group needs at least one letter pair. name is the group's name unless
+    the text sets one; an error that names a line, or finds no letters,
+    names it as the source.
     """
 
     def at(ln):
@@ -991,7 +994,7 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
 
     # each block maps its keys to (value, line)
     blocks: list[dict] = []
-    top: dict[str, str] = {}
+    group_name = name
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1000,12 +1003,23 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
             raise GroupError("%s: expected key = value, got %r" % (at(ln), raw.strip()))
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if not key:
+            raise GroupError("%s: empty key" % at(ln))
         if key == "label":
             blocks.append({"label": (val, ln)})
         elif blocks:
+            if key not in ("kind", "matrix", "domain"):
+                raise GroupError(
+                    "%s: unknown key %r in generator %r; a block takes label, kind, "
+                    "matrix and domain" % (at(ln), key, blocks[-1]["label"][0])
+                )
             blocks[-1][key] = (val, ln)
+        elif key == "name":
+            group_name = val
         else:
-            top[key] = val
+            raise GroupError(
+                "%s: unknown key %r; only name may come before the first label" % (at(ln), key)
+            )
     if not blocks:
         raise GroupError(
             "%s defines no generators; a group needs at least one letter pair"
@@ -1047,7 +1061,7 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
         mat = numbers(b, "matrix", 4, "entries")
         dom = numbers(b, "domain", 2, "endpoints")
         letters.append(Generator(label, Isometry(*mat), kind, (dom[0], dom[1])))
-    return FuchsianGroup(letters, name=top.get("name", name))
+    return FuchsianGroup(letters, name=group_name)
 
 
 def parse_group_file(path) -> FuchsianGroup:

@@ -19,11 +19,9 @@ __all__ = [
     "QUADRATURE_HEADER",
     "atomic_write_text",
     "csv_text",
-    "series_csv_text",
     "series_rows_csv_text",
     "atoms_csv_text",
     "quadrature_csv_text",
-    "read_csv_rows",
     "manifest_text",
     "line_plot_svg",
     "svg_from_series_csv",
@@ -69,17 +67,8 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def series_csv_text(series) -> str:
-    """AverageSeries (or anything with the same fields) to CSV text."""
-    rows = [
-        (float(a), float(v), float(series.reference), series.experiment_id, series.seed)
-        for a, v in zip(series.abscissae, series.values)
-    ]
-    return csv_text(SERIES_HEADER, rows)
-
-
 def series_rows_csv_text(rows) -> str:
-    """Free-form series rows (abscissa, value, reference, experiment_id, seed)."""
+    """Series rows (abscissa, value, reference, experiment_id, seed) to CSV text."""
     return csv_text(SERIES_HEADER, rows)
 
 
@@ -93,11 +82,6 @@ def atoms_csv_text(measure) -> str:
 def quadrature_csv_text(rows) -> str:
     """Rows are (psi_id, estimate, n_cells, grid_h)."""
     return csv_text(QUADRATURE_HEADER, rows)
-
-
-def read_csv_rows(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def manifest_text(payload: dict) -> str:

@@ -97,16 +97,6 @@ class AtomicBoundaryMeasure:
     def __len__(self) -> int:
         return len(self.points)
 
-    def total_mass(self) -> float:
-        m = float(np.max(self.log_weights))
-        return math.exp(m) * float(np.sum(np.exp(self.log_weights - m)))
-
-    def mass_in_interval(self, lo: float, hi: float) -> float:
-        i, j = np.searchsorted(self.points, [lo, hi])
-        if i == j:
-            return 0.0
-        return float(np.sum(np.exp(self.log_weights[i:j])))
-
     def heaviest(self, k: int) -> np.ndarray:
         """Indices of the k heaviest atoms, deterministic under ties."""
         order = np.argsort(-self.log_weights, kind="stable")

@@ -34,13 +34,11 @@ from horolab.averages import (
     AveragesError,
     ConstantFunction,
     CuspHeightCap,
-    HaarDensity,
     ShiftedFunction,
     TestFunction,
     VectorClass,
     WeightedFunction,
     _leaf_frames,
-    average_haar,
     average_lebesgue,
     average_ps,
     build_vector,
@@ -251,33 +249,9 @@ def test_average_lebesgue_frozen(cus, u9):
     assert average_lebesgue(u9, math.e ** 4, psi) == pytest.approx(0.007482198194821519, rel=1e-8)
 
 
-def test_average_haar_choices(sch, u8, m_sch):
-    psi = _bumps(sch, "schottky")[0]
-    r = math.e ** 2
-    assert average_haar(u8, r, psi, HaarDensity("constant")) == average_lebesgue(u8, r, psi)
-    assert average_haar(u8, r, psi, HaarDensity("ps", measure=m_sch, exponent=DELTA_SCH)) == average_ps(
-        u8, r, psi, m_sch, DELTA_SCH
-    )
-    dens = lambda x, y: 1.0 / y
-    w = average_haar(u8, r, psi, HaarDensity("weighted", density=dens))
-    assert math.isfinite(w) and w >= 0.0
-    flat = average_haar(u8, r, psi, HaarDensity("weighted", density=lambda x, y: np.ones_like(x)))
-    assert flat == pytest.approx(average_lebesgue(u8, r, psi), rel=1e-12)
-
-
-def test_haar_density_validation(m_sch):
-    with pytest.raises(AveragesError):
-        HaarDensity("bogus")
-    with pytest.raises(AveragesError):
-        HaarDensity("ps", measure=m_sch)
-    with pytest.raises(AveragesError):
-        HaarDensity("weighted")
-
-
 def test_ratio_series_self_is_one(cus, u9, m_cus):
     psi = _bumps(cus, "cusped")[0]
-    alpha = HaarDensity("constant", measure=m_cus, exponent=DELTA_CUS)
-    ser = ratio_series(u9, psi, psi, (math.e ** 2, math.e ** 3), alpha)
+    ser = ratio_series(u9, psi, psi, (math.e ** 2, math.e ** 3), m_cus, DELTA_CUS)
     assert np.allclose(ser.values, 1.0, atol=1e-12)
     assert ser.reference == pytest.approx(1.0, abs=1e-12)
 
@@ -287,13 +261,12 @@ def test_ratio_series_frozen(cus, u9, m_cus):
         TestFunction(cus, pointed_frame(*cd), base_width=WB, angle_width=WA)
         for cd in RATIO_BUMPS
     ]
-    alpha = HaarDensity("constant", measure=m_cus, exponent=DELTA_CUS)
-    ser = ratio_series(u9, psi, phi, EQUIDIST_RADII, alpha)
+    ser = ratio_series(u9, psi, phi, EQUIDIST_RADII, m_cus, DELTA_CUS)
     assert ser.reference == pytest.approx(1.0580421745799589, rel=1e-9)
     assert ser.values[0] == pytest.approx(1.092454880785772, rel=1e-8)
     assert ser.values[1] == pytest.approx(1.0925087918535341, rel=1e-8)
     assert ser.values[2] == pytest.approx(1.0174496187650133, rel=1e-8)
-    flipped = ratio_series(u9, phi, psi, EQUIDIST_RADII, alpha)
+    flipped = ratio_series(u9, phi, psi, EQUIDIST_RADII, m_cus, DELTA_CUS)
     assert np.allclose(np.asarray(flipped.values) * np.asarray(ser.values), 1.0, atol=1e-10)
     assert flipped.reference * ser.reference == pytest.approx(1.0, abs=1e-12)
 
@@ -301,9 +274,8 @@ def test_ratio_series_frozen(cus, u9, m_cus):
 def test_ratio_series_zero_denominator(cus, u9, m_cus):
     psi = _bumps(cus, "cusped")[0]
     far = TestFunction(cus, pointed_frame(0.0, 50.0, 0.0), base_width=0.4, angle_width=0.8)
-    alpha = HaarDensity("constant", measure=m_cus, exponent=DELTA_CUS)
     with pytest.raises(AveragesError):
-        ratio_series(u9, psi, far, (math.e ** 2, math.e ** 4), alpha)
+        ratio_series(u9, psi, far, (math.e ** 2, math.e ** 4), m_cus, DELTA_CUS)
 
 
 def test_mixing_series_frozen(sch, m_sch):
@@ -652,7 +624,6 @@ def test_ratio_pair_shares_grids_bit_for_bit(cus, u9, m_cus, monkeypatch):
         assert all(same_bits(a, b) for a, b in zip(shared, alone)), t
         # the shared grids settle the rows of the deepest refinement once
         assert together == max(rows), (t, together, rows)
-    alpha = HaarDensity("constant", measure=m_cus, exponent=DELTA_CUS)
-    ser = ratio_series(u9, psi, phi, EQUIDIST_RADII[:2], alpha)
+    ser = ratio_series(u9, psi, phi, EQUIDIST_RADII[:2], m_cus, DELTA_CUS)
     for r, v in zip(EQUIDIST_RADII[:2], ser.values):
         assert same_bits(v, average_lebesgue(u9, r, psi) / average_lebesgue(u9, r, phi))

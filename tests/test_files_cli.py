@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-from horolab.averages import AverageSeries
 from horolab.cli import ConfigError, main, parse_config_text
 from horolab.defaults import (
     DEFAULT_BUMPS,
@@ -23,10 +23,14 @@ from horolab.io import (
     atoms_csv_text,
     line_plot_svg,
     manifest_text,
-    read_csv_rows,
-    series_csv_text,
+    series_rows_csv_text,
     svg_from_series_csv,
 )
+
+
+def csv_rows(path) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_config_parse_round_trip():
@@ -83,6 +87,8 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
         pytest.param("exponent", "t_max = 0.1\nmin_points = 0", id="exponent-empty-grid"),
         pytest.param("exponent", "window = -1", id="exponent-window-negative"),
         pytest.param("exponent", "window = 0", id="exponent-window-zero"),
+        pytest.param("exponent", "window = 0.5", id="exponent-window-short"),
+        pytest.param("exponent", "t_max = 1.5\nmin_points = 0", id="exponent-grid-short"),
         pytest.param("exponent", "min_points = -5", id="exponent-min-points-negative"),
         pytest.param("patterson", "exponent = inf", id="patterson-inf"),
         pytest.param("patterson", "fit_radius = 0.2\nexponent = fit", id="patterson-fit-below-step"),
@@ -270,8 +276,8 @@ def test_cli_file_group_matches_builtin(schottky_file, tmp_path, capsys):
         # matrix is renormalized to determinant one again when it is read);
         # the ball averages move by about 1e-9 relative, the quadrature
         # reference of psi3 by 2.4e-4
-        got = read_csv_rows(tmp_path / "file" / ("equidist_psi%d.csv" % k))
-        want = read_csv_rows(tmp_path / "builtin" / ("equidist_psi%d.csv" % k))
+        got = csv_rows(tmp_path / "file" / ("equidist_psi%d.csv" % k))
+        want = csv_rows(tmp_path / "builtin" / ("equidist_psi%d.csv" % k))
         for g, w in zip(got, want, strict=True):
             assert g["abscissa"] == w["abscissa"]
             assert float(g["value"]) == pytest.approx(float(w["value"]), rel=1e-6, abs=1e-12)
@@ -309,7 +315,7 @@ def test_cli_closure_artifacts_and_determinism(tmp_path, capsys):
     csv2 = (out2 / "closure.csv").read_bytes()
     assert csv1 == csv2
     assert (out1 / "closure.svg").read_bytes() == (out2 / "closure.svg").read_bytes()
-    rows = read_csv_rows(out1 / "closure.csv")
+    rows = csv_rows(out1 / "closure.csv")
     assert [r["abscissa"] for r in rows] == ["0.0", "0.5", "1.0", "2.0"]
     t0 = float(rows[0]["value"])
     for r in rows:
@@ -361,10 +367,20 @@ def test_cli_group_info_stdout(tmp_path, capsys):
             "label = a\nmatrix = 2 3 1 2\ndomain = 1 3\nkind = hyperbolic\n\nlabel = a\n",
             "{path} line 6: duplicate label 'a', first given on line 1",
         ),
+        (
+            "label = a\nmatrix = 2 3 1 2\ncolour = red\n",
+            "{path} line 3: unknown key 'colour' in generator 'a'; "
+            "a block takes label, kind, matrix and domain",
+        ),
+        (
+            "nmae = x\nlabel = a\n",
+            "{path} line 1: unknown key 'nmae'; only name may come before the first label",
+        ),
+        ("label = a\n = 5\n", "{path} line 2: empty key"),
     ],
     ids=[
         "not-key-value", "missing-keys", "matrix-count", "domain-count", "not-a-number",
-        "elliptic-kind", "duplicate-label",
+        "elliptic-kind", "duplicate-label", "unknown-block-key", "unknown-top-key", "empty-key",
     ],
 )
 def test_cli_group_file_parse_error_names_file(text, message, tmp_path, capsys):
@@ -381,7 +397,7 @@ def test_cli_nondiv_small_config(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["nondiv", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
-    rows = read_csv_rows(out / "nondiv.csv")
+    rows = csv_rows(out / "nondiv.csv")
     assert len(rows) == 2
     assert all(r["experiment_id"] == "nondiv" for r in rows)
     assert all(0.0 <= float(r["value"]) <= 1.0 for r in rows)
@@ -397,8 +413,8 @@ def test_cli_svg_follows_each_series_csv(tmp_path, capsys):
              if line.startswith("wrote ")]
     names = ["equidist_psi%d.%s" % (k, ext) for k in (1, 2, 3) for ext in ("csv", "svg")]
     assert wrote == [str(out / name) for name in names + ["manifest.json"]]
-    csv = (out / "equidist_psi2.csv").read_text(encoding="utf-8")
-    assert (out / "equidist_psi2.svg").read_text(encoding="utf-8") == svg_from_series_csv(csv)
+    text = (out / "equidist_psi2.csv").read_text(encoding="utf-8")
+    assert (out / "equidist_psi2.svg").read_text(encoding="utf-8") == svg_from_series_csv(text)
 
 
 def test_cli_random_vector_requires_seed(tmp_path, capsys):
@@ -413,7 +429,7 @@ def test_cli_random_vector_requires_seed(tmp_path, capsys):
         "--override", "minus_period=random", "--override", "radii=5 20",
     ]) == 0
     capsys.readouterr()
-    rows = read_csv_rows(tmp_path / "o2" / "nondiv.csv")
+    rows = csv_rows(tmp_path / "o2" / "nondiv.csv")
     assert rows[0]["seed"] == "7"
     manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
     assert manifest["vector"]["minus_period"].startswith("random")
@@ -421,15 +437,12 @@ def test_cli_random_vector_requires_seed(tmp_path, capsys):
 
 def test_atomic_write_and_csv_round_trip(tmp_path):
     target = tmp_path / "deep" / "series.csv"
-    ser = AverageSeries(
-        np.array([1.0, 2.0, 4.0]),
-        np.array([0.1, 0.2, 0.30000000000000004]),
-        reference=1.0 / 3.0,
-        experiment_id="demo",
-        seed=3,
-    )
-    atomic_write_text(target, series_csv_text(ser))
-    rows = read_csv_rows(target)
+    series = [
+        (a, v, 1.0 / 3.0, "demo", 3)
+        for a, v in zip([1.0, 2.0, 4.0], [0.1, 0.2, 0.30000000000000004])
+    ]
+    atomic_write_text(target, series_rows_csv_text(series))
+    rows = csv_rows(target)
     assert [float(r["value"]) for r in rows] == [0.1, 0.2, 0.30000000000000004]
     assert [float(r["reference"]) for r in rows] == [1.0 / 3.0] * 3
     assert rows[0]["seed"] == "3"
@@ -450,8 +463,8 @@ def test_svg_helpers(tmp_path):
     with pytest.raises(ValueError):
         line_plot_svg([], [], [])
     path = tmp_path / "s.csv"
-    ser = AverageSeries(np.array([1.0, 2.0]), np.array([0.5, 0.25]), 0.3, "demo")
-    atomic_write_text(path, series_csv_text(ser))
+    rows = [(1.0, 0.5, 0.3, "demo", None), (2.0, 0.25, 0.3, "demo", None)]
+    atomic_write_text(path, series_rows_csv_text(rows))
     svg = svg_from_series_csv(path.read_text(encoding="utf-8"))
     assert svg.startswith("<svg") and "demo" in svg
     with pytest.raises(ValueError):

@@ -279,7 +279,7 @@ def test_cyclic_fast_path_matches_brute_force():
     for radius in radii:
         n = parabolic_max_power(radius)
         want.append(1 + 2 * n)
-        assert g.cyclic_count(radius) == 1 + 2 * n
+        assert g._cyclic_max_power([radius])[0] == n
     assert grid_counts(g, radii) == want
     # no enumeration happens on the fast path
     reset_word_counter()
@@ -294,7 +294,7 @@ def test_cyclic_hyperbolic_count():
     for radius in radii:
         n = hyperbolic_max_power(disp, radius)
         want.append(1 + 2 * n)
-        assert g.cyclic_count(radius) == 1 + 2 * n
+        assert g._cyclic_max_power([radius])[0] == n
     assert grid_counts(g, radii) == want
 
 
@@ -308,7 +308,7 @@ def test_cyclic_counts_on_growth_grid():
     g = unit_parabolic_group()
     want = np.array([1 + 2 * parabolic_max_power(r) for r in GROWTH_GRID])
     assert np.array_equal(1 + 2 * g._cyclic_max_power(GROWTH_GRID), want)
-    assert [g.cyclic_count(float(r)) for r in GROWTH_GRID] == list(want)
+    assert [1 + 2 * g._cyclic_max_power([float(r)])[0] for r in GROWTH_GRID] == list(want)
     ratio = want * np.exp(-0.5 * GROWTH_GRID)
     assert check_parabolic_growth(g) == max(ratio.max(), (1.0 / ratio).max())
     h, disp = cyclic_hyperbolic_group()
@@ -325,11 +325,11 @@ def test_cyclic_count_out_of_range_names_the_radius():
     with pytest.raises(GroupError, match=r"radius 85 holds 2\*\*61 or more powers"):
         critical_exponent(g, 100.0)
     with pytest.raises(GroupError, match=r"radius 100 holds"):
-        g.cyclic_count(100.0)
+        g._cyclic_max_power([100.0])
     with pytest.raises(GroupError, match=r"radius 84.75 holds"):
         check_parabolic_growth(g, t_max=100.0)
     # just below the edge the count is still taken
-    assert 2**61 < g.cyclic_count(84.5) < 2**62
+    assert 2**61 < 1 + 2 * int(g._cyclic_max_power([84.5])[0]) < 2**62
 
 
 # ---------------------------------------------------------------- exponents
@@ -811,6 +811,21 @@ def test_group_file_round_trip(tmp_path):
     p = tmp_path / "grp.txt"
     p.write_text(text)
     assert resolve_group(str(p)).order == g.order
+
+
+def test_group_file_takes_only_known_keys():
+    for g in (schottky_group(), cusped_group(), unit_parabolic_group()):
+        assert parse_group_text(dumps_group(g)).order == g.order
+    lines = dumps_group(schottky_group()).splitlines()
+    block = lines.index("label = a") + 1
+    for at, bad, message in [
+        (block, "colour = red", "line %d: unknown key 'colour' in generator 'a'"),
+        (1, "nmae = x", "line %d: unknown key 'nmae'"),
+        (block, " = 5", "line %d: empty key"),
+    ]:
+        text = "\n".join(lines[:at] + [bad] + lines[at:]) + "\n"
+        with pytest.raises(GroupError, match="^" + message % (at + 1)):
+            parse_group_text(text)
 
 
 def test_group_file_errors():
