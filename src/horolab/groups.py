@@ -795,6 +795,9 @@ class FuchsianGroup:
 def _fit_grid(t_max: float, grid_step: float, window: float | None):
     """critical_exponent's count grid and the width of its trailing fit window."""
     grid = np.arange(grid_step, t_max + 0.5 * grid_step, grid_step)
+    # the walk counts only up to t_max, so a point past it would be cut short;
+    # one past it by no more than arange's rounding stays
+    grid = grid[grid <= t_max + 1e-9 * grid_step]
     return grid, (window if window is not None else max(6.0, 0.4 * t_max))
 
 
@@ -982,8 +985,9 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
 
     An optional 'name =' line comes first. Blocks start at a 'label =' line
     and need 'matrix = a b c d', 'domain = lo hi' and
-    'kind = hyperbolic|parabolic'; any other key is an error, and '#' starts
-    a comment. Every letter, inverses included, gets its own block, and a
+    'kind = hyperbolic|parabolic'; any other key, or a key given twice in
+    one block or twice before the first, is an error, and '#' starts a
+    comment. Every letter, inverses included, gets its own block, and a
     group needs at least one letter pair. name is the group's name unless
     the text sets one; an error that names a line, or finds no letters,
     names it as the source.
@@ -994,7 +998,7 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
 
     # each block maps its keys to (value, line)
     blocks: list[dict] = []
-    group_name = name
+    group_name, name_line = name, None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1013,9 +1017,18 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
                     "%s: unknown key %r in generator %r; a block takes label, kind, "
                     "matrix and domain" % (at(ln), key, blocks[-1]["label"][0])
                 )
+            if key in blocks[-1]:
+                raise GroupError(
+                    "%s: duplicate key %r in generator %r, first given on line %d"
+                    % (at(ln), key, blocks[-1]["label"][0], blocks[-1][key][1])
+                )
             blocks[-1][key] = (val, ln)
         elif key == "name":
-            group_name = val
+            if name_line is not None:
+                raise GroupError(
+                    "%s: duplicate key 'name', first given on line %d" % (at(ln), name_line)
+                )
+            group_name, name_line = val, ln
         else:
             raise GroupError(
                 "%s: unknown key %r; only name may come before the first label" % (at(ln), key)

@@ -387,13 +387,15 @@ def _uniform_step(t_grid, what):
 def _pair_field(measure, hat_delta, t_grid, top_k):
     """Fundamental-domain samples of the geodesic-pair quadrature.
 
-    Returns (field, estimates). The field holds flat arrays (x, y, theta,
-    weight); the weight already carries both atom masses, the
-    boundary-separation kernel and the grid cell width. Both are cached on
-    the measure, keyed by (exponent, grid contents, top_k): the field is
-    integrand-independent, so several test functions share one geometry
-    pass, and estimates is the dict in which quadrature_report keeps what
-    each integrand gave on this field.
+    Returns (blocks, den, estimates). The field is kept as the blocks it is
+    built in, one per 4096 atom pairs that have samples, each holding flat
+    arrays (x, y, theta, weight); joined in order they are the whole field.
+    The weight already carries both atom masses, the boundary-separation
+    kernel and the grid cell width, and den is the sum of all weights, the
+    normalizer. All three are cached on the measure, keyed by (exponent,
+    grid contents, top_k): the field is integrand-independent, so several
+    test functions share one geometry pass, and estimates is the dict in
+    which quadrature_report keeps what each integrand gave on this field.
     """
     dt = _uniform_step(t_grid, "leaf-coordinate")
     key = (round(hat_delta, 12), t_grid.tobytes(), top_k)
@@ -441,17 +443,21 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
         X, Y = frame_point(a0[row] * e, b0[row] / e, C, D)
         return measure.group.containing_letter(X, Y) < 0, (X, Y, C, D)
 
-    parts = []
+    blocks = []
     for lo in range(0, len(ii), 4096):
         sl = slice(lo, lo + 4096)
         row, _, mask, (X, Y, C, D) = _clip_cells(
             first[sl], stop[sl], (0, len(t_grid)), lambda r, c, lo=lo: samples(r + lo, c)
         )
         if mask.any():
-            parts.append((X[mask], Y[mask], frame_angle(C[mask], D[mask]), w[lo + row[mask]]))
-    if not parts:
+            blocks.append((X[mask], Y[mask], frame_angle(C[mask], D[mask]), w[lo + row[mask]]))
+    if not blocks:
         raise MeasureError("pair quadrature found no fundamental-domain samples")
-    out = tuple(np.concatenate([p[k] for p in parts]) for k in range(4)), {}
+    # one pairwise sum over the whole field, as quadrature_report's numerator
+    den = float(np.sum(np.concatenate([b[3] for b in blocks])))
+    if den <= 0.0:
+        raise MeasureError("empty normalizer in the pair quadrature")
+    out = blocks, den, {}
     measure._pair_cache[key] = out
     return out
 
@@ -486,23 +492,28 @@ def quadrature_report(
 
     The measure keeps, per (exponent, grid contents, top_k), the pair field
     and the report of every integrand asked for on it, so each integrand is
-    evaluated once per field. Integrands are keyed by identity, not by
-    value: the cache holds each one, so its id cannot be reused while its
-    entry lasts, and an equal but distinct integrand is evaluated afresh.
+    evaluated once per field, one block of it at a time. Integrands are
+    keyed by identity, not by value: the cache holds each one, so its id
+    cannot be reused while its entry lasts, and an equal but distinct
+    integrand is evaluated afresh.
     An integrand must therefore not change once it has been integrated.
     """
     if t_grid is None:
         t_grid = np.arange(-8.0, 8.0 + 1e-9, 0.05)
     t_grid = np.asarray(t_grid, dtype=float)
-    (x, y, th, w), estimates = _pair_field(measure, hat_delta, t_grid, top_k)
+    blocks, den, estimates = _pair_field(measure, hat_delta, t_grid, top_k)
     hit = estimates.get(id(psi))
     if hit is not None:
         return hit[1]
-    den = float(np.sum(w))
-    if den <= 0.0:
-        raise MeasureError("empty normalizer in the pair quadrature")
-    est = float(np.sum(w * _evaluate(psi, x, y, th))) / den
-    report = est, int(len(w)), float(t_grid[1] - t_grid[0])
+    # w psi block by block into one array, then one pairwise sum over it:
+    # the same sum as over the joined field, with no other full-length array
+    prod = np.empty(sum(len(b[3]) for b in blocks))
+    end = 0
+    for x, y, th, w in blocks:
+        start, end = end, end + len(w)
+        np.multiply(w, _evaluate(psi, x, y, th), out=prod[start:end])
+    est = float(np.sum(prod)) / den
+    report = est, int(len(prod)), float(t_grid[1] - t_grid[0])
     estimates[id(psi)] = (psi, report)
     return report
 

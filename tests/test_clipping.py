@@ -133,7 +133,8 @@ def full_br_integral(
 
 def assert_same_field(measure, delta, t_grid, top_k):
     measure._pair_cache.clear()
-    got, _ = _pair_field(measure, delta, t_grid, top_k)
+    blocks, _, _ = _pair_field(measure, delta, t_grid, top_k)
+    got = [np.concatenate([b[k] for b in blocks]) for k in range(4)]
     want = full_pair_field(measure, delta, t_grid, top_k)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape

@@ -377,10 +377,16 @@ def test_cli_group_info_stdout(tmp_path, capsys):
             "{path} line 1: unknown key 'nmae'; only name may come before the first label",
         ),
         ("label = a\n = 5\n", "{path} line 2: empty key"),
+        (
+            "label = a\nmatrix = 1 0 0 1\nmatrix = 2 3 1 2\ndomain = 1 3\nkind = hyperbolic\n",
+            "{path} line 3: duplicate key 'matrix' in generator 'a', first given on line 2",
+        ),
+        ("name = x\nname = y\nlabel = a\n", "{path} line 2: duplicate key 'name', first given on line 1"),
     ],
     ids=[
         "not-key-value", "missing-keys", "matrix-count", "domain-count", "not-a-number",
         "elliptic-kind", "duplicate-label", "unknown-block-key", "unknown-top-key", "empty-key",
+        "duplicate-block-key", "duplicate-top-key",
     ],
 )
 def test_cli_group_file_parse_error_names_file(text, message, tmp_path, capsys):

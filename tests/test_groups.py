@@ -224,6 +224,17 @@ def grid_counts(group, radii):
     return [int(fit.counts[np.flatnonzero(fit.grid == r)[0]]) for r in radii]
 
 
+def test_exponent_grid_stops_at_t_max():
+    # t_max = 12.3 once kept the grid point 12.5 and counted it only up to
+    # 12.3: 127 orbit points where t_max = 12.5 counts 137
+    g = schottky_group()
+    cut = critical_exponent(g, 12.3, min_points=0)
+    whole = critical_exponent(g, 12.5, min_points=0)
+    assert cut.grid[-1] == 12.0
+    assert np.array_equal(cut.grid, whole.grid[:-1])
+    assert np.array_equal(cut.counts, whole.counts[:-1])
+
+
 def test_orbit_count_against_brute_force():
     g = schottky_group()
     brute = brute_orbit_points(g, 4)
@@ -825,6 +836,14 @@ def test_group_file_takes_only_known_keys():
     ]:
         text = "\n".join(lines[:at] + [bad] + lines[at:]) + "\n"
         with pytest.raises(GroupError, match="^" + message % (at + 1)):
+            parse_group_text(text)
+    # a repeated key once parsed, the later value winning; the error names
+    # the key's own line, one further down with the new line in, and the first
+    for at, key, where in [(block, "matrix", " in generator 'a'"), (1, "name", "")]:
+        text = "\n".join(lines[:at] + ["%s = 1 0 0 1" % key] + lines[at:]) + "\n"
+        again = next(i for i in range(at, len(lines)) if lines[i].startswith(key + " =")) + 2
+        message = "^line %d: duplicate key %r%s, first given on line %d$" % (again, key, where, at + 1)
+        with pytest.raises(GroupError, match=message):
             parse_group_text(text)
 
 

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from horolab.defaults import (
+    BUMP_WIDTHS,
+    DEFAULT_BUMPS,
     DEFECT_LADDER,
     EXPERIMENT_PERIODS,
     EXPONENT_RADIUS,
@@ -17,6 +20,7 @@ from horolab.measures import (
     AtomicBoundaryMeasure,
     MeasureError,
     PattersonConfig,
+    _pair_field,
     br_integral,
     build_patterson,
     conditional_on_horocycle,
@@ -257,14 +261,19 @@ def test_ps_integral_vanishes_off_support(sch, m_sch):
 
 
 class _Counted(Integrand):
-    """A bump that counts its evaluate_points calls."""
+    """A bump that counts its evaluate_points calls and keeps the x of the
+    cells of each."""
 
     def __init__(self, psi):
         self.psi = psi
-        self.calls = 0
+        self.seen = []
+
+    @property
+    def calls(self):
+        return len(self.seen)
 
     def evaluate_points(self, x, y, theta):
-        self.calls += 1
+        self.seen.append(np.array(x))
         return self.psi.evaluate_points(x, y, theta)
 
 
@@ -293,6 +302,56 @@ def test_quadrature_report_evaluates_each_integrand_once_per_field(sch, m_sch):
     fresh = dataclasses.replace(m_sch, _pair_cache={})
     again = quadrature_report(_Counted(bump), fresh, DELTA_SCH, t_grid=t, top_k=40)
     assert [float(v).hex() for v in again] == [float(v).hex() for v in first]
+
+
+DEFAULT_T = np.arange(-8.0, 8.0 + 1e-9, 0.05)
+
+
+def default_bumps(group):
+    wb, wa = BUMP_WIDTHS
+    return [TestFunction(group, pointed_frame(*cd), base_width=wb, angle_width=wa)
+            for cd in DEFAULT_BUMPS["schottky"]]
+
+
+def test_quadrature_report_sums_the_blocks_as_one_field(sch, m_sch):
+    # the default field is kept in the blocks it is built in; each integrand
+    # is evaluated block by block, and the estimate is the one pairwise sum
+    # over the whole field
+    measure = dataclasses.replace(m_sch, _pair_cache={})
+    blocks, den, _ = _pair_field(measure, DELTA_SCH, DEFAULT_T, 220)
+    assert len(blocks) == 12
+    x, y, th, w = (np.concatenate([b[k] for b in blocks]) for k in range(4))
+    assert den == float(np.sum(w))
+    for bump in default_bumps(sch):
+        psi = _Counted(bump)
+        est, cells, _ = quadrature_report(psi, measure, DELTA_SCH)
+        assert cells == len(w)
+        # every cell exactly once, in field order
+        assert [len(v) for v in psi.seen] == [len(b[0]) for b in blocks]
+        assert np.array_equal(np.concatenate(psi.seen), x)
+        want = float(np.sum(w * bump.evaluate_points(x, y, th))) / float(np.sum(w))
+        assert est.hex() == want.hex()
+
+
+def test_pair_quadrature_memory(sch, m_sch):
+    # the field once was joined from its blocks, two copies at a time (2.2x
+    # its bytes), and each integrand ran over all of it at once (0.8-1.2x)
+    measure = dataclasses.replace(m_sch, _pair_cache={})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _pair_field(measure, DELTA_SCH, DEFAULT_T, 220)
+        field_bytes, peak = tracemalloc.get_traced_memory()
+        field_bytes -= base
+        assert field_bytes > 50 * 2**20
+        assert peak - base < 1.75 * field_bytes
+        for psi in default_bumps(sch):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            quadrature_report(psi, measure, DELTA_SCH)
+            assert tracemalloc.get_traced_memory()[1] - base < 0.5 * field_bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_br_integral_normalization_and_frozen(cus, m_cus):
