@@ -46,8 +46,9 @@ _KIND_TOL = 1e-10
 # margin above the requested radius and filters exactly afterwards.
 _PRUNE_SLACK = 2.0
 
-# rows per matmul when a level's children are formed, which bounds the
-# gathered parent and letter stacks on wide levels
+# rows per product when a level's children are formed, which bounds the
+# gathered parent stacks on wide levels and keeps each product below the size
+# at which BLAS starts a second thread
 _CHILD_CHUNK = 16384
 
 # rounds a frame reduction may take before it is declared stuck
@@ -134,6 +135,16 @@ def fixed_points(m: Isometry) -> tuple[BoundaryPoint, BoundaryPoint | None]:
     if abs(c * r1.value + d) > 1.0:
         return r1, r2
     return r2, r1
+
+
+def _letter_blocks(letter: np.ndarray):
+    """(lo, hi, k) for each run of rows lo:hi of one letter k, in row order,
+    cut into pieces of at most _CHILD_CHUNK rows. Rows that come
+    letter-major make one run per letter."""
+    cuts = (np.flatnonzero(letter[1:] != letter[:-1]) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [len(letter)]):
+        for lo in range(a, b, _CHILD_CHUNK):
+            yield lo, min(lo + _CHILD_CHUNK, b), letter[a]
 
 
 def _displacement_from_entries(a, b, c, d):
@@ -503,17 +514,37 @@ class FuchsianGroup:
             level += 1
 
     def _children(self, mats: np.ndarray, parent: np.ndarray, letter: np.ndarray) -> np.ndarray:
-        """Rows mats[parent] times the letters' matrices, renormalized, formed
-        _CHILD_CHUNK rows per matmul so wide levels gather bounded stacks."""
+        """Rows mats[parent] times the matrices of their letters, renormalized.
+
+        The rows must come letter-major, as np.nonzero gives them in
+        _level_arrays and _syllable_displacements: every row of a letter's
+        block is multiplied on the right by the same matrix, so the block is
+        one (2m x 2) @ (2 x 2) product of its gathered rows seen as pairs of
+        entries, written straight into the children. A stacked (m, 2, 2)
+        matmul rounds each entry the same way but makes one BLAS call per
+        row. Products take at most _CHILD_CHUNK rows (see _letter_blocks);
+        rows in another order are still right, one product per run of a
+        letter.
+
+        Raises GroupError when a child's determinant is not finite and
+        positive, as rounding makes it on words displaced past about 31 on
+        the Schottky group: renormalizing would turn the row into NaN, and
+        radius pruning would drop it without a word.
+        """
         child = np.empty((len(parent), 2, 2))
-        for lo in range(0, len(parent), _CHILD_CHUNK):
-            sl = slice(lo, lo + _CHILD_CHUNK)
-            np.matmul(
-                np.take(mats, parent[sl], axis=0),
-                np.take(self._mats, letter[sl], axis=0),
-                out=child[sl],
+        flat = child.reshape(-1, 2)
+        for lo, hi, k in _letter_blocks(letter):
+            rows = np.take(mats, parent[lo:hi], axis=0).reshape(-1, 2)
+            np.matmul(rows, self._mats[k], out=flat[2 * lo : 2 * hi])
+        det = _determinants(child)
+        lost = ~((det > 0.0) & (det < np.inf))
+        if lost.any():
+            raise GroupError(
+                "%d of %d word products lost their determinant to rounding (one reads %r); "
+                "enumerate to a smaller radius or cutoff"
+                % (np.count_nonzero(lost), len(det), float(det[lost][0]))
             )
-        child /= np.sqrt(_determinants(child))[:, None, None]
+        child /= np.sqrt(det)[:, None, None]
         return child
 
     def _run_arrays(self, mats: np.ndarray, letter: np.ndarray, powers: _RunPowers, cap: float):
@@ -523,13 +554,18 @@ class FuchsianGroup:
         charges the words formed up to each cut.
 
         letter names each row's letter among the rows of powers, and the
-        n-th word is alpha_n w + beta_n (w N), up to sign. Each run is formed
+        n-th word is alpha_n w + beta_n (w N), up to sign. The rows must come
+        letter-major, as np.nonzero gives them in _syllable_displacements:
+        w N is formed by letter blocks as in _children. Each run is formed
         up to the power _run_bound gives in blocks of at most _CHILD_CHUNK
         rows; a run that has not crossed cap there, which only rounding or
         a letter parabolic only up to rounding can cause, is formed on from
         where it stopped over as many powers again.
         """
-        wn = np.matmul(mats, np.take(powers.nil, letter, axis=0))
+        wn = np.empty((len(mats), 2, 2))
+        flat = wn.reshape(-1, 2)
+        for lo, hi, k in _letter_blocks(letter):
+            np.matmul(mats[lo:hi].reshape(-1, 2), powers.nil[k], out=flat[2 * lo : 2 * hi])
         end = _run_bound(mats, wn, cap)  # the last power formed before a look
         formed = np.zeros(len(mats), dtype=np.int64)
         pending = np.arange(len(mats))

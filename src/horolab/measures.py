@@ -176,7 +176,9 @@ def conformality_defect(measure: AtomicBoundaryMeasure, gamma, hat_delta: float)
     around 1e-3 for the shipped groups. Source atoms are restricted to
     those whose continuation is guaranteed inside the truncation; without
     that restriction a deep atom would match the truncated prefix of its
-    continuation, which carries an O(1) wrong weight.
+    continuation, which carries an O(1) wrong weight. Only those source
+    atoms, and of them the ones with a finite image, are searched for a
+    match, in atom order.
     """
     m, glen = measure.group.word_matrix(gamma), len(gamma)
     if isometry_distance(m, Isometry.identity()) < 1e-14:
@@ -187,20 +189,21 @@ def conformality_defect(measure: AtomicBoundaryMeasure, gamma, hat_delta: float)
     else:
         src = measure.lengths + glen <= measure.cutoff
     xi = measure.points
-    den = c * xi + d
-    finite = src & (np.abs(den) > 1e-12)
-    eta = np.zeros_like(xi)
-    eta[finite] = (a * xi[finite] + b) / den[finite]
-    j = np.searchsorted(measure.points, eta)
+    source = np.flatnonzero(src)
+    den = c * xi[source] + d
+    finite = np.abs(den) > 1e-12
+    source = source[finite]
+    eta = (a * xi[source] + b) / den[finite]
+    j = np.searchsorted(xi, eta)
     cand = np.stack([np.clip(j - 1, 0, len(xi) - 1), np.clip(j, 0, len(xi) - 1)])
-    dist = np.abs(measure.points[cand] - eta[None, :])
-    pick = cand[np.argmin(dist, axis=0), np.arange(len(xi))]
-    matched = finite & (np.abs(measure.points[pick] - eta) <= _MATCH_TOL)
-    if not matched.any():
+    pick = cand[np.argmin(np.abs(xi[cand] - eta), axis=0), np.arange(len(eta))]
+    near = np.abs(xi[pick] - eta) <= _MATCH_TOL
+    matched, pick = source[near], pick[near]
+    if not len(matched):
         raise MeasureError("no atom pairs matched under %r" % (gamma,))
     q = mobius_apply(m.inverse(), UnitTangent.identity().base_point)
     beta = _busemann_at_origin(xi[matched], q.x, q.y)
-    ratio = measure.log_weights[pick[matched]] - measure.log_weights[matched]
+    ratio = measure.log_weights[pick] - measure.log_weights[matched]
     return float(np.median(np.abs(ratio - hat_delta * beta)))
 
 

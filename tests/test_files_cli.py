@@ -128,6 +128,26 @@ def test_cli_numeric_failure_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        pytest.param("exponent", ["t_max=32"], id="exponent-t_max-32"),
+        pytest.param("patterson", ["radius=none", "cutoff=10"], id="patterson-cutoff-10"),
+    ],
+)
+def test_cli_lost_determinant_exits_2(experiment, overrides, tmp_path, capsys):
+    # rounding leaves some of these word products with a determinant <= 0;
+    # the runs dropped those words and exited 0 with a RuntimeWarning only
+    out = tmp_path / "out"
+    argv = [experiment, "--out", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "lost their determinant to rounding" in err
+    assert not out.exists()
+
+
 def test_cli_frame_reduction_breakdown_exits_2(tmp_path, capsys):
     # flowing the ball by t = -800 overflows the frame entries; the reduction
     # must stop the run instead of averaging the bump over NaN base points

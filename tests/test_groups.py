@@ -495,6 +495,23 @@ def test_syllable_walk_counts_across_blocks(short_bound, monkeypatch):
         assert_counts_match_level_walk(cusped_group(), t_max)
 
 
+def test_enumeration_refuses_lost_determinants():
+    # past radius 31 or so on the Schottky group rounding leaves some word
+    # products with a determinant <= 0; renormalized, they became NaN rows
+    # that the radius prune dropped while the fit went on over the rest
+    g = schottky_group()
+    with pytest.raises(GroupError, match="of 224553 word products lost their determinant"):
+        critical_exponent(g, t_max=32.0)
+    with pytest.raises(GroupError, match="1 of 78732 word products lost their determinant"):
+        for _ in g._level_arrays(10):
+            pass
+    # a row with a zero, a negative and a NaN determinant
+    for row, det in (([[1.0, 1.0], [1.0, 1.0]], "0.0"), ([[0.0, 1.0], [1.0, 0.0]], "-"),
+                     ([[np.nan, 0.0], [0.0, 1.0]], "nan")):
+        with pytest.raises(GroupError, match=r"1 of 1 word products .* \(one reads %s" % det):
+            g._children(np.array([row]), np.zeros(1, np.int64), np.zeros(1, np.int64))
+
+
 @pytest.mark.parametrize(
     "group, kwargs",
     [

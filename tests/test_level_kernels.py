@@ -1,18 +1,22 @@
 """The level-by-level group kernels against their per-letter form.
 
-_level_arrays builds each enumeration level in one pass (every child found
-by one index pass, products formed in chunks of rows); reduce_frames moves
-only the frames still live, on a compact stack; and settle_frames moves
-every live row of a round with one product against a gathered stack of
-leaving matrices. The oracles below are the versions they replaced: one
-gather, product and renormalization per letter, then concatenation; a
-reduction that gathers and scatters the active rows of the full stack each
-round; and a settling loop with a gather, a product and a scatter per
-letter. The rewrites do the same float operations on the same operands in
-the same order (numpy's 2x2 matmul rounds each row the same way whatever
-the batch and its layout), so every output must be equal bit for bit.
-scalar_reduce is the reduction one frame at a time, with the word it
-peels, which the group tests check against the group action.
+_level_arrays builds each enumeration level in one pass: every child is
+found by one index pass, letter-major, and each letter's block of children
+is one (2m x 2) @ (2 x 2) product of the gathered parent rows, seen as
+pairs of entries, with the letter's matrix, at most _CHILD_CHUNK rows at a
+time. reduce_frames moves only the frames still live, on a compact stack;
+and settle_frames moves every live row of a round with one stacked product
+against a gathered stack of leaving matrices. The oracles below are the
+versions they replaced: one gather, stacked (m, 2, 2) product and
+renormalization per letter, then concatenation; a reduction that gathers
+and scatters the active rows of the full stack each round; and a settling
+loop with a gather, a product and a scatter per letter. The rewrites do
+the same float operations on the same operands in the same order, so every
+output must be equal bit for bit. That rests on the BLAS rounding each
+entry of a 2x2 product the same way in the stacked and the letter-block
+layout, which test_letter_block_product_rounds_as_stacked_matmul checks
+on its own. scalar_reduce is the reduction one frame at a time, with the
+word it peels, which the group tests check against the group action.
 """
 
 import math
@@ -225,6 +229,47 @@ def test_levels_match_letter_loop_across_chunks(make, max_len, radius, monkeypat
     # tiny chunks put a chunk edge inside every level wider than 5 rows
     monkeypatch.setattr(groups, "_CHILD_CHUNK", 5)
     assert_same_levels(make(), max_len, radius)
+
+
+def wide_stack(rng, n):
+    """n matrices (n, 2, 2) with entries of either sign spread over e^-30 to
+    e^30, about one in ten 0.0 and one in ten -0.0, and both in every stack."""
+    s = rng.choice([-1.0, 1.0], (n, 2, 2)) * np.exp(rng.uniform(-30.0, 30.0, (n, 2, 2)))
+    u = rng.uniform(size=(n, 2, 2))
+    s[u < 0.1] = 0.0
+    s[u > 0.9] = -0.0
+    s[0, 0, 0], s[-1, 1, 1] = 0.0, -0.0
+    return s
+
+
+@pytest.mark.parametrize("make", [schottky_group, cusped_group, unit_parabolic_group])
+def test_letter_block_product_rounds_as_stacked_matmul(make):
+    # _children multiplies each letter's block by the letter's matrix and
+    # _run_arrays by its nilpotent as one product of the rows seen as pairs
+    # of entries; a BLAS that rounds that layout unlike the stacked one
+    # fails here by name instead of in the level oracles
+    g = make()
+    cusp = np.array([g.letters[label].kind == "parabolic" for label in g.order])
+    factors = list(g._mats) + list(groups._RunPowers(g._mats[cusp]).nil)
+    rng = np.random.default_rng(1616)
+    for n in (1, 2, groups._CHILD_CHUNK - 1, groups._CHILD_CHUNK):
+        s = wide_stack(rng, n)
+        for k, mat in enumerate(factors):
+            got = (s.reshape(-1, 2) @ mat).reshape(-1, 2, 2)
+            assert same_bits(got, np.matmul(s, mat[None])), (n, k)
+            assert same_bits(got, np.matmul(s, np.repeat(mat[None], n, axis=0))), (n, k)
+
+
+def test_children_in_any_row_order(monkeypatch):
+    # rows that are not letter-major take one product per run of a letter
+    monkeypatch.setattr(groups, "_CHILD_CHUNK", 5)
+    g = cusped_group()
+    mats, _, last, _ = list(g._level_arrays(2))[-1]
+    letter, parent = np.nonzero(last[None, :] != g._inv_index[:, None])
+    want = g._children(mats, parent, letter)
+    order = np.random.default_rng(7).permutation(len(parent))
+    assert same_bits(g._children(mats, parent[order], letter[order]), want[order])
+    assert g._children(mats, parent[:0], letter[:0]).shape == (0, 2, 2)
 
 
 def test_level_wider_than_one_chunk():

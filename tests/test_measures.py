@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,11 @@ from horolab.defaults import (
 )
 from horolab.groups import WordSpec, critical_exponent, sample_limit_point
 from horolab.measures import (
+    _MATCH_TOL,
     AtomicBoundaryMeasure,
     MeasureError,
     PattersonConfig,
+    _busemann_at_origin,
     _pair_field,
     br_integral,
     build_patterson,
@@ -29,7 +32,7 @@ from horolab.measures import (
     quadrature_report,
 )
 from horolab.averages import Integrand, TestFunction, build_vector, pointed_frame
-from horolab.geometry import geodesic_flow, horocycle_flow
+from horolab.geometry import UnitTangent, geodesic_flow, horocycle_flow, mobius_apply
 
 DELTA_SCH = 0.4322791205538202
 DELTA_CUS = 0.646822563859683
@@ -141,6 +144,58 @@ def test_defect_identity_and_word(m_sch, sch):
     d1 = conformality_defect(m_sch, "a", DELTA_SCH)
     d2 = conformality_defect(m_sch, ("a", "b"), DELTA_SCH)
     assert d1 < 1e-8 and d2 < 1e-6
+
+
+def all_atoms_conformality_defect(measure, gamma, hat_delta):
+    """conformality_defect searching every atom: the images, the candidate
+    neighbours and the nearest pick span all N atoms, and the atoms that are
+    no source or have no finite image are masked out afterwards."""
+    m, glen = measure.group.word_matrix(gamma), len(gamma)
+    a, b, c, d = m.entries()
+    if measure.radius is not None:
+        src = measure.displacements <= measure.radius - measure.group.displacement(m)
+    else:
+        src = measure.lengths + glen <= measure.cutoff
+    xi = measure.points
+    den = c * xi + d
+    finite = src & (np.abs(den) > 1e-12)
+    eta = np.zeros_like(xi)
+    eta[finite] = (a * xi[finite] + b) / den[finite]
+    j = np.searchsorted(measure.points, eta)
+    cand = np.stack([np.clip(j - 1, 0, len(xi) - 1), np.clip(j, 0, len(xi) - 1)])
+    dist = np.abs(measure.points[cand] - eta[None, :])
+    pick = cand[np.argmin(dist, axis=0), np.arange(len(xi))]
+    matched = finite & (np.abs(measure.points[pick] - eta) <= _MATCH_TOL)
+    if not matched.any():
+        raise MeasureError("no atom pairs matched under %r" % (gamma,))
+    q = mobius_apply(m.inverse(), UnitTangent.identity().base_point)
+    beta = _busemann_at_origin(xi[matched], q.x, q.y)
+    ratio = measure.log_weights[pick[matched]] - measure.log_weights[matched]
+    return float(np.median(np.abs(ratio - hat_delta * beta)))
+
+
+@pytest.mark.parametrize("radius", [True, False], ids=["radius-pruned", "cutoff-only"])
+@pytest.mark.parametrize("name", ["schottky", "cusped"])
+def test_defect_matches_all_atoms_search(name, radius, sch, cus, m_sch, m_cus):
+    # the search over source atoms with a finite image keeps the matched
+    # atoms and their order, so the median keeps every bit
+    group, delta = (sch, DELTA_SCH) if name == "schottky" else (cus, DELTA_CUS)
+    if radius:
+        measure = m_sch if name == "schottky" else m_cus
+    else:
+        measure = build_patterson(group, PattersonConfig(delta, 8, None))
+    o = group.order
+    for gamma in [(label,) for label in o] + [(o[0], o[2])]:
+        got = conformality_defect(measure, gamma, delta)
+        assert got.hex() == all_atoms_conformality_defect(measure, gamma, delta).hex(), gamma
+    # a word displaced past the radius, or longer than the cutoff, leaves no source atom
+    hyperbolic = next(label for label in o if group.letters[label].kind == "hyperbolic")
+    long = (hyperbolic,) * 9
+    if radius:
+        assert group.displacement(group.word_matrix(long)) > measure.radius
+    for defect in (conformality_defect, all_atoms_conformality_defect):
+        with pytest.raises(MeasureError, match="^no atom pairs matched under %s$" % re.escape(repr(long))):
+            defect(measure, long, delta)
 
 
 def test_defect_ladder_trends():
