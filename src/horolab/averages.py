@@ -122,23 +122,18 @@ def _frame_coordinates(frames: np.ndarray):
 
 
 class Integrand:
-    """Shared entry points of the test-function protocol.
+    """Shared entry point of the test-function protocol.
 
-    An integrand defines evaluate_points(x, y, theta) on fundamental-domain
-    coordinates, which the quadratures call directly. evaluate_frames
-    reduces a stack of frames once and then evaluates; a single vector goes
-    through __call__. Leaf averages of an integrand that keeps this
-    evaluate_frames settle the leaf frames once on its group and call
-    evaluate_points, and so do those of a ShiftedFunction of such an
-    integrand, on the flowed frames; any other integrand that overrides it
-    gets the frames.
+    An integrand defines evaluate_points(x, y, theta) on the
+    fundamental-domain coordinates of its `group`, which the quadratures
+    call directly; one whose group is None, such as ConstantFunction, is
+    evaluated where the frame lies. Frames reach evaluate_points by one
+    rule, that of _values, which __call__ applies to a single vector; leaf
+    averages and Simpson grids settle each (group, flow times) once.
     """
 
-    def evaluate_frames(self, mats):
-        return self.evaluate_points(*_frame_coordinates(self.group.reduce_frames(mats)))
-
     def __call__(self, u: UnitTangent) -> float:
-        return float(self.evaluate_frames(np.reshape(u.frame.entries(), (1, 2, 2)))[0])
+        return float(_values(self, np.reshape(u.frame.entries(), (1, 2, 2)))[0])
 
     def support(self):
         """A disk (x0, y0, reach) outside which evaluate_points vanishes, the
@@ -203,31 +198,29 @@ class ConstantFunction(Integrand):
 
     value: float = 1.0
     label: str = "one"
+    group = None  # not a field: a constant is evaluated where the frame lies
 
     def evaluate_points(self, x, y, theta):
         return np.full(np.shape(x), self.value)
 
-    def evaluate_frames(self, mats):
-        return np.full(len(mats), self.value)
-
 
 class ShiftedFunction(Integrand):
-    """psi composed with the time-t geodesic flow; invariance is inherited."""
+    """psi composed with the time-t geodesic flow; invariance is inherited.
+    It carries the flow time only, which evaluation peels off (see _peeled)."""
 
     def __init__(self, psi, t: float):
         self.psi = psi
         self.t = t
         self.label = "%s.g%g" % (getattr(psi, "label", "psi"), t)
 
-    def evaluate_frames(self, mats):
-        return self.psi.evaluate_frames(_flowed(mats, self.t))
-
 
 class WeightedFunction(Integrand):
-    """Pointwise product of an integrand with a base-point density."""
+    """Pointwise product of an integrand with a base-point density, taken at
+    the reduced point like every other evaluation on psi's group."""
 
     def __init__(self, psi, density, label: str = "weighted"):
         self.psi = psi
+        self.group = psi.group
         self.density = density
         self.label = label
 
@@ -236,13 +229,6 @@ class WeightedFunction(Integrand):
 
     def support(self):
         return self.psi.support()
-
-    def evaluate_frames(self, mats):
-        # on a leaf the density weighs the point itself, not its reduced image
-        mats = np.asarray(mats, dtype=float)
-        vals = self.psi.evaluate_frames(mats)
-        x, y = frame_point(*mats.reshape(-1, 4).T)
-        return vals * self.density(x, y)
 
 
 @dataclass
@@ -298,96 +284,98 @@ class AverageSeries:
 # ------------------------------------------------------------------ means
 
 
-def _settling_group(psi):
-    # the group psi reduces its frames on before it evaluates the points, or
-    # None when psi evaluates frames its own way
-    if type(psi).evaluate_frames is Integrand.evaluate_frames:
-        return psi.group
-    return None
+def _peeled(psi):
+    """(inner, times): the integrand under psi's ShiftedFunction layers and
+    their flow times, outermost first, the order in which they act on frames."""
+    times = []
+    while isinstance(psi, ShiftedFunction):
+        times.append(psi.t)
+        psi = psi.psi
+    return psi, tuple(times)
 
 
-class _Leaf:
-    """One leaf of a measure: its conditional measure, built once, and its
-    frames settled row by row out to the largest radius asked for so far.
+def _settled(group, times, frames):
+    """(settled, moves) of settle_frames on group of the frames pushed by the
+    geodesic flow for each of times in turn; with no group the frames stay
+    where they lie and move in no round."""
+    for t in times:
+        frames = _flowed(frames, t)
+    if group is None:
+        return np.array(frames, dtype=float), np.zeros(len(frames), dtype=np.int64)
+    return group.settle_frames(frames)
 
-    Each settled row keeps its moves count and the (x, y, theta) of both the
-    settled frame and that frame renormalized once, so a ball average
-    replays the batch rule of reduce_frames over its own rows exactly.
 
-    The leaf frames pushed by one geodesic flow time, the integrand of a
-    ShiftedFunction, are settled the same way out to the largest radius
-    asked for at that time. Only the most recent time is kept, and only its
-    settled rows are stored; a ball replays the batch rule on its own rows,
-    which gives what reduce_frames gives on them.
-    """
+def _values(psi, frames) -> np.ndarray:
+    """psi at a stack of frames (n, 2, 2): the frames flowed by its shifts,
+    reduced on its group as one batch (see reduce_frames), then evaluated."""
+    inner, times = _peeled(psi)
+    reduced = replayed(*_settled(inner.group, times, frames))
+    return inner.evaluate_points(*_frame_coordinates(reduced))
 
-    def __init__(self, u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float):
-        self.u = u
-        self.group = measure.group
-        self.cond = conditional_on_horocycle(u, measure, hat_delta)
-        self.dist = np.abs(self.cond.params)
-        n = len(self.dist)
-        self.reach = 0.0
+
+class _Rows:
+    """Leaf rows settled on one group after one sequence of flow times: over
+    span, a ball [lo, hi) of the leaf, each row's moves count and (x, y,
+    theta) settled and renormalized once, for the batch rule of reduce_frames."""
+
+    def __init__(self, n: int, lo: int):
+        self.span = (lo, lo)
         self.moves = np.zeros(n, dtype=np.int64)
         self.plain = np.empty((3, n))
         self.once = np.empty((3, n))
-        # (t, reach, rows, settled, moves) of the flowed frames, rows ascending
-        self.flow = None
 
-    def _settle(self, r: float) -> None:
-        if r <= self.reach:
-            return
-        rows = np.flatnonzero((self.dist < r) & (self.dist >= self.reach))
-        settled, moves = self.group.settle_frames(_leaf_frames(self.u, self.cond.params[rows]))
-        self.moves[rows] = moves
-        self.plain[:, rows] = _frame_coordinates(settled)
-        self.once[:, rows] = _frame_coordinates(renormalized(settled))
-        self.reach = r
 
-    def _settle_flowed(self, r: float, t: float, sel: np.ndarray):
-        """(rows, settled, moves) of the frames flowed by t, settled at least
-        out to radius r, whose ball is sel."""
-        kept = self.flow if self.flow is not None and self.flow[0] == t else None
-        if kept is not None:
-            if r <= kept[1]:
-                return kept[2:]
-            sel = sel & (self.dist >= kept[1])
-        rows = np.flatnonzero(sel)
-        settled, moves = self.group.settle_frames(
-            _flowed(_leaf_frames(self.u, self.cond.params[rows]), t)
-        )
-        if kept is not None:
-            rows = np.concatenate([kept[2], rows])
-            order = np.argsort(rows, kind="stable")
-            rows = rows[order]
-            settled = np.concatenate([kept[3], settled])[order]
-            moves = np.concatenate([kept[4], moves])[order]
-        self.flow = (t, r, rows, settled, moves)
-        return rows, settled, moves
+class _Leaf:
+    """One leaf of a measure: its conditional measure, built once, and per
+    key (group, flow times) of the integrands its frames settled out to the
+    largest radius asked for so far. It keeps the store of the measure's own
+    group unflowed and that of the most recent other key, which serves a
+    radius ladder at one flow time or an integrand on another group object."""
+
+    def __init__(self, u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float):
+        self.u = u
+        self.cond = conditional_on_horocycle(u, measure, hat_delta)
+        self.own = (measure.group, ())
+        self.stores = {}
+
+    def forget(self) -> None:
+        """Drop every store but the one of the measure's own key."""
+        self.stores = {key: rows for key, rows in self.stores.items() if key == self.own}
+
+    def _rows(self, group, times, lo: int, hi: int) -> _Rows:
+        """The store of (group, times), settled at least over rows [lo, hi)."""
+        key = (group, times)
+        rows = self.stores.get(key)
+        if rows is None:
+            if key != self.own:
+                self.forget()
+            rows = self.stores[key] = _Rows(len(self.cond.params), lo)
+        a, b = rows.span
+        if lo < a or hi > b:
+            new = np.concatenate([np.arange(lo, a), np.arange(b, hi)])
+            settled, moves = _settled(group, times, _leaf_frames(self.u, self.cond.params[new]))
+            rows.moves[new] = moves
+            rows.plain[:, new] = _frame_coordinates(settled)
+            rows.once[:, new] = _frame_coordinates(renormalized(settled))
+            rows.span = (min(lo, a), max(hi, b))
+        return rows
 
     def average(self, r: float, psi) -> float:
         """Mean over the leaf ball {h^s u : |s| < r}."""
         if not r > 0:
             raise AveragesError("horoball radius must be positive")
-        sel = self.dist < r
-        if not sel.any():
+        # params ascend, so the ball is the rows [lo, hi)
+        params = self.cond.params
+        lo, hi = int(np.searchsorted(params, -r, side="right")), int(np.searchsorted(params, r))
+        if lo >= hi:
             raise AveragesError("no conditional atoms inside radius %g" % r)
-        lw = self.cond.log_weights[sel]
+        lw = self.cond.log_weights[lo:hi]
         w = np.exp(lw - np.max(lw))
-        if _settling_group(psi) is self.group:
-            self._settle(r)
-            moves = self.moves[sel]
-            x, y, theta = np.where(moves < moves.max(), self.once[:, sel], self.plain[:, sel])
-            vals = psi.evaluate_points(x, y, theta)
-        elif isinstance(psi, ShiftedFunction) and _settling_group(psi.psi) is self.group:
-            rows, settled, moves = self._settle_flowed(r, psi.t, sel)
-            if len(rows) > len(lw):  # rows settled out to a larger radius
-                ball = self.dist[rows] < r
-                settled, moves = settled[ball], moves[ball]
-            vals = psi.psi.evaluate_points(*_frame_coordinates(replayed(settled, moves)))
-        else:
-            vals = psi.evaluate_frames(_leaf_frames(self.u, self.cond.params[sel]))
-        return float(np.sum(w * vals) / np.sum(w))
+        inner, times = _peeled(psi)
+        rows = self._rows(inner.group, times, lo, hi)
+        moves = rows.moves[lo:hi]
+        x, y, theta = np.where(moves < moves.max(), rows.once[:, lo:hi], rows.plain[:, lo:hi])
+        return float(np.sum(w * inner.evaluate_points(x, y, theta)) / np.sum(w))
 
 
 # leaves a measure keeps, the most recently used last
@@ -397,15 +385,14 @@ _LEAF_MEMO = 2
 def _leaf(u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float) -> _Leaf:
     """The measure's leaf through u, most recently used last in its memo.
 
-    Only that leaf keeps its flowed rows: they serve a radius ladder at one
-    flow time, and kept on every leaf they would raise the peak memory of
-    runs that average many vectors.
-    """
+    The other leaves forget all but their own store: other keys serve a
+    radius ladder at one flow time, and kept on every leaf they would raise
+    the peak memory of runs that average many vectors."""
     key = (u.frame.entries(), hat_delta)
     memo = measure._leaves
     leaf = memo.pop(key, None)
     for other in memo.values():
-        other.flow = None
+        other.forget()
     if leaf is None:
         leaf = _Leaf(u, measure, hat_delta)
         if len(memo) == _LEAF_MEMO:
@@ -449,13 +436,13 @@ def flow_commutation_residual(
     return out
 
 
-def _settle_grid(group: FuchsianGroup, u: UnitTangent, s: np.ndarray, prev):
-    """(s, settled, moves) of the leaf frames at the nodes s. When the nodes
-    of the previous triple are bit for bit the even nodes of s, only the odd
-    nodes are settled."""
+def _settle_grid(group, times, u: UnitTangent, s: np.ndarray, prev):
+    """(s, settled, moves) of the leaf frames at the nodes s, through _settled.
+    When the nodes of the previous triple are bit for bit the even nodes of
+    s, only the odd nodes are settled."""
     if prev is None or s[::2].tobytes() != prev[0].tobytes():
-        return (s,) + group.settle_frames(_leaf_frames(u, s))
-    mid, mid_moves = group.settle_frames(_leaf_frames(u, s[1::2]))
+        return (s,) + _settled(group, times, _leaf_frames(u, s))
+    mid, mid_moves = _settled(group, times, _leaf_frames(u, s[1::2]))
     settled = np.empty((len(s), 2, 2))
     moves = np.empty(len(s), dtype=np.int64)
     settled[::2], settled[1::2] = prev[1], mid
@@ -484,31 +471,28 @@ def _lebesgue_means(u: UnitTangent, t: float, funcs) -> list[float]:
     """average_lebesgue of each of funcs, bit for bit, on shared grids.
 
     Each integrand refines to its own depth. At each depth the grid is
-    settled once for all the integrands still refining that settle on the
-    same group.
+    settled once per key (group, flow times) of the integrands still
+    refining (see _peeled).
     """
     if not t > 0:
         raise AveragesError("window must be positive")
     m = max(4, int(math.ceil(2.0 * t / 0.1)))
-    groups = [_settling_group(psi) for psi in funcs]
+    peeled = [_peeled(psi) for psi in funcs]
     coarse = [None] * len(funcs)
     means = [None] * len(funcs)
-    grids = {}  # id of a settling group -> its (s, settled, moves) grid
+    grids = {}  # (group, flow times) -> its (s, settled, moves) grid
     for _ in range(8):
         coords = {}
         s = np.linspace(-t, t, 2 * m + 1)
         h = s[1] - s[0]
-        for k, (psi, group) in enumerate(zip(funcs, groups)):
+        for k, (inner, times) in enumerate(peeled):
             if means[k] is not None:
                 continue
-            if group is not None:
-                key = id(group)
-                if key not in coords:
-                    grids[key] = _settle_grid(group, u, s, grids.get(key))
-                    coords[key] = _frame_coordinates(replayed(*grids[key][1:]))
-                f = psi.evaluate_points(*coords[key])
-            else:
-                f = psi.evaluate_frames(_leaf_frames(u, s))
+            key = (inner.group, times)
+            if key not in coords:
+                grids[key] = _settle_grid(inner.group, times, u, s, grids.get(key))
+                coords[key] = _frame_coordinates(replayed(*grids[key][1:]))
+            f = inner.evaluate_points(*coords[key])
             integral = (h / 3.0) * (
                 f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-2:2])
             )

@@ -94,18 +94,9 @@ def parse_config_text(text: str, source: str = "<config>"):
     """key = value lines with '#' comments; returns (values, line numbers)."""
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(
-                "%s line %d: expected key = value, got %r" % (source, ln, raw.strip())
-            )
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not key:
-            raise ConfigError("%s line %d: empty key" % (source, ln))
+    for ln, key, val in artifacts.key_value_lines(
+        text, ConfigError, lambda ln: "%s line %d" % (source, ln)
+    ):
         if key == "label":
             raise ConfigError(
                 "%s line %d: 'label' opens a generator block; this looks like a "

@@ -11,6 +11,7 @@ from .geometry import (
     INFINITY,
     ORIGIN,
     BoundaryPoint,
+    GeometryError,
     Isometry,
     UnitTangent,
     frame_point,
@@ -18,6 +19,7 @@ from .geometry import (
     isometry_distance,
     mobius_apply,
 )
+from .io import key_value_lines
 
 __all__ = [
     "GroupError",
@@ -1035,16 +1037,7 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
     # each block maps its keys to (value, line)
     blocks: list[dict] = []
     group_name, name_line = name, None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise GroupError("%s: expected key = value, got %r" % (at(ln), raw.strip()))
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not key:
-            raise GroupError("%s: empty key" % at(ln))
+    for ln, key, val in key_value_lines(text, GroupError, at):
         if key == "label":
             blocks.append({"label": (val, ln)})
         elif blocks:
@@ -1084,6 +1077,8 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
             raise GroupError("%s: generator %r: %s" % (at(ln), label, e)) from None
         if len(out) != count:
             raise GroupError("%s: generator %r: %s needs %d %s" % (at(ln), label, key, count, what))
+        if not all(math.isfinite(v) for v in out):
+            raise GroupError("%s: generator %r: %s must be finite, got %r" % (at(ln), label, key, val))
         return out
 
     letters = []
@@ -1107,10 +1102,20 @@ def parse_group_text(text: str, name: str = "") -> FuchsianGroup:
                 "%s: generator %r: kind must be hyperbolic or parabolic, got %r"
                 % (at(kind_line), label, kind)
             )
+        if len(label) != 1 or not label.isalpha():
+            raise GroupError("%s: labels are single letters, got %r" % (at(label_line), label))
         mat = numbers(b, "matrix", 4, "entries")
         dom = numbers(b, "domain", 2, "endpoints")
-        letters.append(Generator(label, Isometry(*mat), kind, (dom[0], dom[1])))
-    return FuchsianGroup(letters, name=group_name)
+        try:
+            letters.append(Generator(label, Isometry(*mat), kind, (dom[0], dom[1])))
+        except GeometryError as e:  # Isometry refuses the matrix
+            raise GroupError("%s: generator %r: %s" % (at(b["matrix"][1]), label, e)) from None
+        except GroupError as e:  # kind and label are checked above: the domain
+            raise GroupError("%s: generator %r: %s" % (at(b["domain"][1]), label, e)) from None
+    try:
+        return FuchsianGroup(letters, name=group_name)
+    except (GroupError, GeometryError) as e:
+        raise GroupError("%s: %s" % (name, e) if name else str(e)) from None
 
 
 def parse_group_file(path) -> FuchsianGroup:

@@ -1,5 +1,6 @@
 """Artifact output: the CSV schemas, atomic file writes, SVG line plots, and
-run manifests shared by the command-line experiments.
+run manifests shared by the command-line experiments; and the key = value
+line reader of config and group files.
 
 Floats are written with repr (shortest round-trip form), so identical
 computations give byte-identical files.
@@ -25,6 +26,7 @@ __all__ = [
     "manifest_text",
     "line_plot_svg",
     "svg_from_series_csv",
+    "key_value_lines",
 ]
 
 SERIES_HEADER = ("abscissa", "value", "reference", "experiment_id", "seed")
@@ -190,3 +192,20 @@ def svg_from_series_csv(text: str) -> str:
     ys = [float(r["value"]) for r in rows]
     refs = [float(r["reference"]) for r in rows]
     return line_plot_svg(xs, ys, refs, rows[0]["experiment_id"] or "series")
+
+
+def key_value_lines(text: str, error, at):
+    """(line number, key, value) of each 'key = value' line of text, both
+    stripped, '#' starting a comment; a line with no '=' or an empty key
+    raises error, naming the line as at(line number) does."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error("%s: expected key = value, got %r" % (at(ln), raw.strip()))
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not key:
+            raise error("%s: empty key" % at(ln))
+        yield ln, key, val

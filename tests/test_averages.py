@@ -39,6 +39,7 @@ from horolab.averages import (
     VectorClass,
     WeightedFunction,
     _leaf_frames,
+    _values,
     average_lebesgue,
     average_ps,
     build_vector,
@@ -369,7 +370,7 @@ def test_shifted_and_weighted_functions(sch, u8):
     wf = WeightedFunction(psi, lambda x, y: 2.0 * np.ones_like(x))
     v = pointed_frame(0.0, 1.4, 0.0)
     frames = np.array([np.array(v.frame.entries()).reshape(2, 2)])
-    assert wf.evaluate_frames(frames)[0] == pytest.approx(2.0 * psi.evaluate_frames(frames)[0], rel=1e-12)
+    assert _values(wf, frames)[0] == pytest.approx(2.0 * _values(psi, frames)[0], rel=1e-12)
 
 # ------------------------------------------- one settled leaf, exact replay
 
@@ -381,7 +382,7 @@ def fresh_average(u, r, psi, measure, delta):
     sel = np.abs(cond.params) < r
     lw = cond.log_weights[sel]
     w = np.exp(lw - np.max(lw))
-    vals = psi.evaluate_frames(_leaf_frames(u, cond.params[sel]))
+    vals = _values(psi, _leaf_frames(u, cond.params[sel]))
     return float(np.sum(w * vals) / np.sum(w))
 
 
@@ -390,12 +391,17 @@ def same_bits(a, b):
 
 
 def _integrands(group, name):
+    """Every kind of integrand, the last a bump on a copy of group read back
+    from its text form, whose matrices differ in the last bits, so its store
+    must not be that of the bump psi[0] on group itself."""
     psi = _bumps(group, name)
     return psi + [
         CuspHeightCap(group, NONDIV_HEIGHT),
         ConstantFunction(),
         ShiftedFunction(psi[0], 1.5),
+        ShiftedFunction(ShiftedFunction(psi[0], 0.5), 0.7),
         WeightedFunction(psi[1], lambda x, y: 1.0 + x * x * y),
+        _bumps(parse_group_text(dumps_group(group)), name)[0],
     ]
 
 
@@ -417,12 +423,16 @@ def test_leaf_averages_match_fresh_computation(request, name):
         # radii jump up and down while the integrand changes every call
         "interleaved": [(r, f) for r in shuffled for f in funcs],
     }
+    own, foreign = funcs[0], funcs[-1]
+    differ = False
     for sigma, (label, calls) in zip((0.0, 0.4, -0.7), orders.items()):
         # a new leaf for each order, settled from nothing
         u = horocycle_flow(base, sigma)
+        got = {}
         for r, f in calls:
-            got = average_ps(u, r, f, m, delta)
-            assert same_bits(got, fresh_average(u, r, f, m, delta)), (label, r, f.label)
+            got[r, id(f)] = average_ps(u, r, f, m, delta)
+            assert same_bits(got[r, id(f)], fresh_average(u, r, f, m, delta)), (label, r, f.label)
+        differ |= any(not same_bits(got[r, id(own)], got[r, id(foreign)]) for r in LEAF_RADII)
         ser = mixing_series(u, math.e ** 3, funcs[0], MIXING_TIMES, m, delta)
         for t, v in zip(MIXING_TIMES, ser.values):
             want = fresh_average(u, math.e ** 3, ShiftedFunction(funcs[0], t), m, delta)
@@ -436,19 +446,29 @@ def test_leaf_averages_match_fresh_computation(request, name):
     ser = mass_in_compact(u, LEAF_RADII[::-1], NONDIV_HEIGHT, m, delta)
     cap = CuspHeightCap(group, NONDIV_HEIGHT)
     assert all(same_bits(v, fresh_average(u, r, cap, m, delta)) for r, v in zip(LEAF_RADII, ser.values))
+    # on the Schottky leaves the bump on the builtin group and the bump on
+    # its copy can be told apart, so sharing a store would show
+    assert differ or name == "cusped"
+    # one protocol: no integrand evaluates frames its own way
+    kinds = [c for c in vars(averages).values() if isinstance(c, type) and issubclass(c, averages.Integrand)]
+    assert len(kinds) == 6 and not any("evaluate_frames" in vars(c) for c in kinds)
 
 
-class Rereduced:
-    """psi through its own evaluate_frames, so every Simpson grid is reduced
-    in full; counts the grids."""
-
-    def __init__(self, psi):
-        self.psi = psi
-        self.grids = 0
-
-    def evaluate_frames(self, mats):
-        self.grids += 1
-        return self.psi.evaluate_frames(mats)
+def rereduced_lebesgue(u, t, psi):
+    """average_lebesgue's Simpson rule with every grid reduced in full by
+    _values; returns the mean and the number of grids."""
+    m = max(4, int(math.ceil(2.0 * t / 0.1)))
+    coarse = None
+    for grids in range(1, 9):
+        s = np.linspace(-t, t, 2 * m + 1)
+        h = s[1] - s[0]
+        f = _values(psi, _leaf_frames(u, s))
+        integral = (h / 3.0) * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-2:2]))
+        if coarse is not None and abs(integral - coarse) / 15.0 <= 1e-6 * 2.0 * t:
+            break
+        coarse = integral
+        m *= 2
+    return float(integral / (2.0 * t)), grids
 
 
 def test_simpson_reuse_matches_full_rereduction(sch, cus, u8, u9):
@@ -461,9 +481,9 @@ def test_simpson_reuse_matches_full_rereduction(sch, cus, u8, u9):
     halvings = []
     for u, t, bumps in cases:
         for psi in bumps + [CuspHeightCap(bumps[0].group, NONDIV_HEIGHT)]:
-            full = Rereduced(psi)
-            assert same_bits(average_lebesgue(u, t, psi), average_lebesgue(u, t, full))
-            halvings.append(full.grids - 1)
+            mean, grids = rereduced_lebesgue(u, t, psi)
+            assert same_bits(average_lebesgue(u, t, psi), mean)
+            halvings.append(grids - 1)
     assert max(halvings[-4:]) >= 3
 
 
@@ -497,23 +517,6 @@ def test_flow_commutation_builds_each_leaf_once(monkeypatch):
     assert len(built) <= 30
 
 
-def test_foreign_group_bump_takes_fresh_path(sch, m_sch):
-    # the group read back from its text form has matrices that differ in the
-    # last bits, so its bumps must not use frames settled on the builtin group
-    foreign = parse_group_text(dumps_group(sch))
-    u = horocycle_flow(_vector(sch, "schottky"), 0.25)
-    differ = False
-    for cd in DEFAULT_BUMPS["schottky"]:
-        own = TestFunction(sch, pointed_frame(*cd), base_width=WB, angle_width=WA)
-        other = TestFunction(foreign, pointed_frame(*cd), base_width=WB, angle_width=WA)
-        for r in EQUIDIST_RADII:
-            a = average_ps(u, r, own, m_sch, DELTA_SCH)  # settles the builtin leaf first
-            b = average_ps(u, r, other, m_sch, DELTA_SCH)
-            assert same_bits(b, fresh_average(u, r, other, m_sch, DELTA_SCH))
-            differ |= not same_bits(a, b)
-    assert differ  # the two paths can be told apart on this leaf
-
-
 # ------------------------------------ flowed leaves, closure scan, ratio pair
 
 
@@ -539,7 +542,9 @@ def test_flowed_leaf_averages_match_fresh_computation(request, name):
                 want = fresh_average(u, r, ShiftedFunction(f, 1.2), m, delta)
                 assert same_bits(got, want), (label, r, f.label)
         leaf = averages._leaf(u, m, delta)
-        assert len(leaf.flow[2]) == np.count_nonzero(leaf.dist < max(radii))
+        (key, rows), = leaf.stores.items()
+        lo, hi = rows.span
+        assert key == (group, (1.2,)) and hi - lo == np.count_nonzero(np.abs(leaf.cond.params) < max(radii))
         # two flow times alternating on one leaf: each call starts the other over
         for r in radii:
             for t in (-0.9, 1.2, -0.9):
@@ -547,16 +552,20 @@ def test_flowed_leaf_averages_match_fresh_computation(request, name):
                     got = average_ps(u, r, ShiftedFunction(f, t), m, delta)
                     want = fresh_average(u, r, ShiftedFunction(f, t), m, delta)
                     assert same_bits(got, want), (label, r, t, f.label)
-        assert leaf.flow[0] == -0.9
-    # of the measure's leaves, only the most recently used keeps flowed rows
+        assert list(leaf.stores) == [(group, (-0.9,))]
+    # of the measure's leaves, only the most recently used keeps a store
+    # other than its own unflowed one
     u = horocycle_flow(base, 0.3)
+    average_ps(u, LEAF_RADII[0], inner[0], m, delta)
     average_ps(u, LEAF_RADII[0], ShiftedFunction(inner[0], 1.0), m, delta)
     *older, newest = m._leaves.values()
-    assert newest.flow is not None and all(leaf.flow is None for leaf in older)
-    # shifted integrands that evaluate frames their own way take the fresh path
+    assert list(newest.stores) == [(group, ()), (group, (1.0,))]
+    assert all(set(leaf.stores) <= {(group, ())} for leaf in older)
+    # shifts of a constant and of a shift have their own stores
     for f in (ShiftedFunction(ConstantFunction(0.5), 1.0), ShiftedFunction(ShiftedFunction(inner[0], 0.5), 0.7)):
         for r in LEAF_RADII[:3]:
             assert same_bits(average_ps(u, r, f, m, delta), fresh_average(u, r, f, m, delta))
+    assert list(newest.stores) == [(group, ()), (group, (0.7, 0.5))]
 
 
 def test_flow_commutation_grid_matches_cellwise_residuals(sch, u8, m_sch):

@@ -402,11 +402,35 @@ def test_cli_group_info_stdout(tmp_path, capsys):
             "{path} line 3: duplicate key 'matrix' in generator 'a', first given on line 2",
         ),
         ("name = x\nname = y\nlabel = a\n", "{path} line 2: duplicate key 'name', first given on line 1"),
+        (
+            "label = a\nmatrix = nan 3 1 2\ndomain = 1 3\nkind = hyperbolic\n",
+            "{path} line 2: generator 'a': matrix must be finite, got 'nan 3 1 2'",
+        ),
+        (
+            "label = a\nmatrix = 2 3 1 2\ndomain = 1 inf\nkind = hyperbolic\n",
+            "{path} line 3: generator 'a': domain must be finite, got '1 inf'",
+        ),
+        (
+            "label = a\nkind = hyperbolic\nmatrix = 1 3 1 2\ndomain = 1 3\n",
+            "{path} line 3: generator 'a': matrix must have finite positive determinant, got det=-1.0",
+        ),
+        (
+            "label = a\nmatrix = 2 3 1 2\ndomain = 3 1\nkind = hyperbolic\n",
+            "{path} line 3: generator 'a': domain of 'a' must be a finite interval lo < hi",
+        ),
+        ("label = ab\nmatrix = 2 3 1 2\ndomain = 1 3\nkind = hyperbolic\n",
+         "{path} line 1: labels are single letters, got 'ab'"),
+        (
+            "label = a\nmatrix = 2 3 1 2\ndomain = 1 3\nkind = hyperbolic\n"
+            "label = A\nmatrix = 2 -3 -1 2\ndomain = 2 4\nkind = hyperbolic\n",
+            "{path}: domains of 'a' and 'A' overlap",
+        ),
     ],
     ids=[
         "not-key-value", "missing-keys", "matrix-count", "domain-count", "not-a-number",
         "elliptic-kind", "duplicate-label", "unknown-block-key", "unknown-top-key", "empty-key",
-        "duplicate-block-key", "duplicate-top-key",
+        "duplicate-block-key", "duplicate-top-key", "non-finite-matrix", "non-finite-domain",
+        "negative-determinant", "reversed-domain", "long-label", "overlapping-domains",
     ],
 )
 def test_cli_group_file_parse_error_names_file(text, message, tmp_path, capsys):
@@ -415,6 +439,17 @@ def test_cli_group_file_parse_error_names_file(text, message, tmp_path, capsys):
     assert main(["group-info", "--override", "group=%s" % path]) == 1
     # the whole of stderr: the message, naming the file, and no traceback
     assert capsys.readouterr().err == "config error: %s\n" % message.format(path=path)
+
+
+def test_cli_bad_group_matrix_exits_1_on_a_measure_run(tmp_path, capsys):
+    # the measure experiments load the group through the same parser
+    path = tmp_path / "bad.group"
+    path.write_text("label = a\nmatrix = 1 3 1 2\ndomain = 1 3\nkind = hyperbolic\n")
+    argv = ["patterson", "--override", "group=%s" % path, "--override", "exponent=0.4",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: %s line 2: " % path)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_nondiv_small_config(tmp_path, capsys):
