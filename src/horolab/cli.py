@@ -25,15 +25,12 @@ from .defaults import (
     DEFAULT_BUMPS,
     EQUIDIST_RADII,
     EXPERIMENT_PERIODS,
-    EXPONENT_RADIUS,
     FIT_GRID_STEP,
     KNOWN_EXPONENTS,
     MIXING_LEAF_COORDINATE,
     MIXING_TIMES,
     NONDIV_HEIGHT,
-    PATTERSON_RADIUS,
     Loader,
-    builtin_name,
 )
 from .geometry import INFINITY, GeometryError, from_coordinates, geodesic_flow
 from .groups import (
@@ -60,17 +57,6 @@ from .averages import (
     periodic_closure,
 )
 from .checks import run_all as run_check_battery
-
-EXPERIMENTS = (
-    "group-info",
-    "exponent",
-    "patterson",
-    "equidist",
-    "mixing",
-    "nondiv",
-    "closure",
-    "checks",
-)
 
 NUMERIC_ERRORS = (
     MeasureError,
@@ -153,25 +139,97 @@ def _parse_flag(raw: str) -> bool:
     raise ValueError("expected yes/no, got %r" % raw)
 
 
-_PARSERS = {
-    "float": _parse_float,
-    "positive": _parse_positive,
-    "int": int,
-    "str": str,
-    "floats": _parse_floats,
-    "positives": _parse_positives,
-    "radius": _parse_radius,
-    "flag": _parse_flag,
+def _at_least(least: int):
+    """Parser of an integer of at least `least`."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < least:
+            raise ValueError("expected at least %d, got %d" % (least, value))
+        return value
+
+    return parse
+
+
+def _parse_exponent(raw: str):
+    """The Loader's exponent source: 'default' is the frozen value."""
+    if raw in ("default", "fit"):
+        return "frozen" if raw == "default" else raw
+    try:
+        return _parse_positive(raw)
+    except ValueError:
+        raise ValueError("expected a positive number, 'fit' or 'default', got %r" % raw) from None
+
+
+def _parse_fit_radius(raw: str) -> float:
+    value = _parse_positive(raw)
+    if not value >= FIT_GRID_STEP:
+        raise ValueError("fit_radius %g below the fit's grid step %g leaves no count grid"
+                         % (value, FIT_GRID_STEP))
+    return value
+
+
+def _parse_bump(raw: str):
+    values = _parse_floats(raw)
+    if len(values) != 3:
+        raise ValueError("expected 'x y angle', got %d values" % len(values))
+    return values
+
+
+# each experiment's keys with their parsers; 'bumpN' stands for bump0, bump1, ...
+_MEASURE_KEYS = {"group": str, "exponent": _parse_exponent, "fit_radius": _parse_fit_radius,
+                 "cutoff": _at_least(4), "radius": _parse_radius}
+_VECTOR_KEYS = {"minus_period": str, "plus_period": str, "leaf_coordinate": _parse_float}
+_BUMP_KEYS = {"base_width": _parse_positive, "angle_width": _parse_positive, "bumpN": _parse_bump}
+
+KEYS = {
+    "group-info": {"group": str},
+    "exponent": {"group": str, "t_max": _parse_float, "grid_step": _parse_positive,
+                 "window": _parse_positive, "min_points": _at_least(0), "svg": _parse_flag},
+    "patterson": {**_MEASURE_KEYS, **_BUMP_KEYS},
+    "equidist": {**_MEASURE_KEYS, **_VECTOR_KEYS, **_BUMP_KEYS, "radii": _parse_positives,
+                 "svg": _parse_flag},
+    "mixing": {**_MEASURE_KEYS, **_VECTOR_KEYS, **_BUMP_KEYS, "ball_radius": _parse_positive,
+               "times": _parse_floats, "svg": _parse_flag},
+    "nondiv": {**_MEASURE_KEYS, **_VECTOR_KEYS, "k_height": _parse_positive,
+               "ramp": _parse_positive, "radii": _parse_positives, "svg": _parse_flag},
+    "closure": {"group": str, "letter": str, "dilations": _parse_floats,
+                "refine_tol": _parse_positive, "svg": _parse_flag},
+    "checks": {},
 }
 
 
-class Settings:
-    """Merged config-file and override values with provenance for errors."""
+def _is_bump(key: str) -> bool:
+    return key.startswith("bump") and key[4:].isdecimal()
 
-    def __init__(self, values, lines, source):
+
+def _parser(keys, key: str):
+    """The parser of key in one experiment's table, or None where it is unknown."""
+    if _is_bump(key):
+        key = "bumpN"
+    elif key == "bumpN":
+        return None
+    return keys.get(key)
+
+
+class Settings:
+    """Config-file and override values, each parsed by its key's parser as
+    the settings load, with provenance for errors."""
+
+    def __init__(self, values, lines, source, keys):
         self.values = values
         self.lines = lines
         self.source = source
+        unknown = [k for k in values if _parser(keys, k) is None]
+        if unknown:
+            locs = ", ".join("%r (%s)" % (k, self.where(k)) for k in sorted(unknown))
+            raise ConfigError("unknown key(s) for this experiment: %s" % locs)
+        self.parsed = {}
+        for key, raw in values.items():
+            try:
+                self.parsed[key] = _parser(keys, key)(raw)
+            except ValueError as e:
+                raise ConfigError("%s: key %r: %s" % (self.where(key), key, e)) from None
 
     def where(self, key: str) -> str:
         ln = self.lines.get(key, 0)
@@ -182,27 +240,17 @@ class Settings:
     def has(self, key: str) -> bool:
         return key in self.values
 
-    def get(self, key: str, kind: str, default=None):
-        if key not in self.values:
-            return default
-        raw = self.values[key]
-        try:
-            return _PARSERS[kind](raw)
-        except ValueError as e:
-            raise ConfigError("%s: key %r: %s" % (self.where(key), key, e)) from None
+    def get(self, key: str, default=None):
+        return self.parsed.get(key, default)
 
     def bump_keys(self):
-        found = []
-        for key in self.values:
-            if key.startswith("bump") and key[4:].isdigit():
-                found.append((int(key[4:]), key))
-        return [key for _, key in sorted(found)]
+        return sorted((key for key in self.values if _is_bump(key)), key=lambda k: (int(k[4:]), k))
 
     def echo(self) -> dict:
         return dict(sorted(self.values.items()))
 
 
-def load_settings(args, allowed: set[str]) -> Settings:
+def load_settings(args, keys) -> Settings:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     source = args.config or "<defaults>"
@@ -222,71 +270,41 @@ def load_settings(args, allowed: set[str]) -> Settings:
             raise ConfigError("override %r has an empty key" % item)
         values[key] = val
         lines[key] = 0
-    st = Settings(values, lines, source)
-    bumps = set(st.bump_keys())
-    unknown = [k for k in values if k not in allowed and k not in bumps]
-    if unknown:
-        locs = ", ".join("%r (%s)" % (k, st.where(k)) for k in sorted(unknown))
-        raise ConfigError("unknown key(s) for this experiment: %s" % locs)
-    return st
+    return Settings(values, lines, source, keys)
 
 
 # ------------------------------------------------- settings to loader input
 #
-# These translate settings into Loader arguments and check each one first,
-# so a bad value ends the run before anything is enumerated.
+# The settings are parsed already; these add the checks that need the group
+# and leave every builtin default to the Loader.
 
 
 def _loader(st: Settings, default_group: str, **loader_args) -> Loader:
     try:
-        return Loader(st.get("group", "str", default_group), **loader_args)
+        return Loader(st.get("group", default_group), **loader_args)
     except GroupError as e:
         raise ConfigError(str(e)) from None
 
 
 def _measure_loader(st: Settings, default_group: str) -> Loader:
-    """Loader for a run on a Patterson measure: exponent, cutoff, radius."""
-    builtin = builtin_name(st.get("group", "str", default_group))
-    exponent = st.get("exponent", "str", "default")
-    fit_radius = None
-    if exponent == "default":
-        if builtin is None:
-            raise ConfigError(
-                "key 'exponent' is required for file groups: give a number or 'fit'"
-            )
-        exponent = "frozen"
-    elif exponent == "fit":
-        fit_radius = st.get("fit_radius", "positive", EXPONENT_RADIUS.get(builtin))
-        if fit_radius is None:
-            raise ConfigError("exponent = fit needs fit_radius for a file group")
-        if not fit_radius >= FIT_GRID_STEP:
-            raise ConfigError(
-                "%s: key 'fit_radius': fit_radius %g below the fit's grid step %g "
-                "leaves no count grid" % (st.where("fit_radius"), fit_radius, FIT_GRID_STEP)
-            )
-    else:
-        try:
-            exponent = _parse_positive(exponent)
-        except ValueError:
-            raise ConfigError(
-                "%s: key 'exponent': expected a positive number, 'fit' or 'default', got %r"
-                % (st.where("exponent"), exponent)
-            ) from None
-    cutoff = st.get("cutoff", "int", 14)
-    if cutoff < 4:
-        raise ConfigError(
-            "%s: key 'cutoff': expected at least 4, got %d" % (st.where("cutoff"), cutoff)
-        )
-    radius = st.get("radius", "radius", PATTERSON_RADIUS.get(builtin))
-    return _loader(st, default_group, exponent=exponent, fit_radius=fit_radius,
-                   cutoff=cutoff, radius=radius)
+    """Loader for a run on a Patterson measure, given the measure keys the
+    run names; a file group has no calibrated exponent or radius."""
+    given = {k: st.get(k) for k in ("exponent", "fit_radius", "cutoff", "radius") if st.has(k)}
+    loader = _loader(st, default_group, **given)
+    if loader.builtin is None and loader.exponent_source == "frozen":
+        raise ConfigError("key 'exponent' is required for file groups: give a number or 'fit'")
+    if loader.exponent_source == "fit" and loader.fit_radius is None:
+        raise ConfigError("exponent = fit needs fit_radius for a file group")
+    if loader.builtin is None and not st.has("radius"):
+        raise ConfigError("key 'radius' is required for file groups")
+    return loader
 
 
 def _vector(st: Settings, loader: Loader, seed, default_s=0.0):
     """The run's vector and its witness, from the period keys."""
     periods = []
     for slot, key in enumerate(("minus_period", "plus_period")):
-        period = st.get(key, "str", None)
+        period = st.get(key)
         if period is None:
             if loader.builtin not in EXPERIMENT_PERIODS:
                 raise ConfigError("key %r is required for this group" % key)
@@ -303,22 +321,16 @@ def _vector(st: Settings, loader: Loader, seed, default_s=0.0):
                     % (st.where(key), key, " ".join(loader.group.order), period)
                 )
         periods.append(period)
-    return loader.vector(*periods, s=st.get("leaf_coordinate", "float", default_s))
+    return loader.vector(*periods, s=st.get("leaf_coordinate", default_s))
 
 
 def _bumps(st: Settings, loader: Loader):
     """The run's bumps with their centers and widths, from the bump keys."""
-    widths = (st.get("base_width", "positive", BUMP_WIDTHS[0]),
-              st.get("angle_width", "positive", BUMP_WIDTHS[1]))
+    widths = (st.get("base_width", BUMP_WIDTHS[0]), st.get("angle_width", BUMP_WIDTHS[1]))
     keys = st.bump_keys()
     if not keys and loader.builtin not in DEFAULT_BUMPS:
         raise ConfigError("give at least one bump1 = x y angle for this group")
-    coords = [st.get(key, "floats") for key in keys] or list(DEFAULT_BUMPS[loader.builtin])
-    for key, vals in zip(keys, coords):
-        if len(vals) != 3:
-            raise ConfigError(
-                "%s: key %r needs 'x y angle', got %d values" % (st.where(key), key, len(vals))
-            )
+    coords = [st.get(key) for key in keys] or list(DEFAULT_BUMPS[loader.builtin])
     try:
         return loader.bumps(coords, widths), coords, widths
     except AveragesError as e:
@@ -330,24 +342,6 @@ def _bumps(st: Settings, loader: Loader):
 # Each runner returns (files, stdout lines, extra manifest payload, failed).
 # Files are (relative path, text) pairs, written only after the whole run
 # succeeded.
-
-ALLOWED = {
-    "group-info": {"group"},
-    "exponent": {"group", "t_max", "grid_step", "window", "min_points", "svg"},
-    "patterson": {"group", "exponent", "fit_radius", "cutoff", "radius",
-                  "base_width", "angle_width"},
-    "equidist": {"group", "exponent", "fit_radius", "cutoff", "radius",
-                 "minus_period", "plus_period", "leaf_coordinate", "radii",
-                 "base_width", "angle_width", "svg"},
-    "mixing": {"group", "exponent", "fit_radius", "cutoff", "radius",
-               "minus_period", "plus_period", "leaf_coordinate", "ball_radius",
-               "times", "base_width", "angle_width", "svg"},
-    "nondiv": {"group", "exponent", "fit_radius", "cutoff", "radius",
-               "minus_period", "plus_period", "leaf_coordinate", "k_height",
-               "ramp", "radii", "svg"},
-    "closure": {"group", "letter", "dilations", "refine_tol", "svg"},
-    "checks": set(),
-}
 
 
 def run_group_info(st: Settings, args):
@@ -384,22 +378,18 @@ def run_group_info(st: Settings, args):
 
 def run_exponent(st: Settings, args):
     loader = _loader(st, "builtin:schottky")
-    t_max = st.get("t_max", "float", EXPONENT_RADIUS.get(loader.builtin))
+    t_max = st.get("t_max", loader.fit_radius)
     if t_max is None:
         raise ConfigError("key 't_max' is required for file groups")
-    grid_step = st.get("grid_step", "positive", FIT_GRID_STEP)
+    grid_step = st.get("grid_step", FIT_GRID_STEP)
     if not t_max >= grid_step:
         key = "t_max" if st.has("t_max") else "grid_step"
         raise ConfigError(
             "%s: key %r: t_max %g below grid_step %g leaves no count grid"
             % (st.where(key), key, t_max, grid_step)
         )
-    window = st.get("window", "positive", None)
-    min_points = st.get("min_points", "int", 1000)
-    if min_points < 0:
-        raise ConfigError(
-            "%s: key 'min_points': expected at least 0, got %d" % (st.where("min_points"), min_points)
-        )
+    window = st.get("window")
+    min_points = st.get("min_points", 1000)
     grid, w = _fit_grid(t_max, grid_step, window)
     held = int((grid >= t_max - w).sum())
     if held < 4:
@@ -474,7 +464,7 @@ _ZERO_REFERENCE = (
 def run_equidist(st: Settings, args):
     loader = _measure_loader(st, "builtin:schottky")
     u, witness = _vector(st, loader, args.seed)
-    radii = sorted(st.get("radii", "positives", EQUIDIST_RADII))
+    radii = sorted(st.get("radii", EQUIDIST_RADII))
     funcs, coords, widths = _bumps(st, loader)
     measure, delta = loader.measure(), loader.exponent
     files = []
@@ -509,8 +499,8 @@ def run_equidist(st: Settings, args):
 def run_mixing(st: Settings, args):
     loader = _measure_loader(st, "builtin:schottky")
     u, witness = _vector(st, loader, args.seed, default_s=MIXING_LEAF_COORDINATE)
-    ball_radius = st.get("ball_radius", "positive", 1.0)
-    times = sorted(st.get("times", "floats", MIXING_TIMES))
+    ball_radius = st.get("ball_radius", 1.0)
+    times = sorted(st.get("times", MIXING_TIMES))
     funcs, coords, widths = _bumps(st, loader)
     psi = funcs[0]
     ser = mixing_series(u, ball_radius, psi, times, loader.measure(), loader.exponent)
@@ -541,9 +531,9 @@ def run_mixing(st: Settings, args):
 def run_nondiv(st: Settings, args):
     loader = _measure_loader(st, "builtin:cusped")
     u, witness = _vector(st, loader, args.seed)
-    k_height = st.get("k_height", "positive", NONDIV_HEIGHT)
-    ramp = st.get("ramp", "positive", 0.1)
-    radii = sorted(st.get("radii", "positives", EQUIDIST_RADII))
+    k_height = st.get("k_height", NONDIV_HEIGHT)
+    ramp = st.get("ramp", 0.1)
+    radii = sorted(st.get("radii", EQUIDIST_RADII))
     ser = mass_in_compact(u, radii, k_height, loader.measure(), loader.exponent, ramp=ramp)
     rows = [
         (float(r), float(v), float(ser.reference), "nondiv", args.seed)
@@ -568,7 +558,7 @@ def run_nondiv(st: Settings, args):
 def run_closure(st: Settings, args):
     loader = _loader(st, "builtin:cusped")
     group, spec = loader.group, loader.spec
-    letter = st.get("letter", "str", None)
+    letter = st.get("letter")
     if letter is None:
         letter = next(
             (lab for lab in group.order if group.letters[lab].kind == "parabolic"), None
@@ -577,8 +567,8 @@ def run_closure(st: Settings, args):
             raise ConfigError("group %s has no parabolic letter" % spec)
     elif letter not in group.letters:
         raise ConfigError("group %s has no letter %r" % (spec, letter))
-    dilations = sorted(st.get("dilations", "floats", (0.5, 1.0, 2.0)))
-    refine_tol = st.get("refine_tol", "positive", 1e-10)
+    dilations = sorted(st.get("dilations", (0.5, 1.0, 2.0)))
+    refine_tol = st.get("refine_tol", 1e-10)
     gen = group.letters[letter]
     t0, res0 = periodic_closure(group, letter, refine_tol=refine_tol)
     fp, _ = fixed_points(gen.matrix)
@@ -647,8 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version="horolab " + __version__)
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help="run the %s experiment" % name)
+    for name in KEYS:
+        keys = ", ".join(KEYS[name]).replace("bumpN", "bump1, bump2, ...") or "none"
+        p = sub.add_parser(name, help="run the %s experiment" % name,
+                           epilog="config keys: " + keys)
         p.add_argument("--config", help="experiment config file (key = value lines)")
         p.add_argument("--out", help="output directory (default horolab-out/<experiment>)")
         p.add_argument("--seed", type=int, help="seed for randomized vector choices")
@@ -664,15 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = args.out or os.path.join("horolab-out", args.experiment)
-    try:
-        st = load_settings(args, ALLOWED[args.experiment])
-    except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return 1
     reset_word_counter()
     started = time.perf_counter()
     try:
-        want_svg = st.get("svg", "flag", False)
+        st = load_settings(args, KEYS[args.experiment])
         files, lines, payload, failed = RUNNERS[args.experiment](st, args)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
@@ -691,7 +678,7 @@ def main(argv=None) -> int:
     }
     for key, value in payload.items():
         manifest.setdefault(key, value)
-    if want_svg:
+    if st.get("svg", False):
         # every file of an experiment that takes the svg key is a series CSV
         files = [
             pair

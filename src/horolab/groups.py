@@ -331,9 +331,9 @@ class FuchsianGroup:
         if not np.array_equal(self._inv_index, np.arange(len(self.order)) ^ 1):
             # settle_frames finds a letter's inverse at position k ^ 1
             raise GroupError("letter order must put each letter's inverse next to it")
-        self._inv_mats = self._mats[self._inv_index]
         # what settle_frames applies to leave a hyperbolic letter's half-disk:
-        # its matrix inverted, which differs from _inv_mats in the last bits
+        # its matrix inverted, which differs from the inverse letter's matrix
+        # in the last bits
         self._leave_mats = np.array(
             [self.letters[l].matrix.inverse().entries() for l in self.order]
         ).reshape(-1, 2, 2)

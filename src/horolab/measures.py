@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    GeometryError,
     Isometry,
     UnitTangent,
     frame_angle,
@@ -178,9 +179,15 @@ def conformality_defect(measure: AtomicBoundaryMeasure, gamma, hat_delta: float)
     that restriction a deep atom would match the truncated prefix of its
     continuation, which carries an O(1) wrong weight. Only those source
     atoms, and of them the ones with a finite image, are searched for a
-    match, in atom order.
+    match, in atom order. A word whose matrix product loses its determinant
+    to rounding raises MeasureError.
     """
-    m, glen = measure.group.word_matrix(gamma), len(gamma)
+    try:
+        m, glen = measure.group.word_matrix(gamma), len(gamma)
+    except GeometryError:
+        raise MeasureError(
+            "the matrix of word %r lost its determinant to rounding" % (gamma,)
+        ) from None
     if isometry_distance(m, Isometry.identity()) < 1e-14:
         return 0.0
     a, b, c, d = m.entries()

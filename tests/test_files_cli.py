@@ -106,6 +106,17 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
         pytest.param("nondiv", "ramp = -1", id="nondiv-ramp-negative"),
         pytest.param("nondiv", "k_height = -1", id="nondiv-height-negative"),
         pytest.param("exponent", "svg = maybe", id="exponent-svg-word"),
+        # each key is parsed as the settings load, whether or not the run reads it
+        pytest.param("patterson", "fit_radius = nan", id="patterson-fit-radius-unread"),
+        pytest.param("equidist", "fit_radius = banana", id="equidist-fit-radius-unread"),
+        pytest.param("patterson", "base_width = nan\ngroup = unit-parabolic",
+                     id="patterson-width-without-bumps"),
+        pytest.param("equidist", "bump1 = 0 1", id="equidist-bump-arity"),
+        # bump keys belong to the experiments that read bumps
+        pytest.param("checks", "bump7 = banana", id="checks-bump"),
+        pytest.param("closure", "bump7 = banana", id="closure-bump"),
+        pytest.param("nondiv", "bump7 = banana", id="nondiv-bump"),
+        pytest.param("exponent", "bump7 = banana", id="exponent-bump"),
     ],
 )
 def test_cli_bad_value_reports_location(experiment, line, tmp_path, capsys):
@@ -237,10 +248,13 @@ NO_GENERATORS = "empty.group defines no generators"
     [
         pytest.param("equidist", [], "key 'exponent' is required for file groups", None, id="exponent"),
         pytest.param("patterson", ["exponent=fit"], "exponent = fit needs fit_radius", None, id="fit-radius"),
-        pytest.param("equidist", ["exponent=0.43"], "key 'minus_period' is required", None, id="period"),
+        pytest.param("patterson", ["exponent=0.43"], "key 'radius' is required for file groups", None,
+                     id="radius"),
+        pytest.param("equidist", ["exponent=0.43", "radius=18"], "key 'minus_period' is required", None,
+                     id="period"),
         pytest.param(
             "equidist",
-            ["exponent=0.43", "minus_period=a b", "plus_period=B A"],
+            ["exponent=0.43", "radius=18", "minus_period=a b", "plus_period=B A"],
             "give at least one bump1 = x y angle",
             None,
             id="bumps",
@@ -318,6 +332,14 @@ def test_cli_bad_exponent_override_names_the_key(override, tmp_path, capsys):
     assert "numeric failure" not in err
     assert not out.exists()
     assert enumerated_word_count() == 0
+
+
+def test_cli_help_lists_the_experiment_keys(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["equidist", "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert "radii" in out and "bump1" in out
 
 
 def test_cli_bad_override_exits_1(tmp_path, capsys):

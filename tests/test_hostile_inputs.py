@@ -11,7 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from horolab.cli import main  # noqa: E402
+from horolab.cli import KEYS, _parse_flag, main  # noqa: E402
 from horolab.defaults import cusped_group, schottky_group, unit_parabolic_group  # noqa: E402
 from horolab.groups import GroupError, dumps_group, parse_group_text  # noqa: E402
 
@@ -104,16 +104,13 @@ def test_corrupt_line_raises_group_error_naming_it(name, kind, bad, data):
     assert str(err.value).startswith("line %d: " % (k + 1)), str(err.value)
 
 
-# (experiment, key, other overrides) for every key read as a number or a
-# list of numbers; fit_radius is read only when the exponent is fitted
+# (experiment, key) for every key whose parser reads numbers, bump1 standing
+# for the bump keys
 NUMERIC_KEYS = [
-    ("exponent", "t_max", []), ("exponent", "grid_step", []), ("exponent", "window", []),
-    ("exponent", "min_points", []), ("patterson", "exponent", []), ("patterson", "cutoff", []),
-    ("patterson", "fit_radius", ["exponent=fit"]), ("patterson", "radius", []),
-    ("patterson", "base_width", []), ("patterson", "angle_width", []), ("equidist", "radii", []),
-    ("equidist", "leaf_coordinate", []), ("equidist", "bump1", []), ("mixing", "ball_radius", []),
-    ("mixing", "times", []), ("nondiv", "k_height", []), ("nondiv", "ramp", []),
-    ("closure", "dilations", []), ("closure", "refine_tol", []),
+    (experiment, "bump1" if key == "bumpN" else key)
+    for experiment, keys in KEYS.items()
+    for key, parse in keys.items()
+    if parse not in (str, _parse_flag)
 ]
 # keys that take a list of numbers, where the bad one may follow good ones
 LIST_KEYS = {"radii", "bump1", "times", "dilations"}
@@ -127,12 +124,10 @@ LIST_KEYS = {"radii", "bump1", "times", "dilations"}
     before=st.lists(st.sampled_from(["1", "2.5"]), max_size=2),
 )
 def test_non_finite_override_exits_1(case, bad, before, tmp_path_factory, capsys):
-    experiment, key, extra = case
+    experiment, key = case
     out = tmp_path_factory.mktemp("out")
     value = " ".join((before if key in LIST_KEYS else []) + [bad])
     argv = [experiment, "--out", str(out / "run"), "--override", "%s=%s" % (key, value)]
-    for item in extra:
-        argv += ["--override", item]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: command-line override: key %r: " % key), err

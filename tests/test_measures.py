@@ -198,6 +198,16 @@ def test_defect_matches_all_atoms_search(name, radius, sch, cus, m_sch, m_cus):
             defect(measure, long, delta)
 
 
+@pytest.mark.parametrize("length", [20, 30, 40])
+def test_defect_of_a_word_that_loses_its_determinant(m_sch, length):
+    # the product of 20 or more a's cancels ad - bc to 0.0; this raised the
+    # GeometryError of the Isometry constructor, which names no word
+    word = ("a",) * length
+    message = "^the matrix of word %s lost its determinant to rounding$" % re.escape(repr(word))
+    with pytest.raises(MeasureError, match=message):
+        conformality_defect(m_sch, word, DELTA_SCH)
+
+
 def test_defect_ladder_trends():
     for name, group, delta in (
         ("schottky", schottky_group(), DELTA_SCH),
