@@ -26,10 +26,9 @@ from .geometry import (
 from .groups import (
     FuchsianGroup,
     Generator,
+    LimitSample,
     fixed_points,
     renormalized,
-    replayed,
-    tangent_from_samples,
 )
 from .measures import (
     AtomicBoundaryMeasure,
@@ -76,10 +75,17 @@ def build_vector(group: FuchsianGroup, minus, plus, s: float = 0.0):
     """Vector from two limit samples plus a leaf coordinate, with its class.
 
     Theorem hypotheses like 'the backward endpoint is radial' are realized
-    by construction here, not tested after the fact.
+    by construction here, not tested after the fact. Each endpoint is a
+    LimitSample or a BoundaryPoint. The class follows the backward endpoint:
+    a sample's own kind (radial or parabolic), else radial inside the limit
+    hull and wandering outside it.
     """
-    u, kind = tangent_from_samples(group, minus, plus, s)
-    return u, VectorClass(kind)
+    if isinstance(minus, LimitSample):
+        xi_minus, kind = minus.point, minus.kind
+    else:
+        xi_minus, kind = minus, "radial" if group.in_hull(minus) else "wandering"
+    xi_plus = plus.point if isinstance(plus, LimitSample) else plus
+    return from_coordinates(xi_minus, xi_plus, s), VectorClass(kind)
 
 
 def pointed_frame(x: float, y: float, theta: float) -> UnitTangent:
@@ -309,55 +315,62 @@ def _values(psi, frames) -> np.ndarray:
     """psi at a stack of frames (n, 2, 2): the frames flowed by its shifts,
     reduced on its group as one batch (see reduce_frames), then evaluated."""
     inner, times = _peeled(psi)
-    reduced = replayed(*_settled(inner.group, times, frames))
-    return inner.evaluate_points(*_frame_coordinates(reduced))
+    rows = _Rows(len(frames))
+    rows.put(slice(None), *_settled(inner.group, times, frames))
+    return inner.evaluate_points(*rows.coords(0, len(frames)))
 
 
 class _Rows:
-    """Leaf rows settled on one group after one sequence of flow times: over
-    span, a ball [lo, hi) of the leaf, each row's moves count and (x, y,
-    theta) settled and renormalized once, for the batch rule of reduce_frames."""
+    """Frames settled one by one (see settle_frames): each row's moves count
+    and its (x, y, theta) both as settled and renormalized once. coords
+    applies the batch rule of reduce_frames to a slice of the rows."""
 
-    def __init__(self, n: int, lo: int):
-        self.span = (lo, lo)
+    def __init__(self, n: int):
         self.moves = np.zeros(n, dtype=np.int64)
         self.plain = np.empty((3, n))
         self.once = np.empty((3, n))
 
+    def put(self, at, settled: np.ndarray, moves: np.ndarray) -> None:
+        """Record settled frames and their moves counts at the rows `at`."""
+        self.moves[at] = moves
+        self.plain[:, at] = _frame_coordinates(settled)
+        self.once[:, at] = _frame_coordinates(renormalized(settled))
+
+    def coords(self, lo: int, hi: int) -> np.ndarray:
+        """(x, y, theta) of the rows [lo, hi) as reduce_frames gives them on
+        those rows as one batch: a row that moved fewer rounds than the most
+        in the slice takes its renormalized-once variant."""
+        moves = self.moves[lo:hi]
+        return np.where(moves < moves.max(initial=0), self.once[:, lo:hi], self.plain[:, lo:hi])
+
 
 class _Leaf:
-    """One leaf of a measure: its conditional measure, built once, and per
-    key (group, flow times) of the integrands its frames settled out to the
-    largest radius asked for so far. It keeps the store of the measure's own
-    group unflowed and that of the most recent other key, which serves a
-    radius ladder at one flow time or an integrand on another group object."""
+    """The leaf of a measure through u: its conditional measure, built once,
+    and, per key (group, flow times) of the integrands, a store of its frames
+    settled out to the largest radius asked for so far. It keeps the store
+    of the measure's own group unflowed and that of the newest other key,
+    which serves a radius ladder at one flow time or an integrand on another
+    group object."""
 
     def __init__(self, u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float):
+        self.key = (u.frame.entries(), hat_delta)
         self.u = u
         self.cond = conditional_on_horocycle(u, measure, hat_delta)
         self.own = (measure.group, ())
-        self.stores = {}
-
-    def forget(self) -> None:
-        """Drop every store but the one of the measure's own key."""
-        self.stores = {key: rows for key, rows in self.stores.items() if key == self.own}
+        self.stores = {}  # key -> (its _Rows, the span [lo, hi) settled)
 
     def _rows(self, group, times, lo: int, hi: int) -> _Rows:
         """The store of (group, times), settled at least over rows [lo, hi)."""
         key = (group, times)
-        rows = self.stores.get(key)
-        if rows is None:
+        if key not in self.stores:
             if key != self.own:
-                self.forget()
-            rows = self.stores[key] = _Rows(len(self.cond.params), lo)
-        a, b = rows.span
+                self.stores = {k: v for k, v in self.stores.items() if k == self.own}
+            self.stores[key] = (_Rows(len(self.cond.params)), (lo, lo))
+        rows, (a, b) = self.stores[key]
         if lo < a or hi > b:
             new = np.concatenate([np.arange(lo, a), np.arange(b, hi)])
-            settled, moves = _settled(group, times, _leaf_frames(self.u, self.cond.params[new]))
-            rows.moves[new] = moves
-            rows.plain[:, new] = _frame_coordinates(settled)
-            rows.once[:, new] = _frame_coordinates(renormalized(settled))
-            rows.span = (min(lo, a), max(hi, b))
+            rows.put(new, *_settled(group, times, _leaf_frames(self.u, self.cond.params[new])))
+            self.stores[key] = (rows, (min(lo, a), max(hi, b)))
         return rows
 
     def average(self, r: float, psi) -> float:
@@ -372,33 +385,8 @@ class _Leaf:
         lw = self.cond.log_weights[lo:hi]
         w = np.exp(lw - np.max(lw))
         inner, times = _peeled(psi)
-        rows = self._rows(inner.group, times, lo, hi)
-        moves = rows.moves[lo:hi]
-        x, y, theta = np.where(moves < moves.max(), rows.once[:, lo:hi], rows.plain[:, lo:hi])
+        x, y, theta = self._rows(inner.group, times, lo, hi).coords(lo, hi)
         return float(np.sum(w * inner.evaluate_points(x, y, theta)) / np.sum(w))
-
-
-# leaves a measure keeps, the most recently used last
-_LEAF_MEMO = 2
-
-
-def _leaf(u: UnitTangent, measure: AtomicBoundaryMeasure, hat_delta: float) -> _Leaf:
-    """The measure's leaf through u, most recently used last in its memo.
-
-    The other leaves forget all but their own store: other keys serve a
-    radius ladder at one flow time, and kept on every leaf they would raise
-    the peak memory of runs that average many vectors."""
-    key = (u.frame.entries(), hat_delta)
-    memo = measure._leaves
-    leaf = memo.pop(key, None)
-    for other in memo.values():
-        other.forget()
-    if leaf is None:
-        leaf = _Leaf(u, measure, hat_delta)
-        if len(memo) == _LEAF_MEMO:
-            del memo[next(iter(memo))]
-    memo[key] = leaf
-    return leaf
 
 
 def average_ps(
@@ -407,10 +395,14 @@ def average_ps(
     """Mean of psi over the leaf ball of radius r against the conditional
     measure: the atom-weighted average of psi(h^s u) over |s| < r.
 
-    The measure keeps the leaf of u (its conditional measure and its
-    settled frames) for the next calls on the same vector and exponent.
+    The measure keeps one leaf, that of the latest (u, hat_delta): its
+    conditional measure and its settled frames serve the next calls on the
+    same vector and exponent, and a call on another replaces it.
     """
-    return _leaf(u, measure, hat_delta).average(r, psi)
+    leaf = measure._leaf
+    if leaf is None or leaf.key != (u.frame.entries(), hat_delta):
+        leaf = measure._leaf = _Leaf(u, measure, hat_delta)
+    return leaf.average(r, psi)
 
 
 def flow_commutation_residual(
@@ -422,32 +414,33 @@ def flow_commutation_residual(
     over B(g^-t u, r e^-t); both sides are computed through independent
     conditional constructions, so each residual is float noise only. Entry
     (i, j) is the residual at times[i] and radii[j]. Each left side is
-    computed once for all times. The right sides run time by time: the
-    leaf of each g^-t u is built once, outside the measure's memo, and its
-    flowed frames are settled once, out to the largest radius.
+    computed once for all times. The right sides run time by time, the whole
+    radius ladder on one leaf g^-t u, so average_ps builds each flowed leaf
+    once and settles its flowed frames once, out to the largest radius.
     """
     lhs = np.array([average_ps(u, r, psi, measure, hat_delta) for r in radii])
     out = np.empty((len(times), len(lhs)))
     for i, t in enumerate(times):
-        leaf = _Leaf(geodesic_flow(u, -t), measure, hat_delta)
-        shifted = ShiftedFunction(psi, t)
-        rhs = [leaf.average(r * math.exp(-t), shifted) for r in radii]
+        v, shifted = geodesic_flow(u, -t), ShiftedFunction(psi, t)
+        rhs = [average_ps(v, r * math.exp(-t), shifted, measure, hat_delta) for r in radii]
         out[i] = np.abs(lhs - rhs)
     return out
 
 
 def _settle_grid(group, times, u: UnitTangent, s: np.ndarray, prev):
-    """(s, settled, moves) of the leaf frames at the nodes s, through _settled.
-    When the nodes of the previous triple are bit for bit the even nodes of
-    s, only the odd nodes are settled."""
-    if prev is None or s[::2].tobytes() != prev[0].tobytes():
-        return (s,) + _settled(group, times, _leaf_frames(u, s))
-    mid, mid_moves = _settled(group, times, _leaf_frames(u, s[1::2]))
-    settled = np.empty((len(s), 2, 2))
-    moves = np.empty(len(s), dtype=np.int64)
-    settled[::2], settled[1::2] = prev[1], mid
-    moves[::2], moves[1::2] = prev[2], mid_moves
-    return s, settled, moves
+    """(s, rows) of the leaf frames at the nodes s, settled through _settled.
+    When the nodes of the previous pair are bit for bit the even nodes of s,
+    its rows are kept there and only the odd nodes are settled."""
+    fresh = prev is None or s[::2].tobytes() != prev[0].tobytes()
+    at = slice(None) if fresh else slice(1, None, 2)
+    # settled before the rows are allocated, so the two peaks do not add up
+    settled = _settled(group, times, _leaf_frames(u, s[at]))
+    rows = _Rows(len(s))
+    if not fresh:
+        old = prev[1]
+        rows.moves[::2], rows.plain[:, ::2], rows.once[:, ::2] = old.moves, old.plain, old.once
+    rows.put(at, *settled)
+    return s, rows
 
 
 # error bound of average_lebesgue's Simpson rule, per unit length of window
@@ -460,9 +453,9 @@ def average_lebesgue(u: UnitTangent, t: float, psi) -> float:
     Composite Simpson rule, refined until the classical stepwise error
     estimate meets the absolute tolerance _SIMPSON_TOL * (2t); the shipped
     bumps are resolved already at the initial step 0.05. Each halving
-    settles only the new midpoints and replays the batch rule of
-    reduce_frames over the whole grid, which gives the bits of reducing the
-    grid afresh.
+    settles only the new midpoints and applies the batch rule of
+    reduce_frames over the whole grid (see _Rows.coords), which gives the
+    bits of reducing the grid afresh.
     """
     return _lebesgue_means(u, t, [psi])[0]
 
@@ -480,7 +473,7 @@ def _lebesgue_means(u: UnitTangent, t: float, funcs) -> list[float]:
     peeled = [_peeled(psi) for psi in funcs]
     coarse = [None] * len(funcs)
     means = [None] * len(funcs)
-    grids = {}  # (group, flow times) -> its (s, settled, moves) grid
+    grids = {}  # (group, flow times) -> its (s, rows) grid
     for _ in range(8):
         coords = {}
         s = np.linspace(-t, t, 2 * m + 1)
@@ -491,7 +484,7 @@ def _lebesgue_means(u: UnitTangent, t: float, funcs) -> list[float]:
             key = (inner.group, times)
             if key not in coords:
                 grids[key] = _settle_grid(inner.group, times, u, s, grids.get(key))
-                coords[key] = _frame_coordinates(replayed(*grids[key][1:]))
+                coords[key] = grids[key][1].coords(0, len(s))
             f = inner.evaluate_points(*coords[key])
             integral = (h / 3.0) * (
                 f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-2:2])
@@ -542,8 +535,7 @@ def mixing_series(
     measure caches per integrand object, so a psi already integrated on
     this measure is not evaluated again.
     """
-    leaf = _leaf(u, measure, hat_delta)
-    values = [leaf.average(r, ShiftedFunction(psi, float(t))) for t in times]
+    values = [average_ps(u, r, ShiftedFunction(psi, float(t)), measure, hat_delta) for t in times]
     ref = ps_integral(psi, measure, hat_delta)
     return AverageSeries(np.asarray(times, dtype=float), values, ref)
 
@@ -562,9 +554,8 @@ def mass_in_compact(
     without cusps the indicator is identically one and so is the series.
     """
     cap = CuspHeightCap(measure.group, k_height, ramp)
-    leaf = _leaf(u, measure, hat_delta)
     radii = np.asarray(sorted(float(r) for r in radii))
-    values = [leaf.average(r, cap) for r in radii]
+    values = [average_ps(u, r, cap, measure, hat_delta) for r in radii]
     return AverageSeries(radii, values, 1.0)
 
 

@@ -208,12 +208,13 @@ class Loader:
     `exponent`: "frozen" reads KNOWN_EXPONENTS, "fit" fits
     critical_exponent at `fit_radius` (EXPONENT_RADIUS by default) on the
     FIT_GRID_STEP grid, and a number is used as given. `cutoff` and `radius`
-    set the run's own measure; the radius defaults to PATTERSON_RADIUS, and
-    None means no prune. Measures are cached per (cutoff, radius), vectors
+    set the run's own measure; the cutoff defaults to 14 on a group of rank
+    two or more and to 50 on a cyclic one, the radius to PATTERSON_RADIUS,
+    and None means no prune. Measures are cached per (cutoff, radius), vectors
     per (periods, leaf coordinate) and bumps per (centers, widths).
     """
 
-    def __init__(self, spec, exponent="frozen", fit_radius=None, cutoff=14, radius=_OWN_RADIUS):
+    def __init__(self, spec, exponent="frozen", fit_radius=None, cutoff=None, radius=_OWN_RADIUS):
         self.spec = spec
         self.builtin = builtin_name(spec)
         self.group = resolve_group(spec)
@@ -222,7 +223,9 @@ class Loader:
             exponent = "given"
         self.exponent_source = exponent
         self.fit_radius = EXPONENT_RADIUS.get(self.builtin) if fit_radius is None else fit_radius
-        self.cutoff = cutoff
+        # a cyclic group has only its 2n powers of length at most n, so
+        # build_patterson's minimum of 100 atoms needs n = 50
+        self.cutoff = (14 if self.group.rank >= 2 else 50) if cutoff is None else cutoff
         self.radius = PATTERSON_RADIUS.get(self.builtin) if radius is _OWN_RADIUS else radius
         self._measures = {}
         self._vectors = {}

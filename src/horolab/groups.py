@@ -13,9 +13,7 @@ from .geometry import (
     BoundaryPoint,
     GeometryError,
     Isometry,
-    UnitTangent,
     frame_point,
-    from_coordinates,
     isometry_distance,
     mobius_apply,
 )
@@ -33,7 +31,6 @@ __all__ = [
     "critical_exponent",
     "check_parabolic_growth",
     "sample_limit_point",
-    "tangent_from_samples",
     "parse_group_text",
     "parse_group_file",
     "dumps_group",
@@ -991,28 +988,6 @@ def sample_limit_point(group: FuchsianGroup, spec: WordSpec) -> LimitSample:
         raise GroupError("nested interval escaped the finite chart")
     mid = 0.5 * (a.value + b.value)
     return LimitSample(BoundaryPoint(mid), "radial", letters, abs(b.value - a.value))
-
-
-def tangent_from_samples(
-    group: FuchsianGroup,
-    minus,
-    plus,
-    s: float = 0.0,
-) -> tuple[UnitTangent, str]:
-    """Vector with backward/forward endpoints from limit samples, and its class.
-
-    The class follows the backward endpoint: 'radial' or 'parabolic' for
-    recurrent directions sampled from the limit set, 'wandering' for an
-    explicit boundary point outside the limit hull.
-    """
-    if isinstance(minus, LimitSample):
-        cls = minus.kind
-        xi_minus = minus.point
-    else:
-        xi_minus = minus
-        cls = "radial" if group.in_hull(xi_minus) else "wandering"
-    xi_plus = plus.point if isinstance(plus, LimitSample) else plus
-    return from_coordinates(xi_minus, xi_plus, s), cls
 
 
 # ---------------------------------------------------------------- file format

@@ -92,8 +92,8 @@ class AtomicBoundaryMeasure:
     lengths: np.ndarray
     # pair fields and each integrand's estimate on them, see quadrature_report
     _pair_cache: dict = field(default_factory=dict, repr=False)
-    # most recent leaves of averages.average_ps and its kin, by (frame, exponent)
-    _leaves: dict = field(default_factory=dict, repr=False)
+    # the leaf of averages.average_ps's latest (vector, exponent), or None
+    _leaf: object = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,10 +27,10 @@ from horolab.geometry import (
     horocycle_flow,
 )
 from horolab import averages
-from horolab.checks import check_flow_commutation
+from horolab.checks import check_flow_commutation, run_all
+from horolab.cli import main
 from horolab.measures import PattersonConfig, build_patterson, conditional_on_horocycle
 from horolab.averages import (
-    _LEAF_MEMO,
     AverageSeries,
     AveragesError,
     ConstantFunction,
@@ -38,6 +39,8 @@ from horolab.averages import (
     TestFunction,
     VectorClass,
     WeightedFunction,
+    _flowed,
+    _frame_coordinates,
     _leaf_frames,
     _values,
     average_lebesgue,
@@ -454,6 +457,22 @@ def test_leaf_averages_match_fresh_computation(request, name):
     assert len(kinds) == 6 and not any("evaluate_frames" in vars(c) for c in kinds)
 
 
+def test_values_reduce_as_one_batch(sch, cus, u8, u9):
+    # the fresh oracles' path applies the batch rule through _Rows.coords;
+    # it gives the bits of one reduce_frames call on the flowed frames
+    rng = np.random.default_rng(4040)
+    for group, name, u in ((sch, "schottky", u8), (cus, "cusped", u9)):
+        psi = _bumps(group, name)[0]
+        s = rng.choice([-1.0, 1.0], 300) * np.exp(rng.uniform(-2.0, 7.0, 300))
+        for t in (0.0, 1.5, -2.0):
+            frames = _flowed(_leaf_frames(u, s), t)
+            assert len(np.unique(group.settle_frames(frames)[1])) >= 3
+            for rows in (np.arange(300), rng.choice(300, 40, replace=False), np.array([7])):
+                want = psi.evaluate_points(*_frame_coordinates(group.reduce_frames(frames[rows])))
+                got = _values(ShiftedFunction(psi, t), _leaf_frames(u, s[rows]))
+                assert got.tobytes() == want.tobytes(), (name, t, len(rows))
+
+
 def rereduced_lebesgue(u, t, psi):
     """average_lebesgue's Simpson rule with every grid reduced in full by
     _values; returns the mean and the number of grids."""
@@ -487,24 +506,8 @@ def test_simpson_reuse_matches_full_rereduction(sch, cus, u8, u9):
     assert max(halvings[-4:]) >= 3
 
 
-def test_leaf_memo_stays_at_bound(sch, m_sch):
-    psi = _bumps(sch, "schottky")[0]
-    for j in range(40):
-        u, cls = build_vector(
-            sch, sample_limit_point(sch, WordSpec.random(sch, 2 * j)),
-            sample_limit_point(sch, WordSpec.random(sch, 2 * j + 1)),
-        )
-        try:
-            average_ps(u, math.e ** 4, psi, m_sch, DELTA_SCH)
-        except AveragesError:  # no atom in this ball
-            pass
-        assert len(m_sch._leaves) <= _LEAF_MEMO
-    assert len(m_sch._leaves) == _LEAF_MEMO
-
-
-def test_flow_commutation_builds_each_leaf_once(monkeypatch):
-    # one leaf per sigma and one per (sigma, t), 5 + 25 conditional measures
-    # in all
+def _counting_builds(monkeypatch):
+    """The vectors of each conditional measure averages builds from now on."""
     built = []
 
     def counting(*args, **kwargs):
@@ -512,9 +515,44 @@ def test_flow_commutation_builds_each_leaf_once(monkeypatch):
         return conditional_on_horocycle(*args, **kwargs)
 
     monkeypatch.setattr(averages, "conditional_on_horocycle", counting)
+    return built
+
+
+def test_measure_keeps_one_leaf(sch, m_sch, monkeypatch):
+    # the slot holds the leaf of the latest (vector, exponent): calls on it
+    # reuse it, and a call on another vector or exponent replaces it
+    built = _counting_builds(monkeypatch)
+    m = dataclasses.replace(m_sch, _leaf=None)
+    psi = _bumps(sch, "schottky")[0]
+    u, v = _vector(sch, "schottky"), _vector(sch, "schottky", s=0.5)
+    calls = [(u, DELTA_SCH), (u, DELTA_SCH), (v, DELTA_SCH), (v, 0.45), (v, 0.45), (u, DELTA_SCH)]
+    for k, (w, delta) in enumerate(calls):
+        average_ps(w, EQUIDIST_RADII[k % 3], psi, m, delta)
+        assert m._leaf.key == (w.frame.entries(), delta)
+    assert built == [u, v, v, u]
+
+
+def test_flow_commutation_builds_each_leaf_once(monkeypatch):
+    # one leaf per sigma and one per (sigma, t), 5 + 25 conditional measures
+    # in all
+    built = _counting_builds(monkeypatch)
     passed, detail = check_flow_commutation({"schottky": Loader("schottky", exponent="fit")})
     assert passed, detail
     assert len(built) <= 30
+
+
+def test_runs_build_one_leaf_per_vector(monkeypatch, tmp_path):
+    # the battery: 5 + 25 leaves in flow-commutation, then one each for the
+    # equidistribution, mixing and thick-part vectors; each experiment
+    # averages on one vector
+    built = _counting_builds(monkeypatch)
+    results, _ = run_all()
+    assert all(r.passed for r in results)
+    assert len(built) == 33
+    for experiment in ("equidist", "mixing", "nondiv"):
+        built.clear()
+        assert main([experiment, "--out", str(tmp_path / experiment)]) == 0
+        assert len(built) == 1, experiment
 
 
 # ------------------------------------ flowed leaves, closure scan, ratio pair
@@ -541,9 +579,9 @@ def test_flowed_leaf_averages_match_fresh_computation(request, name):
                 got = average_ps(u, r, ShiftedFunction(f, 1.2), m, delta)
                 want = fresh_average(u, r, ShiftedFunction(f, 1.2), m, delta)
                 assert same_bits(got, want), (label, r, f.label)
-        leaf = averages._leaf(u, m, delta)
-        (key, rows), = leaf.stores.items()
-        lo, hi = rows.span
+        leaf = m._leaf
+        (key, (_, (lo, hi))), = leaf.stores.items()
+        assert leaf.key == (u.frame.entries(), delta)
         assert key == (group, (1.2,)) and hi - lo == np.count_nonzero(np.abs(leaf.cond.params) < max(radii))
         # two flow times alternating on one leaf: each call starts the other over
         for r in radii:
@@ -552,20 +590,18 @@ def test_flowed_leaf_averages_match_fresh_computation(request, name):
                     got = average_ps(u, r, ShiftedFunction(f, t), m, delta)
                     want = fresh_average(u, r, ShiftedFunction(f, t), m, delta)
                     assert same_bits(got, want), (label, r, t, f.label)
-        assert list(leaf.stores) == [(group, (-0.9,))]
-    # of the measure's leaves, only the most recently used keeps a store
-    # other than its own unflowed one
+        assert m._leaf is leaf and list(leaf.stores) == [(group, (-0.9,))]
+    # a leaf keeps its own unflowed store and the newest other one
     u = horocycle_flow(base, 0.3)
     average_ps(u, LEAF_RADII[0], inner[0], m, delta)
     average_ps(u, LEAF_RADII[0], ShiftedFunction(inner[0], 1.0), m, delta)
-    *older, newest = m._leaves.values()
-    assert list(newest.stores) == [(group, ()), (group, (1.0,))]
-    assert all(set(leaf.stores) <= {(group, ())} for leaf in older)
+    leaf = m._leaf
+    assert list(leaf.stores) == [(group, ()), (group, (1.0,))]
     # shifts of a constant and of a shift have their own stores
     for f in (ShiftedFunction(ConstantFunction(0.5), 1.0), ShiftedFunction(ShiftedFunction(inner[0], 0.5), 0.7)):
         for r in LEAF_RADII[:3]:
             assert same_bits(average_ps(u, r, f, m, delta), fresh_average(u, r, f, m, delta))
-    assert list(newest.stores) == [(group, ()), (group, (0.7, 0.5))]
+    assert m._leaf is leaf and list(leaf.stores) == [(group, ()), (group, (0.7, 0.5))]
 
 
 def test_flow_commutation_grid_matches_cellwise_residuals(sch, u8, m_sch):

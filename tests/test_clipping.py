@@ -440,7 +440,7 @@ def test_grazing_plaques_match_full_grid(builtin_measures, xi, label):
     t_grid = t_star + 0.0005 * np.arange(-3, 6)
     one = dataclasses.replace(
         measure, points=np.array([xi]), log_weights=np.array([0.0]), displacements=np.array([1.0]),
-        lengths=np.array([1]), _pair_cache={}, _leaves={},
+        lengths=np.array([1]), _pair_cache={}, _leaf=None,
     )
     # the crossings at each leaf coordinate, in arc parameter
     E = np.exp(t_grid + math.log(xi * xi + 1.0))

@@ -489,6 +489,20 @@ def test_cli_nondiv_small_config(tmp_path, capsys):
     assert manifest["enumerated_words"] > 0
 
 
+def test_cli_patterson_runs_on_the_cyclic_builtin(tmp_path, capsys):
+    # a cyclic group has only 2n words of length at most n, so its default
+    # cutoff is 50, the least that gives build_patterson's 100 atoms
+    out = tmp_path / "out"
+    assert main(["patterson", "--override", "group=unit-parabolic", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["cutoff"], manifest["atoms"]) == (50, 100)
+    # a given cutoff is used as given
+    assert main(["patterson", "--override", "group=unit-parabolic", "--override", "cutoff=14",
+                 "--out", str(tmp_path / "short")]) == 2
+    assert "only 28 atoms survive cutoff 14" in capsys.readouterr().err
+
+
 def test_cli_svg_follows_each_series_csv(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["equidist", "--out", str(out), "--override", "svg=yes"]) == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from horolab import groups
-from horolab.averages import _leaf_frames
+from horolab.averages import VectorClass, _leaf_frames, build_vector
 from horolab.defaults import (
     EXPERIMENT_PERIODS,
     EXPONENT_RADIUS,
@@ -48,7 +48,6 @@ from horolab.groups import (
     replayed,
     reset_word_counter,
     sample_limit_point,
-    tangent_from_samples,
 )
 
 from conftest import conjugate, iwasawa
@@ -674,7 +673,7 @@ def _leaf_stack(group, name, rng):
     vector based at each parabolic fixed point, at random leaf parameters;
     then the same frames flowed by every mixing time."""
     pm, pp = EXPERIMENT_PERIODS[name]
-    u, _ = tangent_from_samples(
+    u, _ = build_vector(
         group,
         sample_limit_point(group, WordSpec(period=pm)),
         sample_limit_point(group, WordSpec(period=pp)),
@@ -811,16 +810,18 @@ def test_word_spec_random_reproducible():
 
 
 def test_tangent_classification():
+    # a sample names its own class; a bare point is radial inside the hull
     g = cusped_group()
     radial = sample_limit_point(g, WordSpec(period=("b", "p"), depth=30))
     parab = sample_limit_point(g, WordSpec(period=("p",), head=("b",), depth=10))
-    u, cls = tangent_from_samples(g, radial, BoundaryPoint(5.0))
-    assert cls == "radial"
+    u, cls = build_vector(g, radial, BoundaryPoint(5.0))
+    assert cls is VectorClass.RADIAL
     assert u.minus.value == pytest.approx(radial.point.value, abs=1e-9)
-    _, cls = tangent_from_samples(g, parab, BoundaryPoint(5.0))
-    assert cls == "parabolic"
-    _, cls = tangent_from_samples(g, BoundaryPoint(5.0), radial.point)
-    assert cls == "wandering"
+    assert build_vector(g, radial.point, BoundaryPoint(5.0))[1] is VectorClass.RADIAL
+    _, cls = build_vector(g, parab, BoundaryPoint(5.0))
+    assert cls is VectorClass.PARABOLIC
+    _, cls = build_vector(g, BoundaryPoint(5.0), radial.point)
+    assert cls is VectorClass.WANDERING
 
 
 # ---------------------------------------------------------------- file format

@@ -1,11 +1,15 @@
-"""Every name that a horolab module exports is read by the program.
+"""Every name that a horolab module exports, every private top-level name
+and every public method is read by the program.
 
 A name in the literal __all__ of a module of src/horolab counts as read when
 a module of src/horolab loads it, as a bare name or as an attribute, outside
-its own top-level definition, or when a file of perfbench/ names it at all
-(the benchmark also looks names up by their strings). Imports and export
-lists are not reads. A name kept for another reason is listed in KEPT with
-that reason. Only the standard library's ast is needed.
+its own definition, or when a file of perfbench/ names it at all (the
+benchmark also looks names up by their strings). Imports and export lists
+are not reads. The same rule holds for each top-level name with one leading
+underscore and each method of a top-level class whose name has none, so a
+helper that only the tests call fails too. A name kept for another reason
+is listed in KEPT with that reason. Only the standard library's ast is
+needed.
 """
 
 import ast
@@ -29,6 +33,32 @@ def exported(tree) -> list[str]:
     return []
 
 
+def methods(tree) -> list[tuple[str, ast.AST]]:
+    """(class name, def node) of each method of each top-level class."""
+    return [
+        (cls.name, node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def internals(tree) -> list[tuple[str, str]]:
+    """(shown, name) of each private top-level name, shown as itself, and of
+    each public method of a top-level class, shown as 'Class.method'."""
+    private = [
+        (name, name) for name in definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    public = [
+        ("%s.%s" % (cls, node.name), node.name)
+        for cls, node in methods(tree)
+        if not node.name.startswith("_")
+    ]
+    return private + public
+
+
 def definitions(tree) -> dict[str, list[tuple[int, int]]]:
     """Line spans of each top-level def, class and assignment, by name."""
     spans: dict[str, list[tuple[int, int]]] = {}
@@ -47,9 +77,11 @@ def definitions(tree) -> dict[str, list[tuple[int, int]]]:
 
 
 def reads(tree, strings: bool = False) -> set[str]:
-    """Names the module loads outside their own definitions; with strings,
-    also every string constant."""
+    """Names the module loads outside their own top-level or method
+    definitions; with strings, also every string constant."""
     spans = definitions(tree)
+    for _, node in methods(tree):
+        spans.setdefault(node.name, []).append((node.lineno, node.end_lineno))
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -65,17 +97,18 @@ def reads(tree, strings: bool = False) -> set[str]:
     return out
 
 
-def unread_exports(sources: dict[str, str], bench: list[str]) -> list[str]:
-    """'module.name' for each exported name that no source and no benchmark
-    file reads."""
+def unread(sources: dict[str, str], bench: list[str]) -> list[str]:
+    """'module.name' for each exported or private top-level name, and
+    'module.Class.method' for each public method, that no source and no
+    benchmark file reads."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     seen = set().union(*(reads(tree) for tree in trees.values()))
     for text in bench:
         seen |= reads(ast.parse(text), strings=True)
     return sorted(
-        "%s.%s" % (mod, name)
+        "%s.%s" % (mod, shown)
         for mod, tree in trees.items()
-        for name in exported(tree)
+        for shown, name in [(n, n) for n in exported(tree)] + internals(tree)
         if name not in seen
     )
 
@@ -97,14 +130,35 @@ def test_scan_finds_unread_exports():
         ),
     }
     bench = ["SPANS = [('a', 'traced')]\n"]
-    assert unread_exports(sources, bench) == ["a.lonely", "a.reexported", "a.selfish", "b.reexported"]
+    assert unread(sources, bench) == ["a.lonely", "a.reexported", "a.selfish", "b.reexported"]
     # an attribute load is a read, and so is a name outside its definition
     sources["b"] += "import a\nprint(a.lonely, a.selfish(2), reexported)\n"
-    assert unread_exports(sources, bench) == []
+    assert unread(sources, bench) == []
+
+
+def test_scan_finds_unread_internals():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_SPARE = 4\n__version__ = '1'\n"
+            "def _helper():\n    return _LIMIT\n"
+            "def _loop(n):\n    return _loop(n - 1) if n else 0\n"
+            "class Box:\n"
+            "    def __init__(self):\n        self.n = _helper()\n"
+            "    def size(self):\n        return self.n\n"
+            "    def spare(self, k):\n        return self.spare(k - 1) if k else 0\n"
+            "    def traced(self):\n        return 0\n"
+            "    def _inner(self):\n        return 1\n"
+            "print(Box().size())\n"
+        ),
+    }
+    bench = ["METHODS = [('a', 'Box', 'traced')]\n"]
+    # a private method is not scanned
+    assert unread(sources, bench) == ["a.Box.spare", "a._SPARE", "a._loop"]
 
 
 def test_every_export_is_read():
+    # exports, private top-level names and public methods alike
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     bench = [p.read_text(encoding="utf-8") for p in BENCH]
-    # a KEPT entry that is read, or no longer exported, is stale
-    assert unread_exports(sources, bench) == sorted(KEPT)
+    # a KEPT entry that is read, or no longer defined, is stale
+    assert unread(sources, bench) == sorted(KEPT)
