@@ -292,10 +292,13 @@ class AverageSeries:
 
 def _peeled(psi):
     """(inner, times): the integrand under psi's ShiftedFunction layers and
-    their flow times, outermost first, the order in which they act on frames."""
+    their nonzero flow times, outermost first, the order in which they act
+    on frames. A zero flow leaves every frame bit as it is, so psi shifted
+    by zero reads the unflowed store of a leaf."""
     times = []
     while isinstance(psi, ShiftedFunction):
-        times.append(psi.t)
+        if psi.t != 0.0:
+            times.append(psi.t)
         psi = psi.psi
     return psi, tuple(times)
 

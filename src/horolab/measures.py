@@ -9,6 +9,7 @@ the leaf is pushed distance t toward the boundary.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -99,7 +100,10 @@ class AtomicBoundaryMeasure:
         return len(self.points)
 
     def heaviest(self, k: int) -> np.ndarray:
-        """Indices of the k heaviest atoms, deterministic under ties."""
+        """Indices of the k heaviest atoms (all of them when k exceeds their
+        number), deterministic under ties; k must be at least one."""
+        if not k >= 1:
+            raise MeasureError("need at least one heaviest atom, got k=%r" % (k,))
         order = np.argsort(-self.log_weights, kind="stable")
         return np.sort(order[: min(k, len(order))])
 
@@ -286,6 +290,12 @@ _BAND = _PAD + 1
 _EDGE = 1e-9
 # relative spread of grid steps still taken as one cell width
 _GRID_UNIFORMITY = 1e-9
+# rows handled at once, which bounds the transient arrays: atom pairs per
+# block of the pair field, and (leaf coordinate, atom) rows per chunk of the
+# box quadrature's window count
+_CHUNK = 2048
+# cells of the leaves of _pairwise_total, which np.sum sums itself
+_LEAF = 2**17
 
 
 def _evaluate(psi, x, y, theta):
@@ -394,21 +404,84 @@ def _uniform_step(t_grid, what):
     return dt
 
 
+@dataclass(frozen=True)
+class _PairBlock:
+    """Fundamental-domain cells of consecutive atom pairs of the pair field:
+    each cell's (x, y, theta), in row-major (pair, grid) order, so that the
+    cells of a pair are contiguous; and per pair its weight and the end of
+    its cells, the cumulative cell count."""
+
+    x: np.ndarray
+    y: np.ndarray
+    theta: np.ndarray
+    weight: np.ndarray
+    ends: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def weights(self, lo: int, hi: int) -> np.ndarray:
+        """The weight of each of the cells [lo, hi), its pair's weight."""
+        return np.repeat(self.weight, np.diff(np.clip(self.ends, lo, hi), prepend=lo))
+
+
+def _pairwise_total(blocks, f) -> float:
+    """np.sum of the values of f over the blocks joined in order, bit for
+    bit, with no joined array.
+
+    len(block) is the cell count of a block, and f(block, lo, hi) gives the
+    values of its cells [lo, hi). The cells are split as numpy's pairwise
+    summation splits one array, n2 = n // 2 less n2 % 8, down to leaves of
+    at most _LEAF cells, each summed by np.sum; f is called once per piece
+    of a leaf in one block, and only the pieces of a leaf that spans blocks
+    are joined.
+    """
+    starts = [0]
+    for b in blocks:
+        starts.append(starts[-1] + len(b))
+
+    def leaf(lo, hi):
+        parts = []
+        for k in range(bisect.bisect_right(starts, lo) - 1, len(blocks)):
+            if starts[k] >= hi:
+                break
+            a, z = max(lo, starts[k]), min(hi, starts[k + 1])
+            if a < z:
+                parts.append(f(blocks[k], a - starts[k], z - starts[k]))
+        return np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
+
+    return float(_pairwise_tree(0, starts[-1], leaf)) if starts[-1] else 0.0
+
+
+def _pairwise_tree(lo, n, leaf):
+    """leaf(lo, hi) over the leaves of numpy's pairwise split of the n cells
+    from lo, added up the tree. A module function, not a closure calling
+    itself, which would keep what the leaves read alive in a cycle."""
+    if n <= _LEAF:
+        return leaf(lo, lo + n)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_tree(lo, n2, leaf) + _pairwise_tree(lo + n2, n - n2, leaf)
+
+
 def _pair_field(measure, hat_delta, t_grid, top_k):
     """Fundamental-domain samples of the geodesic-pair quadrature.
 
-    Returns (blocks, den, estimates). The field is kept as the blocks it is
-    built in, one per 4096 atom pairs that have samples, each holding flat
-    arrays (x, y, theta, weight); joined in order they are the whole field.
-    The weight already carries both atom masses, the boundary-separation
-    kernel and the grid cell width, and den is the sum of all weights, the
-    normalizer. All three are cached on the measure, keyed by (exponent,
-    grid contents, top_k): the field is integrand-independent, so several
-    test functions share one geometry pass, and estimates is the dict in
-    which quadrature_report keeps what each integrand gave on this field.
+    Returns (blocks, den, estimates). The field is kept as the _PairBlock
+    blocks it is built in, one per _CHUNK atom pairs that have samples;
+    joined in order they are the whole field. A cell's weight is its pair's:
+    both atom masses, the boundary-separation kernel and the grid cell
+    width. den is the sum of all cell weights, the normalizer, summed as
+    np.sum sums the joined weights (_pairwise_total). All three are cached
+    on the measure, keyed by (exponent, grid contents, top_k): the field is
+    integrand-independent, so several test functions share one geometry
+    pass, and estimates is the dict in which quadrature_report keeps what
+    each integrand gave on this field.
     """
     dt = _uniform_step(t_grid, "leaf-coordinate")
-    key = (round(hat_delta, 12), t_grid.tobytes(), top_k)
+    if not top_k >= 2:
+        raise MeasureError("the pair quadrature needs top_k >= 2 atoms, got %r" % (top_k,))
+    key = (float(hat_delta), t_grid.tobytes(), top_k)
     hit = measure._pair_cache.get(key)
     if hit is not None:
         return hit
@@ -454,17 +527,18 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
         return measure.group.containing_letter(X, Y) < 0, (X, Y, C, D)
 
     blocks = []
-    for lo in range(0, len(ii), 4096):
-        sl = slice(lo, lo + 4096)
+    for lo in range(0, len(ii), _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
         row, _, mask, (X, Y, C, D) = _clip_cells(
             first[sl], stop[sl], (0, len(t_grid)), lambda r, c, lo=lo: samples(r + lo, c)
         )
         if mask.any():
-            blocks.append((X[mask], Y[mask], frame_angle(C[mask], D[mask]), w[lo + row[mask]]))
+            # row[mask] ascends, so the cells of each pair are one run
+            ends = np.cumsum(np.bincount(row[mask], minlength=len(first[sl])))
+            blocks.append(_PairBlock(X[mask], Y[mask], frame_angle(C[mask], D[mask]), w[sl], ends))
     if not blocks:
         raise MeasureError("pair quadrature found no fundamental-domain samples")
-    # one pairwise sum over the whole field, as quadrature_report's numerator
-    den = float(np.sum(np.concatenate([b[3] for b in blocks])))
+    den = _pairwise_total(blocks, lambda b, lo, hi: b.weights(lo, hi))
     if den <= 0.0:
         raise MeasureError("empty normalizer in the pair quadrature")
     out = blocks, den, {}
@@ -502,10 +576,11 @@ def quadrature_report(
 
     The measure keeps, per (exponent, grid contents, top_k), the pair field
     and the report of every integrand asked for on it, so each integrand is
-    evaluated once per field, one block of it at a time. Integrands are
-    keyed by identity, not by value: the cache holds each one, so its id
-    cannot be reused while its entry lasts, and an equal but distinct
-    integrand is evaluated afresh.
+    evaluated once per field, on one piece of it at a time, and its
+    products with the cell weights are summed as np.sum sums them joined
+    (_pairwise_total). Integrands are keyed by identity, not by value: the
+    cache holds each one, so its id cannot be reused while its entry lasts,
+    and an equal but distinct integrand is evaluated afresh.
     An integrand must therefore not change once it has been integrated.
     """
     if t_grid is None:
@@ -515,15 +590,11 @@ def quadrature_report(
     hit = estimates.get(id(psi))
     if hit is not None:
         return hit[1]
-    # w psi block by block into one array, then one pairwise sum over it:
-    # the same sum as over the joined field, with no other full-length array
-    prod = np.empty(sum(len(b[3]) for b in blocks))
-    end = 0
-    for x, y, th, w in blocks:
-        start, end = end, end + len(w)
-        np.multiply(w, _evaluate(psi, x, y, th), out=prod[start:end])
-    est = float(np.sum(prod)) / den
-    report = est, int(len(prod)), float(t_grid[1] - t_grid[0])
+    num = _pairwise_total(
+        blocks,
+        lambda b, lo, hi: b.weights(lo, hi) * _evaluate(psi, b.x[lo:hi], b.y[lo:hi], b.theta[lo:hi]),
+    )
+    report = num / den, sum(len(b) for b in blocks), float(t_grid[1] - t_grid[0])
     estimates[id(psi)] = (psi, report)
     return report
 
@@ -620,11 +691,11 @@ def br_integral(
     segments give it, except within _BAND cells of a circle crossing, where
     the half-disk test decides, and a row whose tested cells disagree with
     the segments at their edge is tested on its whole window
-    (_window_counts). The integrand is evaluated on the in-domain cells of
-    its support window (psi.support(), the whole grid when it names none),
-    padded by _PAD cells a side. A row with an in-domain cell at a padded
-    support edge that is still inside the support disk is recomputed with
-    its support window widened to the grid.
+    (_window_counts, over chunks of _CHUNK rows). The integrand is evaluated
+    on the in-domain cells of its support window (psi.support(), the whole
+    grid when it names none), padded by _PAD cells a side. A row with an
+    in-domain cell at a padded support edge that is still inside the support
+    disk is recomputed with its support window widened to the grid.
     """
     if t_grid is None:
         t_grid = np.arange(-4.0, 4.0 + 1e-9, 0.1)
@@ -689,13 +760,19 @@ def br_integral(
         X, Y = frame_point(e[row] + xe[row] * sigma[col], xe[row], C, D)
         return group.containing_letter(X, Y) < 0, (X, Y, C, D)
 
-    counts = _window_counts(
-        (w0, w1),
-        (seg_first, seg_stop),
-        np.column_stack([past1, past2]),
-        ~(np.isfinite(s1) & np.isfinite(s2)).all(axis=1),
-        samples,
-    )
+    # integer counts row by row, so chunks of rows give the same counts
+    crossings = np.column_stack([past1, past2])
+    lost = ~(np.isfinite(s1) & np.isfinite(s2)).all(axis=1)
+    counts = np.empty(len(xr), dtype=np.intp)
+    for lo in range(0, len(xr), _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        counts[sl] = _window_counts(
+            (w0, w1),
+            (seg_first[sl], seg_stop[sl]),
+            crossings[sl],
+            lost[sl],
+            lambda r, c, lo=lo: samples(r + lo, c),
+        )
     if disk is None:
         sup_first, sup_stop = np.zeros(len(xr), dtype=int), np.full(len(xr), width)
     else:

@@ -532,6 +532,19 @@ def test_measure_keeps_one_leaf(sch, m_sch, monkeypatch):
     assert built == [u, v, v, u]
 
 
+def test_mixing_at_flow_time_zero_reads_the_unflowed_store(sch, m_sch):
+    # a zero flow moves no frame bit, so the first mixing value is the ball
+    # average itself, read from the leaf's own store with no flowed one
+    m = dataclasses.replace(m_sch, _leaf=None)
+    psi = _bumps(sch, "schottky")[0]
+    u = _vector(sch, "schottky", s=MIXING_LEAF_COORDINATE)
+    ser = mixing_series(u, 1.0, psi, (0.0,), m, DELTA_SCH)
+    assert list(m._leaf.stores) == [(sch, ())]
+    assert ser.values[0].hex() == average_ps(u, 1.0, psi, m, DELTA_SCH).hex()
+    frames = _leaf_frames(u, m._leaf.cond.params)
+    assert _flowed(frames, 0.0).tobytes() == frames.tobytes()
+
+
 def test_flow_commutation_builds_each_leaf_once(monkeypatch):
     # one leaf per sigma and one per (sigma, t), 5 + 25 conditional measures
     # in all

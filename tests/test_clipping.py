@@ -134,7 +134,9 @@ def full_br_integral(
 def assert_same_field(measure, delta, t_grid, top_k):
     measure._pair_cache.clear()
     blocks, _, _ = _pair_field(measure, delta, t_grid, top_k)
-    got = [np.concatenate([b[k] for b in blocks]) for k in range(4)]
+    # the blocks keep one weight per pair; each cell takes its pair's
+    got = [np.concatenate([getattr(b, k) for b in blocks]) for k in ("x", "y", "theta")]
+    got.append(np.concatenate([b.weights(0, len(b)) for b in blocks]))
     want = full_pair_field(measure, delta, t_grid, top_k)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -414,15 +416,18 @@ def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkey
         fallbacks.append(len(calls) - 1)
         return out
 
-    for kwargs in ({}, SMALL_BOX):
+    # 81 leaf coordinates by 200 atoms by default, 33 by 60 in SMALL_BOX
+    for kwargs, rows in (({}, 16200), (SMALL_BOX, 1980)):
         for psi in [ConstantFunction()] + bumps(group, RATIO_BUMPS):
             want = full_br_integral(psi, measure, delta, **kwargs)
             for cut in (0, measures._PAD + 1):
                 monkeypatch.setattr(measures, "_window_counts", functools.partial(counting, cut=cut))
                 fallbacks.clear()
                 assert br_integral(psi, measure, delta, **kwargs) == want
-                # one window count per call, falling back only where segments were cut
-                assert len(fallbacks) == 1 and bool(fallbacks[0]) == bool(cut)
+                # one window count per chunk of rows, falling back only
+                # where segments were cut
+                assert len(fallbacks) == -(-rows // measures._CHUNK)
+                assert any(fallbacks) == bool(cut)
 
 
 @pytest.mark.parametrize("xi, label", [(0.4, "b"), (0.1, "b"), (-0.3, "B"), (-0.1, "B")])

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from horolab.defaults import (
     EXPERIMENT_PERIODS,
     EXPONENT_RADIUS,
     PATTERSON_RADIUS,
+    RATIO_BUMPS,
     cusped_group,
     schottky_group,
 )
 from horolab.groups import WordSpec, critical_exponent, sample_limit_point
 from horolab.measures import (
+    _LEAF,
     _MATCH_TOL,
     AtomicBoundaryMeasure,
     MeasureError,
@@ -31,7 +35,7 @@ from horolab.measures import (
     ps_integral,
     quadrature_report,
 )
-from horolab.averages import Integrand, TestFunction, build_vector, pointed_frame
+from horolab.averages import ConstantFunction, Integrand, TestFunction, build_vector, pointed_frame
 from horolab.geometry import UnitTangent, geodesic_flow, horocycle_flow, mobius_apply
 
 DELTA_SCH = 0.4322791205538202
@@ -378,45 +382,130 @@ def default_bumps(group):
             for cd in DEFAULT_BUMPS["schottky"]]
 
 
+def _joined(blocks):
+    """The field's (x, y, theta, weight) per cell, joined from its blocks."""
+    x, y, th = (np.concatenate([getattr(b, k) for b in blocks]) for k in ("x", "y", "theta"))
+    return x, y, th, np.concatenate([b.weights(0, len(b)) for b in blocks])
+
+
 def test_quadrature_report_sums_the_blocks_as_one_field(sch, m_sch):
     # the default field is kept in the blocks it is built in; each integrand
-    # is evaluated block by block, and the estimate is the one pairwise sum
+    # is evaluated piece by piece, and the estimate is the one pairwise sum
     # over the whole field
     measure = dataclasses.replace(m_sch, _pair_cache={})
     blocks, den, _ = _pair_field(measure, DELTA_SCH, DEFAULT_T, 220)
-    assert len(blocks) == 12
-    x, y, th, w = (np.concatenate([b[k] for b in blocks]) for k in range(4))
+    assert len(blocks) == 24
+    x, y, th, w = _joined(blocks)
     assert den == float(np.sum(w))
+    ends = np.cumsum([len(b) for b in blocks])
     for bump in default_bumps(sch):
         psi = _Counted(bump)
         est, cells, _ = quadrature_report(psi, measure, DELTA_SCH)
         assert cells == len(w)
-        # every cell exactly once, in field order
-        assert [len(v) for v in psi.seen] == [len(b[0]) for b in blocks]
+        # every cell exactly once, in field order, in pieces of at most one
+        # summation leaf that each lie in one block
         assert np.array_equal(np.concatenate(psi.seen), x)
+        cuts = np.cumsum([len(v) for v in psi.seen])
+        assert set(ends) <= set(cuts)
+        assert max(len(v) for v in psi.seen) <= _LEAF
         want = float(np.sum(w * bump.evaluate_points(x, y, th))) / float(np.sum(w))
         assert est.hex() == want.hex()
 
 
 def test_pair_quadrature_memory(sch, m_sch):
-    # the field once was joined from its blocks, two copies at a time (2.2x
-    # its bytes), and each integrand ran over all of it at once (0.8-1.2x)
+    # the field keeps (x, y, theta) per cell and a weight and a cell count
+    # per atom pair (59.2 MiB when it kept a weight per cell); building it
+    # and integrating over it stay far below its size (once +28.1 MiB and
+    # +21.4 MiB, when a full-length array was made)
     measure = dataclasses.replace(m_sch, _pair_cache={})
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _pair_field(measure, DELTA_SCH, DEFAULT_T, 220)
+        blocks, _, _ = _pair_field(measure, DELTA_SCH, DEFAULT_T, 220)
         field_bytes, peak = tracemalloc.get_traced_memory()
         field_bytes -= base
-        assert field_bytes > 50 * 2**20
-        assert peak - base < 1.75 * field_bytes
-        for psi in default_bumps(sch):
+        cells = sum(len(b) for b in blocks)
+        pairs = sum(len(b.weight) for b in blocks)
+        assert field_bytes <= 25 * cells + 16 * pairs
+        assert field_bytes <= 46 * 2**20
+        assert peak - base - field_bytes <= 17 * 2**20
+        for psi in [ConstantFunction()] + default_bumps(sch):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             quadrature_report(psi, measure, DELTA_SCH)
-            assert tracemalloc.get_traced_memory()[1] - base < 0.5 * field_bytes
+            assert tracemalloc.get_traced_memory()[1] - base <= 8 * 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_pair_field_is_freed_with_its_measure(sch, m_sch):
+    # no reference cycle holds the field, so it goes as soon as its measure
+    # does, without waiting for the cycle collector
+    measure = dataclasses.replace(m_sch, _pair_cache={})
+    t = np.arange(-8.0, 8.0 + 1e-9, 0.2)
+    blocks, _, _ = _pair_field(measure, DELTA_SCH, t, 40)
+    quadrature_report(default_bumps(sch)[0], measure, DELTA_SCH, t_grid=t, top_k=40)
+    block = weakref.ref(blocks[0])
+    gc.disable()
+    try:
+        del blocks, measure
+        assert block() is None
+    finally:
+        gc.enable()
+
+
+def test_box_quadrature_memory(cus, m_cus):
+    # the window count runs over chunks of rows; over all 16,200 rows at
+    # once it added 31 MiB
+    psi = TestFunction(cus, pointed_frame(*RATIO_BUMPS[0]), base_width=BUMP_WIDTHS[0], angle_width=BUMP_WIDTHS[1])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        br_integral(psi, m_cus, DELTA_CUS)
+        assert tracemalloc.get_traced_memory()[1] - base <= 16 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_field_keys_on_the_exact_exponent(m_sch):
+    # an exponent within rounding of a cached one gets its own field, the
+    # field a measure that caches nothing gives
+    t = np.arange(-8.0, 8.0 + 1e-9, 0.2)
+    measure = dataclasses.replace(m_sch, _pair_cache={})
+    one = ConstantFunction()
+    bump = TestFunction(m_sch.group, pointed_frame(0.0, 1.4, 0.0), base_width=1.2, angle_width=1.8)
+    near = DELTA_SCH + 3e-13
+    first = ps_integral(bump, measure, DELTA_SCH, t_grid=t, top_k=60)
+    got = ps_integral(bump, measure, near, t_grid=t, top_k=60)
+    want = ps_integral(bump, dataclasses.replace(m_sch, _pair_cache={}), near, t_grid=t, top_k=60)
+    assert got.hex() == want.hex() != first.hex()
+    assert ps_integral(one, measure, near, t_grid=t, top_k=60) == 1.0
+    assert len(measure._pair_cache) == 2
+
+
+def _first_atoms(measure, n):
+    return dataclasses.replace(
+        measure, points=measure.points[:n], log_weights=measure.log_weights[:n], _pair_cache={}
+    )
+
+
+def test_atom_counts_below_the_quadratures_need(m_sch, m_cus):
+    # 120 atoms, so that a count which keeps all but |k| of them stays small
+    small = _first_atoms(m_sch, 120)
+    bump = TestFunction(m_sch.group, pointed_frame(0.0, 1.4, 0.0), base_width=1.2, angle_width=1.8)
+    t = np.arange(-2.0, 2.0 + 1e-9, 0.5)
+    for k in (0, -3):
+        with pytest.raises(MeasureError, match="at least one"):
+            small.heaviest(k)
+    assert len(small.heaviest(1)) == 1 and len(small.heaviest(500)) == 120
+    for k in (-3, 0, 1):
+        with pytest.raises(MeasureError, match="top_k >= 2"):
+            ps_integral(bump, small, DELTA_SCH, t_grid=t, top_k=k)
+    assert not small._pair_cache
+    psi = TestFunction(m_cus.group, pointed_frame(*RATIO_BUMPS[0]), base_width=1.2, angle_width=1.8)
+    for k in (-3, 0):
+        with pytest.raises(MeasureError, match="at least one"):
+            br_integral(psi, _first_atoms(m_cus, 120), DELTA_CUS, t_grid=t, top_k=k)
 
 
 def test_br_integral_normalization_and_frozen(cus, m_cus):
