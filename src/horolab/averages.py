@@ -28,7 +28,7 @@ from .groups import (
     Generator,
     LimitSample,
     fixed_points,
-    renormalized,
+    replayed,
 )
 from .measures import (
     AtomicBoundaryMeasure,
@@ -316,35 +316,33 @@ def _settled(group, times, frames):
 
 def _values(psi, frames) -> np.ndarray:
     """psi at a stack of frames (n, 2, 2): the frames flowed by its shifts,
-    reduced on its group as one batch (see reduce_frames), then evaluated."""
+    reduced on its group as one batch with reduce_frames, then evaluated."""
     inner, times = _peeled(psi)
-    rows = _Rows(len(frames))
-    rows.put(slice(None), *_settled(inner.group, times, frames))
-    return inner.evaluate_points(*rows.coords(0, len(frames)))
+    for t in times:
+        frames = _flowed(frames, t)
+    if inner.group is not None:
+        frames = inner.group.reduce_frames(frames)
+    return inner.evaluate_points(*_frame_coordinates(frames))
 
 
 class _Rows:
-    """Frames settled one by one (see settle_frames): each row's moves count
-    and its (x, y, theta) both as settled and renormalized once. coords
-    applies the batch rule of reduce_frames to a slice of the rows."""
+    """Frames settled one by one (see settle_frames), with each row's moves
+    count. coords applies the batch rule of reduce_frames to a slice of the
+    rows through replayed."""
 
     def __init__(self, n: int):
+        self.frames = np.empty((n, 2, 2))
         self.moves = np.zeros(n, dtype=np.int64)
-        self.plain = np.empty((3, n))
-        self.once = np.empty((3, n))
 
     def put(self, at, settled: np.ndarray, moves: np.ndarray) -> None:
         """Record settled frames and their moves counts at the rows `at`."""
+        self.frames[at] = settled
         self.moves[at] = moves
-        self.plain[:, at] = _frame_coordinates(settled)
-        self.once[:, at] = _frame_coordinates(renormalized(settled))
 
-    def coords(self, lo: int, hi: int) -> np.ndarray:
+    def coords(self, lo: int, hi: int):
         """(x, y, theta) of the rows [lo, hi) as reduce_frames gives them on
-        those rows as one batch: a row that moved fewer rounds than the most
-        in the slice takes its renormalized-once variant."""
-        moves = self.moves[lo:hi]
-        return np.where(moves < moves.max(initial=0), self.once[:, lo:hi], self.plain[:, lo:hi])
+        those rows as one batch."""
+        return _frame_coordinates(replayed(self.frames[lo:hi], self.moves[lo:hi]))
 
 
 class _Leaf:
@@ -441,7 +439,7 @@ def _settle_grid(group, times, u: UnitTangent, s: np.ndarray, prev):
     rows = _Rows(len(s))
     if not fresh:
         old = prev[1]
-        rows.moves[::2], rows.plain[:, ::2], rows.once[:, ::2] = old.moves, old.plain, old.once
+        rows.frames[::2], rows.moves[::2] = old.frames, old.moves
     rows.put(at, *settled)
     return s, rows
 

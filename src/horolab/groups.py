@@ -83,11 +83,6 @@ def _determinants(frames: np.ndarray) -> np.ndarray:
     return frames[:, 0, 0] * frames[:, 1, 1] - frames[:, 0, 1] * frames[:, 1, 0]
 
 
-def renormalized(frames: np.ndarray) -> np.ndarray:
-    """Frames (n, 2, 2) divided by the square roots of their determinants."""
-    return frames / np.sqrt(_determinants(frames))[:, None, None]
-
-
 def replayed(settled: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """The batch rule of reduce_frames applied to rows settled one by one
     (see FuchsianGroup.settle_frames): rows that moved fewer rounds than the
@@ -184,7 +179,7 @@ def _run_bound(mats: np.ndarray, wn: np.ndarray, cap: float) -> np.ndarray:
 class _RunPowers:
     """Powers of parabolic letters as p^n = alpha_n I + beta_n N, up to sign.
 
-    N is the nilpotent of each letter's own matrix, p = I + N up to sign. A
+    N is each letter's row of FuchsianGroup._nil, p = I + N up to sign. A
     letter read from a file is parabolic only up to rounding, so N^2 = t N -
     d I with t = tr N and d = det N (Cayley-Hamilton) need not vanish, and
     w + n wN would drift from w p^n over a long run. The tables hold alpha_n
@@ -195,13 +190,12 @@ class _RunPowers:
     For an exact parabolic alpha_n = 1 and beta_n = n exactly.
     """
 
-    def __init__(self, mats: np.ndarray):
-        sign = np.where(mats[:, 0, 0] + mats[:, 1, 1] < 0.0, -1.0, 1.0)
-        self.nil = sign[:, None, None] * mats - np.eye(2)
-        self.t = self.nil[:, 0, 0] + self.nil[:, 1, 1]
-        self.d = _determinants(self.nil)
-        self.alpha = np.ones((len(mats), 2))
-        self.beta = np.tile([0.0, 1.0], (len(mats), 1))
+    def __init__(self, nil: np.ndarray):
+        self.nil = nil
+        self.t = nil[:, 0, 0] + nil[:, 1, 1]
+        self.d = _determinants(nil)
+        self.alpha = np.ones((len(nil), 2))
+        self.beta = np.tile([0.0, 1.0], (len(nil), 1))
 
     def coefficients(self, letter: np.ndarray, n: np.ndarray):
         """(alpha_n, beta_n) of each row's letter, n an int64 array >= 0."""
@@ -268,21 +262,17 @@ class ExponentFit:
 class _ParabolicChart:
     """Conjugated picture of a parabolic letter pair: fixed point at infinity.
 
-    In the chart the letter acts as a shift by tau, its domain half-disk
-    becomes the half-plane beyond wall_plus and the inverse domain the one
-    beyond wall_minus; the reduction step jumps whole shift powers at once.
+    In the chart the letter acts as a shift by tau, and its domain half-disk
+    and the inverse domain become half-planes beyond two walls, center
+    halfway between them; the reduction step jumps whole shift powers at
+    once.
     """
 
     label: str
     conjugator: Isometry
     tau: float
-    wall_plus: float
-    wall_minus: float
-    nilpotent: np.ndarray  # N with (trace +2 representative) = I + N
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.wall_plus + self.wall_minus)
+    center: float
+    nilpotent: np.ndarray  # the letter's row of FuchsianGroup._nil
 
 
 class FuchsianGroup:
@@ -334,17 +324,20 @@ class FuchsianGroup:
         self._leave_mats = np.array(
             [self.letters[l].matrix.inverse().entries() for l in self.order]
         ).reshape(-1, 2, 2)
+        # each letter's matrix, signed to trace >= 0, minus the identity: the
+        # nilpotent N of a parabolic letter p = I + N
+        sign = np.where(self._mats[:, 0, 0] + self._mats[:, 1, 1] < 0.0, -1.0, 1.0)
+        self._nil = sign[:, None, None] * self._mats - np.eye(2)
         self._centers = np.array([self.letters[l].center for l in self.order])
         self._radii = np.array([self.letters[l].radius for l in self.order])
         self._parabolic_charts = {}
-        for l in self.order:
+        for k, l in enumerate(self.order):
             if self.letters[l].kind == "parabolic" and l.islower():
-                chart = self._build_parabolic_chart(self.letters[l])
+                chart = self._build_parabolic_chart(self.letters[l], self._nil[k])
                 self._parabolic_charts[l] = chart
                 self._parabolic_charts[chart.label.swapcase()] = chart
         self._validate_domains()
         self._validate_ping_pong()
-        self._spot_check_freeness()
 
     # ------------------------------------------------------------ validation
 
@@ -363,8 +356,21 @@ class FuchsianGroup:
             raise GroupError("domains of %r and %r overlap" % (l1, l2))
 
     def _validate_ping_pong(self):
-        # every letter must push all other interval endpoints (and infinity)
-        # into its own target interval
+        """Check the premise of the ping-pong lemma, which proves the group
+        free: each letter g maps the closed arc C, the circle minus the open
+        domain of its inverse, into its own domain I_g.
+
+        The test applies each letter to infinity and to every domain
+        endpoint outside the open domain of its inverse, and wants each
+        image finite and in the letter's domain. In exact arithmetic that
+        implies the premise. g(C) is one of the two arcs between g(lo) and
+        g(hi), lo and hi the ends of the inverse domain, which the test puts
+        in I_g. If it is the arc through infinity, then infinity = g(q) for
+        some q in C. A q outside the closed inverse domain fails the inverse
+        letter's test of infinity, since g^-1 maps infinity to q; an
+        endpoint q fails g's own test, which finds g(q) infinite. So g(C) is
+        the arc inside I_g. The test allows 1e-9 of rounding.
+        """
         pts = [INFINITY]
         for l in self.order:
             lo, hi = self.letters[l].domain
@@ -382,15 +388,6 @@ class FuchsianGroup:
                         "ping-pong failure: %r maps %r to %r outside its domain" % (l, p, q)
                     )
 
-    def _spot_check_freeness(self):
-        rng = np.random.default_rng(8141871)
-        for _ in range(100):
-            n = int(rng.integers(1, 9))
-            letters = self._random_reduced_letters(rng, n)
-            m = self.word_matrix(letters)
-            if isometry_distance(m, Isometry.identity()) <= 1e-8:
-                raise GroupError("freeness spot check failed on word %r" % (letters,))
-
     def _random_reduced_letters(self, rng, n):
         out = []
         for _ in range(n):
@@ -398,7 +395,7 @@ class FuchsianGroup:
             out.append(options[int(rng.integers(len(options)))])
         return tuple(out)
 
-    def _build_parabolic_chart(self, g: Generator) -> _ParabolicChart:
+    def _build_parabolic_chart(self, g: Generator, nilpotent: np.ndarray) -> _ParabolicChart:
         fp, _ = fixed_points(g.matrix)
         if fp.is_infinity:
             conj = Isometry.identity()
@@ -429,16 +426,12 @@ class FuchsianGroup:
                 "parabolic pair %r: shift by %.3g incompatible with walls at %.3g, %.3g"
                 % (g.label, b, wm.value, wp.value)
             )
-        gm = np.array(g.matrix.entries()).reshape(2, 2)
-        if g.matrix.trace < 0:
-            gm = -gm
         return _ParabolicChart(
             label=g.label,
             conjugator=conj,
             tau=b,
-            wall_plus=wp.value,
-            wall_minus=wm.value,
-            nilpotent=gm - np.eye(2),
+            center=0.5 * (wp.value + wm.value),
+            nilpotent=nilpotent,
         )
 
     # ------------------------------------------------------------ basic maps
@@ -612,7 +605,7 @@ class FuchsianGroup:
         cap = radius + _PRUNE_SLACK
         cusp = np.array([self.letters[l].kind == "parabolic" for l in self.order])
         hyperbolic, parabolic = np.flatnonzero(~cusp), np.flatnonzero(cusp)
-        powers = _RunPowers(self._mats[parabolic])
+        powers = _RunPowers(self._nil[parabolic])
         # the identity's hyperbolic children are the letters as they are, the
         # first level of _level_arrays; the identity also starts every run
         letter, child = hyperbolic, self._mats[hyperbolic]
@@ -645,18 +638,16 @@ class FuchsianGroup:
     # cyclic groups: powers of the single letter, displacement monotone in the
     # exponent, so counts come from bisection instead of enumeration
     def _cyclic_power_displacement(self, n) -> np.ndarray:
-        g = self.letters[self.order[0] if self.order[0].islower() else self.order[1]]
+        k = 0 if self.order[0].islower() else 1
         n = np.asarray(n, dtype=float)
-        m = np.array(g.matrix.entries()).reshape(2, 2)
-        if g.kind == "parabolic":
-            if m[0, 0] + m[1, 1] < 0:
-                m = -m
-            nil = m - np.eye(2)
+        if self.letters[self.order[k]].kind == "parabolic":
+            nil = self._nil[k]
             a = 1.0 + n * nil[0, 0]
             b = n * nil[0, 1]
             c = n * nil[1, 0]
             d = 1.0 + n * nil[1, 1]
         else:
+            m = self._mats[k]
             tr = abs(m[0, 0] + m[1, 1])
             lam = 0.5 * (tr + math.sqrt(tr * tr - 4.0))
             if m[0, 0] + m[1, 1] < 0:

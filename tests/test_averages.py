@@ -458,8 +458,9 @@ def test_leaf_averages_match_fresh_computation(request, name):
 
 
 def test_values_reduce_as_one_batch(sch, cus, u8, u9):
-    # the fresh oracles' path applies the batch rule through _Rows.coords;
-    # it gives the bits of one reduce_frames call on the flowed frames
+    # the fresh oracles' path flows the frames and reduces them with one
+    # reduce_frames call; the leaf stores reach the same bits through
+    # _Rows.coords, which the oracles check
     rng = np.random.default_rng(4040)
     for group, name, u in ((sch, "schottky", u8), (cus, "cusped", u9)):
         psi = _bumps(group, name)[0]

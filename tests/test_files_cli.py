@@ -15,9 +15,10 @@ from horolab.defaults import (
     EXPERIMENT_PERIODS,
     KNOWN_EXPONENTS,
     PATTERSON_RADIUS,
+    _interval_pair,
     schottky_group,
 )
-from horolab.groups import dumps_group, enumerated_word_count
+from horolab.groups import FuchsianGroup, dumps_group, enumerated_word_count
 from horolab.io import (
     atomic_write_text,
     atoms_csv_text,
@@ -157,6 +158,31 @@ def test_cli_lost_determinant_exits_2(experiment, overrides, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "lost their determinant to rounding" in err
     assert not out.exists()
+
+
+def test_cli_thin_group_builds_and_its_fit_fails_cleanly(tmp_path, capsys):
+    # a valid ping-pong group with thin domains (transfer operator delta
+    # 0.2088); products of sampled words once lost their determinant at
+    # build time, and every run on its file exited 1 blaming the file
+    path = tmp_path / "thin.group"
+    path.write_text(dumps_group(FuchsianGroup(
+        _interval_pair("a", 2.0, 0.3) + _interval_pair("b", 6.0, 0.6), name="thin"
+    )))
+    group = "group=%s" % path
+    assert main(["group-info", "--out", str(tmp_path / "gi"), "--override", group]) == 0
+    assert capsys.readouterr().err == ""
+    # too few orbit points below 28 for a fit, and past 30 the word
+    # products lose their determinant: both are numeric failures
+    argv = ["exponent", "--out", str(tmp_path / "e"), "--override", group, "--override"]
+    assert main(argv + ["t_max=28"]) == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: only 319 orbit points below 28; need 1000 for a stable fit\n"
+    )
+    assert main(argv + ["t_max=34"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: 572 of 2646 word products lost their determinant to rounding")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "e").exists()
 
 
 def test_cli_frame_reduction_breakdown_exits_2(tmp_path, capsys):

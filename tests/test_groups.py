@@ -172,6 +172,27 @@ def test_ping_pong_failure_rejected():
         )
 
 
+def test_ping_pong_refuses_an_outer_arc_image():
+    # a(z) = 1.1 + 5.5 / (8 - z) sends infinity and every domain endpoint
+    # into [1, 3], but its pole at 8 lies outside [-3, -1], so it maps the
+    # outside of [-3, -1] onto the arc through infinity; the inverse
+    # letter's check of infinity finds it (see _validate_ping_pong)
+    a = Isometry(-1.1, 14.3, -1.0, 8.0)
+    for p in (INFINITY, BoundaryPoint(-3.0), BoundaryPoint(-1.0), BoundaryPoint(1.0), BoundaryPoint(3.0)):
+        q = mobius_apply(a, p)
+        assert not q.is_infinity and 1.0 <= q.value <= 3.0
+    with pytest.raises(GroupError) as err:
+        FuchsianGroup(
+            [
+                Generator("a", a, "hyperbolic", (1.0, 3.0)),
+                Generator("A", a.inverse(), "hyperbolic", (-3.0, -1.0)),
+            ]
+        )
+    assert str(err.value) == (
+        "ping-pong failure: 'A' maps BoundaryPoint(inf) to BoundaryPoint(8) outside its domain"
+    )
+
+
 # ---------------------------------------------------------------- counting
 
 
