@@ -45,9 +45,10 @@ _KIND_TOL = 1e-10
 # margin above the requested radius and filters exactly afterwards.
 _PRUNE_SLACK = 2.0
 
-# rows per product when a level's children are formed, which bounds the
-# gathered parent stacks on wide levels and keeps each product below the size
-# at which BLAS starts a second thread
+# rows per block when a level's children or runs are formed: it bounds the
+# gathered parent stacks and a pruned level's transient, since each block is
+# pruned before the next is formed, and keeps each product below the size at
+# which BLAS starts a second thread
 _CHILD_CHUNK = 16384
 
 # rounds a frame reduction may take before it is declared stuck
@@ -131,16 +132,6 @@ def fixed_points(m: Isometry) -> tuple[BoundaryPoint, BoundaryPoint | None]:
     return r2, r1
 
 
-def _letter_blocks(letter: np.ndarray):
-    """(lo, hi, k) for each run of rows lo:hi of one letter k, in row order,
-    cut into pieces of at most _CHILD_CHUNK rows. Rows that come
-    letter-major make one run per letter."""
-    cuts = (np.flatnonzero(letter[1:] != letter[:-1]) + 1).tolist()
-    for a, b in zip([0] + cuts, cuts + [len(letter)]):
-        for lo in range(a, b, _CHILD_CHUNK):
-            yield lo, min(lo + _CHILD_CHUNK, b), letter[a]
-
-
 def _displacement_from_entries(a, b, c, d):
     # d(i, m(i)) via cosh d = (a^2+b^2+c^2+d^2)/2 for determinant-one matrices
     s = 0.5 * (a * a + b * b + c * c + d * d)
@@ -197,8 +188,8 @@ class _RunPowers:
         self.alpha = np.ones((len(nil), 2))
         self.beta = np.tile([0.0, 1.0], (len(nil), 1))
 
-    def coefficients(self, letter: np.ndarray, n: np.ndarray):
-        """(alpha_n, beta_n) of each row's letter, n an int64 array >= 0."""
+    def coefficients(self, k: int, n: np.ndarray):
+        """(alpha_n, beta_n) of the letter in row k, n an int64 array >= 0."""
         while n.max(initial=0) >= self.alpha.shape[1]:
             a, b = self.alpha, self.beta
             al, bl = a[:, -1:], b[:, -1:]
@@ -208,7 +199,7 @@ class _RunPowers:
             self.beta = np.concatenate(
                 [b, al * b[:, 1:] + bl * a[:, 1:] + self.t[:, None] * bl * b[:, 1:]], axis=1
             )
-        return self.alpha[letter, n], self.beta[letter, n]
+        return self.alpha[k, n], self.beta[k, n]
 
 
 @dataclass(frozen=True)
@@ -482,86 +473,103 @@ class FuchsianGroup:
         nl = len(self.order)
         cap = None if radius is None else radius + _PRUNE_SLACK
         mats = self._mats.copy()
+        disp = _displacement(mats)
         last = np.arange(nl)
         parent = np.full(nl, -1)
         _charge_words(1 + nl)  # identity plus the first level
+        if cap is not None:
+            keep = np.flatnonzero(disp <= cap)
+            mats, disp, last, parent = (
+                np.take(v, keep, axis=0) for v in (mats, disp, last, parent)
+            )
         level = 1
-        while max_len is None or level <= max_len:
-            disp = _displacement(mats)
-            if cap is not None:
-                keep = np.flatnonzero(disp <= cap)
-                mats, disp, last, parent = (
-                    np.take(v, keep, axis=0) for v in (mats, disp, last, parent)
-                )
-            if not len(mats):
-                break
+        while len(mats) and (max_len is None or level <= max_len):
             yield mats, disp, last, parent
             if level == max_len:
                 break
-            # every reduced child at once, letter-major: row j of the mask
-            # marks the parents that letter j extends
-            last, parent = np.nonzero(last[None, :] != self._inv_index[:, None])
-            mats = self._children(mats, parent, last)
-            _charge_words(len(mats))
+            mats, disp, last, parent = self._pruned_children(mats, last, np.arange(nl), cap)
             level += 1
 
-    def _children(self, mats: np.ndarray, parent: np.ndarray, letter: np.ndarray) -> np.ndarray:
-        """Rows mats[parent] times the matrices of their letters, renormalized.
+    def _pruned_children(
+        self, mats: np.ndarray, last: np.ndarray, letters: np.ndarray, cap: float | None
+    ):
+        """The reduced children of the words mats, whose last letters are
+        last, by each of letters (positions in order), renormalized and cut
+        to displacement cap (None: not cut). Returns (child, disp, letter,
+        parent), letter-major and in parent order within a letter, and
+        charges every child formed.
 
-        The rows must come letter-major, as np.nonzero gives them in
-        _level_arrays and _syllable_displacements: every row of a letter's
-        block is multiplied on the right by the same matrix, so the block is
-        one (2m x 2) @ (2 x 2) product of its gathered rows seen as pairs of
-        entries, written straight into the children. A stacked (m, 2, 2)
-        matmul rounds each entry the same way but makes one BLAS call per
-        row. Products take at most _CHILD_CHUNK rows (see _letter_blocks);
-        rows in another order are still right, one product per run of a
-        letter.
+        The parents of letter k are the words that do not end in its
+        inverse. Their children are formed in blocks of at most _CHILD_CHUNK
+        rows, each one (2m x 2) @ (2 x 2) product of the gathered rows seen
+        as pairs of entries, written straight into the block; a stacked
+        (m, 2, 2) matmul rounds each entry the same way but makes one BLAS
+        call per row. Each block is pruned before the next is formed, so a
+        level's unpruned children never exist at once; unpruned, they go
+        into one stack of the level's size.
 
         Raises GroupError when a child's determinant is not finite and
         positive, as rounding makes it on words displaced past about 31 on
         the Schottky group: renormalizing would turn the row into NaN, and
-        radius pruning would drop it without a word.
+        radius pruning would drop it without a word. The message counts the
+        lost rows among all the level's children.
         """
-        child = np.empty((len(parent), 2, 2))
-        flat = child.reshape(-1, 2)
-        for lo, hi, k in _letter_blocks(letter):
-            rows = np.take(mats, parent[lo:hi], axis=0).reshape(-1, 2)
-            np.matmul(rows, self._mats[k], out=flat[2 * lo : 2 * hi])
-        det = _determinants(child)
-        lost = ~((det > 0.0) & (det < np.inf))
-        if lost.any():
+        stack = None
+        if cap is None:
+            n = sum(int(np.count_nonzero(last != self._inv_index[k])) for k in letters)
+            stack = np.empty((n, 2, 2)), np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+        parts = [(np.empty((0, 2, 2)), np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))]
+        formed, lost, first = 0, 0, 0.0
+        for k in letters:
+            parents = np.flatnonzero(last != self._inv_index[k])
+            for lo in range(0, len(parents), _CHILD_CHUNK):
+                parent = parents[lo : lo + _CHILD_CHUNK]
+                at, formed = formed, formed + len(parent)
+                child = np.empty((len(parent), 2, 2)) if stack is None else stack[0][at:formed]
+                rows = np.take(mats, parent, axis=0).reshape(-1, 2)
+                np.matmul(rows, self._mats[k], out=child.reshape(-1, 2))
+                det = _determinants(child)
+                bad = np.flatnonzero(~((det > 0.0) & (det < np.inf)))
+                if len(bad) and not lost:
+                    first = float(det[bad[0]])
+                lost += len(bad)
+                if lost:
+                    continue  # the level is refused; only its lost rows are counted on
+                child /= np.sqrt(det)[:, None, None]
+                disp = _displacement(child)
+                if stack is None:
+                    keep = np.flatnonzero(disp <= cap)
+                    parts.append((np.take(child, keep, axis=0), np.take(disp, keep),
+                                  np.full(len(keep), k), np.take(parent, keep)))
+                else:
+                    stack[1][at:formed], stack[2][at:formed], stack[3][at:formed] = disp, k, parent
+        if lost:
             raise GroupError(
                 "%d of %d word products lost their determinant to rounding (one reads %r); "
-                "enumerate to a smaller radius or cutoff"
-                % (np.count_nonzero(lost), len(det), float(det[lost][0]))
+                "enumerate to a smaller radius or cutoff" % (lost, formed, first)
             )
-        child /= np.sqrt(det)[:, None, None]
-        return child
+        _charge_words(formed)
+        return stack if stack is not None else tuple(map(np.concatenate, zip(*parts)))
 
-    def _run_arrays(self, mats: np.ndarray, letter: np.ndarray, powers: _RunPowers, cap: float):
+    def _run_arrays(self, mats: np.ndarray, k: int, powers: _RunPowers, cap: float):
         """Parabolic runs w p^n, n = 1, 2, ..., of the words mats, each cut at
-        its first word displaced past cap: returns (words, disp, run) of the
-        words before the cuts, run naming each word's row of mats, and
-        charges the words formed up to each cut.
+        its first word displaced past cap: returns (words, disp) of the words
+        before the cuts, and charges the words formed up to each cut.
 
-        letter names each row's letter among the rows of powers, and the
-        n-th word is alpha_n w + beta_n (w N), up to sign. The rows must come
-        letter-major, as np.nonzero gives them in _syllable_displacements:
-        w N is formed by letter blocks as in _children. Each run is formed
-        up to the power _run_bound gives in blocks of at most _CHILD_CHUNK
-        rows; a run that has not crossed cap there, which only rounding or
-        a letter parabolic only up to rounding can cause, is formed on from
-        where it stopped over as many powers again.
+        k names the letter p among the rows of powers, and the n-th word is
+        alpha_n w + beta_n (w N), up to sign. w N is one product of the rows
+        seen as pairs of entries, as in _pruned_children, so mats takes at
+        most _CHILD_CHUNK rows. Each run is formed up to the power _run_bound
+        gives in blocks of at most _CHILD_CHUNK rows; a run that has not
+        crossed cap there, which only rounding or a letter parabolic only up
+        to rounding can cause, is formed on from where it stopped over as
+        many powers again.
         """
-        wn = np.empty((len(mats), 2, 2))
-        flat = wn.reshape(-1, 2)
-        for lo, hi, k in _letter_blocks(letter):
-            np.matmul(mats[lo:hi].reshape(-1, 2), powers.nil[k], out=flat[2 * lo : 2 * hi])
+        wn = np.matmul(mats.reshape(-1, 2), powers.nil[k]).reshape(-1, 2, 2)
         end = _run_bound(mats, wn, cap)  # the last power formed before a look
         formed = np.zeros(len(mats), dtype=np.int64)
         pending = np.arange(len(mats))
-        words, disp, run = [np.empty((0, 2, 2))], [np.empty(0)], [pending[:0]]
+        words, disp = [np.empty((0, 2, 2))], [np.empty(0)]
         while len(pending):
             # the pending runs whose next powers fill one block; a run longer
             # than a block takes a block of its own
@@ -572,7 +580,7 @@ class FuchsianGroup:
             heads = tails[:fit] - counts
             row = np.repeat(batch, counts)
             pos = np.arange(len(row)) - np.repeat(heads, counts)  # 0 at each run's head
-            alpha, beta = powers.coefficients(np.take(letter, row), np.take(formed, row) + pos + 1)
+            alpha, beta = powers.coefficients(k, np.take(formed, row) + pos + 1)
             block = alpha[:, None, None] * np.take(mats, row, axis=0)
             block += beta[:, None, None] * np.take(wn, row, axis=0)
             bd = _displacement(block)
@@ -583,24 +591,26 @@ class FuchsianGroup:
             _charge_words(len(keep) + int(crossed.sum()))
             words.append(np.take(block, keep, axis=0))
             disp.append(np.take(bd, keep))
-            run.append(np.take(row, keep))
             going = batch[~crossed]
             formed[going] += counts[~crossed]
             end[going[formed[going] == end[going]]] *= 2
             pending = np.concatenate([pending[fit:], going])
-        return np.concatenate(words), np.concatenate(disp), np.concatenate(run)
+        return np.concatenate(words), np.concatenate(disp)
 
     def _syllable_displacements(self, radius: float):
         """Displacements of the reduced words the pruned walk of _level_arrays
         keeps at this radius (within radius + _PRUNE_SLACK), one array per
         syllable instead of one per word length, and charges the same words.
 
-        A hyperbolic letter extends a word by one gathered product as there.
-        A parabolic letter p extends a word that does not end in p or its
-        inverse by the whole run w p^n in one step (see _run_arrays), cut
-        where the level walk prunes it; the run's words take the other
-        letters next. Run words are formed in closed form, so they differ
-        from the level walk's products in their last bits.
+        A hyperbolic letter extends a word by one product as there (see
+        _pruned_children). A parabolic letter p extends a word that does not
+        end in p or its inverse by the whole run w p^n in one step (see
+        _run_arrays), cut where the level walk prunes it; the run's words take
+        the other letters next. Runs are formed for at most _CHILD_CHUNK
+        words at a time, letter by letter, so the run words of a syllable
+        come in another order than the level walk's. Run words are formed in
+        closed form, so they differ from the level walk's products in their
+        last bits.
         """
         cap = radius + _PRUNE_SLACK
         cusp = np.array([self.letters[l].kind == "parabolic" for l in self.order])
@@ -608,32 +618,31 @@ class FuchsianGroup:
         powers = _RunPowers(self._nil[parabolic])
         # the identity's hyperbolic children are the letters as they are, the
         # first level of _level_arrays; the identity also starts every run
-        letter, child = hyperbolic, self._mats[hyperbolic]
+        child, letter = self._mats[hyperbolic], hyperbolic
+        disp = _displacement(child)
+        keep = np.flatnonzero(disp <= cap)
+        child, disp, letter = (np.take(v, keep, axis=0) for v in (child, disp, letter))
         mats, last = np.eye(2)[None], np.full(1, -1)
-        _charge_words(1 + len(letter))
+        _charge_words(1 + len(hyperbolic))
         while True:
-            disp = _displacement(child)
-            keep = np.flatnonzero(disp <= cap)
-            child, disp, letter = (np.take(v, keep, axis=0) for v in (child, disp, letter))
             # runs of each parabolic letter after the words ending outside
             # its pair, which sits at positions 2i and 2i + 1 of order
-            j, parent = np.nonzero((last[None, :] >> 1) != (parabolic[:, None] >> 1))
-            words, run_disp, run = self._run_arrays(np.take(mats, parent, axis=0), j, powers, cap)
-            mats, last = child, letter
-            if len(words):
-                mats = np.concatenate([child, words])
-                disp = np.concatenate([disp, run_disp])
-                last = np.concatenate([letter, np.take(parabolic[j], run)])
+            parts = [(child, disp, letter)]
+            for k, p in enumerate(parabolic):
+                heads = np.flatnonzero((last >> 1) != (p >> 1))
+                for lo in range(0, len(heads), _CHILD_CHUNK):
+                    block = np.take(mats, heads[lo : lo + _CHILD_CHUNK], axis=0)
+                    words, run_disp = self._run_arrays(block, k, powers, cap)
+                    if len(words):
+                        parts.append((words, run_disp, np.full(len(words), p)))
+            mats, disp, last = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            # held through the next products they would raise the peak
+            del parts, child, letter
             if not len(mats):
                 return
             yield disp
-            # held through the next products they would raise the peak
-            del child, disp, words
-            # hyperbolic children, letter-major as in _level_arrays
-            j, parent = np.nonzero(last[None, :] != self._inv_index[hyperbolic, None])
-            letter = hyperbolic[j]
-            child = self._children(mats, parent, letter)
-            _charge_words(len(child))
+            del disp
+            child, disp, letter, _ = self._pruned_children(mats, last, hyperbolic, cap)
 
     # cyclic groups: powers of the single letter, displacement monotone in the
     # exponent, so counts come from bisection instead of enumeration

@@ -116,33 +116,24 @@ def build_patterson(group: FuchsianGroup, cfg: PattersonConfig) -> AtomicBoundar
     normalized to unit total mass. Every atom lands inside a generator
     interval by the ping-pong nesting, which is asserted.
     """
-    xs, ys, ds, ls = [], [], [], []
-    for level, (mats, disp, *_) in enumerate(group._level_arrays(cfg.cutoff, cfg.radius), 1):
-        if cfg.radius is None:
-            m, dk = mats, disp
-        else:
-            keep = disp <= cfg.radius
-            m, dk = mats[keep], disp[keep]
+    # each level as it arrives: its atoms' endpoints, displacements and length
+    parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=int))]
+    for level, (m, d, *_) in enumerate(group._level_arrays(cfg.cutoff, cfg.radius), 1):
+        if cfg.radius is not None:
+            keep = d <= cfg.radius
+            m, d = m[keep], d[keep]
         x, y = frame_point(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
-        xs.append(x)
-        ys.append(y)
-        ds.append(dk)
-        ls.append(np.full(len(dk), level))
-    if not xs:
-        raise MeasureError("no orbit points at cutoff %d" % cfg.cutoff)
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    d = np.concatenate(ds)
-    ln = np.concatenate(ls)
-    ok = np.abs(x) > 1e-300  # a dead-vertical ray has no finite endpoint
-    x, y, d, ln = x[ok], y[ok], d[ok], ln[ok]
-    if len(x) < 100:
+        ok = np.abs(x) > 1e-300  # a dead-vertical ray has no finite endpoint
+        x, y, d = x[ok], y[ok], d[ok]
+        c = (x * x + y * y - 1.0) / (2.0 * x)
+        parts.append((c + np.sign(x) * np.sqrt(c * c + 1.0), d, np.full(len(d), level)))
+    xi, d, ln = (np.concatenate(v) for v in zip(*parts))
+    del parts
+    if len(xi) < 100:
         raise MeasureError(
             "only %d atoms survive cutoff %d radius %s; need at least 100"
-            % (len(x), cfg.cutoff, cfg.radius)
+            % (len(xi), cfg.cutoff, cfg.radius)
         )
-    c = (x * x + y * y - 1.0) / (2.0 * x)
-    xi = c + np.sign(x) * np.sqrt(c * c + 1.0)
     logw = -cfg.exponent * d
     order = np.argsort(xi, kind="stable")
     xi, logw, d, ln = xi[order], logw[order], d[order], ln[order]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ def random_frame(rng: np.random.Generator, spread: float = 2.0) -> UnitTangent:
             rng.uniform(-math.pi, math.pi),
         )
     )
+
+
+def peak_mib(run) -> float:
+    """Peak traced memory of run() above what was traced before, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

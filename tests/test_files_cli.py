@@ -141,6 +141,20 @@ def test_cli_numeric_failure_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "group, radius, shown", [("schottky", "0.5", "0.5"), ("cusped", "1", "1.0")]
+)
+def test_cli_empty_measure_names_its_radius(group, radius, shown, tmp_path, capsys):
+    # a radius that empties the walk reads as one that leaves too few atoms
+    out = tmp_path / "out"
+    argv = ["patterson", "--out", str(out), "--override", "group=" + group]
+    assert main(argv + ["--override", "radius=" + radius]) == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: only 0 atoms survive cutoff 14 radius %s; need at least 100\n" % shown
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "experiment, overrides",
     [
         pytest.param("exponent", ["t_max=32"], id="exponent-t_max-32"),

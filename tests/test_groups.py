@@ -50,7 +50,7 @@ from horolab.groups import (
     sample_limit_point,
 )
 
-from conftest import conjugate, iwasawa
+from conftest import conjugate, iwasawa, peak_mib
 from test_level_kernels import scalar_reduce
 
 
@@ -515,6 +515,51 @@ def test_syllable_walk_counts_across_blocks(short_bound, monkeypatch):
         assert_counts_match_level_walk(cusped_group(), t_max)
 
 
+def syllables(group, t_max):
+    """Each syllable's displacements as sorted bytes, the fit's counts and
+    the words charged."""
+    reset_word_counter()
+    parts = [np.sort(d).tobytes() for d in group._syllable_displacements(t_max)]
+    words = enumerated_word_count()
+    return parts, critical_exponent(group, t_max, min_points=0).counts, words
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1], ids=["cusped", "conjugate-0", "conjugate-1"])
+def test_streamed_runs_match_unstreamed_walk(seed, monkeypatch):
+    # runs formed for at most _CHILD_CHUNK words at a time come in another
+    # order than one block of every parent, but they are the same words; at
+    # radius 18 the widest syllable has 16,662 run parents, more than one
+    # block of the default size
+    group = cusped_group()
+    if seed is not None:
+        group, _ = conjugate(group, np.random.default_rng(seed))
+    for chunk, t_max in ((5, 10.0), (5, 12.0), (groups._CHILD_CHUNK, 18.0)):
+        monkeypatch.setattr(groups, "_CHILD_CHUNK", 2**40)
+        want = syllables(group, t_max)
+        assert len(want[0]) > 5
+        monkeypatch.setattr(groups, "_CHILD_CHUNK", chunk)
+        got = syllables(group, t_max)
+        assert got[0] == want[0], (t_max, chunk)
+        assert np.array_equal(got[1], want[1]), (t_max, chunk)
+        assert got[2] == want[2], (t_max, chunk)
+
+
+def test_pruned_walk_memory():
+    # each block of children is pruned as it is formed: the Schottky fit to
+    # 28 forms 773,648 words and keeps 257,881, and its peak was 17.8 MiB
+    # when each level's unpruned children were formed at once
+    assert peak_mib(lambda: critical_exponent(schottky_group(), t_max=28.0)) <= 13.0
+
+
+def test_walk_memory_no_higher_than_whole_levels():
+    # the cusped fit (10.0 MiB when each syllable gathered every run parent
+    # at once) and an unpruned walk, whose children go into one stack of the
+    # level's size (2.47 MiB)
+    assert peak_mib(lambda: critical_exponent(cusped_group(), t_max=18.0)) <= 10.0
+    g = schottky_group()
+    assert peak_mib(lambda: [None for _ in g._level_arrays(9)]) <= 2.47
+
+
 def test_enumeration_refuses_lost_determinants():
     # past radius 31 or so on the Schottky group rounding leaves some word
     # products with a determinant <= 0; renormalized, they became NaN rows
@@ -525,11 +570,12 @@ def test_enumeration_refuses_lost_determinants():
     with pytest.raises(GroupError, match="1 of 78732 word products lost their determinant"):
         for _ in g._level_arrays(10):
             pass
-    # a row with a zero, a negative and a NaN determinant
+    # a row with a zero, a negative and a NaN determinant, pruned or not
     for row, det in (([[1.0, 1.0], [1.0, 1.0]], "0.0"), ([[0.0, 1.0], [1.0, 0.0]], "-"),
                      ([[np.nan, 0.0], [0.0, 1.0]], "nan")):
-        with pytest.raises(GroupError, match=r"1 of 1 word products .* \(one reads %s" % det):
-            g._children(np.array([row]), np.zeros(1, np.int64), np.zeros(1, np.int64))
+        for cap in (None, 30.0):
+            with pytest.raises(GroupError, match=r"1 of 1 word products .* \(one reads %s" % det):
+                g._pruned_children(np.array([row]), np.array([-1]), np.array([0]), cap)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 """The level-by-level group kernels against their per-letter form.
 
-_level_arrays builds each enumeration level in one pass: every child is
-found by one index pass, letter-major, and each letter's block of children
-is one (2m x 2) @ (2 x 2) product of the gathered parent rows, seen as
-pairs of entries, with the letter's matrix, at most _CHILD_CHUNK rows at a
-time. reduce_frames moves only the frames still live, on a compact stack;
+_level_arrays forms each enumeration level with _pruned_children: letter
+by letter, each block of at most _CHILD_CHUNK children is one
+(2m x 2) @ (2 x 2) product of the gathered parent rows, seen as pairs of
+entries, with the letter's matrix, pruned before the next block is formed.
+reduce_frames moves only the frames still live, on a compact stack;
 and settle_frames moves every live row of a round with one stacked product
 against a gathered stack of leaving matrices. The oracles below are the
 versions they replaced: one gather, stacked (m, 2, 2) product and
@@ -54,6 +54,27 @@ from horolab.groups import (
 from conftest import conjugate, iwasawa
 
 
+def letter_loop_children(group, mats, last, letters, cap=None):
+    """One level's reduced children by each of letters, per letter:
+    (mats, disp, last, parent) cut to cap, and the number of children formed."""
+    blocks = [(np.empty((0, 2, 2)), np.empty(0, np.int64), np.empty(0, np.int64))]
+    for j in letters:
+        ok = last != group._inv_index[j]
+        if not ok.any():
+            continue
+        child = mats[ok] @ group._mats[j]
+        det = child[:, 0, 0] * child[:, 1, 1] - child[:, 0, 1] * child[:, 1, 0]
+        child /= np.sqrt(det)[:, None, None]
+        blocks.append((child, np.full(ok.sum(), j), np.flatnonzero(ok)))
+    mats, last, parent = (np.concatenate(v) for v in zip(*blocks))
+    disp = _displacement_from_entries(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    formed = len(mats)
+    if cap is not None:
+        keep = disp <= cap
+        mats, disp, last, parent = mats[keep], disp[keep], last[keep], parent[keep]
+    return (mats, disp, last, parent), formed
+
+
 def letter_loop_levels(group, max_len, radius=None):
     """Per-letter breadth-first levels (mats, disp, last, parent), and the
     number of words materialized."""
@@ -73,25 +94,9 @@ def letter_loop_levels(group, max_len, radius=None):
         out.append((mats, disp, last, parent))
         if level == max_len:
             break
-        blocks = []
-        for j in range(nl):
-            ok = last != group._inv_index[j]
-            if not ok.any():
-                continue
-            child = mats[ok] @ group._mats[j]
-            det = child[:, 0, 0] * child[:, 1, 1] - child[:, 0, 1] * child[:, 1, 0]
-            child /= np.sqrt(det)[:, None, None]
-            blocks.append((child, np.full(ok.sum(), j), np.flatnonzero(ok)))
-        if not blocks:
-            break
-        mats = np.concatenate([b[0] for b in blocks])
-        last = np.concatenate([b[1] for b in blocks])
-        parent = np.concatenate([b[2] for b in blocks])
-        disp = _displacement_from_entries(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
-        words += len(mats)
-        if cap is not None:
-            keep = disp <= cap
-            mats, disp, last, parent = mats[keep], disp[keep], last[keep], parent[keep]
+        level_arrays, formed = letter_loop_children(group, mats, last, range(nl), cap)
+        mats, disp, last, parent = level_arrays
+        words += formed
         level += 1
     return out, words
 
@@ -244,8 +249,8 @@ def wide_stack(rng, n):
 
 @pytest.mark.parametrize("make", [schottky_group, cusped_group, unit_parabolic_group])
 def test_letter_block_product_rounds_as_stacked_matmul(make):
-    # _children multiplies each letter's block by the letter's matrix and
-    # _run_arrays by its nilpotent as one product of the rows seen as pairs
+    # _pruned_children multiplies each letter's block by the letter's matrix
+    # and _run_arrays by its nilpotent as one product of the rows seen as pairs
     # of entries; a BLAS that rounds that layout unlike the stacked one
     # fails here by name instead of in the level oracles
     g = make()
@@ -260,16 +265,24 @@ def test_letter_block_product_rounds_as_stacked_matmul(make):
             assert same_bits(got, np.matmul(s, np.repeat(mat[None], n, axis=0))), (n, k)
 
 
-def test_children_in_any_row_order(monkeypatch):
-    # rows that are not letter-major take one product per run of a letter
+@pytest.mark.parametrize("name", ["schottky", "cusped"])
+@pytest.mark.parametrize("radius", [None, 9.0], ids=["unpruned", "pruned"])
+def test_pruned_children_match_letter_loop(name, radius, monkeypatch):
+    # blocks of 5 rows put a block edge inside every letter's parents; the
+    # hyperbolic letters alone are the syllable walk's step on the cusped group
     monkeypatch.setattr(groups, "_CHILD_CHUNK", 5)
-    g = cusped_group()
-    mats, _, last, _ = list(g._level_arrays(2))[-1]
-    letter, parent = np.nonzero(last[None, :] != g._inv_index[:, None])
-    want = g._children(mats, parent, letter)
-    order = np.random.default_rng(7).permutation(len(parent))
-    assert same_bits(g._children(mats, parent[order], letter[order]), want[order])
-    assert g._children(mats, parent[:0], letter[:0]).shape == (0, 2, 2)
+    g = resolve_group(name)
+    cap = None if radius is None else radius + groups._PRUNE_SLACK
+    mats, _, last, _ = letter_loop_levels(g, 3, radius)[0][-1]
+    hyperbolic = np.flatnonzero([g.letters[label].kind != "parabolic" for label in g.order])
+    for letters in (np.arange(len(g.order)), hyperbolic, hyperbolic[:1], hyperbolic[:0]):
+        want, formed = letter_loop_children(g, mats, last, letters, cap)
+        reset_word_counter()
+        got = g._pruned_children(mats, last, letters, cap)
+        assert enumerated_word_count() == formed
+        assert len(got) == 4
+        for what, a, b in zip(("mats", "disp", "last", "parent"), got, want):
+            assert same_bits(a, b), (list(letters), what)
 
 
 def test_level_wider_than_one_chunk():

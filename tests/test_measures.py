@@ -38,6 +38,8 @@ from horolab.measures import (
 from horolab.averages import ConstantFunction, Integrand, TestFunction, build_vector, pointed_frame
 from horolab.geometry import UnitTangent, geodesic_flow, horocycle_flow, mobius_apply
 
+from conftest import peak_mib
+
 DELTA_SCH = 0.4322791205538202
 DELTA_CUS = 0.646822563859683
 
@@ -436,6 +438,15 @@ def test_pair_quadrature_memory(sch, m_sch):
             assert tracemalloc.get_traced_memory()[1] - base <= 8 * 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_deep_measure_memory(sch):
+    # the orbit-enumeration workload's deep Schottky measure: each level's
+    # children are pruned block by block and turned into atoms as the level
+    # arrives (20.8 MiB when a level's children and every level's frame
+    # points were held at once)
+    cfg = PattersonConfig(DELTA_SCH, 60, 28.0)
+    assert peak_mib(lambda: build_patterson(sch, cfg)) <= 16.0
 
 
 def test_pair_field_is_freed_with_its_measure(sch, m_sch):
