@@ -565,8 +565,11 @@ def run_closure(st: Settings, args):
         )
         if letter is None:
             raise ConfigError("group %s has no parabolic letter" % spec)
-    elif letter not in group.letters:
-        raise ConfigError("group %s has no letter %r" % (spec, letter))
+    elif letter not in group.letters or group.letters[letter].kind != "parabolic":
+        raise ConfigError(
+            "%s: key 'letter': group %s has no parabolic letter %r"
+            % (st.where("letter"), spec, letter)
+        )
     dilations = sorted(st.get("dilations", (0.5, 1.0, 2.0)))
     refine_tol = st.get("refine_tol", 1e-10)
     gen = group.letters[letter]

@@ -9,7 +9,6 @@ import numpy as np
 
 from .geometry import (
     INFINITY,
-    ORIGIN,
     BoundaryPoint,
     GeometryError,
     Isometry,
@@ -283,7 +282,6 @@ class FuchsianGroup:
             raise GroupError("duplicate labels in generator list")
         self.order = sorted(self.letters, key=lambda s: (s.lower(), s.isupper()))
         self.rank = len(self.order) // 2
-        self.basepoint = ORIGIN
         for g in letters:
             if g.inverse_label not in self.letters:
                 raise GroupError("letter %r has no inverse entry %r" % (g.label, g.inverse_label))
@@ -297,11 +295,6 @@ class FuchsianGroup:
                     "declared kind %r of %r contradicts |trace| = %.17g"
                     % (g.kind, g.label, abs(g.matrix.trace))
                 )
-        self.kind = (
-            "with_cusps"
-            if any(g.kind == "parabolic" for g in letters)
-            else "convex_cocompact"
-        )
         self._mats = np.array([self.letters[l].matrix.entries() for l in self.order]).reshape(-1, 2, 2)
         self._inv_index = np.array(
             [self.order.index(self.letters[l].inverse_label) for l in self.order]
@@ -457,37 +450,62 @@ class FuchsianGroup:
 
     # ------------------------------------------------------------ enumeration
 
-    def _level_arrays(self, max_len: int | None, radius: float | None = None):
-        """Breadth-first reduced words as stacked matrices, one level at a time.
+    def _walk(self, max_len: int | None, radius: float | None = None, runs: bool = False):
+        """Breadth-first reduced words as stacked matrices, one step at a time.
 
-        Yields (mats, disp, last, parent) per word length: the matrices, their
-        displacements, each word's last letter (position in order) and the
-        row of its prefix in the previous level (-1 on the first level).
-        Children come letter by letter, in parent order within a letter.
-        Pruning by displacement keeps a slack margin so near-radius words
-        still appear. With a radius the walk dies out on its own (cusp
-        corridors get long but not short), so max_len may be None.
+        Yields (mats, disp, last) per step: the matrices, their displacements
+        and each word's last letter (position in order). A step extends the
+        words of the step before by one letter (see _pruned_children),
+        letter-major and in parent order within a letter. With runs only the
+        hyperbolic letters step so: a parabolic letter p extends each word
+        that does not end in p or its inverse by its whole run w p^n (see
+        _run_arrays), after the letter steps and for at most _CHILD_CHUNK
+        words at a time, and the run's words take the other letters next. So
+        a cusp corridor costs one step, not one per power; its words are
+        formed in closed form and differ from the one-letter products in
+        their last bits.
+
+        With a radius, words are cut to radius + _PRUNE_SLACK, so near-radius
+        words still appear, and the walk dies out on its own (cusp corridors
+        get long but not short); without one it needs max_len. max_len counts
+        steps, which are word lengths only without runs. Every word formed is
+        charged.
         """
-        if max_len is None and radius is None:
-            raise GroupError("need a length cap or a radius to enumerate")
-        nl = len(self.order)
+        cusp = runs & np.array([self.letters[l].kind == "parabolic" for l in self.order])
+        steps, parabolic = np.flatnonzero(~cusp), np.flatnonzero(cusp)
+        powers = _RunPowers(self._nil[parabolic])
         cap = None if radius is None else radius + _PRUNE_SLACK
-        mats = self._mats.copy()
-        disp = _displacement(mats)
-        last = np.arange(nl)
-        parent = np.full(nl, -1)
-        _charge_words(1 + nl)  # identity plus the first level
+        # the identity's children by the step letters are those letters; the
+        # identity also starts every run
+        child, letter = self._mats[steps], steps
+        disp = _displacement(child)
         if cap is not None:
             keep = np.flatnonzero(disp <= cap)
-            mats, disp, last, parent = (
-                np.take(v, keep, axis=0) for v in (mats, disp, last, parent)
-            )
+            child, disp, letter = (np.take(v, keep, axis=0) for v in (child, disp, letter))
+        mats, last = np.eye(2)[None], np.full(1, -1)
+        _charge_words(1 + len(steps))
         level = 1
-        while len(mats) and (max_len is None or level <= max_len):
-            yield mats, disp, last, parent
+        while True:
+            # runs of each parabolic letter after the words ending outside
+            # its pair, which sits at positions 2i and 2i + 1 of order
+            parts = [(child, disp, letter)]
+            for k, p in enumerate(parabolic):
+                heads = np.flatnonzero((last >> 1) != (p >> 1))
+                for lo in range(0, len(heads), _CHILD_CHUNK):
+                    block = np.take(mats, heads[lo : lo + _CHILD_CHUNK], axis=0)
+                    words, run_disp = self._run_arrays(block, k, powers, cap)
+                    if len(words):
+                        parts.append((words, run_disp, np.full(len(words), p)))
+            mats, disp, last = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            # held through the next products they would raise the peak
+            del parts, child, letter
+            if not len(mats):
+                return
+            yield mats, disp, last
             if level == max_len:
-                break
-            mats, disp, last, parent = self._pruned_children(mats, last, np.arange(nl), cap)
+                return
+            del disp
+            child, disp, letter = self._pruned_children(mats, last, steps, cap)
             level += 1
 
     def _pruned_children(
@@ -495,9 +513,9 @@ class FuchsianGroup:
     ):
         """The reduced children of the words mats, whose last letters are
         last, by each of letters (positions in order), renormalized and cut
-        to displacement cap (None: not cut). Returns (child, disp, letter,
-        parent), letter-major and in parent order within a letter, and
-        charges every child formed.
+        to displacement cap (None: not cut): one step of _walk. Returns
+        (child, disp, letter), letter-major and in parent order within a
+        letter, and charges every child formed.
 
         The parents of letter k are the words that do not end in its
         inverse. Their children are formed in blocks of at most _CHILD_CHUNK
@@ -517,8 +535,8 @@ class FuchsianGroup:
         stack = None
         if cap is None:
             n = sum(int(np.count_nonzero(last != self._inv_index[k])) for k in letters)
-            stack = np.empty((n, 2, 2)), np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
-        parts = [(np.empty((0, 2, 2)), np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))]
+            stack = np.empty((n, 2, 2)), np.empty(n), np.empty(n, np.int64)
+        parts = [(np.empty((0, 2, 2)), np.empty(0), np.empty(0, np.int64))]
         formed, lost, first = 0, 0, 0.0
         for k in letters:
             parents = np.flatnonzero(last != self._inv_index[k])
@@ -540,9 +558,9 @@ class FuchsianGroup:
                 if stack is None:
                     keep = np.flatnonzero(disp <= cap)
                     parts.append((np.take(child, keep, axis=0), np.take(disp, keep),
-                                  np.full(len(keep), k), np.take(parent, keep)))
+                                  np.full(len(keep), k)))
                 else:
-                    stack[1][at:formed], stack[2][at:formed], stack[3][at:formed] = disp, k, parent
+                    stack[1][at:formed], stack[2][at:formed] = disp, k
         if lost:
             raise GroupError(
                 "%d of %d word products lost their determinant to rounding (one reads %r); "
@@ -553,8 +571,9 @@ class FuchsianGroup:
 
     def _run_arrays(self, mats: np.ndarray, k: int, powers: _RunPowers, cap: float):
         """Parabolic runs w p^n, n = 1, 2, ..., of the words mats, each cut at
-        its first word displaced past cap: returns (words, disp) of the words
-        before the cuts, and charges the words formed up to each cut.
+        its first word displaced past cap: a run step of _walk. Returns
+        (words, disp) of the words before the cuts, and charges the words
+        formed up to each cut.
 
         k names the letter p among the rows of powers, and the n-th word is
         alpha_n w + beta_n (w N), up to sign. w N is one product of the rows
@@ -596,53 +615,6 @@ class FuchsianGroup:
             end[going[formed[going] == end[going]]] *= 2
             pending = np.concatenate([pending[fit:], going])
         return np.concatenate(words), np.concatenate(disp)
-
-    def _syllable_displacements(self, radius: float):
-        """Displacements of the reduced words the pruned walk of _level_arrays
-        keeps at this radius (within radius + _PRUNE_SLACK), one array per
-        syllable instead of one per word length, and charges the same words.
-
-        A hyperbolic letter extends a word by one product as there (see
-        _pruned_children). A parabolic letter p extends a word that does not
-        end in p or its inverse by the whole run w p^n in one step (see
-        _run_arrays), cut where the level walk prunes it; the run's words take
-        the other letters next. Runs are formed for at most _CHILD_CHUNK
-        words at a time, letter by letter, so the run words of a syllable
-        come in another order than the level walk's. Run words are formed in
-        closed form, so they differ from the level walk's products in their
-        last bits.
-        """
-        cap = radius + _PRUNE_SLACK
-        cusp = np.array([self.letters[l].kind == "parabolic" for l in self.order])
-        hyperbolic, parabolic = np.flatnonzero(~cusp), np.flatnonzero(cusp)
-        powers = _RunPowers(self._nil[parabolic])
-        # the identity's hyperbolic children are the letters as they are, the
-        # first level of _level_arrays; the identity also starts every run
-        child, letter = self._mats[hyperbolic], hyperbolic
-        disp = _displacement(child)
-        keep = np.flatnonzero(disp <= cap)
-        child, disp, letter = (np.take(v, keep, axis=0) for v in (child, disp, letter))
-        mats, last = np.eye(2)[None], np.full(1, -1)
-        _charge_words(1 + len(hyperbolic))
-        while True:
-            # runs of each parabolic letter after the words ending outside
-            # its pair, which sits at positions 2i and 2i + 1 of order
-            parts = [(child, disp, letter)]
-            for k, p in enumerate(parabolic):
-                heads = np.flatnonzero((last >> 1) != (p >> 1))
-                for lo in range(0, len(heads), _CHILD_CHUNK):
-                    block = np.take(mats, heads[lo : lo + _CHILD_CHUNK], axis=0)
-                    words, run_disp = self._run_arrays(block, k, powers, cap)
-                    if len(words):
-                        parts.append((words, run_disp, np.full(len(words), p)))
-            mats, disp, last = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-            # held through the next products they would raise the peak
-            del parts, child, letter
-            if not len(mats):
-                return
-            yield disp
-            del disp
-            child, disp, letter, _ = self._pruned_children(mats, last, hyperbolic, cap)
 
     # cyclic groups: powers of the single letter, displacement monotone in the
     # exponent, so counts come from bisection instead of enumeration
@@ -851,7 +823,7 @@ def critical_exponent(
     from a breadth-first walk bounded by that radius, which is complete. The
     walk takes one syllable per step: each parabolic run w p^n is counted in
     closed form, so a long cusp corridor costs one step, not one per power
-    (see FuchsianGroup._syllable_displacements).
+    (see FuchsianGroup._walk with runs).
     """
     if not grid_step > 0:
         raise GroupError("grid step must be positive, got %r" % (grid_step,))
@@ -862,7 +834,7 @@ def critical_exponent(
         counts = (1 + 2 * group._cyclic_max_power(grid)).astype(float)
     else:
         parts = [np.zeros(1)]
-        for disp in group._syllable_displacements(t_max):
+        for _, disp, _ in group._walk(None, t_max, runs=True):
             parts.append(disp[disp <= t_max])
         disp = np.sort(np.concatenate(parts))
         counts = np.searchsorted(disp, grid, side="right").astype(float)
@@ -951,7 +923,6 @@ class LimitSample:
 
     point: BoundaryPoint
     kind: str
-    witness: tuple[str, ...]
     width: float
 
 
@@ -978,7 +949,7 @@ def sample_limit_point(group: FuchsianGroup, spec: WordSpec) -> LimitSample:
         lab = next(iter(tail_labels))
         if group.generator(lab).kind == "parabolic":
             fp, _ = fixed_points(group.generator(lab).matrix)
-            return LimitSample(push(spec.head, fp), "parabolic", spec.prefix(spec.depth), 0.0)
+            return LimitSample(push(spec.head, fp), "parabolic", 0.0)
     n = max(spec.depth, 2)
     letters = spec.prefix(n)
     lo, hi = group.generator(letters[-1]).domain
@@ -987,7 +958,7 @@ def sample_limit_point(group: FuchsianGroup, spec: WordSpec) -> LimitSample:
     if a.is_infinity or b.is_infinity:
         raise GroupError("nested interval escaped the finite chart")
     mid = 0.5 * (a.value + b.value)
-    return LimitSample(BoundaryPoint(mid), "radial", letters, abs(b.value - a.value))
+    return LimitSample(BoundaryPoint(mid), "radial", abs(b.value - a.value))
 
 
 # ---------------------------------------------------------------- file format

@@ -118,7 +118,7 @@ def build_patterson(group: FuchsianGroup, cfg: PattersonConfig) -> AtomicBoundar
     """
     # each level as it arrives: its atoms' endpoints, displacements and length
     parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=int))]
-    for level, (m, d, *_) in enumerate(group._level_arrays(cfg.cutoff, cfg.radius), 1):
+    for level, (m, d, _) in enumerate(group._walk(cfg.cutoff, cfg.radius), 1):
         if cfg.radius is not None:
             keep = d <= cfg.radius
             m, d = m[keep], d[keep]
@@ -217,7 +217,6 @@ class ConditionalHorocycleMeasure:
     log space since the density blows up toward the backward endpoint.
     """
 
-    leaf: UnitTangent
     exponent: float
     params: np.ndarray
     log_weights: np.ndarray
@@ -259,7 +258,7 @@ def conditional_on_horocycle(
     lam = measure.log_weights[keep] + hat_delta * _busemann_at_origin(xi, px, py)
     order = np.argsort(s, kind="stable")
     return ConditionalHorocycleMeasure(
-        leaf=u, exponent=hat_delta, params=s[order], log_weights=lam[order]
+        exponent=hat_delta, params=s[order], log_weights=lam[order]
     )
 
 

@@ -118,6 +118,9 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
         pytest.param("closure", "bump7 = banana", id="closure-bump"),
         pytest.param("nondiv", "bump7 = banana", id="nondiv-bump"),
         pytest.param("exponent", "bump7 = banana", id="exponent-bump"),
+        # closure times need a parabolic letter of the group
+        pytest.param("closure", "letter = b", id="closure-letter-hyperbolic"),
+        pytest.param("closure", "letter = q", id="closure-letter-unknown"),
     ],
 )
 def test_cli_bad_value_reports_location(experiment, line, tmp_path, capsys):

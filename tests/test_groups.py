@@ -82,12 +82,16 @@ def brute_orbit_points(group, max_len):
 
 def level_words(group, max_len):
     """(letters, (2, 2) matrix, displacement) of every nonempty reduced word
-    up to max_len, rebuilt from the levels of _level_arrays."""
-    out, prev = [], None
-    for mats, disp, last, parent in group._level_arrays(max_len):
+    up to max_len, from the levels of the unpruned walk. Each level's words
+    are rebuilt from the level before in the walk's order, letter-major and
+    in parent order within a letter, and must end in the walk's last letters."""
+    out, prev = [], [()]
+    for mats, disp, last in group._walk(max_len):
         cur = [
-            (prev[p] if prev else ()) + (group.order[l],) for p, l in zip(parent, last)
+            w + (l,) for l in group.order for w in prev
+            if not w or group.letters[w[-1]].inverse_label != l
         ]
+        assert [w[-1] for w in cur] == [group.order[k] for k in last]
         out += [(w, m, float(d)) for w, m, d in zip(cur, mats, disp)]
         prev = cur
     return out
@@ -97,9 +101,12 @@ def level_words(group, max_len):
 
 
 def test_builtin_groups_validate():
-    assert schottky_group().kind == "convex_cocompact"
-    assert cusped_group().kind == "with_cusps"
-    assert unit_parabolic_group().kind == "with_cusps"
+    def kinds(g):
+        return {g.letters[l].kind for l in g.order}
+
+    assert kinds(schottky_group()) == {"hyperbolic"}
+    assert kinds(cusped_group()) == {"hyperbolic", "parabolic"}
+    assert kinds(unit_parabolic_group()) == {"parabolic"}
     assert schottky_group().rank == 2
     assert unit_parabolic_group().rank == 1
 
@@ -208,7 +215,7 @@ def test_word_count_rank_two_length_three():
 def test_word_counter_charges_enumeration():
     g = schottky_group()
     reset_word_counter()
-    list(g._level_arrays(3))
+    list(g._walk(3))
     assert enumerated_word_count() == 53
     reset_word_counter()
     assert enumerated_word_count() == 0
@@ -411,11 +418,11 @@ def test_cusped_exponent_exceeds_half():
 
 
 def level_walk_counts(group, t_max, grid_step=0.5):
-    """The exponent fit's counts rebuilt from the levels of _level_arrays,
-    one power of a parabolic letter per level, and the words that walk
+    """The exponent fit's counts rebuilt from the levels of the walk without
+    runs, one power of a parabolic letter per level, and the words that walk
     materializes."""
     reset_word_counter()
-    parts = [np.zeros(1)] + [d[d <= t_max] for _, d, *_ in group._level_arrays(None, t_max)]
+    parts = [np.zeros(1)] + [d[d <= t_max] for _, d, _ in group._walk(None, t_max)]
     grid = np.arange(grid_step, t_max + 0.5 * grid_step, grid_step)
     counts = np.searchsorted(np.sort(np.concatenate(parts)), grid, side="right")
     return counts.astype(float), enumerated_word_count()
@@ -519,7 +526,7 @@ def syllables(group, t_max):
     """Each syllable's displacements as sorted bytes, the fit's counts and
     the words charged."""
     reset_word_counter()
-    parts = [np.sort(d).tobytes() for d in group._syllable_displacements(t_max)]
+    parts = [np.sort(d).tobytes() for _, d, _ in group._walk(None, t_max, runs=True)]
     words = enumerated_word_count()
     return parts, critical_exponent(group, t_max, min_points=0).counts, words
 
@@ -547,8 +554,9 @@ def test_streamed_runs_match_unstreamed_walk(seed, monkeypatch):
 def test_pruned_walk_memory():
     # each block of children is pruned as it is formed: the Schottky fit to
     # 28 forms 773,648 words and keeps 257,881, and its peak was 17.8 MiB
-    # when each level's unpruned children were formed at once
-    assert peak_mib(lambda: critical_exponent(schottky_group(), t_max=28.0)) <= 13.0
+    # when each level's unpruned children were formed at once, and 10.1 MiB
+    # while the walk kept each word's parent row (8.8 MiB without)
+    assert peak_mib(lambda: critical_exponent(schottky_group(), t_max=28.0)) <= 9.5
 
 
 def test_walk_memory_no_higher_than_whole_levels():
@@ -557,7 +565,7 @@ def test_walk_memory_no_higher_than_whole_levels():
     # level's size (2.47 MiB)
     assert peak_mib(lambda: critical_exponent(cusped_group(), t_max=18.0)) <= 10.0
     g = schottky_group()
-    assert peak_mib(lambda: [None for _ in g._level_arrays(9)]) <= 2.47
+    assert peak_mib(lambda: [None for _ in g._walk(9)]) <= 2.47
 
 
 def test_enumeration_refuses_lost_determinants():
@@ -568,7 +576,7 @@ def test_enumeration_refuses_lost_determinants():
     with pytest.raises(GroupError, match="of 224553 word products lost their determinant"):
         critical_exponent(g, t_max=32.0)
     with pytest.raises(GroupError, match="1 of 78732 word products lost their determinant"):
-        for _ in g._level_arrays(10):
+        for _ in g._walk(10):
             pass
     # a row with a zero, a negative and a NaN determinant, pruned or not
     for row, det in (([[1.0, 1.0], [1.0, 1.0]], "0.0"), ([[0.0, 1.0], [1.0, 0.0]], "-"),
@@ -943,6 +951,6 @@ def test_group_file_errors():
 
 def test_resolve_builtin_names():
     assert resolve_group("builtin:schottky").name == "schottky"
-    assert resolve_group("cusped").kind == "with_cusps"
+    assert resolve_group("cusped").letters["p"].kind == "parabolic"
     with pytest.raises(GroupError):
         resolve_group("builtin:nope")

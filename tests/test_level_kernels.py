@@ -1,6 +1,6 @@
 """The level-by-level group kernels against their per-letter form.
 
-_level_arrays forms each enumeration level with _pruned_children: letter
+_walk forms each enumeration level with _pruned_children: letter
 by letter, each block of at most _CHILD_CHUNK children is one
 (2m x 2) @ (2 x 2) product of the gathered parent rows, seen as pairs of
 entries, with the letter's matrix, pruned before the next block is formed.
@@ -56,8 +56,8 @@ from conftest import conjugate, iwasawa
 
 def letter_loop_children(group, mats, last, letters, cap=None):
     """One level's reduced children by each of letters, per letter:
-    (mats, disp, last, parent) cut to cap, and the number of children formed."""
-    blocks = [(np.empty((0, 2, 2)), np.empty(0, np.int64), np.empty(0, np.int64))]
+    (mats, disp, last) cut to cap, and the number of children formed."""
+    blocks = [(np.empty((0, 2, 2)), np.empty(0, np.int64))]
     for j in letters:
         ok = last != group._inv_index[j]
         if not ok.any():
@@ -65,37 +65,36 @@ def letter_loop_children(group, mats, last, letters, cap=None):
         child = mats[ok] @ group._mats[j]
         det = child[:, 0, 0] * child[:, 1, 1] - child[:, 0, 1] * child[:, 1, 0]
         child /= np.sqrt(det)[:, None, None]
-        blocks.append((child, np.full(ok.sum(), j), np.flatnonzero(ok)))
-    mats, last, parent = (np.concatenate(v) for v in zip(*blocks))
+        blocks.append((child, np.full(ok.sum(), j)))
+    mats, last = (np.concatenate(v) for v in zip(*blocks))
     disp = _displacement_from_entries(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
     formed = len(mats)
     if cap is not None:
         keep = disp <= cap
-        mats, disp, last, parent = mats[keep], disp[keep], last[keep], parent[keep]
-    return (mats, disp, last, parent), formed
+        mats, disp, last = mats[keep], disp[keep], last[keep]
+    return (mats, disp, last), formed
 
 
 def letter_loop_levels(group, max_len, radius=None):
-    """Per-letter breadth-first levels (mats, disp, last, parent), and the
-    number of words materialized."""
+    """Per-letter breadth-first levels (mats, disp, last), and the number of
+    words materialized."""
     out = []
     nl = len(group.order)
     cap = None if radius is None else radius + groups._PRUNE_SLACK
     mats = group._mats.copy()
     disp = _displacement_from_entries(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
     last = np.arange(nl)
-    parent = np.full(nl, -1)
     words = 1 + nl
     if cap is not None:
         keep = disp <= cap
-        mats, disp, last, parent = mats[keep], disp[keep], last[keep], parent[keep]
+        mats, disp, last = mats[keep], disp[keep], last[keep]
     level = 1
     while (max_len is None or level <= max_len) and len(mats):
-        out.append((mats, disp, last, parent))
+        out.append((mats, disp, last))
         if level == max_len:
             break
         level_arrays, formed = letter_loop_children(group, mats, last, range(nl), cap)
-        mats, disp, last, parent = level_arrays
+        mats, disp, last = level_arrays
         words += formed
         level += 1
     return out, words
@@ -202,12 +201,12 @@ def same_bits(a, b):
 def assert_same_levels(group, max_len, radius=None):
     want, words = letter_loop_levels(group, max_len, radius)
     reset_word_counter()
-    got = list(group._level_arrays(max_len, radius))
+    got = list(group._walk(max_len, radius))
     assert enumerated_word_count() == words
     assert len(got) == len(want) > 0
     for level, (g, w) in enumerate(zip(got, want), 1):
-        assert len(g) == 4
-        for name, a, b in zip(("mats", "disp", "last", "parent"), g, w):
+        assert len(g) == 3
+        for name, a, b in zip(("mats", "disp", "last"), g, w):
             assert same_bits(a, b), (level, name)
     return max(len(w[0]) for w in want)
 
@@ -273,15 +272,15 @@ def test_pruned_children_match_letter_loop(name, radius, monkeypatch):
     monkeypatch.setattr(groups, "_CHILD_CHUNK", 5)
     g = resolve_group(name)
     cap = None if radius is None else radius + groups._PRUNE_SLACK
-    mats, _, last, _ = letter_loop_levels(g, 3, radius)[0][-1]
+    mats, _, last = letter_loop_levels(g, 3, radius)[0][-1]
     hyperbolic = np.flatnonzero([g.letters[label].kind != "parabolic" for label in g.order])
     for letters in (np.arange(len(g.order)), hyperbolic, hyperbolic[:1], hyperbolic[:0]):
         want, formed = letter_loop_children(g, mats, last, letters, cap)
         reset_word_counter()
         got = g._pruned_children(mats, last, letters, cap)
         assert enumerated_word_count() == formed
-        assert len(got) == 4
-        for what, a, b in zip(("mats", "disp", "last", "parent"), got, want):
+        assert len(got) == 3
+        for what, a, b in zip(("mats", "disp", "last"), got, want):
             assert same_bits(a, b), (list(letters), what)
 
 

@@ -1,5 +1,5 @@
-"""Every name that a horolab module exports, every private top-level name
-and every public method is read by the program.
+"""Every name that a horolab module exports, every private top-level name,
+every public method and every attribute is read by the program.
 
 A name in the literal __all__ of a module of src/horolab counts as read when
 a module of src/horolab loads it, as a bare name or as an attribute, outside
@@ -7,9 +7,13 @@ its own definition, or when a file of perfbench/ names it at all (the
 benchmark also looks names up by their strings). Imports and export lists
 are not reads. The same rule holds for each top-level name with one leading
 underscore and each method of a top-level class whose name has none, so a
-helper that only the tests call fails too. A name kept for another reason
-is listed in KEPT with that reason. Only the standard library's ast is
-needed.
+helper that only the tests call fails too. It also holds for each attribute
+assigned on self in a method of a top-level class and each annotated field
+of a top-level dataclass, so a field that only the tests read fails; in a
+module only an attribute load reads one, not a bare name. The scan matches
+by name, not by class: a read of Generator.kind also counts for any other
+class's kind. A name kept for another reason is listed in KEPT with that
+reason. Only the standard library's ast is needed.
 """
 
 import ast
@@ -19,8 +23,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "horolab").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
-# exported names that nothing in the program reads, each with its reason
-KEPT: dict[str, str] = {}
+# names that nothing in the program reads, each with its reason
+KEPT: dict[str, str] = {
+    "groups.LimitSample.width": "the enclosure certificate of a sampled limit "
+    "point, which the tests check and run manifests are to report",
+}
 
 
 def exported(tree) -> list[str]:
@@ -57,6 +64,28 @@ def internals(tree) -> list[tuple[str, str]]:
         if not node.name.startswith("_")
     ]
     return private + public
+
+
+def attributes(tree) -> list[tuple[str, str]]:
+    """(shown, name) of each annotated field of a top-level dataclass and of
+    each attribute assigned on self in a method of a top-level class, shown
+    as 'Class.name'."""
+    found = {
+        (cls.name, node.target.id)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+    found |= {
+        (cls, node.attr)
+        for cls, method in methods(tree)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    return [("%s.%s" % pair, pair[1]) for pair in sorted(found)]
 
 
 def definitions(tree) -> dict[str, list[tuple[int, int]]]:
@@ -99,17 +128,30 @@ def reads(tree, strings: bool = False) -> set[str]:
 
 def unread(sources: dict[str, str], bench: list[str]) -> list[str]:
     """'module.name' for each exported or private top-level name, and
-    'module.Class.method' for each public method, that no source and no
-    benchmark file reads."""
+    'module.Class.name' for each public method and each attribute, that no
+    source and no benchmark file reads."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     seen = set().union(*(reads(tree) for tree in trees.values()))
+    # only an attribute load reads an attribute, not a local of its name
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
     for text in bench:
-        seen |= reads(ast.parse(text), strings=True)
+        named = reads(ast.parse(text), strings=True)
+        seen |= named
+        loaded |= named
     return sorted(
-        "%s.%s" % (mod, shown)
-        for mod, tree in trees.items()
-        for shown, name in [(n, n) for n in exported(tree)] + internals(tree)
-        if name not in seen
+        ["%s.%s" % (mod, shown)
+         for mod, tree in trees.items()
+         for shown, name in [(n, n) for n in exported(tree)] + internals(tree)
+         if name not in seen]
+        + ["%s.%s" % (mod, shown)
+           for mod, tree in trees.items()
+           for shown, name in attributes(tree)
+           if name not in loaded]
     )
 
 
@@ -134,6 +176,18 @@ def test_scan_finds_unread_exports():
     # an attribute load is a read, and so is a name outside its definition
     sources["b"] += "import a\nprint(a.lonely, a.selfish(2), reexported)\n"
     assert unread(sources, bench) == []
+    # a dataclass field and an attribute set on self are read as attributes
+    # by name, and a bare name does not read them
+    sources["c"] = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int = 0\n"
+        "class Walker:\n"
+        "    def __init__(self):\n        self.steps = 0\n        self.spare = []\n"
+        "right = spare = 1\nprint(Pair(1).left, Walker().steps, right, spare)\n"
+    )
+    assert unread(sources, bench) == ["c.Pair.right", "c.Walker.spare"]
+    sources["c"] += "print(Pair(2).right, Walker().spare)\n"
+    assert unread(sources, bench) == []
 
 
 def test_scan_finds_unread_internals():
@@ -157,7 +211,7 @@ def test_scan_finds_unread_internals():
 
 
 def test_every_export_is_read():
-    # exports, private top-level names and public methods alike
+    # exports, private top-level names, public methods and attributes alike
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     bench = [p.read_text(encoding="utf-8") for p in BENCH]
     # a KEPT entry that is read, or no longer defined, is stale
