@@ -141,31 +141,6 @@ def _displacement(mats: np.ndarray) -> np.ndarray:
     return _displacement_from_entries(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
 
 
-def _run_bound(mats: np.ndarray, wn: np.ndarray, cap: float) -> np.ndarray:
-    """For each row, a power past the last n with d(i, (w + n wN) i) <= cap,
-    as int64 and at least 1, given w and wN.
-
-    That displacement is at most cap where the convex quadratic
-    |w + n wN|^2 = |w|^2 + 2 n <w, wN> + n^2 |wN|^2 is at most 2 cosh(cap);
-    its larger root, floored, plus 2 leaves a margin for rounding. Without
-    a real root the first power is already past cap. For a letter that is
-    parabolic only up to rounding, w p^n = alpha_n w + beta_n wN (see
-    _RunPowers) strays from w + n wN, so the bound is a first guess.
-    """
-    a = np.einsum("kij,kij->k", mats, mats)
-    b = np.einsum("kij,kij->k", mats, wn)
-    c = np.einsum("kij,kij->k", wn, wn)
-    lim = 2.0 * math.cosh(cap)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = np.sqrt(b * b - c * (a - lim))
-        # the larger root of c n^2 + 2 b n + a - lim, without cancellation
-        top = np.where(b < 0.0, (root - b) / c, (lim - a) / (b + root))
-    end = np.ones(len(mats), dtype=np.int64)
-    real = np.isfinite(top) & (top >= 0.0)
-    end[real] = top[real].astype(np.int64) + 2
-    return end
-
-
 class _RunPowers:
     """Powers of parabolic letters as p^n = alpha_n I + beta_n N, up to sign.
 
@@ -462,8 +437,9 @@ class FuchsianGroup:
         _run_arrays), after the letter steps and for at most _CHILD_CHUNK
         words at a time, and the run's words take the other letters next. So
         a cusp corridor costs one step, not one per power; its words are
-        formed in closed form and differ from the one-letter products in
-        their last bits.
+        formed in closed form, in doubling windows of at most _CHILD_CHUNK
+        rows, and differ from the one-letter products in their last bits. A
+        run that outlives the bound of an exact parabolic raises GroupError.
 
         With a radius, words are cut to radius + _PRUNE_SLACK, so near-radius
         words still appear, and the walk dies out on its own (cusp corridors
@@ -578,42 +554,49 @@ class FuchsianGroup:
         k names the letter p among the rows of powers, and the n-th word is
         alpha_n w + beta_n (w N), up to sign. w N is one product of the rows
         seen as pairs of entries, as in _pruned_children, so mats takes at
-        most _CHILD_CHUNK rows. Each run is formed up to the power _run_bound
-        gives in blocks of at most _CHILD_CHUNK rows; a run that has not
-        crossed cap there, which only rounding or a letter parabolic only up
-        to rounding can cause, is formed on from where it stopped over as
-        many powers again.
+        most _CHILD_CHUNK rows. Every run still short of cap has formed the
+        same powers, and each round extends them all by as many powers again
+        (one at first), fewer when the round's block would pass _CHILD_CHUNK
+        rows. So no guess of a run's length is needed: a round either fills
+        a block or doubles every pending run, which takes about log2 of the
+        longest run in rounds beyond the full blocks.
+
+        For an exact parabolic |w + n wN| >= n |wN| - |w| in the Frobenius
+        norm, so past (|w| + sqrt(2 cosh cap)) / |wN| powers a word lies
+        beyond cap. A run still short of cap past twice that power belongs
+        to a letter elliptic within rounding, whose run stays in a bounded
+        set; it raises GroupError instead of growing without end.
         """
         wn = np.matmul(mats.reshape(-1, 2), powers.nil[k]).reshape(-1, 2, 2)
-        end = _run_bound(mats, wn, cap)  # the last power formed before a look
-        formed = np.zeros(len(mats), dtype=np.int64)
-        pending = np.arange(len(mats))
+        norm = np.sqrt(np.einsum("kij,kij->k", mats, mats))
+        limit = 2.0 * (norm + math.sqrt(2.0 * math.cosh(cap)))
+        limit /= np.sqrt(np.einsum("kij,kij->k", wn, wn))
+        formed = 0
         words, disp = [np.empty((0, 2, 2))], [np.empty(0)]
-        while len(pending):
-            # the pending runs whose next powers fill one block; a run longer
-            # than a block takes a block of its own
-            todo = np.minimum(end[pending] - formed[pending], _CHILD_CHUNK)
-            tails = np.cumsum(todo)
-            fit = max(int(np.searchsorted(tails, _CHILD_CHUNK, side="right")), 1)
-            batch, counts = pending[:fit], todo[:fit]
-            heads = tails[:fit] - counts
-            row = np.repeat(batch, counts)
-            pos = np.arange(len(row)) - np.repeat(heads, counts)  # 0 at each run's head
-            alpha, beta = powers.coefficients(k, np.take(formed, row) + pos + 1)
-            block = alpha[:, None, None] * np.take(mats, row, axis=0)
-            block += beta[:, None, None] * np.take(wn, row, axis=0)
+        while len(mats):
+            width = max(min(_CHILD_CHUNK // len(mats), formed), 1)
+            alpha, beta = powers.coefficients(k, np.arange(formed + 1, formed + width + 1))
+            # (runs, powers, 2, 2): each run's next width words
+            block = alpha[:, None, None] * mats[:, None]
+            block += beta[:, None, None] * wn[:, None]
+            block = block.reshape(-1, 2, 2)
             bd = _displacement(block)
-            # each run's first position past cap, or its count if none
-            first = np.minimum.reduceat(np.where(bd > cap, pos, np.repeat(counts, counts)), heads)
-            keep = np.flatnonzero(pos < np.repeat(first, counts))
-            crossed = first < counts
-            _charge_words(len(keep) + int(crossed.sum()))
+            over = (bd > cap).reshape(-1, width)
+            keep = np.flatnonzero(np.cumsum(over, axis=1) == 0)
+            going = np.flatnonzero(~over.any(axis=1))
+            _charge_words(len(keep) + len(mats) - len(going))
             words.append(np.take(block, keep, axis=0))
             disp.append(np.take(bd, keep))
-            going = batch[~crossed]
-            formed[going] += counts[~crossed]
-            end[going[formed[going] == end[going]]] *= 2
-            pending = np.concatenate([pending[fit:], going])
+            mats, wn, limit = (np.take(v, going, axis=0) for v in (mats, wn, limit))
+            formed += width
+            if len(mats) and formed > limit.min():
+                # the k-th parabolic letter, as _walk numbers them
+                p = [l for l in self.order if self.letters[l].kind == "parabolic"][k]
+                raise GroupError(
+                    "the run of parabolic letter %r stays within radius %g after %d powers, past "
+                    "twice the bound of an exact parabolic: |trace| = %.17g is elliptic "
+                    "within rounding" % (p, cap - _PRUNE_SLACK, formed, abs(self.letters[p].matrix.trace))
+                )
         return np.concatenate(words), np.concatenate(disp)
 
     # cyclic groups: powers of the single letter, displacement monotone in the

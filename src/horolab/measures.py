@@ -84,7 +84,6 @@ class AtomicBoundaryMeasure:
     """
 
     group: FuchsianGroup
-    exponent: float
     cutoff: int
     radius: float | None
     points: np.ndarray
@@ -145,7 +144,6 @@ def build_patterson(group: FuchsianGroup, cfg: PattersonConfig) -> AtomicBoundar
         raise MeasureError("atoms escaped the limit-set hull: %s" % (xi[~inside][:3],))
     return AtomicBoundaryMeasure(
         group=group,
-        exponent=cfg.exponent,
         cutoff=cfg.cutoff,
         radius=cfg.radius,
         points=xi,
@@ -217,7 +215,6 @@ class ConditionalHorocycleMeasure:
     log space since the density blows up toward the backward endpoint.
     """
 
-    exponent: float
     params: np.ndarray
     log_weights: np.ndarray
 
@@ -257,9 +254,7 @@ def conditional_on_horocycle(
     px, py = frame_point(a + b * s, b, c + d * s, d)
     lam = measure.log_weights[keep] + hat_delta * _busemann_at_origin(xi, px, py)
     order = np.argsort(s, kind="stable")
-    return ConditionalHorocycleMeasure(
-        exponent=hat_delta, params=s[order], log_weights=lam[order]
-    )
+    return ConditionalHorocycleMeasure(params=s[order], log_weights=lam[order])
 
 
 # ------------------------------------------------------------- quadratures

@@ -511,13 +511,11 @@ def test_syllable_walk_counts_match_level_walk_on_conjugates(seed):
         assert_counts_match_level_walk(group, t_max)
 
 
-@pytest.mark.parametrize("short_bound", [False, True], ids=["blocks", "blocks-short-bound"])
-def test_syllable_walk_counts_across_blocks(short_bound, monkeypatch):
-    # blocks of 5 rows split every long run; a bound of one power makes every
-    # run form on in doubling spans until it crosses the cap
-    monkeypatch.setattr(groups, "_CHILD_CHUNK", 5)
-    if short_bound:
-        monkeypatch.setattr(groups, "_run_bound", lambda mats, wn, cap: np.ones(len(mats), np.int64))
+@pytest.mark.parametrize("chunk", [5], ids=["blocks"])
+def test_syllable_walk_counts_across_blocks(chunk, monkeypatch):
+    # blocks of 5 rows split every long run, and every run forms on in
+    # doubling windows of at most 5 rows until it crosses the cap
+    monkeypatch.setattr(groups, "_CHILD_CHUNK", chunk)
     for t_max in (9.0, 12.0):
         assert_counts_match_level_walk(cusped_group(), t_max)
 
@@ -551,6 +549,24 @@ def test_streamed_runs_match_unstreamed_walk(seed, monkeypatch):
         assert got[2] == want[2], (t_max, chunk)
 
 
+@pytest.mark.parametrize("chunk, t_max", [(5, 12.0), (groups._CHILD_CHUNK, 18.0)])
+def test_run_blocks_within_chunk(chunk, t_max, monkeypatch):
+    # every block of children or run words whose displacements the walk
+    # takes has at most _CHILD_CHUNK rows, and some block fills one: at 18
+    # the widest syllable has 16,662 run parents
+    monkeypatch.setattr(groups, "_CHILD_CHUNK", chunk)
+    rows, original = [], groups._displacement
+
+    def displacement(mats):
+        rows.append(len(mats))
+        return original(mats)
+
+    monkeypatch.setattr(groups, "_displacement", displacement)
+    for _ in cusped_group()._walk(None, t_max, runs=True):
+        pass
+    assert max(rows) == chunk
+
+
 def test_pruned_walk_memory():
     # each block of children is pruned as it is formed: the Schottky fit to
     # 28 forms 773,648 words and keeps 257,881, and its peak was 17.8 MiB
@@ -561,9 +577,10 @@ def test_pruned_walk_memory():
 
 def test_walk_memory_no_higher_than_whole_levels():
     # the cusped fit (10.0 MiB when each syllable gathered every run parent
-    # at once) and an unpruned walk, whose children go into one stack of the
-    # level's size (2.47 MiB)
-    assert peak_mib(lambda: critical_exponent(cusped_group(), t_max=18.0)) <= 10.0
+    # at once, 7.50 MiB while each run was formed up to a guessed length) and
+    # an unpruned walk, whose children go into one stack of the level's size
+    # (2.47 MiB)
+    assert peak_mib(lambda: critical_exponent(cusped_group(), t_max=18.0)) <= 7.0
     g = schottky_group()
     assert peak_mib(lambda: [None for _ in g._walk(9)]) <= 2.47
 

@@ -2,6 +2,7 @@
 
 Bad input must end in GroupError or exit 1 with a message that names the
 line or the key, never in a traceback, a numeric failure or a silent NaN.
+A group that reads well but breaks the computation ends in exit 2.
 The examples are derandomized, so every run draws the same ones.
 """
 
@@ -12,8 +13,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from horolab.cli import KEYS, _parse_flag, main  # noqa: E402
-from horolab.defaults import cusped_group, schottky_group, unit_parabolic_group  # noqa: E402
-from horolab.groups import GroupError, dumps_group, parse_group_text  # noqa: E402
+from horolab.defaults import (  # noqa: E402
+    _interval_pair,
+    cusped_group,
+    schottky_group,
+    unit_parabolic_group,
+)
+from horolab.geometry import Isometry  # noqa: E402
+from horolab.groups import (  # noqa: E402
+    FuchsianGroup,
+    Generator,
+    GroupError,
+    critical_exponent,
+    dumps_group,
+    parse_group_text,
+)
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 BUILTINS = {"schottky": schottky_group, "cusped": cusped_group, "unit-parabolic": unit_parabolic_group}
@@ -132,3 +146,26 @@ def test_non_finite_override_exits_1(case, bad, before, tmp_path_factory, capsys
     err = capsys.readouterr().err
     assert err.startswith("config error: command-line override: key %r: " % key), err
     assert err.count("\n") == 1 and not (out / "run").exists()
+
+
+def test_run_that_never_leaves_the_radius_exits_2(tmp_path, capsys):
+    # |trace| = 2 - 9.6e-11 after Isometry renormalizes the determinant: the
+    # letter is elliptic but parabolic within the kind tolerance, so the group
+    # builds, and its runs stay in a bounded set; counting formed them on
+    # until memory ran out
+    par = Isometry(1.0, 2.4e-11, -4.0, 1.0)
+    group = FuchsianGroup(
+        [Generator("p", par, "parabolic", (-0.5, 0.0)),
+         Generator("P", par.inverse(), "parabolic", (0.0, 0.5))] + _interval_pair("b", 1.5, 0.7),
+        name="near-elliptic",
+    )
+    with pytest.raises(GroupError, match="run of parabolic letter 'p' stays within radius 24 "):
+        critical_exponent(group, t_max=24.0, min_points=0)
+    path = tmp_path / "near-elliptic.group"
+    path.write_text(dumps_group(group))
+    argv = ["exponent", "--out", str(tmp_path / "run"), "--override", "group=%s" % path,
+            "--override", "t_max=24", "--override", "min_points=0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: the run of parabolic letter 'p' "), err
+    assert err.count("\n") == 1 and not (tmp_path / "run").exists()
