@@ -276,8 +276,8 @@ _EDGE = 1e-9
 # relative spread of grid steps still taken as one cell width
 _GRID_UNIFORMITY = 1e-9
 # rows handled at once, which bounds the transient arrays: atom pairs per
-# block of the pair field, and (leaf coordinate, atom) rows per chunk of the
-# box quadrature's window count
+# block of the pair field, and (leaf coordinate, atom) rows per block of
+# whole leaf coordinates of the box quadrature
 _CHUNK = 2048
 # cells of the leaves of _pairwise_total, which np.sum sums itself
 _LEAF = 2**17
@@ -318,9 +318,10 @@ def _clip_cells(first, stop, grid, inside_at):
 
     first and stop give one window per row, or (2-D) ordered disjoint
     segments per row. grid = (lo, hi) is the part [lo, hi) of each row its
-    cells must cover, as scalars or per-row arrays. A segment with an in-domain cell at an edge short of its
-    row's grid may have cut its row too short, so the closed form is not
-    trusted there: the row is recomputed on its whole grid.
+    cells must cover, as scalars or per-row arrays. A segment with an
+    in-domain cell at an edge short of its row's grid may have cut its row
+    too short, so the closed form is not trusted there: the row is
+    recomputed on its whole grid.
     """
     first = first.reshape(len(first), -1)
     stop = stop.reshape(len(stop), -1)
@@ -372,14 +373,18 @@ def _pair_window(group, xm, xp, beta0):
 
 
 def _uniform_step(t_grid, what):
-    """Cell width of a strictly increasing, uniform grid of two or more points.
+    """Cell width of a finite, strictly increasing, uniform grid of two or
+    more points.
 
     Both quadratures weigh every cell by this one width, and find windows
     by binary search, so any other grid is an error.
     """
-    steps = np.diff(t_grid)
+    with np.errstate(over="ignore"):  # a step too wide to hold is not finite
+        steps = np.diff(t_grid)
     if not len(steps):
         raise MeasureError("%s grid needs at least two points" % what)
+    if not np.all(np.isfinite(steps)):
+        raise MeasureError("%s grid points and steps must be finite" % what)
     if not np.all(steps > 0):
         raise MeasureError("%s grid must be strictly increasing" % what)
     dt = float(steps[0])
@@ -449,6 +454,38 @@ def _pairwise_tree(lo, n, leaf):
     return _pairwise_tree(lo, n2, leaf) + _pairwise_tree(lo + n2, n - n2, leaf)
 
 
+def _pair_block(group, t_grid, xm, xp, w):
+    """The _PairBlock of the atom pairs from xm to xp, of weights w; None
+    when none of their cells is in the fundamental domain."""
+    # interval pairing matrix sending (0, inf) to (xm, xp), det one
+    swap = xp <= xm
+    a0 = xp
+    b0 = np.where(swap, -xm, xm)
+    c0 = np.ones_like(xp)
+    d0 = np.where(swap, -1.0, 1.0)
+    rs = 1.0 / np.sqrt(a0 * d0 - b0 * c0)
+    a0, b0, c0, d0 = a0 * rs, b0 * rs, c0 * rs, d0 * rs
+    bx, by = frame_point(a0, b0, c0, d0)
+    # leaf coordinate of the raw frame; flow so it matches the grid
+    beta0 = -_busemann_at_origin(xm, bx, by)
+    first, stop = _grid_window(t_grid, *_pair_window(group, xm, xp, beta0))
+
+    def samples(row, col):
+        e = np.exp(0.5 * (t_grid[col] - beta0[row]))
+        C = c0[row] * e
+        D = d0[row] / e
+        X, Y = frame_point(a0[row] * e, b0[row] / e, C, D)
+        return group.containing_letter(X, Y) < 0, (X, Y, C, D)
+
+    row, _, mask, (X, Y, C, D) = _clip_cells(first, stop, (0, len(t_grid)), samples)
+    if not mask.any():
+        return None
+    # row[mask] ascends, so the cells of each pair are one run
+    ends = np.cumsum(np.bincount(row[mask], minlength=len(xm)))
+    theta = frame_angle(C[mask], D[mask])  # before the kept points, which lowers the peak
+    return _PairBlock(X[mask], Y[mask], theta, w, ends)
+
+
 def _pair_field(measure, hat_delta, t_grid, top_k):
     """Fundamental-domain samples of the geodesic-pair quadrature.
 
@@ -473,59 +510,28 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
     idx = measure.heaviest(top_k)
     xi = measure.points[idx]
     lw = measure.log_weights[idx]
-    n = len(xi)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    sep = np.abs(xi[ii] - xi[jj])
-    ok = sep > 1e-12
-    ii, jj, sep = ii[ok], jj[ok], sep[ok]
+    ii, jj = np.nonzero(np.abs(xi[:, None] - xi[None, :]) > 1e-12)
     # chordal-gap kernel for densities normalized at the origin i: the
     # Liouville case (exponent one, Poisson weights) must reduce to
     # dxi deta / (xi - eta)^2, which forces the (xi^2+1) factors.
     logw = (
         lw[ii]
         + lw[jj]
-        - 2.0 * hat_delta * np.log(sep)
+        - 2.0 * hat_delta * np.log(np.abs(xi[ii] - xi[jj]))
         + hat_delta * (np.log1p(xi[ii] ** 2) + np.log1p(xi[jj] ** 2))
     )
     logw -= np.max(logw)  # common scale cancels in the normalized integral
-    w = np.exp(logw) * dt
-    xm, xp = xi[ii], xi[jj]
-    # interval pairing matrix sending (0, inf) to (xm, xp), det one
-    swap = xp <= xm
-    a0 = xp
-    b0 = np.where(swap, -xm, xm)
-    c0 = np.ones_like(xp)
-    d0 = np.where(swap, -1.0, 1.0)
-    rs = 1.0 / np.sqrt(a0 * d0 - b0 * c0)
-    a0, b0, c0, d0 = a0 * rs, b0 * rs, c0 * rs, d0 * rs
-    bx, by = frame_point(a0, b0, c0, d0)
-    # leaf coordinate of the raw frame; flow so it matches the grid
-    beta0 = -_busemann_at_origin(xm, bx, by)
-    first, stop = _grid_window(t_grid, *_pair_window(measure.group, xm, xp, beta0))
-
-    def samples(row, col):
-        e = np.exp(0.5 * (t_grid[col] - beta0[row]))
-        C = c0[row] * e
-        D = d0[row] / e
-        X, Y = frame_point(a0[row] * e, b0[row] / e, C, D)
-        return measure.group.containing_letter(X, Y) < 0, (X, Y, C, D)
-
     blocks = []
     for lo in range(0, len(ii), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        row, _, mask, (X, Y, C, D) = _clip_cells(
-            first[sl], stop[sl], (0, len(t_grid)), lambda r, c, lo=lo: samples(r + lo, c)
-        )
-        if mask.any():
-            # row[mask] ascends, so the cells of each pair are one run
-            ends = np.cumsum(np.bincount(row[mask], minlength=len(first[sl])))
-            blocks.append(_PairBlock(X[mask], Y[mask], frame_angle(C[mask], D[mask]), w[sl], ends))
+        block = _pair_block(measure.group, t_grid, xi[ii[sl]], xi[jj[sl]], np.exp(logw[sl]) * dt)
+        if block is not None:
+            blocks.append(block)
     if not blocks:
         raise MeasureError("pair quadrature found no fundamental-domain samples")
     den = _pairwise_total(blocks, lambda b, lo, hi: b.weights(lo, hi))
-    if den <= 0.0:
-        raise MeasureError("empty normalizer in the pair quadrature")
+    if not 0.0 < den < math.inf:
+        raise MeasureError("pair quadrature normalizer is %r, not a positive number" % den)
     out = blocks, den, {}
     measure._pair_cache[key] = out
     return out
@@ -580,6 +586,8 @@ def quadrature_report(
         lambda b, lo, hi: b.weights(lo, hi) * _evaluate(psi, b.x[lo:hi], b.y[lo:hi], b.theta[lo:hi]),
     )
     report = num / den, sum(len(b) for b in blocks), float(t_grid[1] - t_grid[0])
+    if not math.isfinite(report[0]):
+        raise MeasureError("pair quadrature estimate is %r" % report[0])
     estimates[id(psi)] = (psi, report)
     return report
 
@@ -652,6 +660,46 @@ def _window_counts(span, segments, crossings, lost, inside_at):
     return counts
 
 
+def _row_sums(psi, samples, part, segments, support, width):
+    """psi summed over the in-domain cells of each row of the slice part, as
+    np.sum sums the row dense over the whole grid of width cells.
+
+    samples(row, col) gives (in-domain mask, (X, Y, C, D)) of cells; segments
+    holds the domain segments (first, stop) of every row, support its support
+    window. A row with an in-domain cell at a padded support edge short of
+    the grid's end that is still inside the support disk is recomputed with
+    its support window widened to the grid.
+    """
+    seg_first, seg_stop = (v[part] for v in segments)
+    sf, ss = (v[part] for v in support)
+    disk = psi.support()
+    while True:
+        row, col, mask, (X, Y, C, D) = _clip_cells(
+            np.maximum(seg_first, sf[:, None]),
+            np.minimum(seg_stop, ss[:, None]),
+            (sf, ss),
+            lambda r, c: samples(r + part.start, c),
+        )
+        edge = mask & (((col == sf[row]) & (sf[row] > 0)) | ((col == ss[row] - 1) & (ss[row] < width)))
+        if not edge.any():
+            break
+        x0, y0, reach = disk
+        edge[edge] = ~((X[edge] - x0) ** 2 + (Y[edge] - y0) ** 2 >= reach * Y[edge])
+        wide = np.unique(row[edge])
+        if not len(wide):
+            break
+        sf[wide] = 0
+        ss[wide] = width
+    sums = np.zeros(len(sf))
+    if mask.any():
+        # the rows with cells, each summed as a dense row of the whole grid
+        rows, place = np.unique(row[mask], return_inverse=True)
+        vals = np.zeros((len(rows), width))
+        vals[place, col[mask]] = _evaluate(psi, X[mask], Y[mask], frame_angle(C[mask], D[mask]))
+        sums[rows] = np.sum(vals, axis=1)
+    return sums
+
+
 def br_integral(
     psi,
     measure: AtomicBoundaryMeasure,
@@ -671,21 +719,25 @@ def br_integral(
     parameter within window_span) to have unit mass, so only ratios of
     these integrals carry meaning.
 
-    Frames are computed only where the result reads them. The normalizer
-    reads a count of in-domain window cells per row: the closed-form domain
-    segments give it, except within _BAND cells of a circle crossing, where
-    the half-disk test decides, and a row whose tested cells disagree with
-    the segments at their edge is tested on its whole window
-    (_window_counts, over chunks of _CHUNK rows). The integrand is evaluated
+    Rows (leaf coordinate, atom) are taken in blocks of whole leaf
+    coordinates, at most _CHUNK rows unless one leaf coordinate has more;
+    each block forms its own plaque geometry and counts its windows, and the
+    sums run one leaf coordinate at a time. Frames are computed only where
+    the result reads them. The normalizer reads a count of in-domain window
+    cells per row: the closed-form domain segments give it, except within
+    _BAND cells of a circle crossing, where the half-disk test decides, and
+    a row whose tested cells disagree with the segments at their edge is
+    tested on its whole window (_window_counts). The integrand is evaluated
     on the in-domain cells of its support window (psi.support(), the whole
-    grid when it names none), padded by _PAD cells a side. A row with an
-    in-domain cell at a padded support edge that is still inside the support
-    disk is recomputed with its support window widened to the grid.
+    grid when it names none), padded by _PAD cells a side (_row_sums).
     """
     if t_grid is None:
         t_grid = np.arange(-4.0, 4.0 + 1e-9, 0.1)
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _uniform_step(t_grid, "transversal")
+    for name, v in (("sigma_span", sigma_span), ("sigma_step", sigma_step)):
+        if not 0.0 < v < math.inf:
+            raise MeasureError("%s must be finite and positive, got %r" % (name, v))
     group = measure.group
     idx = measure.heaviest(top_k)
     xi = measure.points[idx]
@@ -699,106 +751,77 @@ def br_integral(
     w0, w1 = (cols[0], cols[-1] + 1) if len(cols) else (0, 0)
     disk = psi.support()
     b0 = -np.log(xi * xi + 1.0)  # leaf coordinate of [[1, xi], [0, 1]]
+    r2 = group._radii * group._radii
+    n = len(xi)
+    step = max(_CHUNK // n, 1)  # leaf coordinates per block
     # The plaque point at arc parameter s is xi + E s/(1+s^2) + i E/(1+s^2);
     # it lies in half-disk k iff al s^2 + 2 u E s + al + E^2 < 0, where
     # u = xi - c_k and al = u^2 - r_k^2. For the letter whose interval holds
     # xi (al < 0) the domain part lies between the roots, or near the vertex
     # when there is none; atoms in no interval keep the whole grid. Every
     # other letter (al > 0) cuts out the cells between its roots.
-    # Rows are (leaf coordinate, atom) pairs, leaf coordinate major.
-    n = len(xi)
-    xr = np.tile(xi, len(t_grid))
-    e = np.exp(0.5 * (t_grid[:, None] - b0)).ravel()
-    E = (e * e)[:, None]
-    u = xr[:, None] - group._centers[None, :]
-    r2 = group._radii * group._radii
-    al = u * u - r2
-    held = al < 0.0
-    sq = np.sqrt(np.maximum(E * E * r2 - al * al, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = (-u * E - sq) / al
-        s2 = (-u * E + sq) / al
-    first, stop = _grid_window(
-        sigma,
-        np.where(held, s2, -np.inf).max(axis=1),
-        np.where(held, s1, np.inf).min(axis=1),
-    )
-    # holes [cut, back), shrunk by the padding and sorted by position
-    # (unused letters sort last); segments run between them
-    past1 = np.searchsorted(sigma, s1, side="right")
-    past2 = np.searchsorted(sigma, s2)
-    cut = past1 + _PAD
-    back = past2 - _PAD
-    hole = (al > 0.0) & (cut < back)
-    cut = np.where(hole, cut, width)
-    back = np.where(hole, back, width)
-    order = np.argsort(cut, axis=1, kind="stable")
-    cut = np.take_along_axis(cut, order, axis=1)
-    back = np.take_along_axis(back, order, axis=1)
-    seg_first = np.maximum(np.column_stack([first, back]), first[:, None])
-    seg_stop = np.minimum(np.column_stack([cut, stop]), stop[:, None])
-    xe, ie = xr / e, 1.0 / e
-
-    def samples(row, col):
-        C = ie[row] * sigma[col]
-        D = ie[row]
-        X, Y = frame_point(e[row] + xe[row] * sigma[col], xe[row], C, D)
-        return group.containing_letter(X, Y) < 0, (X, Y, C, D)
-
-    # integer counts row by row, so chunks of rows give the same counts
-    crossings = np.column_stack([past1, past2])
-    lost = ~(np.isfinite(s1) & np.isfinite(s2)).all(axis=1)
-    counts = np.empty(len(xr), dtype=np.intp)
-    for lo in range(0, len(xr), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        counts[sl] = _window_counts(
-            (w0, w1),
-            (seg_first[sl], seg_stop[sl]),
-            crossings[sl],
-            lost[sl],
-            lambda r, c, lo=lo: samples(r + lo, c),
-        )
-    if disk is None:
-        sup_first, sup_stop = np.zeros(len(xr), dtype=int), np.full(len(xr), width)
-    else:
-        sup_first, sup_stop = _grid_window(sigma, *_plaque_support(disk, xr, E[:, 0]))
+    # Rows are a block's (leaf coordinate, atom) pairs, leaf coordinate major.
     num = 0.0
     den = 0.0
-    for k in range(len(t_grid)):
-        lo = k * n
-        sf, ss = sup_first[lo:lo + n], sup_stop[lo:lo + n]
-        while True:
-            row, col, mask, (X, Y, C, D) = _clip_cells(
-                np.maximum(seg_first[lo:lo + n], sf[:, None]),
-                np.minimum(seg_stop[lo:lo + n], ss[:, None]),
-                (sf, ss),
-                lambda r, c: samples(r + lo, c),
-            )
-            # support guard: an in-domain cell at a padded support edge
-            # short of the grid's end that is still inside the disk (a
-            # support window over the whole grid has no such edge)
-            edge = mask & (
-                ((col == sf[row]) & (sf[row] > 0)) | ((col == ss[row] - 1) & (ss[row] < width))
-            )
-            if not edge.any():
-                break
-            x0, y0, reach = disk
-            edge[edge] = ~((X[edge] - x0) ** 2 + (Y[edge] - y0) ** 2 >= reach * Y[edge])
-            wide = np.unique(row[edge])
-            if not len(wide):
-                break
-            sf[wide] = 0
-            ss[wide] = width
-        scale = np.exp(log_density[:, k]) * dt
-        if mask.any():
-            # the rows with cells, each summed as a dense row of the whole grid
-            rows, place = np.unique(row[mask], return_inverse=True)
-            vals = np.zeros((len(rows), width))
-            vals[place, col[mask]] = _evaluate(psi, X[mask], Y[mask], frame_angle(C[mask], D[mask]))
-            sums = np.zeros(n)
-            sums[rows] = np.sum(vals, axis=1)
+    for k0 in range(0, len(t_grid), step):
+        ts = t_grid[k0:k0 + step]
+        xr = np.tile(xi, len(ts))
+        e = np.exp(0.5 * (ts[:, None] - b0)).ravel()
+        E = (e * e)[:, None]
+        u = xr[:, None] - group._centers[None, :]
+        al = u * u - r2
+        held = al < 0.0
+        sq = np.sqrt(np.maximum(E * E * r2 - al * al, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s1 = (-u * E - sq) / al
+            s2 = (-u * E + sq) / al
+        first, stop = _grid_window(
+            sigma,
+            np.where(held, s2, -np.inf).max(axis=1),
+            np.where(held, s1, np.inf).min(axis=1),
+        )
+        # holes [cut, back), shrunk by the padding and sorted by position
+        # (unused letters sort last); segments run between them
+        past1 = np.searchsorted(sigma, s1, side="right")
+        past2 = np.searchsorted(sigma, s2)
+        cut = past1 + _PAD
+        back = past2 - _PAD
+        hole = (al > 0.0) & (cut < back)
+        cut = np.where(hole, cut, width)
+        back = np.where(hole, back, width)
+        order = np.argsort(cut, axis=1, kind="stable")
+        cut = np.take_along_axis(cut, order, axis=1)
+        back = np.take_along_axis(back, order, axis=1)
+        seg_first = np.maximum(np.column_stack([first, back]), first[:, None])
+        seg_stop = np.minimum(np.column_stack([cut, stop]), stop[:, None])
+        xe, ie = xr / e, 1.0 / e
+
+        def samples(row, col):
+            C = ie[row] * sigma[col]
+            D = ie[row]
+            X, Y = frame_point(e[row] + xe[row] * sigma[col], xe[row], C, D)
+            return group.containing_letter(X, Y) < 0, (X, Y, C, D)
+
+        # integer counts row by row, so blocks of rows give the same counts
+        lost = ~(np.isfinite(s1) & np.isfinite(s2)).all(axis=1)
+        counts = _window_counts((w0, w1), (seg_first, seg_stop), np.column_stack([past1, past2]), lost, samples)
+        if disk is None:
+            sup_first, sup_stop = np.zeros(len(xr), dtype=int), np.full(len(xr), width)
+        else:
+            sup_first, sup_stop = _grid_window(sigma, *_plaque_support(disk, xr, E[:, 0]))
+        for k in range(len(ts)):
+            lo = k * n
+            # pieces of whole rows, cut where their support windows pass a
+            # multiple of _LEAF // 4 cells, so no pass outgrows a window count
+            cells = np.cumsum(np.maximum(sup_stop[lo:lo + n] - sup_first[lo:lo + n], 0))
+            cuts = [lo + c for c in np.flatnonzero(np.diff(cells // (_LEAF // 4))) + 1]
+            sums = np.concatenate([
+                _row_sums(psi, samples, slice(a, z), (seg_first, seg_stop), (sup_first, sup_stop), width)
+                for a, z in zip([lo] + cuts, cuts + [lo + n])
+            ])
+            scale = np.exp(log_density[:, k0 + k]) * dt
             num += float(np.sum(scale * sums * sigma_step))
-        den += float(np.sum(scale * counts[lo:lo + n] * sigma_step))
-    if den <= 0.0:
-        raise MeasureError("reference window has zero mass")
+            den += float(np.sum(scale * counts[lo:lo + n] * sigma_step))
+    if not (0.0 < den < math.inf and math.isfinite(num / den)):
+        raise MeasureError("box quadrature breaks down: reference window mass %r, integral %r" % (den, num))
     return num / den

@@ -391,6 +391,108 @@ def test_quadrature_grids_must_be_uniform(builtin_measures, t_grid):
         br_integral(psi, measure, delta, t_grid=t_grid / 2.0, top_k=40)
 
 
+@pytest.mark.parametrize(
+    "t_grid",
+    [
+        pytest.param([0.0, np.inf], id="inf-point"),
+        pytest.param([0.0, 0.5, np.nan], id="nan-point"),
+        pytest.param([-1e308, 1e308], id="step-overflows"),
+    ],
+)
+def test_quadrature_grids_must_be_finite(builtin_measures, t_grid):
+    # [0, inf] once passed the uniformity test (inf - inf is NaN, and NaN
+    # compares false) and both quadratures returned NaN
+    group, measure, delta = builtin_measures["cusped"]
+    (psi,) = bumps(group, RATIO_BUMPS[:1])
+    with pytest.raises(MeasureError, match="must be finite"):
+        measures.quadrature_report(psi, dataclasses.replace(measure, _pair_cache={}), delta, np.array(t_grid), 20)
+    with pytest.raises(MeasureError, match="must be finite"):
+        br_integral(psi, measure, delta, t_grid=t_grid, top_k=20)
+
+
+def test_overflowing_quadratures_raise(builtin_measures):
+    # a finite grid whose densities overflow, and an integrand that is not
+    # finite, end in MeasureError, not in a NaN or inf estimate (numpy's own
+    # floating-point warnings, which outside the tests only warn, are
+    # silenced here)
+    group, measure, delta = builtin_measures["cusped"]
+    (psi,) = bumps(group, RATIO_BUMPS[:1])
+    wide = np.array([-1e308, 0.0, 1e308])
+    with np.errstate(all="ignore"):
+        with pytest.raises(MeasureError, match="normalizer is inf"):
+            measures.quadrature_report(psi, dataclasses.replace(measure, _pair_cache={}), delta, wide, 20)
+        with pytest.raises(MeasureError, match="box quadrature breaks down"):
+            br_integral(psi, measure, delta, t_grid=wide, top_k=20)
+    for value in (np.inf, np.nan):
+        bad = ConstantFunction(value)
+        fresh = dataclasses.replace(measure, _pair_cache={})
+        with pytest.raises(MeasureError, match="estimate is"):
+            measures.quadrature_report(bad, fresh, delta, top_k=20)
+        # nothing is cached for it
+        assert list(fresh._pair_cache.values())[0][2] == {}
+        with pytest.raises(MeasureError, match="box quadrature breaks down"):
+            br_integral(bad, measure, delta, top_k=20)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("sigma_step", 0.0), ("sigma_step", np.nan), ("sigma_step", -0.05), ("sigma_span", np.inf), ("sigma_span", -1.0)],
+)
+def test_arc_grid_must_be_finite_and_positive(builtin_measures, name, value):
+    # these once raised ZeroDivisionError, numpy's ValueError, or "reference
+    # window has zero mass"
+    group, measure, delta = builtin_measures["cusped"]
+    (psi,) = bumps(group, RATIO_BUMPS[:1])
+    with pytest.raises(MeasureError, match="%s must be finite and positive" % name):
+        br_integral(psi, measure, delta, top_k=20, **{name: value})
+
+
+@pytest.mark.parametrize("chunk", [7, 60, 119, 180, 1000])
+def test_blocks_of_leaf_coordinates_match_full_grid(builtin_measures, monkeypatch, chunk):
+    # SMALL_BOX has 33 leaf coordinates of 60 rows: at these _CHUNK a block
+    # holds one leaf coordinate (7, past _CHUNK rows; 60; 119), three (180,
+    # eleven full blocks) or sixteen (1000, and a last block of one)
+    group, measure, delta = builtin_measures["cusped"]
+    monkeypatch.setattr(measures, "_CHUNK", chunk)
+    for psi in [ConstantFunction()] + bumps(group, RATIO_BUMPS):
+        assert br_integral(psi, measure, delta, **SMALL_BOX) == full_br_integral(psi, measure, delta, **SMALL_BOX)
+
+
+@pytest.mark.parametrize(
+    "leaf, pieces",
+    [pytest.param(8, [1] * 60, id="rows"), pytest.param(4 * 5 * 481, [4] + [5] * 11 + [1], id="five-rows")],
+)
+def test_pieces_of_rows_match_full_grid(builtin_measures, monkeypatch, leaf, pieces):
+    # an integrand with no support is evaluated on whole-grid rows of 481
+    # cells in SMALL_BOX, in pieces cut where the rows' cells pass a multiple
+    # of _LEAF // 4 (the row that reaches one starts the next piece): at two
+    # cells every row is a piece, at five rows' cells the 60 rows of a leaf
+    # coordinate make 13 pieces
+    group, measure, delta = builtin_measures["cusped"]
+    clip_cells = measures._clip_cells
+    passes = []
+
+    def counting(first, stop, grid, inside_at):
+        passes.append(len(first))
+        return clip_cells(first, stop, grid, inside_at)
+
+    monkeypatch.setattr(measures, "_LEAF", leaf)
+    monkeypatch.setattr(measures, "_clip_cells", counting)
+    for psi in (ConstantFunction(), CuspHeightCap(group, NONDIV_HEIGHT)):
+        passes.clear()
+        assert br_integral(psi, measure, delta, **SMALL_BOX) == full_br_integral(psi, measure, delta, **SMALL_BOX)
+        assert passes == pieces * 33
+
+
+def test_pair_blocks_match_full_grid(builtin_measures, monkeypatch):
+    # 40 atoms make 1,560 pairs, which blocks of 97 pairs do not divide
+    _, measure, delta = builtin_measures["schottky"]
+    monkeypatch.setattr(measures, "_CHUNK", 97)
+    blocks, _, _ = _pair_field(dataclasses.replace(measure, _pair_cache={}), delta, DEFAULT_T, 40)
+    assert [len(b.weight) for b in blocks] == [97] * 16 + [8]
+    assert assert_same_field(measure, delta, DEFAULT_T, 40) > 0
+
+
 def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkeypatch):
     # cut every segment handed to the window count by _PAD + 1 cells a side
     # (down to its middle cell): the in-domain cells just past a cut end then
@@ -416,17 +518,18 @@ def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkey
         fallbacks.append(len(calls) - 1)
         return out
 
-    # 81 leaf coordinates by 200 atoms by default, 33 by 60 in SMALL_BOX
-    for kwargs, rows in (({}, 16200), (SMALL_BOX, 1980)):
+    # 81 leaf coordinates by 200 atoms by default, ten to a block of at most
+    # _CHUNK rows; 33 by 60 in SMALL_BOX, all in one block
+    for kwargs, blocks in (({}, 9), (SMALL_BOX, 1)):
         for psi in [ConstantFunction()] + bumps(group, RATIO_BUMPS):
             want = full_br_integral(psi, measure, delta, **kwargs)
             for cut in (0, measures._PAD + 1):
                 monkeypatch.setattr(measures, "_window_counts", functools.partial(counting, cut=cut))
                 fallbacks.clear()
                 assert br_integral(psi, measure, delta, **kwargs) == want
-                # one window count per chunk of rows, falling back only
-                # where segments were cut
-                assert len(fallbacks) == -(-rows // measures._CHUNK)
+                # one window count per block of leaf coordinates, falling
+                # back only where segments were cut
+                assert len(fallbacks) == blocks
                 assert any(fallbacks) == bool(cut)
 
 
