@@ -13,6 +13,7 @@ import numpy as np
 from .geometry import (
     _SIGN_TOL,
     INFINITY,
+    GeometryError,
     Isometry,
     UnitTangent,
     frame_angle,
@@ -78,14 +79,22 @@ def build_vector(group: FuchsianGroup, minus, plus, s: float = 0.0):
     by construction here, not tested after the fact. Each endpoint is a
     LimitSample or a BoundaryPoint. The class follows the backward endpoint:
     a sample's own kind (radial or parabolic), else radial inside the limit
-    hull and wandering outside it.
+    hull and wandering outside it. A leaf coordinate so far out that the
+    base point leaves floating-point range raises AveragesError.
     """
     if isinstance(minus, LimitSample):
         xi_minus, kind = minus.point, minus.kind
     else:
         xi_minus, kind = minus, "radial" if group.in_hull(minus) else "wandering"
     xi_plus = plus.point if isinstance(plus, LimitSample) else plus
-    return from_coordinates(xi_minus, xi_plus, s), VectorClass(kind)
+    u = from_coordinates(xi_minus, xi_plus, s)
+    try:
+        u.base_point
+    except GeometryError:
+        raise AveragesError(
+            "leaf coordinate %r puts the vector's base point out of floating-point range" % (s,)
+        ) from None
+    return u, VectorClass(kind)
 
 
 def pointed_frame(x: float, y: float, theta: float) -> UnitTangent:
@@ -224,11 +233,11 @@ class WeightedFunction(Integrand):
     """Pointwise product of an integrand with a base-point density, taken at
     the reduced point like every other evaluation on psi's group."""
 
-    def __init__(self, psi, density, label: str = "weighted"):
+    def __init__(self, psi, density):
         self.psi = psi
         self.group = psi.group
         self.density = density
-        self.label = label
+        self.label = "weighted"
 
     def evaluate_points(self, x, y, theta):
         return self.psi.evaluate_points(x, y, theta) * self.density(x, y)

@@ -105,9 +105,13 @@ def witnesses() -> dict:
     }
 
 
-def _random_frame(rng, spread: float = 2.0) -> UnitTangent:
-    x = spread * rng.standard_normal()
-    t = spread * 0.5 * rng.standard_normal()
+# scale of the random frames of the leaf-distance and flow checks
+_FRAME_SPREAD = 2.0
+
+
+def _random_frame(rng) -> UnitTangent:
+    x = _FRAME_SPREAD * rng.standard_normal()
+    t = _FRAME_SPREAD * 0.5 * rng.standard_normal()
     theta = rng.uniform(-math.pi, math.pi)
     n = Isometry(1.0, x, 0.0, 1.0)
     a = Isometry(math.exp(0.5 * t), 0.0, 0.0, math.exp(-0.5 * t))
@@ -182,7 +186,7 @@ def check_flow_commutation(load: dict[str, Loader]):
 def check_parabolic_exponent(load: dict[str, Loader]):
     up = load["unit-parabolic"]
     delta = up.exponent
-    growth = check_parabolic_growth(up.group, t_max=30.0)
+    growth = check_parabolic_growth(up.group)
     ok = abs(delta - 0.5) <= 0.02 and growth <= 10.0
     return ok, "exponent %.6f in 0.5 +/- 0.02, growth pinch %.3f <= 10" % (delta, growth)
 

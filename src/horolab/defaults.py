@@ -44,8 +44,9 @@ __all__ = [
 ]
 
 
-def _interval_pair(label: str, center: float, radius: float, kind: str = "hyperbolic"):
-    """Letter pairing the boundary intervals [c-r, c+r] and [-c-r, -c+r].
+def _interval_pair(label: str, center: float, radius: float):
+    """Hyperbolic letter pairing the boundary intervals [c-r, c+r] and
+    [-c-r, -c+r].
 
     The matrix [[c/r, (c^2-r^2)/r], [1/r, c/r]] sends the exterior of the
     mirror interval's half-disk onto the interior over [c-r, c+r].
@@ -53,8 +54,8 @@ def _interval_pair(label: str, center: float, radius: float, kind: str = "hyperb
     m = Isometry(center / radius, (center * center - radius * radius) / radius,
                  1.0 / radius, center / radius)
     return [
-        Generator(label, m, kind, (center - radius, center + radius)),
-        Generator(label.swapcase(), m.inverse(), kind, (-center - radius, -center + radius)),
+        Generator(label, m, "hyperbolic", (center - radius, center + radius)),
+        Generator(label.swapcase(), m.inverse(), "hyperbolic", (-center - radius, -center + radius)),
     ]
 
 

@@ -351,7 +351,11 @@ def same_leaf(u: UnitTangent, v: UnitTangent, tol: float = 1e-9) -> bool:
     return abs(busemann(u.minus, u.base_point, v.base_point)) <= tol
 
 
-def hamenstadt_distance(u: UnitTangent, v: UnitTangent, tol: float = 1e-6) -> float:
+# how far off one leaf two vectors may be for hamenstadt_distance (same_leaf)
+_LEAF_TOL = 1e-6
+
+
+def hamenstadt_distance(u: UnitTangent, v: UnitTangent) -> float:
     """Leaf metric on an expanding horocycle.
 
     For two vectors on one leaf, the distance is exp of the mean of the two
@@ -360,7 +364,7 @@ def hamenstadt_distance(u: UnitTangent, v: UnitTangent, tol: float = 1e-6) -> fl
     the choice of x immaterial. Equals the flow parameter separating the
     vectors along the leaf, and dilates by e^t under the geodesic flow.
     """
-    if not same_leaf(u, v, tol):
+    if not same_leaf(u, v, _LEAF_TOL):
         raise GeometryError("leaf distance needs two vectors on one horocycle leaf")
     if u.plus.chordal(v.plus) < 1e-13:
         return 0.0

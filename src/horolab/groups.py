@@ -839,8 +839,14 @@ def critical_exponent(
     return ExponentFit(slope, stderr, grid, counts, (t_max - w, t_max))
 
 
-def check_parabolic_growth(group: FuchsianGroup, t_max: float = 30.0, grid_step: float = 0.25) -> float:
-    """Smallest D with count(T)/e^(T/2) pinched in [1/D, D] on [1, t_max].
+# the radii of check_parabolic_growth: 1 to 30 in steps of 0.25 (117 points)
+_GROWTH_RADII = np.arange(1.0, 30.0 + 0.125, 0.25)
+_GROWTH_RADII.setflags(write=False)
+
+
+def check_parabolic_growth(group: FuchsianGroup) -> float:
+    """Smallest D with count(T)/e^(T/2) pinched in [1/D, D] over the radii
+    T of _GROWTH_RADII, 1 to 30.
 
     Only meaningful for the cyclic group of one parabolic letter, whose orbit
     counting function grows like e^(T/2).
@@ -850,13 +856,8 @@ def check_parabolic_growth(group: FuchsianGroup, t_max: float = 30.0, grid_step:
     lab = group.order[0] if group.order[0].islower() else group.order[1]
     if group.letters[lab].kind != "parabolic":
         raise GroupError("parabolic growth check needs a parabolic generator")
-    if not grid_step > 0:
-        raise GroupError("grid step must be positive, got %r" % (grid_step,))
-    grid = np.arange(1.0, t_max + 0.5 * grid_step, grid_step)
-    if len(grid) == 0:
-        raise GroupError("radius %.3g is below 1: empty count grid" % t_max)
-    counts = (1 + 2 * group._cyclic_max_power(grid)).astype(float)
-    ratio = counts * np.exp(-0.5 * grid)
+    counts = (1 + 2 * group._cyclic_max_power(_GROWTH_RADII)).astype(float)
+    ratio = counts * np.exp(-0.5 * _GROWTH_RADII)
     return float(max(ratio.max(), (1.0 / ratio).max()))
 
 
@@ -883,7 +884,7 @@ class WordSpec:
         return tuple(self.letter(i) for i in range(n))
 
     @classmethod
-    def random(cls, group: FuchsianGroup, seed: int, depth: int = 24) -> "WordSpec":
+    def random(cls, group: FuchsianGroup, seed: int) -> "WordSpec":
         """Seeded random spec: a reduced head of _RANDOM_HEAD letters, then a
         two-letter period (a letter repeated if the pair is not cyclically
         reduced)."""
@@ -892,7 +893,7 @@ class WordSpec:
         head, period = letters[:_RANDOM_HEAD], letters[_RANDOM_HEAD:]
         if group.generator(period[-1]).inverse_label == period[0]:
             period = (period[0], period[0])
-        return cls(period=period, head=head, depth=depth)
+        return cls(period=period, head=head)
 
 
 @dataclass(frozen=True)

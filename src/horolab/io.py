@@ -95,10 +95,14 @@ def manifest_text(payload: dict) -> str:
 # ------------------------------------------------------------------- plots
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+# axis ticks of line_plot_svg
+_TICKS = 5
+
+
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    return [lo + (hi - lo) * k / (_TICKS - 1) for k in range(_TICKS)]
 
 
 def line_plot_svg(xs, ys, refs, title: str = "series") -> str:

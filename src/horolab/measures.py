@@ -273,14 +273,27 @@ _BAND = _PAD + 1
 # two atoms in one interval span a geodesic inside its half-disk; the pair
 # is skipped only when both sit deeper than this times the squared radius
 _EDGE = 1e-9
-# relative spread of grid steps still taken as one cell width
-_GRID_UNIFORMITY = 1e-9
 # rows handled at once, which bounds the transient arrays: atom pairs per
 # block of the pair field, and (leaf coordinate, atom) rows per block of
 # whole leaf coordinates of the box quadrature
 _CHUNK = 2048
 # cells of the leaves of _pairwise_total, which np.sum sums itself
 _LEAF = 2**17
+
+# the pair quadrature's uniform leaf-coordinate grid (321 points) and its
+# heaviest atoms
+_PAIR_GRID = np.arange(-8.0, 8.0 + 1e-9, 0.05)
+_PAIR_GRID.setflags(write=False)
+_PAIR_ATOMS = 220
+# the box quadrature's uniform transversal grid (81 points), its arc grid of
+# cells _ARC_STEP wide over [-_ARC_SPAN, _ARC_SPAN], its reference window
+# |sigma| <= _WINDOW_SPAN, and its heaviest atoms
+_BOX_GRID = np.arange(-4.0, 4.0 + 1e-9, 0.1)
+_BOX_GRID.setflags(write=False)
+_ARC_SPAN = 30.0
+_ARC_STEP = 0.05
+_WINDOW_SPAN = 5.0
+_BOX_ATOMS = 200
 
 
 def _evaluate(psi, x, y, theta):
@@ -372,28 +385,6 @@ def _pair_window(group, xm, xp, beta0):
     return lo, hi
 
 
-def _uniform_step(t_grid, what):
-    """Cell width of a finite, strictly increasing, uniform grid of two or
-    more points.
-
-    Both quadratures weigh every cell by this one width, and find windows
-    by binary search, so any other grid is an error.
-    """
-    with np.errstate(over="ignore"):  # a step too wide to hold is not finite
-        steps = np.diff(t_grid)
-    if not len(steps):
-        raise MeasureError("%s grid needs at least two points" % what)
-    if not np.all(np.isfinite(steps)):
-        raise MeasureError("%s grid points and steps must be finite" % what)
-    if not np.all(steps > 0):
-        raise MeasureError("%s grid must be strictly increasing" % what)
-    dt = float(steps[0])
-    if np.any(np.abs(steps - dt) > _GRID_UNIFORMITY * dt):
-        raise MeasureError("%s grid must be uniform: steps range over [%.17g, %.17g]"
-                           % (what, steps.min(), steps.max()))
-    return dt
-
-
 @dataclass(frozen=True)
 class _PairBlock:
     """Fundamental-domain cells of consecutive atom pairs of the pair field:
@@ -454,9 +445,10 @@ def _pairwise_tree(lo, n, leaf):
     return _pairwise_tree(lo, n2, leaf) + _pairwise_tree(lo + n2, n - n2, leaf)
 
 
-def _pair_block(group, t_grid, xm, xp, w):
-    """The _PairBlock of the atom pairs from xm to xp, of weights w; None
-    when none of their cells is in the fundamental domain."""
+def _pair_block(group, xm, xp, w):
+    """The _PairBlock of the atom pairs from xm to xp, of weights w, on
+    _PAIR_GRID; None when none of their cells is in the fundamental domain."""
+    t_grid = _PAIR_GRID
     # interval pairing matrix sending (0, inf) to (xm, xp), det one
     swap = xp <= xm
     a0 = xp
@@ -486,7 +478,7 @@ def _pair_block(group, t_grid, xm, xp, w):
     return _PairBlock(X[mask], Y[mask], theta, w, ends)
 
 
-def _pair_field(measure, hat_delta, t_grid, top_k):
+def _pair_field(measure, hat_delta):
     """Fundamental-domain samples of the geodesic-pair quadrature.
 
     Returns (blocks, den, estimates). The field is kept as the _PairBlock
@@ -495,19 +487,18 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
     both atom masses, the boundary-separation kernel and the grid cell
     width. den is the sum of all cell weights, the normalizer, summed as
     np.sum sums the joined weights (_pairwise_total). All three are cached
-    on the measure, keyed by (exponent, grid contents, top_k): the field is
+    on the measure, keyed by the exponent alone, since the grid _PAIR_GRID
+    and the atom count _PAIR_ATOMS are fixed: the field is
     integrand-independent, so several test functions share one geometry
     pass, and estimates is the dict in which quadrature_report keeps what
     each integrand gave on this field.
     """
-    dt = _uniform_step(t_grid, "leaf-coordinate")
-    if not top_k >= 2:
-        raise MeasureError("the pair quadrature needs top_k >= 2 atoms, got %r" % (top_k,))
-    key = (float(hat_delta), t_grid.tobytes(), top_k)
+    key = float(hat_delta)
     hit = measure._pair_cache.get(key)
     if hit is not None:
         return hit
-    idx = measure.heaviest(top_k)
+    dt = float(_PAIR_GRID[1] - _PAIR_GRID[0])
+    idx = measure.heaviest(_PAIR_ATOMS)
     xi = measure.points[idx]
     lw = measure.log_weights[idx]
     ii, jj = np.nonzero(np.abs(xi[:, None] - xi[None, :]) > 1e-12)
@@ -524,7 +515,7 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
     blocks = []
     for lo in range(0, len(ii), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        block = _pair_block(measure.group, t_grid, xi[ii[sl]], xi[jj[sl]], np.exp(logw[sl]) * dt)
+        block = _pair_block(measure.group, xi[ii[sl]], xi[jj[sl]], np.exp(logw[sl]) * dt)
         if block is not None:
             blocks.append(block)
     if not blocks:
@@ -537,47 +528,32 @@ def _pair_field(measure, hat_delta, t_grid, top_k):
     return out
 
 
-def ps_integral(
-    psi,
-    measure: AtomicBoundaryMeasure,
-    hat_delta: float,
-    t_grid: np.ndarray | None = None,
-    top_k: int = 220,
-) -> float:
+def ps_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
     """Normalized integral against the product-form invariant measure.
 
-    Double sum over atom pairs with the kernel |xi- - xi+|^(-2s), times a
-    uniform leaf-coordinate grid, keeping only samples that lie in the
-    fundamental domain (reduce word the identity); the same sum with the
-    constant one divides out, so a constant integrates to itself exactly.
-    This is the estimate of quadrature_report, which caches it on the
-    measure.
+    Double sum over pairs of the _PAIR_ATOMS heaviest atoms with the kernel
+    |xi- - xi+|^(-2s), times the uniform leaf-coordinate grid _PAIR_GRID,
+    keeping only samples that lie in the fundamental domain (reduce word the
+    identity); the same sum with the constant one divides out, so a constant
+    integrates to itself exactly. This is the estimate of quadrature_report,
+    which caches it on the measure.
     """
-    return quadrature_report(psi, measure, hat_delta, t_grid, top_k)[0]
+    return quadrature_report(psi, measure, hat_delta)[0]
 
 
-def quadrature_report(
-    psi,
-    measure: AtomicBoundaryMeasure,
-    hat_delta: float,
-    t_grid: np.ndarray | None = None,
-    top_k: int = 220,
-) -> tuple[float, int, float]:
+def quadrature_report(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> tuple[float, int, float]:
     """ps_integral together with its quadrature size: (estimate, cells, step).
 
-    The measure keeps, per (exponent, grid contents, top_k), the pair field
-    and the report of every integrand asked for on it, so each integrand is
-    evaluated once per field, on one piece of it at a time, and its
-    products with the cell weights are summed as np.sum sums them joined
-    (_pairwise_total). Integrands are keyed by identity, not by value: the
-    cache holds each one, so its id cannot be reused while its entry lasts,
-    and an equal but distinct integrand is evaluated afresh.
+    The measure keeps, per exponent, the pair field and the report of every
+    integrand asked for on it, so each integrand is evaluated once per
+    field, on one piece of it at a time, and its products with the cell
+    weights are summed as np.sum sums them joined (_pairwise_total).
+    Integrands are keyed by identity, not by value: the cache holds each
+    one, so its id cannot be reused while its entry lasts, and an equal but
+    distinct integrand is evaluated afresh.
     An integrand must therefore not change once it has been integrated.
     """
-    if t_grid is None:
-        t_grid = np.arange(-8.0, 8.0 + 1e-9, 0.05)
-    t_grid = np.asarray(t_grid, dtype=float)
-    blocks, den, estimates = _pair_field(measure, hat_delta, t_grid, top_k)
+    blocks, den, estimates = _pair_field(measure, hat_delta)
     hit = estimates.get(id(psi))
     if hit is not None:
         return hit[1]
@@ -585,7 +561,7 @@ def quadrature_report(
         blocks,
         lambda b, lo, hi: b.weights(lo, hi) * _evaluate(psi, b.x[lo:hi], b.y[lo:hi], b.theta[lo:hi]),
     )
-    report = num / den, sum(len(b) for b in blocks), float(t_grid[1] - t_grid[0])
+    report = num / den, sum(len(b) for b in blocks), float(_PAIR_GRID[1] - _PAIR_GRID[0])
     if not math.isfinite(report[0]):
         raise MeasureError("pair quadrature estimate is %r" % report[0])
     estimates[id(psi)] = (psi, report)
@@ -700,24 +676,16 @@ def _row_sums(psi, samples, part, segments, support, width):
     return sums
 
 
-def br_integral(
-    psi,
-    measure: AtomicBoundaryMeasure,
-    hat_delta: float,
-    t_grid: np.ndarray | None = None,
-    sigma_span: float = 30.0,
-    sigma_step: float = 0.05,
-    window_span: float = 5.0,
-    top_k: int = 200,
-) -> float:
+def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
     """Box quadrature for the horocycle-invariant infinite measure.
 
-    Outer sum over transversal cells (atom w-, leaf coordinate t) with
-    density exp(-s t) w dt; inner arc-length integral of psi along the
-    plaque through the cell, clipped to the fundamental domain. The global
-    scale is fixed by declaring the reference window (the same cells, arc
-    parameter within window_span) to have unit mass, so only ratios of
-    these integrals carry meaning.
+    Outer sum over transversal cells (atom w- of the _BOX_ATOMS heaviest,
+    leaf coordinate t of _BOX_GRID) with density exp(-s t) w dt; inner
+    arc-length integral of psi along the plaque through the cell, on the
+    arc grid of _ARC_STEP cells over [-_ARC_SPAN, _ARC_SPAN], clipped to the
+    fundamental domain. The global scale is fixed by declaring the
+    reference window (the same cells, arc parameter within _WINDOW_SPAN) to
+    have unit mass, so only ratios of these integrals carry meaning.
 
     Rows (leaf coordinate, atom) are taken in blocks of whole leaf
     coordinates, at most _CHUNK rows unless one leaf coordinate has more;
@@ -731,23 +699,18 @@ def br_integral(
     on the in-domain cells of its support window (psi.support(), the whole
     grid when it names none), padded by _PAD cells a side (_row_sums).
     """
-    if t_grid is None:
-        t_grid = np.arange(-4.0, 4.0 + 1e-9, 0.1)
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = _uniform_step(t_grid, "transversal")
-    for name, v in (("sigma_span", sigma_span), ("sigma_step", sigma_step)):
-        if not 0.0 < v < math.inf:
-            raise MeasureError("%s must be finite and positive, got %r" % (name, v))
+    t_grid = _BOX_GRID
+    dt = float(t_grid[1] - t_grid[0])
     group = measure.group
-    idx = measure.heaviest(top_k)
+    idx = measure.heaviest(_BOX_ATOMS)
     xi = measure.points[idx]
     lw = measure.log_weights[idx]
     # transversal cells (atom, leaf coordinate) with the holonomy-invariant
     # density exp(-s t) times the atom weight, in log space
     log_density = lw[:, None] - hat_delta * t_grid[None, :]
-    sigma = np.arange(-sigma_span, sigma_span + 1e-9, sigma_step)
+    sigma = np.arange(-_ARC_SPAN, _ARC_SPAN + 1e-9, _ARC_STEP)
     width = len(sigma)
-    cols = np.flatnonzero(np.abs(sigma) <= window_span)
+    cols = np.flatnonzero(np.abs(sigma) <= _WINDOW_SPAN)
     w0, w1 = (cols[0], cols[-1] + 1) if len(cols) else (0, 0)
     disk = psi.support()
     b0 = -np.log(xi * xi + 1.0)  # leaf coordinate of [[1, xi], [0, 1]]
@@ -820,8 +783,8 @@ def br_integral(
                 for a, z in zip([lo] + cuts, cuts + [lo + n])
             ])
             scale = np.exp(log_density[:, k0 + k]) * dt
-            num += float(np.sum(scale * sums * sigma_step))
-            den += float(np.sum(scale * counts[lo:lo + n] * sigma_step))
+            num += float(np.sum(scale * sums * _ARC_STEP))
+            den += float(np.sum(scale * counts[lo:lo + n] * _ARC_STEP))
     if not (0.0 < den < math.inf and math.isfinite(num / den)):
         raise MeasureError("box quadrature breaks down: reference window mass %r, integral %r" % (den, num))
     return num / den

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from horolab import measures
 from horolab.geometry import Isometry, UnitTangent
 from horolab.groups import parse_group_text
 
@@ -37,6 +39,17 @@ def peak_mib(run) -> float:
         return (tracemalloc.get_traced_memory()[1] - base) / 2**20
     finally:
         tracemalloc.stop()
+
+
+def quadrature_constants(monkeypatch, measure, **constants):
+    """Set module constants of horolab.measures for one test, such as
+    _PAIR_GRID=... or _BOX_ATOMS=60, and return measure with an empty
+    _pair_cache: the cache is keyed on the exponent alone, so a field built
+    under other constants would be reused."""
+    for name, value in constants.items():
+        assert hasattr(measures, name), name
+        monkeypatch.setattr(measures, name, value)
+    return dataclasses.replace(measure, _pair_cache={})
 
 
 @pytest.fixture

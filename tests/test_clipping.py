@@ -41,9 +41,14 @@ from horolab.measures import (
     build_patterson,
 )
 
-from conftest import conjugate
+from conftest import conjugate, quadrature_constants
 
 DEFAULT_T = np.arange(-8.0, 8.0 + 1e-9, 0.05)
+# the box quadrature's module constants, by the parameter names of
+# full_br_integral, and their values
+BOX = {"t_grid": "_BOX_GRID", "sigma_span": "_ARC_SPAN", "sigma_step": "_ARC_STEP",
+       "window_span": "_WINDOW_SPAN", "top_k": "_BOX_ATOMS"}
+BOX_DEFAULTS = {name: getattr(measures, name) for name in BOX.values()}
 
 
 def full_pair_field(measure, hat_delta, t_grid, top_k):
@@ -131,9 +136,9 @@ def full_br_integral(
     return num / den
 
 
-def assert_same_field(measure, delta, t_grid, top_k):
-    measure._pair_cache.clear()
-    blocks, _, _ = _pair_field(measure, delta, t_grid, top_k)
+def assert_same_field(monkeypatch, measure, delta, t_grid, top_k):
+    measure = quadrature_constants(monkeypatch, measure, _PAIR_GRID=t_grid, _PAIR_ATOMS=top_k)
+    blocks, _, _ = _pair_field(measure, delta)
     # the blocks keep one weight per pair; each cell takes its pair's
     got = [np.concatenate([getattr(b, k) for b in blocks]) for k in ("x", "y", "theta")]
     got.append(np.concatenate([b.weights(0, len(b)) for b in blocks]))
@@ -142,6 +147,13 @@ def assert_same_field(measure, delta, t_grid, top_k):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g, w)
     return len(got[0])
+
+
+def box_integral(monkeypatch, psi, measure, delta, **kwargs):
+    """br_integral with the box constants that full_br_integral's kwargs
+    name, and the values of the others, set for the test."""
+    constants = dict(BOX_DEFAULTS, **{BOX[k]: v for k, v in kwargs.items()})
+    return br_integral(psi, quadrature_constants(monkeypatch, measure, **constants), delta)
 
 
 def bumps(group, centers, moved=Isometry.identity()):
@@ -172,9 +184,9 @@ def builtin_measures():
         pytest.param("cusped", np.arange(-2.0, 2.0, 0.01), 40, id="cusped-fine"),
     ],
 )
-def test_pair_field_matches_full_grid(builtin_measures, name, t_grid, top_k):
+def test_pair_field_matches_full_grid(builtin_measures, monkeypatch, name, t_grid, top_k):
     _, measure, delta = builtin_measures[name]
-    assert assert_same_field(measure, delta, t_grid, top_k) > 0
+    assert assert_same_field(monkeypatch, measure, delta, t_grid, top_k) > 0
 
 
 @pytest.mark.parametrize(
@@ -193,11 +205,11 @@ def test_pair_field_matches_full_grid(builtin_measures, name, t_grid, top_k):
         ),
     ],
 )
-def test_br_integral_matches_full_grid(builtin_measures, name, kwargs):
+def test_br_integral_matches_full_grid(builtin_measures, monkeypatch, name, kwargs):
     group, measure, delta = builtin_measures[name]
     centers = RATIO_BUMPS if name == "cusped" else DEFAULT_BUMPS[name][:1]
     for psi in [ConstantFunction()] + bumps(group, centers):
-        got = br_integral(psi, measure, delta, **kwargs)
+        got = box_integral(monkeypatch, psi, measure, delta, **kwargs)
         assert got == full_br_integral(psi, measure, delta, **kwargs)
 
 
@@ -215,15 +227,15 @@ def conjugate_case(seed):
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_conjugates_match_full_grid(seed):
+def test_conjugates_match_full_grid(monkeypatch, seed):
     name, group, m, measure, delta = conjugate_case(seed)
-    assert assert_same_field(measure, delta, DEFAULT_T, 80) > 0
+    assert assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 80) > 0
     (psi,) = bumps(group, DEFAULT_BUMPS[name][:1], m)
     for kwargs in (
         dict(t_grid=np.arange(-4.0, 4.01, 0.25), sigma_span=12.0, top_k=60),
         dict(t_grid=np.arange(-2.0, 2.01, 0.5), sigma_span=6.0, window_span=7.0, top_k=40),
     ):
-        got = br_integral(psi, measure, delta, **kwargs)
+        got = box_integral(monkeypatch, psi, measure, delta, **kwargs)
         assert got == full_br_integral(psi, measure, delta, **kwargs)
 
 
@@ -250,12 +262,12 @@ def test_short_windows_fall_back_to_full_rows(builtin_measures, monkeypatch):
 
     monkeypatch.setattr(measures, "_grid_window", cut)
     monkeypatch.setattr(measures, "_clip_cells", counting)
-    assert_same_field(measure, delta, DEFAULT_T, 60)
+    assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 60)
     assert sum(widened) > 0
     widened.clear()
     (psi,) = bumps(group, RATIO_BUMPS[:1])
     kwargs = dict(t_grid=np.arange(-4.0, 4.01, 0.5), sigma_span=10.0, top_k=60)
-    assert br_integral(psi, measure, delta, **kwargs) == full_br_integral(psi, measure, delta, **kwargs)
+    assert box_integral(monkeypatch, psi, measure, delta, **kwargs) == full_br_integral(psi, measure, delta, **kwargs)
     assert sum(widened) > 0
 
 
@@ -276,28 +288,28 @@ SMALL_BOX = dict(t_grid=np.arange(-4.0, 4.01, 0.25), sigma_span=12.0, top_k=60)
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_random_bumps_match_full_grid(builtin_measures, seed):
+def test_random_bumps_match_full_grid(builtin_measures, monkeypatch, seed):
     name = ("schottky", "cusped")[seed % 2]
     group, measure, delta = builtin_measures[name]
     rng = np.random.default_rng(7000 + seed)
     values = []
     for psi in random_bumps(name, group, rng, 3):
-        got = br_integral(psi, measure, delta, **SMALL_BOX)
+        got = box_integral(monkeypatch, psi, measure, delta, **SMALL_BOX)
         assert got == full_br_integral(psi, measure, delta, **SMALL_BOX)
         values.append(got)
     assert any(v > 0.0 for v in values)
 
 
 @pytest.mark.parametrize("seed", range(0, 24, 3))
-def test_random_bumps_on_conjugates_match_full_grid(seed):
+def test_random_bumps_on_conjugates_match_full_grid(monkeypatch, seed):
     name, group, m, measure, delta = conjugate_case(seed)
     rng = np.random.default_rng(8000 + seed)
     for psi in random_bumps(name, group, rng, 2, m):
-        got = br_integral(psi, measure, delta, **SMALL_BOX)
+        got = box_integral(monkeypatch, psi, measure, delta, **SMALL_BOX)
         assert got == full_br_integral(psi, measure, delta, **SMALL_BOX)
 
 
-def test_weighted_and_cap_integrands_match_full_grid(builtin_measures):
+def test_weighted_and_cap_integrands_match_full_grid(builtin_measures, monkeypatch):
     # a weighted bump keeps its bump's support; the cusp cap and a weighted
     # cap name none and keep every in-domain cell
     group, measure, delta = builtin_measures["cusped"]
@@ -310,7 +322,7 @@ def test_weighted_and_cap_integrands_match_full_grid(builtin_measures):
     integrands = [WeightedFunction(psi, density), cap, WeightedFunction(cap, density)]
     assert [f.support() for f in integrands] == [psi.support(), None, None]
     for f in integrands:
-        got = br_integral(f, measure, delta, **SMALL_BOX)
+        got = box_integral(monkeypatch, f, measure, delta, **SMALL_BOX)
         assert got > 0.0 and got == full_br_integral(f, measure, delta, **SMALL_BOX)
 
 
@@ -329,7 +341,7 @@ def test_short_support_windows_widen_their_rows(builtin_measures, monkeypatch):
         lo, hi = plaque_support(disk, xi, E)
         meets = lo <= hi
         mid = 0.5 * (np.where(meets, lo, 0.0) + np.where(meets, hi, 0.0))
-        step = (measures._PAD + 1) * 0.05  # cells of the default sigma_step
+        step = (measures._PAD + 1) * measures._ARC_STEP
         return np.where(meets, np.minimum(lo + step, mid), lo), np.where(meets, np.maximum(hi - step, mid), hi)
 
     def counting(first, stop, grid, inside_at):
@@ -340,111 +352,26 @@ def test_short_support_windows_widen_their_rows(builtin_measures, monkeypatch):
     monkeypatch.setattr(measures, "_clip_cells", counting)
     for psi in bumps(group, RATIO_BUMPS):
         calls.clear()
-        assert br_integral(psi, measure, delta, **kwargs) == full_br_integral(psi, measure, delta, **kwargs)
+        assert box_integral(monkeypatch, psi, measure, delta, **kwargs) == full_br_integral(
+            psi, measure, delta, **kwargs
+        )
         # one pass per leaf coordinate, and one more for each that widened rows
         assert len(calls) > len(kwargs["t_grid"])
 
 
-def test_pair_grid_must_increase(builtin_measures):
-    _, measure, delta = builtin_measures["schottky"]
-    with pytest.raises(MeasureError):
-        _pair_field(measure, delta, DEFAULT_T[::-1].copy(), 40)
-
-
-def test_pair_field_cache_keys_on_grid_contents(builtin_measures):
-    # The cache key once held only the grid's length and ends, so a squeezed
-    # grid with the same ones reused the uniform grid's field (0.06058 both
-    # times; 0.10136 for the squeezed grid alone, weighted by its first step).
-    group, built, delta = builtin_measures["schottky"]
-    measure = dataclasses.replace(built, _pair_cache={})
-    (psi,) = bumps(group, DEFAULT_BUMPS["schottky"][:1])
-    t = np.linspace(-8.0, 8.0, 161)
-    squeezed = np.sign(t) * t**2 / 8.0
-    assert (len(squeezed), squeezed[0], squeezed[-1]) == (len(t), t[0], t[-1])
-    uniform = measures.ps_integral(psi, measure, delta, t_grid=t)
-    assert abs(uniform - 0.06058) < 1e-5
-    with pytest.raises(MeasureError, match="uniform"):
-        measures.ps_integral(psi, measure, delta, t_grid=squeezed)
-    with pytest.raises(MeasureError, match="uniform"):
-        measures.ps_integral(psi, dataclasses.replace(built, _pair_cache={}), delta, t_grid=squeezed)
-    # an equal grid hits the one cached field; a shifted one does not
-    assert measures.ps_integral(psi, measure, delta, t_grid=t.copy()) == uniform
-    assert len(measure._pair_cache) == 1
-    measures.ps_integral(psi, measure, delta, t_grid=t + 0.025)
-    assert len(measure._pair_cache) == 2
-
-
-@pytest.mark.parametrize(
-    "t_grid",
-    [
-        pytest.param(np.sign(DEFAULT_T) * DEFAULT_T**2 / 8.0, id="squeezed"),
-        pytest.param(np.concatenate([DEFAULT_T[:100], DEFAULT_T[101:]]), id="one-gap"),
-        pytest.param(DEFAULT_T[:1], id="one-point"),
-    ],
-)
-def test_quadrature_grids_must_be_uniform(builtin_measures, t_grid):
-    group, measure, delta = builtin_measures["cusped"]
-    (psi,) = bumps(group, RATIO_BUMPS[:1])
-    with pytest.raises(MeasureError):
-        _pair_field(measure, delta, t_grid, 40)
-    with pytest.raises(MeasureError):
-        br_integral(psi, measure, delta, t_grid=t_grid / 2.0, top_k=40)
-
-
-@pytest.mark.parametrize(
-    "t_grid",
-    [
-        pytest.param([0.0, np.inf], id="inf-point"),
-        pytest.param([0.0, 0.5, np.nan], id="nan-point"),
-        pytest.param([-1e308, 1e308], id="step-overflows"),
-    ],
-)
-def test_quadrature_grids_must_be_finite(builtin_measures, t_grid):
-    # [0, inf] once passed the uniformity test (inf - inf is NaN, and NaN
-    # compares false) and both quadratures returned NaN
-    group, measure, delta = builtin_measures["cusped"]
-    (psi,) = bumps(group, RATIO_BUMPS[:1])
-    with pytest.raises(MeasureError, match="must be finite"):
-        measures.quadrature_report(psi, dataclasses.replace(measure, _pair_cache={}), delta, np.array(t_grid), 20)
-    with pytest.raises(MeasureError, match="must be finite"):
-        br_integral(psi, measure, delta, t_grid=t_grid, top_k=20)
-
-
-def test_overflowing_quadratures_raise(builtin_measures):
-    # a finite grid whose densities overflow, and an integrand that is not
-    # finite, end in MeasureError, not in a NaN or inf estimate (numpy's own
-    # floating-point warnings, which outside the tests only warn, are
-    # silenced here)
-    group, measure, delta = builtin_measures["cusped"]
-    (psi,) = bumps(group, RATIO_BUMPS[:1])
-    wide = np.array([-1e308, 0.0, 1e308])
-    with np.errstate(all="ignore"):
-        with pytest.raises(MeasureError, match="normalizer is inf"):
-            measures.quadrature_report(psi, dataclasses.replace(measure, _pair_cache={}), delta, wide, 20)
-        with pytest.raises(MeasureError, match="box quadrature breaks down"):
-            br_integral(psi, measure, delta, t_grid=wide, top_k=20)
+def test_overflowing_quadratures_raise(builtin_measures, monkeypatch):
+    # an integrand that is not finite ends in MeasureError, not in a NaN or
+    # inf estimate
+    _, measure, delta = builtin_measures["cusped"]
     for value in (np.inf, np.nan):
         bad = ConstantFunction(value)
-        fresh = dataclasses.replace(measure, _pair_cache={})
+        fresh = quadrature_constants(monkeypatch, measure, _PAIR_ATOMS=20, _BOX_ATOMS=20)
         with pytest.raises(MeasureError, match="estimate is"):
-            measures.quadrature_report(bad, fresh, delta, top_k=20)
+            measures.quadrature_report(bad, fresh, delta)
         # nothing is cached for it
         assert list(fresh._pair_cache.values())[0][2] == {}
         with pytest.raises(MeasureError, match="box quadrature breaks down"):
-            br_integral(bad, measure, delta, top_k=20)
-
-
-@pytest.mark.parametrize(
-    "name, value",
-    [("sigma_step", 0.0), ("sigma_step", np.nan), ("sigma_step", -0.05), ("sigma_span", np.inf), ("sigma_span", -1.0)],
-)
-def test_arc_grid_must_be_finite_and_positive(builtin_measures, name, value):
-    # these once raised ZeroDivisionError, numpy's ValueError, or "reference
-    # window has zero mass"
-    group, measure, delta = builtin_measures["cusped"]
-    (psi,) = bumps(group, RATIO_BUMPS[:1])
-    with pytest.raises(MeasureError, match="%s must be finite and positive" % name):
-        br_integral(psi, measure, delta, top_k=20, **{name: value})
+            br_integral(bad, fresh, delta)
 
 
 @pytest.mark.parametrize("chunk", [7, 60, 119, 180, 1000])
@@ -455,7 +382,9 @@ def test_blocks_of_leaf_coordinates_match_full_grid(builtin_measures, monkeypatc
     group, measure, delta = builtin_measures["cusped"]
     monkeypatch.setattr(measures, "_CHUNK", chunk)
     for psi in [ConstantFunction()] + bumps(group, RATIO_BUMPS):
-        assert br_integral(psi, measure, delta, **SMALL_BOX) == full_br_integral(psi, measure, delta, **SMALL_BOX)
+        assert box_integral(monkeypatch, psi, measure, delta, **SMALL_BOX) == full_br_integral(
+            psi, measure, delta, **SMALL_BOX
+        )
 
 
 @pytest.mark.parametrize(
@@ -480,7 +409,9 @@ def test_pieces_of_rows_match_full_grid(builtin_measures, monkeypatch, leaf, pie
     monkeypatch.setattr(measures, "_clip_cells", counting)
     for psi in (ConstantFunction(), CuspHeightCap(group, NONDIV_HEIGHT)):
         passes.clear()
-        assert br_integral(psi, measure, delta, **SMALL_BOX) == full_br_integral(psi, measure, delta, **SMALL_BOX)
+        assert box_integral(monkeypatch, psi, measure, delta, **SMALL_BOX) == full_br_integral(
+            psi, measure, delta, **SMALL_BOX
+        )
         assert passes == pieces * 33
 
 
@@ -488,9 +419,9 @@ def test_pair_blocks_match_full_grid(builtin_measures, monkeypatch):
     # 40 atoms make 1,560 pairs, which blocks of 97 pairs do not divide
     _, measure, delta = builtin_measures["schottky"]
     monkeypatch.setattr(measures, "_CHUNK", 97)
-    blocks, _, _ = _pair_field(dataclasses.replace(measure, _pair_cache={}), delta, DEFAULT_T, 40)
+    blocks, _, _ = _pair_field(quadrature_constants(monkeypatch, measure, _PAIR_ATOMS=40), delta)
     assert [len(b.weight) for b in blocks] == [97] * 16 + [8]
-    assert assert_same_field(measure, delta, DEFAULT_T, 40) > 0
+    assert assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 40) > 0
 
 
 def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkeypatch):
@@ -526,7 +457,7 @@ def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkey
             for cut in (0, measures._PAD + 1):
                 monkeypatch.setattr(measures, "_window_counts", functools.partial(counting, cut=cut))
                 fallbacks.clear()
-                assert br_integral(psi, measure, delta, **kwargs) == want
+                assert box_integral(monkeypatch, psi, measure, delta, **kwargs) == want
                 # one window count per block of leaf coordinates, falling
                 # back only where segments were cut
                 assert len(fallbacks) == blocks
@@ -534,7 +465,7 @@ def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkey
 
 
 @pytest.mark.parametrize("xi, label", [(0.4, "b"), (0.1, "b"), (-0.3, "B"), (-0.1, "B")])
-def test_grazing_plaques_match_full_grid(builtin_measures, xi, label):
+def test_grazing_plaques_match_full_grid(builtin_measures, monkeypatch, xi, label):
     # one atom whose plaques graze the half-disk of `label`: at the leaf
     # coordinate t* the discriminant is zero up to rounding, and just past it
     # the plaque dips into the half-disk between two crossings closer than
@@ -564,5 +495,5 @@ def test_grazing_plaques_match_full_grid(builtin_measures, xi, label):
     theta = math.atan2(1.0 - sv * sv, 2.0 * sv)
     near = TestFunction(group, pointed_frame(x, 1.05 * y, theta), base_width=0.5, angle_width=BUMP_WIDTHS[1])
     for psi in (ConstantFunction(), near):
-        got = br_integral(psi, one, delta, t_grid=t_grid)
+        got = box_integral(monkeypatch, psi, one, delta, t_grid=t_grid)
         assert got > 0.0 and got == full_br_integral(psi, one, delta, t_grid=t_grid)

@@ -1,6 +1,7 @@
 """Group layer: ping-pong validation, counting, reduction, limit points."""
 
 import builtins
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -364,8 +365,6 @@ def test_cyclic_count_out_of_range_names_the_radius():
         critical_exponent(g, 100.0)
     with pytest.raises(GroupError, match=r"radius 100 holds"):
         g._cyclic_max_power([100.0])
-    with pytest.raises(GroupError, match=r"radius 84.75 holds"):
-        check_parabolic_growth(g, t_max=100.0)
     # just below the edge the count is still taken
     assert 2**61 < 1 + 2 * int(g._cyclic_max_power([84.5])[0]) < 2**62
 
@@ -386,20 +385,6 @@ def test_parabolic_growth_constant_small():
 def test_parabolic_growth_needs_parabolic_cyclic():
     with pytest.raises(GroupError):
         check_parabolic_growth(schottky_group())
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        pytest.param(dict(t_max=0.5), id="empty-grid"),
-        pytest.param(dict(grid_step=0.0), id="zero-step"),
-        pytest.param(dict(grid_step=-0.25), id="negative-step"),
-        pytest.param(dict(grid_step=float("nan")), id="nan-step"),
-    ],
-)
-def test_parabolic_growth_rejects_empty_grid(kwargs):
-    with pytest.raises(GroupError, match="empty count grid|grid step must be positive"):
-        check_parabolic_growth(unit_parabolic_group(), **kwargs)
 
 
 def test_schottky_exponent_stable_in_radius():
@@ -884,7 +869,7 @@ def test_parabolic_limit_point_exact():
 def test_limit_point_lies_in_hull():
     g = cusped_group()
     for seed in range(5):
-        spec = WordSpec.random(g, seed=seed, depth=30)
+        spec = dataclasses.replace(WordSpec.random(g, seed=seed), depth=30)
         sample = sample_limit_point(g, spec)
         assert g.in_hull(sample.point)
         assert sample.width < 1e-6

@@ -12,6 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from horolab import averages, measures  # noqa: E402
 from horolab.cli import KEYS, _parse_flag, main  # noqa: E402
 from horolab.defaults import (  # noqa: E402
     _interval_pair,
@@ -169,3 +170,26 @@ def test_run_that_never_leaves_the_radius_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: the run of parabolic letter 'p' "), err
     assert err.count("\n") == 1 and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("experiment", ["equidist", "mixing", "nondiv"])
+def test_leaf_coordinate_past_float_range_exits_2(experiment, tmp_path, capsys, monkeypatch):
+    # at leaf coordinate -800 the base point's y underflows to 0 and x is
+    # NaN; the run once built the pair field and the leaf, warned twice from
+    # numpy, and ended in "frame reduction broke down"
+    calls = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(measures, "_pair_field", counted(measures._pair_field))
+    monkeypatch.setattr(averages, "conditional_on_horocycle", counted(averages.conditional_on_horocycle))
+    argv = [experiment, "--out", str(tmp_path / "run"), "--override", "leaf_coordinate=-800"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "numeric failure: leaf coordinate -800.0 puts the vector's base point out of floating-point range\n"
+    assert not (tmp_path / "run").exists()
+    assert calls == []

@@ -38,7 +38,7 @@ from horolab.measures import (
 from horolab.averages import ConstantFunction, Integrand, TestFunction, build_vector, pointed_frame
 from horolab.geometry import UnitTangent, geodesic_flow, horocycle_flow, mobius_apply
 
-from conftest import peak_mib
+from conftest import peak_mib, quadrature_constants
 
 DELTA_SCH = 0.4322791205538202
 DELTA_CUS = 0.646822563859683
@@ -348,34 +348,26 @@ class _Counted(Integrand):
         return self.psi.evaluate_points(x, y, theta)
 
 
-def test_quadrature_report_evaluates_each_integrand_once_per_field(sch, m_sch):
-    # a coarse grid and few atoms keep the cached fields small
+def test_quadrature_report_evaluates_each_integrand_once_per_field(sch, m_sch, monkeypatch):
+    # a coarse grid and few atoms keep the cached field small
     t = np.arange(-8.0, 8.0 + 1e-9, 0.1)
-    measure = dataclasses.replace(m_sch, _pair_cache={})
+    measure = quadrature_constants(monkeypatch, m_sch, _PAIR_GRID=t, _PAIR_ATOMS=40)
     bump = TestFunction(sch, pointed_frame(0.0, 1.4, 0.0), base_width=1.2, angle_width=1.8)
     psi = _Counted(bump)
-    first = quadrature_report(psi, measure, DELTA_SCH, t_grid=t, top_k=40)
+    first = quadrature_report(psi, measure, DELTA_SCH)
     assert psi.calls == 1
-    assert quadrature_report(psi, measure, DELTA_SCH, t_grid=t.copy(), top_k=40) == first
-    assert ps_integral(psi, measure, DELTA_SCH, t_grid=t, top_k=40) == first[0]
+    assert quadrature_report(psi, measure, DELTA_SCH) == first
+    assert ps_integral(psi, measure, DELTA_SCH) == first[0]
     assert psi.calls == 1
-    # an equal integrand that is another object, another grid and another
-    # atom count each miss
+    # an equal integrand that is another object misses, on the same field
     other = _Counted(bump)
-    assert quadrature_report(other, measure, DELTA_SCH, t_grid=t, top_k=40) == first
+    assert quadrature_report(other, measure, DELTA_SCH) == first
     assert other.calls == 1
-    quadrature_report(psi, measure, DELTA_SCH, t_grid=t + 0.05, top_k=40)
-    assert psi.calls == 2
-    quadrature_report(psi, measure, DELTA_SCH, t_grid=t, top_k=41)
-    assert psi.calls == 3
-    assert len(measure._pair_cache) == 3
+    assert len(measure._pair_cache) == 1
     # the cached estimate is the estimate of a measure that caches nothing yet
     fresh = dataclasses.replace(m_sch, _pair_cache={})
-    again = quadrature_report(_Counted(bump), fresh, DELTA_SCH, t_grid=t, top_k=40)
+    again = quadrature_report(_Counted(bump), fresh, DELTA_SCH)
     assert [float(v).hex() for v in again] == [float(v).hex() for v in first]
-
-
-DEFAULT_T = np.arange(-8.0, 8.0 + 1e-9, 0.05)
 
 
 def default_bumps(group):
@@ -395,7 +387,7 @@ def test_quadrature_report_sums_the_blocks_as_one_field(sch, m_sch):
     # is evaluated piece by piece, and the estimate is the one pairwise sum
     # over the whole field
     measure = dataclasses.replace(m_sch, _pair_cache={})
-    blocks, den, _ = _pair_field(measure, DELTA_SCH, DEFAULT_T, 220)
+    blocks, den, _ = _pair_field(measure, DELTA_SCH)
     assert len(blocks) == 24
     x, y, th, w = _joined(blocks)
     assert den == float(np.sum(w))
@@ -424,7 +416,7 @@ def test_pair_quadrature_memory(sch, m_sch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        blocks, _, _ = _pair_field(measure, DELTA_SCH, DEFAULT_T, 220)
+        blocks, _, _ = _pair_field(measure, DELTA_SCH)
         field_bytes, peak = tracemalloc.get_traced_memory()
         field_bytes -= base
         cells = sum(len(b) for b in blocks)
@@ -451,13 +443,13 @@ def test_deep_measure_memory(sch):
     assert peak_mib(lambda: build_patterson(sch, cfg)) <= 12.0
 
 
-def test_pair_field_is_freed_with_its_measure(sch, m_sch):
+def test_pair_field_is_freed_with_its_measure(sch, m_sch, monkeypatch):
     # no reference cycle holds the field, so it goes as soon as its measure
     # does, without waiting for the cycle collector
-    measure = dataclasses.replace(m_sch, _pair_cache={})
     t = np.arange(-8.0, 8.0 + 1e-9, 0.2)
-    blocks, _, _ = _pair_field(measure, DELTA_SCH, t, 40)
-    quadrature_report(default_bumps(sch)[0], measure, DELTA_SCH, t_grid=t, top_k=40)
+    measure = quadrature_constants(monkeypatch, m_sch, _PAIR_GRID=t, _PAIR_ATOMS=40)
+    blocks, _, _ = _pair_field(measure, DELTA_SCH)
+    quadrature_report(default_bumps(sch)[0], measure, DELTA_SCH)
     block = weakref.ref(blocks[0])
     gc.disable()
     try:
@@ -479,65 +471,51 @@ def test_box_quadrature_memory(cus, m_cus):
         assert peak_mib(lambda: br_integral(psi, m_cus, DELTA_CUS)) <= 8.0
 
 
-def test_pair_field_keys_on_the_exact_exponent(m_sch):
+def test_pair_field_keys_on_the_exact_exponent(m_sch, monkeypatch):
     # an exponent within rounding of a cached one gets its own field, the
     # field a measure that caches nothing gives
     t = np.arange(-8.0, 8.0 + 1e-9, 0.2)
-    measure = dataclasses.replace(m_sch, _pair_cache={})
+    measure = quadrature_constants(monkeypatch, m_sch, _PAIR_GRID=t, _PAIR_ATOMS=60)
     one = ConstantFunction()
     bump = TestFunction(m_sch.group, pointed_frame(0.0, 1.4, 0.0), base_width=1.2, angle_width=1.8)
     near = DELTA_SCH + 3e-13
-    first = ps_integral(bump, measure, DELTA_SCH, t_grid=t, top_k=60)
-    got = ps_integral(bump, measure, near, t_grid=t, top_k=60)
-    want = ps_integral(bump, dataclasses.replace(m_sch, _pair_cache={}), near, t_grid=t, top_k=60)
+    first = ps_integral(bump, measure, DELTA_SCH)
+    got = ps_integral(bump, measure, near)
+    want = ps_integral(bump, dataclasses.replace(m_sch, _pair_cache={}), near)
     assert got.hex() == want.hex() != first.hex()
-    assert ps_integral(one, measure, near, t_grid=t, top_k=60) == 1.0
+    assert ps_integral(one, measure, near) == 1.0
     assert len(measure._pair_cache) == 2
 
 
-def _first_atoms(measure, n):
-    return dataclasses.replace(
-        measure, points=measure.points[:n], log_weights=measure.log_weights[:n], _pair_cache={}
-    )
-
-
-def test_atom_counts_below_the_quadratures_need(m_sch, m_cus):
+def test_atom_counts_below_the_quadratures_need(m_sch):
     # 120 atoms, so that a count which keeps all but |k| of them stays small
-    small = _first_atoms(m_sch, 120)
-    bump = TestFunction(m_sch.group, pointed_frame(0.0, 1.4, 0.0), base_width=1.2, angle_width=1.8)
-    t = np.arange(-2.0, 2.0 + 1e-9, 0.5)
+    small = dataclasses.replace(m_sch, points=m_sch.points[:120], log_weights=m_sch.log_weights[:120])
     for k in (0, -3):
         with pytest.raises(MeasureError, match="at least one"):
             small.heaviest(k)
     assert len(small.heaviest(1)) == 1 and len(small.heaviest(500)) == 120
-    for k in (-3, 0, 1):
-        with pytest.raises(MeasureError, match="top_k >= 2"):
-            ps_integral(bump, small, DELTA_SCH, t_grid=t, top_k=k)
-    assert not small._pair_cache
-    psi = TestFunction(m_cus.group, pointed_frame(*RATIO_BUMPS[0]), base_width=1.2, angle_width=1.8)
-    for k in (-3, 0):
-        with pytest.raises(MeasureError, match="at least one"):
-            br_integral(psi, _first_atoms(m_cus, 120), DELTA_CUS, t_grid=t, top_k=k)
 
 
-def test_br_integral_normalization_and_frozen(cus, m_cus):
-    # reference window mass is 1 by construction once the window covers
-    # the whole sigma range
-    one = br_integral(_One(), m_cus, DELTA_CUS, sigma_span=8.0, window_span=9.0)
-    assert one == pytest.approx(1.0, abs=1e-12)
+def test_br_integral_normalization_and_frozen(cus, m_cus, monkeypatch):
     wb, wa = 1.2, 1.8
     psi = TestFunction(cus, pointed_frame(-2.4, math.exp(-0.9), -5 * math.pi / 8), base_width=wb, angle_width=wa)
     phi = TestFunction(cus, pointed_frame(-2.8, math.exp(-0.6), -5 * math.pi / 8), base_width=wb, angle_width=wa)
     assert br_integral(psi, m_cus, DELTA_CUS) == pytest.approx(0.025992940134935968, rel=1e-9)
     assert br_integral(phi, m_cus, DELTA_CUS) == pytest.approx(0.02456701704282736, rel=1e-9)
+    # reference window mass is 1 by construction once the window covers
+    # the whole sigma range
+    measure = quadrature_constants(monkeypatch, m_cus, _ARC_SPAN=8.0, _WINDOW_SPAN=9.0)
+    assert br_integral(_One(), measure, DELTA_CUS) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_br_ratio_window_independent(cus, m_cus):
+def test_br_ratio_window_independent(cus, m_cus, monkeypatch):
     psi = TestFunction(cus, pointed_frame(-2.4, math.exp(-0.9), -5 * math.pi / 8), base_width=1.2, angle_width=1.8)
     phi = TestFunction(cus, pointed_frame(-2.8, math.exp(-0.6), -5 * math.pi / 8), base_width=1.2, angle_width=1.8)
-    r1 = br_integral(psi, m_cus, DELTA_CUS, window_span=3.0) / br_integral(phi, m_cus, DELTA_CUS, window_span=3.0)
-    r2 = br_integral(psi, m_cus, DELTA_CUS, window_span=9.0) / br_integral(phi, m_cus, DELTA_CUS, window_span=9.0)
-    assert r1 == pytest.approx(r2, rel=1e-12)
+    ratios = []
+    for span in (3.0, 9.0):
+        measure = quadrature_constants(monkeypatch, m_cus, _WINDOW_SPAN=span)
+        ratios.append(br_integral(psi, measure, DELTA_CUS) / br_integral(phi, measure, DELTA_CUS))
+    assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
 
 
 def test_mass_in_interval(m_sch):

@@ -12,8 +12,19 @@ assigned on self in a method of a top-level class and each annotated field
 of a top-level dataclass, so a field that only the tests read fails; in a
 module only an attribute load reads one, not a bare name. The scan matches
 by name, not by class: a read of Generator.kind also counts for any other
-class's kind. A name kept for another reason is listed in KEPT with that
-reason. Only the standard library's ast is needed.
+class's kind.
+
+Every option is set by some run: an optional parameter of a top-level
+function, or of a method of a top-level class, counts as set when a call in
+src/horolab or perfbench/ to a function, method or class of that name (by
+bare name or as an attribute) passes it by position or by keyword, or passes
+*args or **kwargs. A call that passes a parameter through with its own
+default counts as setting it. Dataclass fields are out of the scan's reach:
+their __init__ is not written out, so they are not scanned.
+
+A name or option kept for another reason is listed in KEPT with that
+reason, an option as 'module.function(parameter)'. Only the standard
+library's ast is needed.
 """
 
 import ast
@@ -155,6 +166,61 @@ def unread(sources: dict[str, str], bench: list[str]) -> list[str]:
     )
 
 
+def _options(node, skip):
+    """(position among the arguments a call passes, or None for a keyword-only
+    parameter; name) of each optional parameter of a def, whose first skip
+    positional parameters a call does not pass."""
+    a = node.args
+    pos = a.posonlyargs + a.args
+    out = [(i - skip, x.arg) for i, x in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    return out + [(None, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def options(tree) -> list[tuple[str, str, int | None, str]]:
+    """(shown, callee, position, parameter) of each optional parameter of a
+    top-level function or of a method of a top-level class; the callee is the
+    name a call uses, the class's own for __init__."""
+    out = [
+        (node.name, node.name, i, p)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for i, p in _options(node, 0)
+    ]
+    for cls, m in methods(tree):
+        static = any(ast.unparse(d) == "staticmethod" for d in m.decorator_list)
+        callee = cls if m.name == "__init__" else m.name
+        out += [("%s.%s" % (cls, m.name), callee, i, p) for i, p in _options(m, 0 if static else 1)]
+    return out
+
+
+def sets(call, position, param) -> bool:
+    """Whether the call passes the parameter, or may through *args/**kwargs."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg is None or k.arg == param for k in call.keywords)
+
+
+def unset(sources: dict[str, str], bench: list[str]) -> list[str]:
+    """'module.function(parameter)' for each optional parameter that no call
+    in the sources or the benchmark files sets."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    calls = {}
+    for tree in list(trees.values()) + [ast.parse(text) for text in bench]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(
+        "%s.%s(%s)" % (mod, shown, param)
+        for mod, tree in trees.items()
+        for shown, callee, position, param in options(tree)
+        if not any(sets(c, position, param) for c in calls.get(callee, ()))
+    )
+
+
 def test_scan_finds_unread_exports():
     sources = {
         "a": (
@@ -210,9 +276,42 @@ def test_scan_finds_unread_internals():
     assert unread(sources, bench) == ["a.Box.spare", "a._SPARE", "a._loop"]
 
 
+def test_scan_finds_unset_options():
+    sources = {
+        "a": (
+            "def fit(xs, step=0.5, *, window=None):\n    return xs\n"
+            "def plot(xs, title='t'):\n    return xs\n"
+            "class Box:\n"
+            "    def __init__(self, n, label='box'):\n        self.n = n\n"
+            "    def grow(self, k=1, *, by=2):\n        return k\n"
+            "    @staticmethod\n    def make(n=3):\n        return n\n"
+            "def _nested():\n    def inner(q=1):\n        return q\n    return inner()\n"
+            "print(fit([1], 0.25), plot([1]), Box(1).grow(), Box.make())\n"
+        ),
+    }
+    bench = ["import a\na.Box(2, 'b').grow(by=3)\n"]
+    # a nested def is not scanned; a method call by position skips self
+    assert unset(sources, bench) == [
+        "a.Box.grow(k)", "a.Box.make(n)", "a.fit(window)", "a.plot(title)"
+    ]
+    sources["a"] += "args = ([1],)\nplot(*args)\nfit([1], **{})\nBox(0).grow(2)\nBox.make(n=4)\n"
+    assert unset(sources, bench) == []
+
+
+def _kept(options: bool) -> list[str]:
+    return sorted(k for k in KEPT if k.endswith(")") == options)
+
+
 def test_every_export_is_read():
     # exports, private top-level names, public methods and attributes alike
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     bench = [p.read_text(encoding="utf-8") for p in BENCH]
     # a KEPT entry that is read, or no longer defined, is stale
-    assert unread(sources, bench) == sorted(KEPT)
+    assert unread(sources, bench) == _kept(options=False)
+
+
+def test_every_option_is_set():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    bench = [p.read_text(encoding="utf-8") for p in BENCH]
+    # a KEPT option that some call sets, or that is gone, is stale
+    assert unset(sources, bench) == _kept(options=True)
