@@ -11,11 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    _SIGN_TOL,
     INFINITY,
     GeometryError,
     Isometry,
     UnitTangent,
+    flow_scale,
     frame_angle,
     frame_distance,
     frame_point,
@@ -122,7 +122,7 @@ def _leaf_frames(u: UnitTangent, s: np.ndarray) -> np.ndarray:
 def _flowed(frames, t: float) -> np.ndarray:
     """Frames (n, 2, 2) pushed by the time-t geodesic flow."""
     frames = np.asarray(frames, dtype=float)
-    e = math.exp(0.5 * t)
+    e = flow_scale(t)
     out = np.empty_like(frames)
     out[:, :, 0] = frames[:, :, 0] * e
     out[:, :, 1] = frames[:, :, 1] / e
@@ -572,79 +572,20 @@ def mass_in_compact(
 # ------------------------------------------------------- periodic closure
 
 
-def _closure_gap(target: UnitTangent, u: UnitTangent, t: float) -> float:
-    return frame_distance(target, horocycle_flow(u, t))
-
-
-def _closure_gaps(target: UnitTangent, u: UnitTangent, ts: np.ndarray) -> np.ndarray:
-    """_closure_gap at every t of ts, bit for bit.
-
-    The arrays repeat the scalar operations in their order: the entries of
-    horocycle_flow, Isometry's renormalization and sign rule, then
-    isometry_distance. Its squares are `** 2`, libm's pow, which
-    np.float_power keeps; numpy's `** 2` and x * x round some of them
-    differently.
-    """
-    ga, gb, gc, gd = u.frame.entries()
-    a = ga + gb * ts
-    c = gc + gd * ts
-    det = a * gd - gb * c
-    bad = np.flatnonzero(~(det > 0.0) | ~np.isfinite(det))
-    if bad.size:
-        Isometry(a[bad[0]], gb, c[bad[0]], gd)  # raises the scalar error
-    scale = 1.0 / np.sqrt(det)
-    ents = np.array([a * scale, gb * scale, c * scale, gd * scale])
-    mags = np.abs(ents)
-    # the sign of the first entry of significant size
-    lead = np.select(mags > _SIGN_TOL * mags.max(axis=0), ents, 0.0)
-    ents = np.where(lead < 0.0, -ents, ents)
-
-    def norm(diff):
-        p, q, r, s = np.float_power(diff, 2.0)
-        return np.sqrt(p + q + r + s)
-
-    target = np.array(target.frame.entries())[:, None]
-    return np.minimum(norm(target - ents), norm(target + ents))
-
-
-def _golden_refine(f, lo: float, hi: float, tol: float) -> float:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        width = b - a
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-        if not b - a < width:  # float resolution reached before tol
-            break
-    return 0.5 * (a + b)
-
-
 def periodic_closure(
-    group: FuchsianGroup,
-    p,
-    u: UnitTangent | None = None,
-    refine_tol: float = 1e-10,
+    group: FuchsianGroup, p, u: UnitTangent | None = None
 ) -> tuple[float, float]:
     """Closure time of the horocycle leaf centered at a parabolic fixed point.
 
-    Returns (t0, residual) with t0 minimizing the frame distance between
-    p applied to u and h^t0(u); for a genuinely periodic leaf the residual
-    is float noise. When u is omitted it is built with backward endpoint at
-    the fixed point of p and base point on the unit horosphere through i.
-    A scan of 4097 evenly spaced times in the window
-    |t| <= 10 e^{|leaf coordinate|}, plus the closed-form seeds
-    +-tau / Im(chart height), picks the best candidate; its gaps are
-    computed as arrays, bit for bit the scalar ones (see _closure_gaps).
-    Golden section, on scalars, refines it.
+    Returns (t0, residual). In the chart that sends the fixed point of p to
+    infinity, p is the shift by tau and the leaf of u is the horizontal line
+    at height h, the imaginary part of u's base point there; so h^t0(u) = p u
+    at t0 = +tau/h or -tau/h, the sign set by the leaf's orientation. t0 is
+    the one of the two with the smaller frame distance between p applied to
+    u and h^t0(u), and that distance is the residual: float noise for a leaf
+    centered at the fixed point, large for one that is not. When u is
+    omitted it is built with backward endpoint at the fixed point of p and
+    base point on the unit horosphere through i.
     """
     if isinstance(p, Generator):
         gen = p
@@ -652,22 +593,10 @@ def periodic_closure(
         gen = group.generator(p)
     if gen.kind != "parabolic":
         raise AveragesError("closure time needs a parabolic letter, got %r" % gen.kind)
-    if not refine_tol > 0:
-        raise AveragesError("refine_tol must be positive, got %r" % (refine_tol,))
-    fp, _ = fixed_points(gen.matrix)
     if u is None:
-        if fp.is_infinity:
-            raise AveragesError("default vector needs a finite parabolic fixed point")
-        u = from_coordinates(fp, INFINITY, 0.0)
+        u = from_coordinates(fixed_points(gen.matrix)[0], INFINITY, 0.0)
     target = mobius_apply(gen.matrix, u)
     chart = group._parabolic_charts[gen.label]
-    zc = chart.conjugator.apply_complex(u.base_point.as_complex)
-    window = 10.0 * math.exp(abs(u.busemann_coordinate))
-    cands = np.linspace(-window, window, 4097)
-    if zc.imag > 0:
-        cands = np.append(cands, [chart.tau / zc.imag, -chart.tau / zc.imag])
-    best = int(np.argmin(_closure_gaps(target, u, cands)))
-    spread = max(abs(chart.tau / zc.imag) * 0.25, 2.0 * window / 4096.0)
-    lo, hi = float(cands[best]) - spread, float(cands[best]) + spread
-    t0 = _golden_refine(lambda t: _closure_gap(target, u, t), lo, hi, refine_tol)
-    return t0, _closure_gap(target, u, t0)
+    t = chart.tau / chart.conjugator.apply_complex(u.base_point.as_complex).imag
+    gaps = [(s, frame_distance(target, horocycle_flow(u, s))) for s in (t, -t)]
+    return min(gaps, key=lambda pair: pair[1])

@@ -193,8 +193,7 @@ KEYS = {
                "times": _parse_floats, "svg": _parse_flag},
     "nondiv": {**_MEASURE_KEYS, **_VECTOR_KEYS, "k_height": _parse_positive,
                "ramp": _parse_positive, "radii": _parse_positives, "svg": _parse_flag},
-    "closure": {"group": str, "letter": str, "dilations": _parse_floats,
-                "refine_tol": _parse_positive, "svg": _parse_flag},
+    "closure": {"group": str, "letter": str, "dilations": _parse_floats, "svg": _parse_flag},
     "checks": {},
 }
 
@@ -571,15 +570,14 @@ def run_closure(st: Settings, args):
             % (st.where("letter"), spec, letter)
         )
     dilations = sorted(st.get("dilations", (0.5, 1.0, 2.0)))
-    refine_tol = st.get("refine_tol", 1e-10)
     gen = group.letters[letter]
-    t0, res0 = periodic_closure(group, letter, refine_tol=refine_tol)
+    t0, res0 = periodic_closure(group, letter)
     fp, _ = fixed_points(gen.matrix)
     u0 = from_coordinates(fp, INFINITY, 0.0)
     rows = [(0.0, float(t0), float(t0), "closure:%s" % letter, args.seed)]
     residuals = {0.0: res0}
     for s in dilations:
-        ts, rs = periodic_closure(group, letter, u=geodesic_flow(u0, s), refine_tol=refine_tol)
+        ts, rs = periodic_closure(group, letter, u=geodesic_flow(u0, s))
         rows.append((float(s), float(ts), float(math.exp(s) * t0), "closure:%s" % letter, args.seed))
         residuals[s] = rs
     files = [("closure.csv", artifacts.series_rows_csv_text(rows))]
@@ -594,7 +592,6 @@ def run_closure(st: Settings, args):
         "t0": float(t0),
         "residuals": {("%g" % s): float(r) for s, r in residuals.items()},
         "dilations": list(dilations),
-        "refine_tol": refine_tol,
     }
     return files, lines, payload, False
 

@@ -22,6 +22,7 @@ __all__ = [
     "busemann",
     "geodesic_between",
     "closest_point_on_geodesic",
+    "flow_scale",
     "geodesic_flow",
     "horocycle_flow",
     "from_coordinates",
@@ -302,9 +303,22 @@ def frame_angle(c, d):
     return np.arctan2(d * d - c * c, 2.0 * c * d)
 
 
+def flow_scale(t: float) -> float:
+    """e^(t/2), by which the time-t geodesic flow scales a frame's first
+    column while it divides the second. GeometryError naming t when e^(t/2)
+    or e^(-t/2) is not a finite nonzero float."""
+    try:
+        e = math.exp(0.5 * t)
+    except OverflowError:
+        e = math.inf
+    if not (0.0 < e < math.inf and 1.0 / e < math.inf):
+        raise GeometryError("geodesic flow time %r is outside floating-point range" % (t,))
+    return e
+
+
 def geodesic_flow(u: UnitTangent, t: float) -> UnitTangent:
     """Slide the vector distance t along its own geodesic, toward the forward endpoint."""
-    e = math.exp(0.5 * t)
+    e = flow_scale(t)
     g = u.frame
     return UnitTangent(Isometry(g.a * e, g.b / e, g.c * e, g.d / e))
 

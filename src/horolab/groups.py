@@ -307,7 +307,7 @@ class FuchsianGroup:
                 continue
             if hi1 == lo2 and self.letters[l1].inverse_label == l2 and self.letters[l1].kind == "parabolic":
                 fp, _ = fixed_points(self.letters[l1].matrix)
-                if not fp.is_infinity and abs(fp.value - hi1) <= 1e-9:
+                if abs(fp.value - hi1) <= 1e-9:
                     continue
                 raise GroupError(
                     "parabolic pair %r/%r domains may only touch at the fixed point" % (l1, l2)
@@ -357,9 +357,8 @@ class FuchsianGroup:
     def _build_parabolic_chart(self, g: Generator, nilpotent: np.ndarray) -> _ParabolicChart:
         fp, _ = fixed_points(g.matrix)
         if fp.is_infinity:
-            conj = Isometry.identity()
-        else:
-            conj = Isometry(0.0, -1.0, 1.0, -fp.value)
+            raise GroupError("parabolic fixed point at infinity needs finite-chart data")
+        conj = Isometry(0.0, -1.0, 1.0, -fp.value)
         hat = conj @ g.matrix @ conj.inverse()
         a, b, c, d = hat.entries()
         if a + d < 0:
@@ -367,13 +366,10 @@ class FuchsianGroup:
         if abs(c) > 1e-8 or abs(a - 1.0) > 1e-8 or abs(d - 1.0) > 1e-8 or b == 0.0:
             raise GroupError("parabolic letter %r does not conjugate to a shift" % g.label)
         inv = self.letters[g.inverse_label]
-        fixed = fp.value if not fp.is_infinity else None
 
         def far_endpoint(dom):
             lo, hi = dom
-            if fixed is None:
-                raise GroupError("parabolic fixed point at infinity needs finite-chart data")
-            return lo if abs(hi - fixed) <= abs(lo - fixed) else hi
+            return lo if abs(hi - fp.value) <= abs(lo - fp.value) else hi
 
         wp = mobius_apply(conj, BoundaryPoint(far_endpoint(g.domain)))
         wm = mobius_apply(conj, BoundaryPoint(far_endpoint(inv.domain)))

@@ -17,14 +17,17 @@ from horolab.defaults import (
     Loader,
     cusped_group,
     schottky_group,
+    unit_parabolic_group,
 )
-from horolab.groups import WordSpec, dumps_group, parse_group_text, sample_limit_point
+from horolab.groups import WordSpec, dumps_group, fixed_points, parse_group_text, sample_limit_point
 from horolab.geometry import (
     INFINITY,
     BoundaryPoint,
+    frame_distance,
     from_coordinates,
     geodesic_flow,
     horocycle_flow,
+    mobius_apply,
 )
 from horolab import averages
 from horolab.checks import check_flow_commutation, run_all
@@ -53,6 +56,8 @@ from horolab.averages import (
     pointed_frame,
     ratio_series,
 )
+
+from conftest import conjugate
 
 DELTA_SCH = 0.4322791205538202
 DELTA_CUS = 0.646822563859683
@@ -318,7 +323,7 @@ def test_cusp_height_cap_values(cus):
 
 def test_periodic_closure_frozen(cus):
     t0, res = periodic_closure(cus, "p")
-    assert t0 == pytest.approx(-4.0, abs=1e-7)
+    assert t0 == -4.0
     assert res < 1e-8
 
 
@@ -339,19 +344,83 @@ def test_periodic_closure_rejects_hyperbolic(sch, cus):
         periodic_closure(cus, "b")
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-def test_periodic_closure_rejects_bad_tolerance(cus, tol):
-    # a golden-section search to a tolerance <= 0 would never stop
-    with pytest.raises(AveragesError):
-        periodic_closure(cus, "p", refine_tol=tol)
+def searched_closure(group, label, u):
+    """The closure time found by search, an oracle for periodic_closure's
+    closed form: the least frame gap between p u and h^t u over 4,097 evenly
+    spaced times in |t| <= 10 e^{|leaf coordinate|} and the two closed-form
+    seeds, refined by golden section around the best of them down to float
+    resolution. The seeds only place the bracket; the golden section finds
+    the gap's own minimizer inside it."""
+    gen = group.generator(label)
+    target = mobius_apply(gen.matrix, u)
+
+    def gap(t):
+        return frame_distance(target, horocycle_flow(u, t))
+
+    chart = group._parabolic_charts[label]
+    seed = chart.tau / chart.conjugator.apply_complex(u.base_point.as_complex).imag
+    window = 10.0 * math.exp(abs(u.busemann_coordinate))
+    cands = list(np.linspace(-window, window, 4097)) + [seed, -seed]
+    best = float(min(cands, key=gap))
+    spread = max(abs(seed) * 0.25, 2.0 * window / 4096.0)
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = best - spread, best + spread
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = gap(c), gap(d)
+    while True:
+        width = b - a
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = gap(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = gap(d)
+        if not b - a < width:
+            return 0.5 * (a + b)
 
 
-def test_periodic_closure_stops_at_float_resolution(cus):
-    # a tolerance below the spacing of floats ends when the bracket stops
-    # shrinking, at the same closure time
-    t0, _ = periodic_closure(cus, "p")
-    t1, res = periodic_closure(cus, "p", refine_tol=1e-300)
-    assert t1 == pytest.approx(t0, abs=1e-9) and res < 1e-12
+CLOSURE_CASES = [
+    (name, label, s)
+    for name in ("cusped", "unit-parabolic", "conjugated-cusped")
+    for label in ("p", "P")
+    for s in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.0)
+]
+
+
+def closure_case(groups, name, label, s):
+    """(group, u): the leaf of the default vector of periodic_closure flowed by s."""
+    group = groups[name]
+    fp, _ = fixed_points(group.generator(label).matrix)
+    return group, geodesic_flow(from_coordinates(fp, INFINITY, 0.0), s)
+
+
+@pytest.fixture(scope="module")
+def groups_with_cusps():
+    return {
+        "cusped": cusped_group(),
+        "unit-parabolic": unit_parabolic_group(),
+        "conjugated-cusped": conjugate(cusped_group(), np.random.default_rng(27))[0],
+    }
+
+
+@pytest.mark.parametrize("name, label, s", CLOSURE_CASES)
+def test_periodic_closure_matches_search(groups_with_cusps, name, label, s):
+    group, u = closure_case(groups_with_cusps, name, label, s)
+    t0, res = periodic_closure(group, label, u=u)
+    assert t0 == pytest.approx(searched_closure(group, label, u), rel=1e-9, abs=0.0)
+    assert res <= 1e-12
+
+
+@pytest.mark.parametrize("name, label, s", CLOSURE_CASES)
+def test_periodic_closure_residual_sees_a_wrong_time(groups_with_cusps, name, label, s):
+    # the residual, not the dilation law, tests the formula: a time off by
+    # one part in a million leaves a gap far above the closure tolerance
+    group, u = closure_case(groups_with_cusps, name, label, s)
+    t0, _ = periodic_closure(group, label, u=u)
+    target = mobius_apply(group.generator(label).matrix, u)
+    assert frame_distance(target, horocycle_flow(u, t0 * (1.0 + 1e-6))) > 1e-8
 
 
 def test_series_validation(u8, m_sch):
@@ -569,7 +638,7 @@ def test_runs_build_one_leaf_per_vector(monkeypatch, tmp_path):
         assert len(built) == 1, experiment
 
 
-# ------------------------------------ flowed leaves, closure scan, ratio pair
+# ------------------------------------------------ flowed leaves, ratio pair
 
 
 @pytest.mark.parametrize("name", ["schottky", "cusped"])
@@ -631,30 +700,6 @@ def test_flow_commutation_grid_matches_cellwise_residuals(sch, u8, m_sch):
                 geodesic_flow(u8, -t), r * math.exp(-t), ShiftedFunction(psi, t), m_sch, DELTA_SCH
             )
             assert same_bits(res[i, j], abs(lhs - rhs)), (t, r)
-
-
-def test_closure_scan_matches_scalar_gaps(cus, monkeypatch):
-    # every candidate of every scan: the argmin picks the refine bracket, so
-    # each array gap must carry the scalar gap's bits, not only the argmin
-    scans = []
-    array_gaps = averages._closure_gaps
-
-    def recording(target, u, ts):
-        gaps = array_gaps(target, u, ts)
-        scans.append((target, u, ts, gaps))
-        return gaps
-
-    monkeypatch.setattr(averages, "_closure_gaps", recording)
-    u0 = from_coordinates(BoundaryPoint(0.0), INFINITY, 0.0)
-    periodic_closure(cus, "p")
-    periodic_closure(cus, "p", u=u0)
-    for s in (0.5, 1.0, 2.0, -0.5, -1.0, -2.0):
-        periodic_closure(cus, "p", u=geodesic_flow(u0, s))
-    assert len(scans) == 8
-    for target, u, ts, gaps in scans:
-        assert len(ts) == 4099
-        want = np.array([averages._closure_gap(target, u, float(t)) for t in ts])
-        assert gaps.tobytes() == want.tobytes()
 
 
 def test_ratio_pair_shares_grids_bit_for_bit(cus, u9, m_cus, monkeypatch):

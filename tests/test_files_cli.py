@@ -80,9 +80,8 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
         pytest.param("equidist", "radii =", id="equidist-empty"),
         pytest.param("nondiv", "radii =", id="nondiv-empty"),
         pytest.param("mixing", "times =", id="mixing-empty"),
-        pytest.param("closure", "refine_tol = nan", id="closure-nan"),
-        pytest.param("closure", "refine_tol = -1", id="closure-negative"),
-        pytest.param("closure", "refine_tol = 0", id="closure-zero"),
+        # closure times are computed in closed form, with no search tolerance
+        pytest.param("closure", "refine_tol = 1e-10", id="closure-refine-tol-unknown"),
         pytest.param("exponent", "grid_step = -1", id="exponent-negative-step"),
         pytest.param("exponent", "grid_step = 0", id="exponent-zero-step"),
         pytest.param("exponent", "t_max = 0.1\nmin_points = 0", id="exponent-empty-grid"),

@@ -6,6 +6,9 @@ A group that reads well but breaks the computation ends in exit 2.
 The examples are derandomized, so every run draws the same ones.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -193,3 +196,44 @@ def test_leaf_coordinate_past_float_range_exits_2(experiment, tmp_path, capsys, 
     assert err == "numeric failure: leaf coordinate -800.0 puts the vector's base point out of floating-point range\n"
     assert not (tmp_path / "run").exists()
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [("mixing", "times", "1500"), ("mixing", "times", "-1500"),
+     ("closure", "dilations", "1500"), ("closure", "dilations", "-1500")],
+)
+def test_flow_time_past_float_range_exits_2(experiment, key, value, tmp_path, capsys):
+    # e^(t/2) overflows or underflows at |t| = 1500; the runs once ended in
+    # "math range error", "float division by zero" or a numpy warning
+    argv = [experiment, "--out", str(tmp_path / "run"), "--override", "%s=%s" % (key, value)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "numeric failure: geodesic flow time %r is outside floating-point range\n" % float(value)
+    assert not (tmp_path / "run").exists()
+
+
+def test_closure_far_down_the_cusp(tmp_path, capsys):
+    # the leaf flowed by -700 sits at height e^700 in the cusp chart, so its
+    # closure time -4 e^-700 is near the bottom of float range, and exact
+    out = tmp_path / "run"
+    assert main(["closure", "--out", str(out), "--override", "dilations=-700"]) == 0
+    capsys.readouterr()
+    # rows: the header, the undilated leaf, then the leaf flowed by -700
+    s, t = (float(v) for v in (out / "closure.csv").read_text().splitlines()[2].split(",")[:2])
+    assert s == -700.0 and t == pytest.approx(-4.0 * math.exp(-700.0), rel=1e-12)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["residuals"]["-700"] == 0.0
+
+
+def test_parabolic_fixed_point_at_infinity_exits_1(tmp_path, capsys):
+    path = tmp_path / "cusp-at-infinity.group"
+    path.write_text(
+        "label = p\nkind = parabolic\nmatrix = 1 1 0 1\ndomain = 0.5 1.5\n"
+        "label = P\nkind = parabolic\nmatrix = 1 -1 0 1\ndomain = -1.5 -0.5\n"
+    )
+    argv = ["group-info", "--out", str(tmp_path / "run"), "--override", "group=%s" % path]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: %s: parabolic fixed point at infinity needs finite-chart data\n" % path
+    assert not (tmp_path / "run").exists()
