@@ -145,6 +145,13 @@ class Integrand:
     evaluated where the frame lies. Frames reach evaluate_points by one
     rule, that of _values, which __call__ applies to a single vector; leaf
     averages and Simpson grids settle each (group, flow times) once.
+
+    The quadratures form a sample's coordinates only where the result reads
+    them: each evaluates an integrand only near its support(), and the pair
+    quadrature sums a ConstantFunction as its value times the cell weights,
+    forming no coordinate. They sample the fundamental domain of the
+    measure's group, so an integrand whose group has other half-disks
+    raises MeasureError there.
     """
 
     def __call__(self, u: UnitTangent) -> float:
@@ -153,7 +160,9 @@ class Integrand:
     def support(self):
         """A disk (x0, y0, reach) outside which evaluate_points vanishes, the
         set (x - x0)^2 + (y - y0)^2 < reach y; None, the default, names no
-        support. br_integral evaluates the integrand only inside it."""
+        support. Both quadratures evaluate the integrand only on the grid
+        cells of its window along each sampled curve, padded by a few cells;
+        a disk that is not a number gives every cell."""
         return None
 
 

@@ -20,7 +20,14 @@ import numpy as np
 import pytest
 
 from horolab import measures
-from horolab.averages import ConstantFunction, CuspHeightCap, TestFunction, WeightedFunction, pointed_frame
+from horolab.averages import (
+    ConstantFunction,
+    CuspHeightCap,
+    Integrand,
+    TestFunction,
+    WeightedFunction,
+    pointed_frame,
+)
 from horolab.defaults import (
     BUMP_WIDTHS,
     DEFAULT_BUMPS,
@@ -41,7 +48,7 @@ from horolab.measures import (
     build_patterson,
 )
 
-from conftest import conjugate, quadrature_constants
+from conftest import conjugate, joined_field, quadrature_constants
 
 DEFAULT_T = np.arange(-8.0, 8.0 + 1e-9, 0.05)
 # the box quadrature's module constants, by the parameter names of
@@ -137,16 +144,39 @@ def full_br_integral(
 
 
 def assert_same_field(monkeypatch, measure, delta, t_grid, top_k):
+    """Check that the pair field on t_grid and the top_k heaviest atoms,
+    its cells' coordinates rebuilt, is the full-grid oracle's bit for bit;
+    return the measure with those constants set and the oracle's field
+    (x, y, theta, weight)."""
     measure = quadrature_constants(monkeypatch, measure, _PAIR_GRID=t_grid, _PAIR_ATOMS=top_k)
     blocks, _, _ = _pair_field(measure, delta)
-    # the blocks keep one weight per pair; each cell takes its pair's
-    got = [np.concatenate([getattr(b, k) for b in blocks]) for k in ("x", "y", "theta")]
-    got.append(np.concatenate([b.weights(0, len(b)) for b in blocks]))
+    # the blocks keep seeds and one weight per run of a pair's cells; each
+    # cell's coordinates are rebuilt from its pair's seeds and it takes its
+    # pair's weight
+    got = joined_field(blocks)
     want = full_pair_field(measure, delta, t_grid, top_k)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g, w)
-    return len(got[0])
+    assert len(want[0]) > 0
+    return measure, want
+
+
+def dense_estimate(psi, field):
+    """The pair quadrature's estimate from the oracle's field (x, y, theta,
+    weight), with psi evaluated on every cell."""
+    x, y, theta, w = field
+    return float(np.sum(w * _evaluate(psi, x, y, theta))) / float(np.sum(w))
+
+
+def pair_integrands(name, group):
+    """The builtin's default bumps, a bump centred just above the circle of
+    its first letter, so that its support crosses into a half-disk, the cusp
+    cap (which names no support) and the constant 2.5."""
+    c, r = group._centers[0], group._radii[0]
+    assert group.in_fundamental_domain(complex(c, 1.02 * r))
+    (near,) = bumps(group, [(c, 1.02 * r, 0.3)])
+    return bumps(group, DEFAULT_BUMPS[name]) + [near, CuspHeightCap(group, NONDIV_HEIGHT), ConstantFunction(2.5)]
 
 
 def box_integral(monkeypatch, psi, measure, delta, **kwargs):
@@ -185,8 +215,14 @@ def builtin_measures():
     ],
 )
 def test_pair_field_matches_full_grid(builtin_measures, monkeypatch, name, t_grid, top_k):
-    _, measure, delta = builtin_measures[name]
-    assert assert_same_field(monkeypatch, measure, delta, t_grid, top_k) > 0
+    # and the pair quadrature, which rebuilds coordinates only in each
+    # integrand's support windows, or everywhere when it names no support,
+    # and none for a constant, gives the dense pass's estimate bit for bit
+    group, measure, delta = builtin_measures[name]
+    measure, field = assert_same_field(monkeypatch, measure, delta, t_grid, top_k)
+    for psi in pair_integrands(name, group):
+        got = measures.quadrature_report(psi, measure, delta)[0]
+        assert got.hex() == dense_estimate(psi, field).hex()
 
 
 @pytest.mark.parametrize(
@@ -229,7 +265,7 @@ def conjugate_case(seed):
 @pytest.mark.parametrize("seed", range(24))
 def test_conjugates_match_full_grid(monkeypatch, seed):
     name, group, m, measure, delta = conjugate_case(seed)
-    assert assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 80) > 0
+    assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 80)
     (psi,) = bumps(group, DEFAULT_BUMPS[name][:1], m)
     for kwargs in (
         dict(t_grid=np.arange(-4.0, 4.01, 0.25), sigma_span=12.0, top_k=60),
@@ -269,6 +305,86 @@ def test_short_windows_fall_back_to_full_rows(builtin_measures, monkeypatch):
     kwargs = dict(t_grid=np.arange(-4.0, 4.01, 0.5), sigma_span=10.0, top_k=60)
     assert box_integral(monkeypatch, psi, measure, delta, **kwargs) == full_br_integral(psi, measure, delta, **kwargs)
     assert sum(widened) > 0
+
+
+def cut_pair_support(step):
+    """_pair_support with every window that meets its disk cut by step a
+    side, down to its middle."""
+    pair_support = measures._pair_support
+
+    def cut(disk, seeds):
+        lo, hi = pair_support(disk, seeds)
+        meets = lo <= hi
+        mid = 0.5 * (np.where(meets, lo, 0.0) + np.where(meets, hi, 0.0))
+        return np.where(meets, np.minimum(lo + step, mid), lo), np.where(meets, np.maximum(hi - step, mid), hi)
+
+    return cut
+
+
+def whole_runs(blocks, runs):
+    """Per block, which runs its cells [first, stop) in runs take whole."""
+    return [(f == b.ends - np.diff(b.ends, prepend=0)) & (z == b.ends) for b, (f, z) in zip(blocks, runs)]
+
+
+@pytest.mark.parametrize("name", ["schottky", "cusped"])
+def test_short_support_windows_widen_their_runs(builtin_measures, monkeypatch, name):
+    # cut every pair's support window one cell past its padding (down to its
+    # middle): a run whose geodesic meets a bump's disk in the domain then
+    # has a cell inside the disk just outside the cells kept for it, and is
+    # rebuilt whole to match the oracle
+    group, measure, delta = builtin_measures[name]
+    measure, field = assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 60)
+    blocks, _, _ = _pair_field(measure, delta)
+    cut = cut_pair_support((measures._PAD + 1) * (DEFAULT_T[1] - DEFAULT_T[0]))
+    widened = 0
+    for psi in pair_integrands(name, group)[:-2]:  # the bumps
+        whole = whole_runs(blocks, measures._support_runs(blocks, psi.support()))
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_pair_support", cut)
+            taken = whole_runs(blocks, measures._support_runs(blocks, psi.support()))
+            got = measures.quadrature_report(psi, measure, delta)[0]
+        assert got.hex() == dense_estimate(psi, field).hex()
+        widened += sum(int(np.sum(t & ~w)) for t, w in zip(taken, whole))
+    assert widened > 0
+
+
+class _WithSupport(Integrand):
+    """An integrand of psi's values that names the support disk given."""
+
+    def __init__(self, psi, disk):
+        self.psi = psi
+        self.group = psi.group
+        self.disk = disk
+
+    def evaluate_points(self, x, y, theta):
+        return self.psi.evaluate_points(x, y, theta)
+
+    def support(self):
+        return self.disk
+
+
+@pytest.mark.parametrize("name", ["schottky", "cusped"])
+def test_support_disk_that_is_not_a_number_takes_every_cell(builtin_measures, monkeypatch, name):
+    group, measure, delta = builtin_measures[name]
+    measure, field = assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 60)
+    run_points = measures._run_points
+    rebuilt = []
+
+    def counting(block, runs, first, stop):
+        rebuilt.append(int(np.sum(stop - first)))
+        return run_points(block, runs, first, stop)
+
+    monkeypatch.setattr(measures, "_run_points", counting)
+    (psi,) = bumps(group, DEFAULT_BUMPS[name][:1])
+    x0, y0, reach = psi.support()
+    for disk in ((math.nan, y0, reach), (x0, math.nan, reach), (x0, y0, math.nan)):
+        rebuilt.clear()
+        got = measures.quadrature_report(_WithSupport(psi, disk), measure, delta)[0]
+        assert got.hex() == dense_estimate(psi, field).hex()
+        assert sum(rebuilt) == len(field[0])
+        # the box quadrature takes such a disk as naming no support too
+        got = box_integral(monkeypatch, _WithSupport(psi, disk), measure, delta, **SMALL_BOX)
+        assert got == full_br_integral(psi, measure, delta, **SMALL_BOX)
 
 
 def random_bumps(name, group, rng, k, moved=Isometry.identity()):
@@ -420,8 +536,11 @@ def test_pair_blocks_match_full_grid(builtin_measures, monkeypatch):
     _, measure, delta = builtin_measures["schottky"]
     monkeypatch.setattr(measures, "_CHUNK", 97)
     blocks, _, _ = _pair_field(quadrature_constants(monkeypatch, measure, _PAIR_ATOMS=40), delta)
-    assert [len(b.weight) for b in blocks] == [97] * 16 + [8]
-    assert assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 40) > 0
+    # one block per 97 pairs, which keeps the runs of its pairs' cells, one
+    # run per pair with cells here
+    assert len(blocks) == 17
+    assert all(len(b.weight) <= 97 for b in blocks) and len(blocks[-1].weight) <= 8
+    assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 40)
 
 
 def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkeypatch):
