@@ -405,14 +405,18 @@ SMALL_BOX = dict(t_grid=np.arange(-4.0, 4.01, 0.25), sigma_span=12.0, top_k=60)
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_bumps_match_full_grid(builtin_measures, monkeypatch, seed):
+    # the box quadrature, and the pair quadrature on 60 atoms (the bumps of
+    # seeds 1 and 3 miss the geodesics between those atoms and read zero)
     name = ("schottky", "cusped")[seed % 2]
     group, measure, delta = builtin_measures[name]
+    pairs, field = assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 60)
     rng = np.random.default_rng(7000 + seed)
     values = []
     for psi in random_bumps(name, group, rng, 3):
         got = box_integral(monkeypatch, psi, measure, delta, **SMALL_BOX)
         assert got == full_br_integral(psi, measure, delta, **SMALL_BOX)
         values.append(got)
+        assert measures.quadrature_report(psi, pairs, delta)[0].hex() == dense_estimate(psi, field).hex()
     assert any(v > 0.0 for v in values)
 
 
