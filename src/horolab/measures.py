@@ -444,8 +444,8 @@ def _run_points(block, runs, first, stop):
 
 
 def _pair_test(seeds, row, col, test):
-    """test(x, y) at the base points of cells, one boolean per cell: the
-    cell of the pair whose seeds row indexes at the column col. Frames are
+    """test(x, y) at the base points of cells, one boolean per cell; a cell
+    is the pair at index row of the seeds, at the column col. Frames are
     formed _PIECE cells at a time."""
     out = np.empty(len(row), dtype=bool)
     for a in range(0, len(row), _PIECE):
