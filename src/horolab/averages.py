@@ -193,8 +193,13 @@ class TestFunction(Integrand):
         # the bump vanishes where the base distance reaches base_width, i.e.
         # where d2 >= 2 (cosh(base_width) - 1) y y0 for the squared Euclidean
         # offset d2; widened so rounding never skips a point it keeps
-        edge = math.cosh(self.base_width) - 1.0
+        try:
+            edge = math.cosh(self.base_width) - 1.0
+        except OverflowError:
+            edge = math.inf
         self._reach = 2.0 * self._y0 * (edge * (1.0 + 1e-6) + 1e-12)
+        if not math.isfinite(self._reach):
+            raise AveragesError("base_width %r is too wide: the reach of its support overflows" % (self.base_width,))
 
     def evaluate_points(self, x, y, theta):
         """Bump values at fundamental-domain coordinates (no reduction)."""

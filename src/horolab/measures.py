@@ -259,16 +259,18 @@ def conditional_on_horocycle(
 
 # ------------------------------------------------------------- quadratures
 
-# Both quadratures sample one curve per grid row and keep the samples that
-# lie in the fundamental domain, the outside of disjoint half-disks. Where
-# a curve can be outside them follows in closed form from its circle
-# crossings, so frames are computed only on that window of the row, padded
-# by _PAD cells a side; the half-disk test decides every sample a frame is
-# computed for. br_integral's normalizer needs only a count of in-domain
-# cells per row, and the pair field only which cells of its row are in the
-# domain; both take that from the closed form except within _BAND cells of
-# a crossing, where the half-disk test decides. The band covers the
-# padding, which needs _BAND >= _PAD, and one cell more.
+# Both quadratures sample one curve per grid row, keep the samples in the
+# fundamental domain, the outside of disjoint half-disks, and evaluate an
+# integrand only inside its support disk. Where a curve is in the domain,
+# and where in the disk, follows in closed form from where it crosses their
+# circles, so frames are formed only where the result reads them, by one
+# rule: take a row's window from the closed form, padded by _PAD cells
+# beyond every crossing; test the cells at its ends; and redo the row whole
+# where a test disagrees with the closed form. A domain window
+# (_domain_runs) tests the cells within _BAND of each crossing, which reach
+# one cell beyond its padding, and puts the cells between crossings on the
+# side the closed form gives; a support window (_support_windows) tests the
+# cell just beyond each end.
 _PAD = 2
 _BAND = _PAD + 1
 # two atoms in one interval span a geodesic inside its half-disk; the pair
@@ -280,10 +282,10 @@ _EDGE = 1e-9
 _CHUNK = 2048
 # cells of the leaves of _pairwise_total, which np.sum sums itself
 _LEAF = 2**17
-# pair-field cells whose frames are formed at once; pieces this small keep
-# their temporaries in memory the allocator reuses (whole leaves at once
-# took 36,000 page faults over the default Schottky integrands, against
-# 4,400)
+# cells whose frames are formed at once; pieces this small keep their
+# temporaries in memory the allocator reuses (whole leaves of the pair field
+# at once took 36,000 page faults over the default Schottky integrands,
+# against 4,400)
 _PIECE = 2**14
 
 # the pair quadrature's uniform leaf-coordinate grid (321 points) and its
@@ -318,49 +320,130 @@ def _grid_window(grid, lo, hi):
 
 
 def _cells(first, stop):
-    """(row, col) of the cells first <= col < stop in row-major order; first
-    and stop (2-D) hold ordered disjoint column ranges per row."""
-    n = np.maximum(stop - first, 0).ravel()
-    live = np.flatnonzero(n)
-    n = n[live]
+    """(index, col) of the cells first <= col < stop of each of the ranges
+    (first, stop), in order; index is the cell's range."""
+    n = np.maximum(stop - first, 0)
     end = np.cumsum(n)
-    col = np.arange(end[-1] if len(end) else 0)
-    col -= np.repeat(end - n - first.ravel()[live], n)
-    row = np.repeat(live, n)
-    row //= first.shape[1]
-    return row, col
+    idx = np.repeat(np.arange(len(n)), n)
+    return idx, np.arange(len(idx)) - np.repeat(end - n - first, n)
 
 
-def _clip_cells(first, stop, grid, inside_at):
-    """Cells (row, col) with first <= col < stop in row-major order, with
-    what inside_at(row, col) returns for them: (in-domain mask, data).
+def _test_cells(points, test, row, col):
+    """test(x, y) at the base points (x, y) = points(row, col)[:2] of cells,
+    one boolean per cell, formed _PIECE cells at a time."""
+    out = np.empty(len(row), dtype=bool)
+    for a in range(0, len(row), _PIECE):
+        out[a:a + _PIECE] = test(*points(row[a:a + _PIECE], col[a:a + _PIECE])[:2])
+    return out
 
-    first and stop give one window per row, or (2-D) ordered disjoint
-    segments per row. grid = (lo, hi) is the part [lo, hi) of each row its
-    cells must cover, as scalars or per-row arrays. A segment with an
-    in-domain cell at an edge short of its row's grid may have cut its row
-    too short, so the closed form is not trusted there: the row is
-    recomputed on its whole grid.
+
+def _domain_runs(segments, lost, span, width, inside):
+    """The in-domain cells of each row in its span, as runs (row, first,
+    stop) of consecutive columns, in row-major order.
+
+    segments = (first, stop), 2-D, holds the closed form's domain segments
+    of each row on a grid of width cells: ordered, touching at most, each
+    padded by _PAD cells beyond its crossings, empty ones allowed. span =
+    (lo, hi) gives the columns [lo, hi) of each row (or of every row) that
+    are read, lost marks the rows whose closed form is not a number, and
+    inside(row, col) is the half-disk test of cells.
+
+    Of each segment that meets its row's span, the cells within _BAND of
+    the crossing at either end are tested, even outside the span: its
+    padding, the cell beyond it and _BAND cells past the crossing. The
+    closed form puts the untested cells of a segment, its middle, in the
+    domain and every other untested cell out of it. A row is trusted where
+    each stretch of tested cells agrees at both ends with the closed form on
+    the untested cell next to it; a neighbour in a segment that misses the
+    span is not read, and not compared. The curve changes sides only where
+    it crosses a circle. A crossing among the tested cells is found by the
+    test; one outside them leaves the tested cells at that end all on one
+    side, the outermost in the domain next to a cell put out of it, or the
+    innermost out of it next to the middle, and the row disagrees. So a
+    trusted row keeps exactly its in-domain cells: the tested ones that are
+    in, and its middles. Every other row, and a lost one, is tested whole
+    over its span.
     """
-    first = first.reshape(len(first), -1)
-    stop = stop.reshape(len(stop), -1)
-    lo, hi = grid
-    lo = np.broadcast_to(lo, len(first))[:, None]
-    hi = np.broadcast_to(hi, len(first))[:, None]
-    while True:
-        row, col = _cells(first, stop)
-        n = np.maximum(stop - first, 0).ravel()
-        end = np.cumsum(n)
-        inside, data = inside_at(row, col)
-        edge = np.append(inside, False)  # position len(inside) reads False
-        head = edge[np.where(n > 0, end - n, len(inside))].reshape(first.shape)
-        tail = edge[np.where(n > 0, end - 1, len(inside))].reshape(first.shape)
-        short = (((first > lo) & head) | ((stop < hi) & tail)).any(axis=1)
-        if not short.any():
-            return row, col, inside, data
-        first = np.where(short[:, None], lo, first)
-        stop = np.where(short[:, None], lo, stop)
-        stop[short, 0] = hi[short, 0]
+    first, stop = segments
+    rows, k = first.shape
+    lo, hi = (np.broadcast_to(v, rows)[:, None] for v in span)
+    meets = (first < stop) & (first < hi) & (stop > lo) & ~lost[:, None]
+    # the cells tested at each end of a segment that meets the span, those
+    # within _BAND of the crossing _PAD cells in from the end, each once
+    # where ends touch; the cells between are its middle [m0, m1)
+    m0 = np.minimum(first + (_PAD + _BAND + 1), stop)
+    m1 = np.maximum(stop - (_PAD + _BAND + 1), m0)
+    a = np.stack([np.maximum(first + (_PAD - _BAND), 0), m1], axis=2)
+    z = np.stack([m0, np.minimum(stop + (_BAND - _PAD), width)], axis=2)
+    a = np.where(meets[..., None], a, 0).reshape(rows, 2 * k)
+    z = np.where(meets[..., None], z, 0).reshape(rows, 2 * k)
+    a[:, 1:] = np.maximum(a[:, 1:], np.maximum.accumulate(z, axis=1)[:, :-1])
+    row, col = _cells(a.ravel(), z.ravel())
+    row //= 2 * k
+    ok = inside(row, col)
+    # the untested neighbours in the grid of each stretch of tested cells,
+    # and whether the closed form puts each in the domain
+    nxt = np.append((row[1:] == row[:-1]) & (col[1:] == col[:-1] + 1), False)
+    prv = np.append(False, nxt[:-1])
+    left = ~prv & (col > 0)
+    right = ~nxt & (col < width - 1)
+    r = np.concatenate([row[left], row[right]])
+    c = np.concatenate([col[left] - 1, col[right] + 1])[:, None]
+    within = (first[r] <= c) & (c < stop[r])
+    read = ~(within & ~meets[r]).any(axis=1)
+    redo = lost.copy()
+    redo[r[read & (within.any(axis=1) != np.concatenate([ok[left], ok[right]]))]] = True
+    lo, hi = lo[:, 0], hi[:, 0]
+    keep = ok & ~redo[row] & (col >= lo[row]) & (col < hi[row])
+    mid0 = np.maximum(m0, lo[:, None])
+    mid1 = np.minimum(m1, hi[:, None])
+    mid = meets & (mid0 < mid1) & ~redo[:, None]
+    parts = [_joined(row[keep], col[keep], col[keep] + 1), (np.nonzero(mid)[0], mid0[mid], mid1[mid])]
+    again = np.flatnonzero(redo)
+    if len(again):
+        row, col = _cells(lo[again], hi[again])
+        row = again[row]
+        ok = inside(row, col)
+        parts.append(_joined(row[ok], col[ok], col[ok] + 1))
+    row, c0, c1 = (np.concatenate(v) for v in zip(*parts))
+    order = np.argsort(row * (width + 1) + c0, kind="stable")
+    return _joined(row[order], c0[order], c1[order])
+
+
+def _joined(row, first, stop):
+    """The ranges [first, stop) of rows, in row-major order, joined where one
+    ends as the next starts in the same row."""
+    joined = (row[1:] == row[:-1]) & (first[1:] == stop[:-1])
+    head = np.append(True, ~joined)[:len(row)]
+    return row[head], first[head], stop[np.append(~joined, True)[:len(row)]]
+
+
+def _support_windows(window, row_span, disk, points):
+    """The cells [first, stop) of each row that an integrand of support
+    disk (x0, y0, reach) is evaluated on.
+
+    window = (first, stop) holds each row's closed-form support window,
+    padded by _PAD cells a side, and row_span = (start, end) the cells of
+    each row (or of every row); points(row, col) gives cells' base points
+    (x, y) first. The window is clipped to its row, and the cell just
+    beyond each end of it, where the row has one, is tested against the
+    disk; a row where one is inside the disk, or is not a number, is taken
+    whole. The curve is inside the disk on one interval, the closed form's
+    up to rounding, which the padding covers; a tested cell inside shows
+    the window cut short. So every cell left out is outside the disk, where
+    the integrand is zero.
+    """
+    start, end = (np.broadcast_to(v, len(window[0])) for v in row_span)
+    first = np.clip(window[0], start, end)
+    stop = np.clip(window[1], first, end)
+    idx = np.arange(len(first))
+    row = np.concatenate([idx[first > start], idx[stop < end]])
+    x0, y0, reach = disk
+    col = np.concatenate([first[first > start] - 1, stop[stop < end]])
+    out = row[_test_cells(points, lambda x, y: ~((x - x0) ** 2 + (y - y0) ** 2 >= reach * y), row, col)]
+    first[out] = start[out]
+    stop[out] = end[out]
+    return first, stop
 
 
 def _pair_window(group, xm, xp, beta0):
@@ -443,18 +526,6 @@ def _run_points(block, runs, first, stop):
     return cell, x, y, frame_angle(c, d)
 
 
-def _pair_test(seeds, row, col, test):
-    """test(x, y) at the base points of cells, one boolean per cell; a cell
-    is the pair at index row of the seeds, at the column col. Frames are
-    formed _PIECE cells at a time."""
-    out = np.empty(len(row), dtype=bool)
-    for a in range(0, len(row), _PIECE):
-        r = row[a:a + _PIECE]
-        x, y, _, _ = _pair_frames([v[r] for v in seeds], col[a:a + _PIECE])
-        out[a:a + _PIECE] = test(x, y)
-    return out
-
-
 def _pairwise_total(blocks, f) -> float:
     """np.sum of the values of f over the blocks joined in order, bit for
     bit, with no joined array.
@@ -498,16 +569,10 @@ def _pair_block(group, xm, xp, w):
     """The _PairBlock of the atom pairs from xm to xp, of weights w, on
     _PAIR_GRID; None when none of their cells is in the fundamental domain.
 
-    A pair's cells are those of its closed-form window (_pair_window,
-    _grid_window) that are in the domain. Only the band at each end of a
-    window, its padding and _BAND + 1 cells more, is tested with the
-    half-disks; the closed form puts the cells between in the domain, and
-    is trusted where the window's edge cells are out of the domain (or at
-    an end of the grid) and its innermost tested cells in it. Every other
-    window, and a lost one, is tested whole, and widened to the grid where
-    it was cut short (_clip_cells).
+    A pair's cells are the in-domain cells of its row of the grid
+    (_domain_runs), which takes the pair's window from the closed form of
+    _pair_window.
     """
-    t_grid = _PAIR_GRID
     # interval pairing matrix sending (0, inf) to (xm, xp), det one
     swap = xp <= xm
     a0 = xp
@@ -521,44 +586,20 @@ def _pair_block(group, xm, xp, w):
     beta0 = -_busemann_at_origin(xm, bx, by)
     seeds = a0, b0, c0, d0, beta0
     lo, hi = _pair_window(group, xm, xp, beta0)
-    first, stop = _grid_window(t_grid, lo, hi)
-    width = len(t_grid)
+    first, stop = _grid_window(_PAIR_GRID, lo, hi)
+    width = len(_PAIR_GRID)
 
-    def samples(row, col):
-        return _pair_test(seeds, row, col, lambda x, y: group.containing_letter(x, y) < 0), None
+    def points(row, col):
+        return _pair_frames([v[row] for v in seeds], col)
 
-    # the untested middle [m0, m1) of each window, and the pairs it is trusted for
-    m0 = first + (_PAD + _BAND + 1)
-    m1 = stop - (_PAD + _BAND + 1)
-    banded = np.flatnonzero(~(np.isnan(lo) | np.isnan(hi)) & (m0 < m1))
-    row, col = _cells(np.column_stack([first, m1])[banded], np.column_stack([m0, stop])[banded])
-    row = banded[row]
-    inside = samples(row, col)[0]
-    edge = ((col == first[row]) & (col > 0)) | ((col == stop[row] - 1) & (col < width - 1))
-    inner = (col == m0[row] - 1) | (col == m1[row])
-    sure = np.zeros(len(xm), dtype=bool)
-    sure[banded] = True
-    sure[row[(edge & inside) | (inner & ~inside)]] = False
-    plain = np.flatnonzero(~sure)
-    keep = inside & sure[row]
-    pair, col = row[keep], col[keep]
-    if len(plain):
-        row, cell, mask, _ = _clip_cells(first[plain], stop[plain], (0, width), lambda r, c: samples(plain[r], c))
-        order = np.argsort(np.concatenate([pair, plain[row[mask]]]), kind="stable")
-        pair = np.concatenate([pair, plain[row[mask]]])[order]
-        col = np.concatenate([col, cell[mask]])[order]
+    pair, first, stop = _domain_runs(
+        (first[:, None], stop[:, None]), np.isnan(lo) | np.isnan(hi), (0, width), width,
+        lambda row, col: _test_cells(points, lambda x, y: group.containing_letter(x, y) < 0, row, col),
+    )
     if not len(pair):
         return None
-    # a run starts where the pair changes or a column is skipped, other than
-    # the middle of a trusted window
-    new = np.ones(len(pair), dtype=bool)
-    gap = (col[1:] != col[:-1] + 1) & ~(sure[pair[1:]] & (col[1:] == m1[pair[1:]]))
-    new[1:] = (pair[1:] != pair[:-1]) | gap
-    head = np.flatnonzero(new)
-    count = col[np.append(head[1:], len(col)) - 1] - col[head] + 1
-    ends = np.cumsum(count)
-    pair = pair[head]
-    return _PairBlock(tuple(v[pair] for v in seeds), w[pair], col[head] - (ends - count), ends)
+    ends = np.cumsum(stop - first)
+    return _PairBlock(tuple(v[pair] for v in seeds), w[pair], stop - ends, ends)
 
 
 def _pair_field(measure, hat_delta):
@@ -687,10 +728,12 @@ def quadrature_report(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> 
 
 
 def _check_domain(psi, measure):
-    """MeasureError unless psi names no group or one with the half-disks of
-    the measure's group: a quadrature keeps the samples in the outside of
-    the measure's half-disks, which is a fundamental domain of psi's group
-    only then."""
+    """MeasureError unless psi is evaluated at points (evaluate_points) and
+    names no group or one with the half-disks of the measure's group: a
+    quadrature keeps the samples in the outside of the measure's
+    half-disks, which is a fundamental domain of psi's group only then."""
+    if not callable(getattr(psi, "evaluate_points", None)):
+        raise MeasureError("a quadrature evaluates its integrand at points, which a %s is not" % type(psi).__name__)
     group = getattr(psi, "group", None)
     if group is None or group is measure.group:
         return
@@ -729,29 +772,21 @@ def _support_runs(blocks, disk):
     """Per block, the cells [first, stop) of each run that an integrand of
     support disk is evaluated on; every cell of the run when disk is None.
 
-    These are the cells whose columns lie in the pair's support window
-    (_pair_support), padded by _PAD cells a side. The closed form is not
-    trusted beyond that: the cell just outside those on either side, where
-    the run has one, is tested against the disk, and a run where one is
-    inside it is taken whole. The runs of all blocks are taken at once.
+    Each run is a row of its cells, and its window the columns of its
+    pair's closed-form support window (_pair_support), padded by _PAD
+    cells a side (_support_windows). The runs of all blocks are taken at
+    once.
     """
     starts = [b.ends - np.diff(b.ends, prepend=0) for b in blocks]
     if disk is None:
         return [(s, b.ends) for s, b in zip(starts, blocks)]
     seeds = [np.concatenate(v) for v in zip(*(b.seeds for b in blocks))]
     shift = np.concatenate([b.shift for b in blocks])
-    start = np.concatenate(starts)
-    end = np.concatenate([b.ends for b in blocks])
-    wf, ws = _grid_window(_PAIR_GRID, *_pair_support(disk, seeds))
-    first = np.clip(wf - shift, start, end)
-    stop = np.clip(ws - shift, first, end)
-    idx = np.arange(len(end))
-    run = np.concatenate([idx[first > start], idx[stop < end]])
-    cell = np.concatenate([first[first > start] - 1, stop[stop < end]])
-    x0, y0, reach = disk
-    short = run[_pair_test(seeds, run, cell + shift[run], lambda x, y: ~((x - x0) ** 2 + (y - y0) ** 2 >= reach * y))]
-    first[short] = start[short]
-    stop[short] = end[short]
+    first, stop = _grid_window(_PAIR_GRID, *_pair_support(disk, seeds))
+    first, stop = _support_windows(
+        (first - shift, stop - shift), (np.concatenate(starts), np.concatenate([b.ends for b in blocks])), disk,
+        lambda run, cell: _pair_frames([v[run] for v in seeds], cell + shift[run]),
+    )
     cuts = np.cumsum([len(b.ends) for b in blocks])[:-1]
     return list(zip(np.split(first, cuts), np.split(stop, cuts)))
 
@@ -774,93 +809,21 @@ def _plaque_support(disk, xi, E):
     return np.where(meets, (-B - root) / A, np.inf), np.where(meets, (-B + root) / A, -np.inf)
 
 
-def _window_counts(span, segments, crossings, lost, inside_at):
-    """Per row, the number of in-domain cells among the columns [w0, w1) = span.
-
-    segments = (first, stop) holds the ordered disjoint column ranges of
-    each row where its curve can be in the domain, padded by _PAD cells
-    beyond every crossing; crossings holds the columns of the row's circle
-    crossings, and lost marks rows with a crossing that is not a number.
-
-    Only the segment cells within _BAND cells of a crossing column are
-    tested, with inside_at(row, col), which returns (in-domain mask, data).
-    Every other cell counts as in the domain inside a segment and as out of
-    it outside one. A row where a tested cell next to an untested one
-    disagrees with that count, and a lost row, is tested on its whole span.
-    """
-    w0, w1 = span
-    first, stop = segments
-    # the bands around the sorted crossing columns, made disjoint, met with
-    # the segments
-    at = np.sort(crossings, axis=1)
-    start = at - _BAND
-    start[:, 1:] = np.maximum(start[:, 1:], at[:, :-1] + _BAND + 1)
-    end = at + _BAND + 1
-    end[lost] = 0
-    start = np.maximum(start, w0)[:, :, None]
-    end = np.minimum(end, w1)[:, :, None]
-    row, col = _cells(
-        np.maximum(start, first[:, None, :]).reshape(len(at), -1),
-        np.minimum(end, stop[:, None, :]).reshape(len(at), -1),
-    )
-    inside = inside_at(row, col)[0]
-    free = np.clip(np.minimum(stop, w1) - np.maximum(first, w0), 0, None).sum(axis=1)
-    counts = free - np.bincount(row[~inside], minlength=len(at))
-    # the untested neighbours in the span of tested cells, and whether each
-    # of those counts as in the domain
-    nxt = np.append((row[1:] == row[:-1]) & (col[1:] == col[:-1] + 1), False)
-    prv = np.append(False, nxt[:-1])
-    left = ~prv & (col > w0)
-    right = ~nxt & (col < w1 - 1)
-    r = np.concatenate([row[left], row[right]])
-    c = np.concatenate([col[left] - 1, col[right] + 1])[:, None]
-    counted = ((first[r] <= c) & (c < stop[r])).any(axis=1)
-    wrong = lost.copy()
-    wrong[r[counted != np.concatenate([inside[left], inside[right]])]] = True
-    if wrong.any():
-        rows = np.flatnonzero(wrong)
-        row, col = _cells(np.full((len(rows), 1), w0), np.full((len(rows), 1), w1))
-        counts[rows] = np.bincount(row[inside_at(rows[row], col)[0]], minlength=len(rows))
-    return counts
-
-
-def _row_sums(psi, samples, part, segments, support, width):
-    """psi summed over the in-domain cells of each row of the slice part, as
-    np.sum sums the row dense over the whole grid of width cells.
-
-    samples(row, col) gives (in-domain mask, (X, Y, C, D)) of cells; segments
-    holds the domain segments (first, stop) of every row, support its support
-    window. A row with an in-domain cell at a padded support edge short of
-    the grid's end that is still inside the support disk is recomputed with
-    its support window widened to the grid.
-    """
-    seg_first, seg_stop = (v[part] for v in segments)
-    sf, ss = (v[part] for v in support)
-    disk = psi.support()
-    while True:
-        row, col, mask, (X, Y, C, D) = _clip_cells(
-            np.maximum(seg_first, sf[:, None]),
-            np.minimum(seg_stop, ss[:, None]),
-            (sf, ss),
-            lambda r, c: samples(r + part.start, c),
-        )
-        edge = mask & (((col == sf[row]) & (sf[row] > 0)) | ((col == ss[row] - 1) & (ss[row] < width)))
-        if not edge.any():
-            break
-        x0, y0, reach = disk
-        edge[edge] = ~((X[edge] - x0) ** 2 + (Y[edge] - y0) ** 2 >= reach * Y[edge])
-        wide = np.unique(row[edge])
-        if not len(wide):
-            break
-        sf[wide] = 0
-        ss[wide] = width
-    sums = np.zeros(len(sf))
-    if mask.any():
-        # the rows with cells, each summed as a dense row of the whole grid
-        rows, place = np.unique(row[mask], return_inverse=True)
+def _row_sums(psi, points, runs, part, width):
+    """psi summed over the cells of the runs (row, first, stop) in each row
+    of the slice part, as np.sum sums the row dense over the whole grid of
+    width cells; points(row, col) gives (X, Y, C, D) of cells."""
+    row, first, stop = runs
+    a, z = np.searchsorted(row, (part.start, part.stop))
+    idx, col = _cells(first[a:z], stop[a:z])
+    row = row[a:z][idx]
+    sums = np.zeros(part.stop - part.start)
+    if len(row):
+        rows, place = np.unique(row, return_inverse=True)
         vals = np.zeros((len(rows), width))
-        vals[place, col[mask]] = _evaluate(psi, X[mask], Y[mask], frame_angle(C[mask], D[mask]))
-        sums[rows] = np.sum(vals, axis=1)
+        X, Y, C, D = points(row, col)
+        vals[place, col] = _evaluate(psi, X, Y, frame_angle(C, D))
+        sums[rows - part.start] = np.sum(vals, axis=1)
     return sums
 
 
@@ -876,16 +839,14 @@ def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
     have unit mass, so only ratios of these integrals carry meaning.
 
     Rows (leaf coordinate, atom) are taken in blocks of whole leaf
-    coordinates, at most _CHUNK rows unless one leaf coordinate has more;
-    each block forms its own plaque geometry and counts its windows, and the
-    sums run one leaf coordinate at a time. Frames are computed only where
-    the result reads them. The normalizer reads a count of in-domain window
-    cells per row: the closed-form domain segments give it, except within
-    _BAND cells of a circle crossing, where the half-disk test decides, and
-    a row whose tested cells disagree with the segments at their edge is
-    tested on its whole window (_window_counts). The integrand is evaluated
-    on the in-domain cells of its support window (psi.support(), the whole
-    grid when it names none), padded by _PAD cells a side (_row_sums). An
+    coordinates, at most _CHUNK rows unless one leaf coordinate has more.
+    Each block forms its own plaque geometry, its closed-form domain
+    segments and its support windows (psi.support(), padded by _PAD cells a
+    side, _support_windows; the whole grid when it names none), and takes
+    the in-domain cells of each row once (_domain_runs), from its reference
+    window to its support window: their count in the reference window fixes
+    the normalizer, and the integrand is evaluated on those in the support
+    window (_row_sums). The sums run one leaf coordinate at a time. An
     integrand whose group has other half-disks than the measure's raises
     MeasureError.
     """
@@ -929,49 +890,57 @@ def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             s1 = (-u * E - sq) / al
             s2 = (-u * E + sq) / al
+        lost = ~(np.isfinite(s1) & np.isfinite(s2)).all(axis=1)
         first, stop = _grid_window(
             sigma,
             np.where(held, s2, -np.inf).max(axis=1),
             np.where(held, s1, np.inf).min(axis=1),
         )
-        # holes [cut, back), shrunk by the padding and sorted by position
-        # (unused letters sort last); segments run between them
-        past1 = np.searchsorted(sigma, s1, side="right")
-        past2 = np.searchsorted(sigma, s2)
-        cut = past1 + _PAD
-        back = past2 - _PAD
-        hole = (al > 0.0) & (cut < back)
-        cut = np.where(hole, cut, width)
-        back = np.where(hole, back, width)
+        # holes [cut, back), the cells between a letter's roots less the
+        # padding, sorted by position (unused letters sort last); a hole too
+        # short for the padding is empty and splits its segment, so that the
+        # cells around it are tested. Segments run between the holes.
+        cut = np.where(al > 0.0, np.searchsorted(sigma, s1, side="right") + _PAD, width)
+        back = np.maximum(np.where(al > 0.0, np.searchsorted(sigma, s2) - _PAD, width), cut)
         order = np.argsort(cut, axis=1, kind="stable")
         cut = np.take_along_axis(cut, order, axis=1)
-        back = np.take_along_axis(back, order, axis=1)
-        seg_first = np.maximum(np.column_stack([first, back]), first[:, None])
-        seg_stop = np.minimum(np.column_stack([cut, stop]), stop[:, None])
+        back = np.maximum.accumulate(np.take_along_axis(back, order, axis=1), axis=1)
+        segments = (
+            np.maximum(np.column_stack([first, back]), first[:, None]),
+            np.minimum(np.column_stack([cut, stop]), stop[:, None]),
+        )
         xe, ie = xr / e, 1.0 / e
 
-        def samples(row, col):
+        def points(row, col):
             C = ie[row] * sigma[col]
             D = ie[row]
             X, Y = frame_point(e[row] + xe[row] * sigma[col], xe[row], C, D)
-            return group.containing_letter(X, Y) < 0, (X, Y, C, D)
+            return X, Y, C, D
 
-        # integer counts row by row, so blocks of rows give the same counts
-        lost = ~(np.isfinite(s1) & np.isfinite(s2)).all(axis=1)
-        counts = _window_counts((w0, w1), (seg_first, seg_stop), np.column_stack([past1, past2]), lost, samples)
+        def inside(row, col):
+            return _test_cells(points, lambda x, y: group.containing_letter(x, y) < 0, row, col)
+
         if disk is None:
-            sup_first, sup_stop = np.zeros(len(xr), dtype=int), np.full(len(xr), width)
+            support = np.zeros(len(xr), dtype=int), np.full(len(xr), width)
         else:
-            sup_first, sup_stop = _grid_window(sigma, *_plaque_support(disk, xr, E[:, 0]))
+            support = _support_windows(_grid_window(sigma, *_plaque_support(disk, xr, E[:, 0])), (0, width), disk, points)
+        # the in-domain cells of each row from its reference window to its
+        # support window: their integer count in the reference window, row by
+        # row, so blocks of rows give the same counts, and their runs in the
+        # support window
+        some = support[0] < support[1]
+        span = np.where(some, np.minimum(support[0], w0), w0), np.where(some, np.maximum(support[1], w1), w1)
+        row, c0, c1 = _domain_runs(segments, lost, span, width, inside)
+        counts = np.bincount(row, np.clip(np.minimum(c1, w1) - np.maximum(c0, w0), 0, None), len(xr))
+        runs = row, np.maximum(c0, support[0][row]), np.minimum(c1, support[1][row])
         for k in range(len(ts)):
             lo = k * n
             # pieces of whole rows, cut where their support windows pass a
             # multiple of _LEAF // 4 cells, so no pass outgrows a window count
-            cells = np.cumsum(np.maximum(sup_stop[lo:lo + n] - sup_first[lo:lo + n], 0))
+            cells = np.cumsum(support[1][lo:lo + n] - support[0][lo:lo + n])
             cuts = [lo + c for c in np.flatnonzero(np.diff(cells // (_LEAF // 4))) + 1]
             sums = np.concatenate([
-                _row_sums(psi, samples, slice(a, z), (seg_first, seg_stop), (sup_first, sup_stop), width)
-                for a, z in zip([lo] + cuts, cuts + [lo + n])
+                _row_sums(psi, points, runs, slice(a, z), width) for a, z in zip([lo] + cuts, cuts + [lo + n])
             ])
             scale = np.exp(log_density[:, k0 + k]) * dt
             num += float(np.sum(scale * sums * _ARC_STEP))

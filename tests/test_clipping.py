@@ -1,19 +1,18 @@
 """The clipped boundary quadratures against their full-grid form.
 
-_pair_field and br_integral compute frames only on the closed-form window
-of each grid row where the sampled curve can lie in the fundamental domain;
-br_integral only on its part in the integrand's support, and, for the count
-of in-domain reference-window cells that normalizes it, only within a few
-cells of a circle crossing: elsewhere the closed form gives that count.
-The oracles below are the full-grid versions they replaced: every cell of
-the rectangular grid, then the half-disk test. Clipping keeps the same
-samples with the same arithmetic and the same integer counts, so the
-results must be equal bit for bit, on the builtins and on conjugates of
-them.
+_pair_field and br_integral take the in-domain cells of each grid row by
+one rule (_domain_runs): the half-disk test runs on the cells within a few
+cells of each closed-form circle crossing, the closed form places the rest,
+and a row where the two disagree is tested whole. br_integral evaluates its
+integrand, and the pair quadrature rebuilds its cells, only in closed-form
+support windows (_support_windows). The oracles below are the full-grid
+versions they replaced: every cell of the rectangular grid, then the
+half-disk test. Clipping keeps the same samples with the same arithmetic
+and the same integer counts, so the results must be equal bit for bit, on
+the builtins and on conjugates of them.
 """
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -275,36 +274,81 @@ def test_conjugates_match_full_grid(monkeypatch, seed):
         assert got == full_br_integral(psi, measure, delta, **kwargs)
 
 
+DOMAIN_RUNS = measures._domain_runs
+
+
+def count_fallbacks(monkeypatch, cut=0):
+    """Patch _domain_runs to record, per call, how many more times than
+    once it ran its half-disk test: once for the cells at the ends of the
+    closed-form segments, and once more when it tests rows whole. With cut,
+    each segment it is handed is first cut by cut cells a side, down to its
+    middle cell."""
+    fallbacks = []
+
+    def counting(segments, lost, span, width, inside):
+        calls = []
+
+        def tested(row, col):
+            calls.append(len(row))
+            return inside(row, col)
+
+        first, stop = segments
+        mid = (first + stop) // 2
+        some = stop > first
+        segments = np.where(some, np.minimum(first + cut, mid), first), np.where(some, np.maximum(stop - cut, mid + 1), stop)
+        out = DOMAIN_RUNS(segments, lost, span, width, tested)
+        fallbacks.append(len(calls) - 1)
+        return out
+
+    monkeypatch.setattr(measures, "_domain_runs", counting)
+    return fallbacks
+
+
+def moved_windows(step):
+    """_grid_window with every window widened by step cells a side, or, for
+    a negative step, cut by -step a side down to its middle cell."""
+    grid_window = measures._grid_window
+
+    def moved(grid, lo, hi):
+        first, stop = grid_window(grid, lo, hi)
+        if step >= 0:
+            return np.maximum(first - step, 0), np.minimum(stop + step, len(grid))
+        mid = np.minimum((first + stop) // 2, len(grid) - 1)
+        return np.minimum(first - step, mid), np.maximum(stop + step, mid + 1)
+
+    return moved
+
+
+def assert_rows_fall_back(monkeypatch, cusped, step):
+    """Check that with every closed-form window moved by step cells a side
+    (moved_windows), the pair field, and the box quadrature of a constant
+    and of a bump, on the cusped (group, measure, exponent) match their
+    oracles and test some rows whole."""
+    group, measure, delta = cusped
+    monkeypatch.setattr(measures, "_grid_window", moved_windows(step))
+    fallbacks = count_fallbacks(monkeypatch)
+    assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 60)
+    assert any(fallbacks)
+    fallbacks.clear()
+    kwargs = dict(t_grid=np.arange(-4.0, 4.01, 0.5), sigma_span=10.0, top_k=60)
+    for psi in [ConstantFunction()] + bumps(group, RATIO_BUMPS[:1]):
+        got = box_integral(monkeypatch, psi, measure, delta, **kwargs)
+        assert got == full_br_integral(psi, measure, delta, **kwargs)
+    assert any(fallbacks)
+
+
 def test_short_windows_fall_back_to_full_rows(builtin_measures, monkeypatch):
     # cut every closed-form window by one cell more than its padding (down
     # to its middle cell): a row whose curve reaches the domain then shows
-    # an in-domain cell at a window edge, and must be recomputed on its
-    # full grid to match the oracle
-    group, measure, delta = builtin_measures["cusped"]
-    grid_window = measures._grid_window
-    clip_cells = measures._clip_cells
-    widened = []
+    # an in-domain cell next to one the closed form puts out of it
+    assert_rows_fall_back(monkeypatch, builtin_measures["cusped"], -(measures._PAD + 1))
 
-    def cut(grid, lo, hi):
-        first, stop = grid_window(grid, lo, hi)
-        mid = np.minimum((first + stop) // 2, len(grid) - 1)
-        step = measures._PAD + 1
-        return np.minimum(first + step, mid), np.maximum(stop - step, mid + 1)
 
-    def counting(first, stop, width, inside_at):
-        row, col, inside, data = clip_cells(first, stop, width, inside_at)
-        widened.append(len(row) - int(np.sum(np.maximum(stop - first, 0))))
-        return row, col, inside, data
-
-    monkeypatch.setattr(measures, "_grid_window", cut)
-    monkeypatch.setattr(measures, "_clip_cells", counting)
-    assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 60)
-    assert sum(widened) > 0
-    widened.clear()
-    (psi,) = bumps(group, RATIO_BUMPS[:1])
-    kwargs = dict(t_grid=np.arange(-4.0, 4.01, 0.5), sigma_span=10.0, top_k=60)
-    assert box_integral(monkeypatch, psi, measure, delta, **kwargs) == full_br_integral(psi, measure, delta, **kwargs)
-    assert sum(widened) > 0
+def test_long_windows_fall_back_to_full_rows(builtin_measures, monkeypatch):
+    # widen every closed-form window by _BAND + 3 cells a side: every cell
+    # tested at its ends is then out of the domain, next to the middle that
+    # the closed form puts in it
+    assert_rows_fall_back(monkeypatch, builtin_measures["cusped"], measures._BAND + 3)
 
 
 def cut_pair_support(step):
@@ -448,14 +492,14 @@ def test_weighted_and_cap_integrands_match_full_grid(builtin_measures, monkeypat
 
 def test_short_support_windows_widen_their_rows(builtin_measures, monkeypatch):
     # cut every support window one cell past its padding (down to its middle):
-    # a row whose plaque crosses the bump's disk in the domain then shows an
-    # in-domain cell inside the disk at a support edge, and must be recomputed
-    # with its support widened to the grid to match the oracle
+    # a row whose plaque crosses the bump's disk then has a cell inside the
+    # disk just beyond an end of its window, and must be taken whole to match
+    # the oracle
     group, measure, delta = builtin_measures["cusped"]
     plaque_support = measures._plaque_support
-    clip_cells = measures._clip_cells
+    support_windows = measures._support_windows
     kwargs = dict(t_grid=np.arange(-4.0, 4.01, 0.5), sigma_span=10.0, top_k=60)
-    calls = []
+    widened = []
 
     def cut(disk, xi, E):
         lo, hi = plaque_support(disk, xi, E)
@@ -464,19 +508,22 @@ def test_short_support_windows_widen_their_rows(builtin_measures, monkeypatch):
         step = (measures._PAD + 1) * measures._ARC_STEP
         return np.where(meets, np.minimum(lo + step, mid), lo), np.where(meets, np.maximum(hi - step, mid), hi)
 
-    def counting(first, stop, grid, inside_at):
-        calls.append(1)
-        return clip_cells(first, stop, grid, inside_at)
+    def counting(window, row_span, disk, points):
+        first, stop = support_windows(window, row_span, disk, points)
+        # the rows taken whole whose cut window was not whole
+        start, end = row_span
+        widened.append(int(np.sum((first == start) & (stop == end) & ((window[0] > start) | (window[1] < end)))))
+        return first, stop
 
     monkeypatch.setattr(measures, "_plaque_support", cut)
-    monkeypatch.setattr(measures, "_clip_cells", counting)
+    monkeypatch.setattr(measures, "_support_windows", counting)
     for psi in bumps(group, RATIO_BUMPS):
-        calls.clear()
+        widened.clear()
         assert box_integral(monkeypatch, psi, measure, delta, **kwargs) == full_br_integral(
             psi, measure, delta, **kwargs
         )
-        # one pass per leaf coordinate, and one more for each that widened rows
-        assert len(calls) > len(kwargs["t_grid"])
+        # one call per block of leaf coordinates, here one, which widened rows
+        assert len(widened) == 1 and widened[0] > 0
 
 
 def test_overflowing_quadratures_raise(builtin_measures, monkeypatch):
@@ -518,15 +565,15 @@ def test_pieces_of_rows_match_full_grid(builtin_measures, monkeypatch, leaf, pie
     # cells every row is a piece, at five rows' cells the 60 rows of a leaf
     # coordinate make 13 pieces
     group, measure, delta = builtin_measures["cusped"]
-    clip_cells = measures._clip_cells
+    row_sums = measures._row_sums
     passes = []
 
-    def counting(first, stop, grid, inside_at):
-        passes.append(len(first))
-        return clip_cells(first, stop, grid, inside_at)
+    def counting(psi, points, runs, part, width):
+        passes.append(part.stop - part.start)
+        return row_sums(psi, points, runs, part, width)
 
     monkeypatch.setattr(measures, "_LEAF", leaf)
-    monkeypatch.setattr(measures, "_clip_cells", counting)
+    monkeypatch.setattr(measures, "_row_sums", counting)
     for psi in (ConstantFunction(), CuspHeightCap(group, NONDIV_HEIGHT)):
         passes.clear()
         assert box_integral(monkeypatch, psi, measure, delta, **SMALL_BOX) == full_br_integral(
@@ -548,41 +595,22 @@ def test_pair_blocks_match_full_grid(builtin_measures, monkeypatch):
 
 
 def test_window_count_guard_falls_back_to_whole_windows(builtin_measures, monkeypatch):
-    # cut every segment handed to the window count by _PAD + 1 cells a side
-    # (down to its middle cell): the in-domain cells just past a cut end then
-    # count as out of the domain, while the tested cell next to them is in
-    # it, so the row must be tested on its whole window to match the oracle
+    # cut every domain segment of the box quadrature by _PAD + 1 cells a side
+    # (down to its middle cell): a cell tested at a cut end is then in the
+    # domain next to an untested one the closed form puts out of it, so the
+    # row must be tested on its whole span to match the oracle
     group, measure, delta = builtin_measures["cusped"]
-    window_counts = measures._window_counts
-    fallbacks = []
-
-    def counting(span, segments, crossings, lost, inside_at, cut=0):
-        calls = []
-
-        def tested(row, col):
-            calls.append(len(row))
-            return inside_at(row, col)
-
-        first, stop = segments
-        mid = (first + stop) // 2
-        short = np.where(stop > first, np.minimum(first + cut, mid), first), np.where(
-            stop > first, np.maximum(stop - cut, mid + 1), stop
-        )
-        out = window_counts(span, short, crossings, lost, tested)
-        fallbacks.append(len(calls) - 1)
-        return out
-
     # 81 leaf coordinates by 200 atoms by default, ten to a block of at most
     # _CHUNK rows; 33 by 60 in SMALL_BOX, all in one block
     for kwargs, blocks in (({}, 9), (SMALL_BOX, 1)):
         for psi in [ConstantFunction()] + bumps(group, RATIO_BUMPS):
             want = full_br_integral(psi, measure, delta, **kwargs)
             for cut in (0, measures._PAD + 1):
-                monkeypatch.setattr(measures, "_window_counts", functools.partial(counting, cut=cut))
-                fallbacks.clear()
+                fallbacks = count_fallbacks(monkeypatch, cut)
                 assert box_integral(monkeypatch, psi, measure, delta, **kwargs) == want
-                # one window count per block of leaf coordinates, falling
-                # back only where segments were cut
+                # one domain pass per block of leaf coordinates, for its
+                # window counts and its support windows, falling back only
+                # where segments were cut
                 assert len(fallbacks) == blocks
                 assert any(fallbacks) == bool(cut)
 

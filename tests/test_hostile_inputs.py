@@ -213,6 +213,17 @@ def test_flow_time_past_float_range_exits_2(experiment, key, value, tmp_path, ca
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("experiment, value", [("patterson", "1e300"), ("equidist", "800")])
+def test_bump_too_wide_for_float_range_exits_1(experiment, value, tmp_path, capsys):
+    # cosh(base_width) overflows from about 710 on; the runs once ended in
+    # "numeric failure: math range error", which names no key
+    argv = [experiment, "--out", str(tmp_path / "run"), "--override", "base_width=%s" % value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: bad bump: base_width %r is too wide: the reach of its support overflows\n" % float(value)
+    assert not (tmp_path / "run").exists()
+
+
 def test_closure_far_down_the_cusp(tmp_path, capsys):
     # the leaf flowed by -700 sits at height e^700 in the cusp chart, so its
     # closure time -4 e^-700 is near the bottom of float range, and exact

@@ -36,7 +36,14 @@ from horolab.measures import (
     ps_integral,
     quadrature_report,
 )
-from horolab.averages import ConstantFunction, Integrand, TestFunction, build_vector, pointed_frame
+from horolab.averages import (
+    ConstantFunction,
+    Integrand,
+    ShiftedFunction,
+    TestFunction,
+    build_vector,
+    pointed_frame,
+)
 from horolab.geometry import UnitTangent, geodesic_flow, horocycle_flow, mobius_apply
 
 from conftest import joined_field, peak_mib, quadrature_constants
@@ -521,6 +528,16 @@ def test_quadratures_refuse_an_integrand_of_another_domain(sch, cus, m_sch):
     same = TestFunction(copy, center, base_width=wb, angle_width=wa)
     for quadrature in (ps_integral, br_integral):
         assert quadrature(same, m_sch, DELTA_SCH) == quadrature(mine, m_sch, DELTA_SCH)
+
+
+def test_quadratures_refuse_an_integrand_they_cannot_evaluate(sch, m_sch):
+    # a ShiftedFunction carries a flow time and no evaluate_points: all three
+    # entry points once ended in AttributeError
+    wb, wa = BUMP_WIDTHS
+    psi = TestFunction(sch, pointed_frame(*DEFAULT_BUMPS["schottky"][0]), base_width=wb, angle_width=wa)
+    for quadrature in (ps_integral, quadrature_report, br_integral):
+        with pytest.raises(MeasureError, match="which a ShiftedFunction is not"):
+            quadrature(ShiftedFunction(psi, 1.0), m_sch, DELTA_SCH)
 
 
 def test_pair_field_keys_on_the_exact_exponent(m_sch, monkeypatch):
