@@ -281,7 +281,7 @@ class CuspHeightCap(Integrand):
             if lab == ch.label
         ]
 
-    def evaluate_points(self, x, y, theta=None):
+    def evaluate_points(self, x, y, theta):
         h = np.zeros_like(y)
         for ch in self._charts:
             _, _, c, d = ch.conjugator.entries()
@@ -596,10 +596,11 @@ def periodic_closure(
     at height h, the imaginary part of u's base point there; so h^t0(u) = p u
     at t0 = +tau/h or -tau/h, the sign set by the leaf's orientation. t0 is
     the one of the two with the smaller frame distance between p applied to
-    u and h^t0(u), and that distance is the residual: float noise for a leaf
-    centered at the fixed point, large for one that is not. When u is
-    omitted it is built with backward endpoint at the fixed point of p and
-    base point on the unit horosphere through i.
+    u and h^t0(u), and the residual is that distance relative to the
+    Frobenius norm of p u's frame: float noise for a leaf centered at the
+    fixed point, however far it is flowed, and large for one that is not.
+    When u is omitted it is built with backward endpoint at the fixed point
+    of p and base point on the unit horosphere through i.
     """
     if isinstance(p, Generator):
         gen = p
@@ -612,5 +613,6 @@ def periodic_closure(
     target = mobius_apply(gen.matrix, u)
     chart = group._parabolic_charts[gen.label]
     t = chart.tau / chart.conjugator.apply_complex(u.base_point.as_complex).imag
-    gaps = [(s, frame_distance(target, horocycle_flow(u, s))) for s in (t, -t)]
+    scale = math.hypot(*target.frame.entries())
+    gaps = [(s, frame_distance(target, horocycle_flow(u, s)) / scale) for s in (t, -t)]
     return min(gaps, key=lambda pair: pair[1])

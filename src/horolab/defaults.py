@@ -99,7 +99,9 @@ def unit_parabolic_group() -> FuchsianGroup:
     )
 
 
-BUILTIN_NAMES = ("schottky", "cusped", "unit-parabolic")
+# each builtin group's constructor, by the name a group spec gives it
+_BUILTINS = {"schottky": schottky_group, "cusped": cusped_group, "unit-parabolic": unit_parabolic_group}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 # counting radii giving >= 1000 orbit points at modest enumeration cost
 EXPONENT_RADIUS = {"schottky": 20.0, "cusped": 14.0, "unit-parabolic": 30.0}
@@ -177,21 +179,19 @@ KNOWN_EXPONENTS = {
 
 def builtin_name(spec: str) -> str | None:
     """The builtin key a group spec refers to, or None for file paths."""
-    name = spec[len("builtin:"):] if spec.startswith("builtin:") else spec
-    return name if name in BUILTIN_NAMES else None
+    name = spec.removeprefix("builtin:")
+    return name if name in _BUILTINS else None
 
 
 def resolve_group(spec: str) -> FuchsianGroup:
     """Group from 'builtin:<name>', a bare builtin name, or a definition file path."""
-    name = spec[len("builtin:"):] if spec.startswith("builtin:") else spec
-    if name == "schottky":
-        return schottky_group()
-    if name == "cusped":
-        return cusped_group()
-    if name == "unit-parabolic":
-        return unit_parabolic_group()
+    name = builtin_name(spec)
+    if name is not None:
+        return _BUILTINS[name]()
     if spec.startswith("builtin:"):
-        raise GroupError("unknown builtin group %r; have %s" % (name, ", ".join(BUILTIN_NAMES)))
+        raise GroupError(
+            "unknown builtin group %r; have %s" % (spec.removeprefix("builtin:"), ", ".join(BUILTIN_NAMES))
+        )
     if os.path.exists(spec):
         return parse_group_file(spec)
     raise GroupError("no builtin group or file named %r" % spec)

@@ -271,11 +271,9 @@ class FuchsianGroup:
                     % (g.kind, g.label, abs(g.matrix.trace))
                 )
         self._mats = np.array([self.letters[l].matrix.entries() for l in self.order]).reshape(-1, 2, 2)
-        self._inv_index = np.array(
-            [self.order.index(self.letters[l].inverse_label) for l in self.order]
-        )
-        if not np.array_equal(self._inv_index, np.arange(len(self.order)) ^ 1):
-            # settle_frames finds a letter's inverse at position k ^ 1
+        inverse = [self.order.index(self.letters[l].inverse_label) for l in self.order]
+        if not np.array_equal(inverse, np.arange(len(self.order)) ^ 1):
+            # the walk and settle_frames find a letter's inverse at position k ^ 1
             raise GroupError("letter order must put each letter's inverse next to it")
         # what settle_frames applies to leave a hyperbolic letter's half-disk:
         # its matrix inverted, which differs from the inverse letter's matrix
@@ -421,7 +419,7 @@ class FuchsianGroup:
 
     # ------------------------------------------------------------ enumeration
 
-    def _walk(self, max_len: int | None, radius: float | None = None, runs: bool = False):
+    def _walk(self, max_len: int | None, radius: float | None, runs: bool = False):
         """Breadth-first reduced words as stacked matrices, one step at a time.
 
         Yields (mats, disp, last) per step: the matrices, their displacements
@@ -490,13 +488,13 @@ class FuchsianGroup:
         letter, and charges every child formed.
 
         The parents of letter k are the words that do not end in its
-        inverse. Their children are formed in blocks of at most _CHILD_CHUNK
-        rows, each one (2m x 2) @ (2 x 2) product of the gathered rows seen
-        as pairs of entries, written straight into the block; a stacked
-        (m, 2, 2) matmul rounds each entry the same way but makes one BLAS
-        call per row. Each block is pruned before the next is formed, so a
-        level's unpruned children never exist at once; unpruned, they go
-        into one stack of the level's size.
+        inverse, the letter at k ^ 1. Their children are formed in blocks of
+        at most _CHILD_CHUNK rows, each one (2m x 2) @ (2 x 2) product of the
+        gathered rows seen as pairs of entries, written straight into the
+        block; a stacked (m, 2, 2) matmul rounds each entry the same way but
+        makes one BLAS call per row. Each block is pruned before the next is
+        formed, so a level's unpruned children never exist at once;
+        unpruned, they go into one stack of the level's size.
 
         Raises GroupError when a child's determinant is not finite and
         positive, as rounding makes it on words displaced past about 31 on
@@ -506,12 +504,12 @@ class FuchsianGroup:
         """
         stack = None
         if cap is None:
-            n = sum(int(np.count_nonzero(last != self._inv_index[k])) for k in letters)
+            n = sum(int(np.count_nonzero(last != k ^ 1)) for k in letters)
             stack = np.empty((n, 2, 2)), np.empty(n), np.empty(n, np.int64)
         parts = [(np.empty((0, 2, 2)), np.empty(0), np.empty(0, np.int64))]
         formed, lost, first = 0, 0, 0.0
         for k in letters:
-            parents = np.flatnonzero(last != self._inv_index[k])
+            parents = np.flatnonzero(last != k ^ 1)
             for lo in range(0, len(parents), _CHILD_CHUNK):
                 parent = parents[lo : lo + _CHILD_CHUNK]
                 at, formed = formed, formed + len(parent)

@@ -9,7 +9,6 @@ the leaf is pushed distance t toward the boundary.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -277,8 +276,8 @@ _BAND = _PAD + 1
 # is skipped only when both sit deeper than this times the squared radius
 _EDGE = 1e-9
 # rows handled at once, which bounds the transient arrays: atom pairs per
-# block of the pair field, and (leaf coordinate, atom) rows per block of
-# whole leaf coordinates of the box quadrature
+# chunk of the pair field's build, and (leaf coordinate, atom) rows per
+# block of whole leaf coordinates of the box quadrature
 _CHUNK = 2048
 # cells of the leaves of _pairwise_total, which np.sum sums itself
 _LEAF = 2**17
@@ -475,17 +474,17 @@ def _pair_window(group, xm, xp, beta0):
 
 
 @dataclass(frozen=True)
-class _PairBlock:
-    """Fundamental-domain cells of consecutive atom pairs of the pair field,
-    kept as what rebuilds them rather than as their coordinates.
+class _PairRuns:
+    """Fundamental-domain cells of the pair field, kept as what rebuilds
+    them rather than as their coordinates.
 
     The cells are in row-major (pair, grid) order and make runs, each of
     consecutive _PAIR_GRID columns of one pair; in the default field every
-    pair with cells has one run. Per run the block keeps its pair's seeds
+    pair with cells has one run. Per run the table keeps its pair's seeds
     (a0, b0, c0, d0, beta0), the entries of the pair's frame (det one,
     sending (0, inf) to the pair) and that frame's leaf coordinate; its
     pair's weight; its shift, the column of each of its cells less the
-    cell's index in the block; and the end of its cells, the cumulative cell
+    cell's index in the field; and the end of its cells, the cumulative cell
     count. _run_points rebuilds cells' (x, y, theta) with the arithmetic
     the build tested them with, so with the same bits.
     """
@@ -499,8 +498,11 @@ class _PairBlock:
         return int(self.ends[-1])
 
     def weights(self, lo: int, hi: int) -> np.ndarray:
-        """The weight of each of the cells [lo, hi), its pair's weight."""
-        return np.repeat(self.weight, np.diff(np.clip(self.ends, lo, hi), prepend=lo))
+        """The weight of each of the cells [lo, hi), its pair's weight; only
+        the runs with cells in [lo, hi) are read."""
+        r0 = np.searchsorted(self.ends, lo, side="right")
+        r1 = np.searchsorted(self.ends, hi) + 1
+        return np.repeat(self.weight[r0:r1], np.diff(np.clip(self.ends[r0:r1], lo, hi), prepend=lo))
 
 
 def _pair_frames(seeds, col):
@@ -516,58 +518,43 @@ def _pair_frames(seeds, col):
     return x, y, c, d
 
 
-def _run_points(block, runs, first, stop):
-    """(cell, x, y, theta) of the cells first <= cell < stop of the block's
-    runs, a slice, in order."""
+def _run_points(table, runs, first, stop):
+    """(cell, x, y, theta, weight) of the cells first <= cell < stop of the
+    table's runs, a slice, in order."""
     k = stop - first
     cell = np.arange(np.sum(k)) + np.repeat(first - (np.cumsum(k) - k), k)
-    seeds = [np.repeat(v[runs], k) for v in block.seeds]
-    x, y, c, d = _pair_frames(seeds, cell + np.repeat(block.shift[runs], k))
-    return cell, x, y, frame_angle(c, d)
+    seeds = [np.repeat(v[runs], k) for v in table.seeds]
+    x, y, c, d = _pair_frames(seeds, cell + np.repeat(table.shift[runs], k))
+    return cell, x, y, frame_angle(c, d), np.repeat(table.weight[runs], k)
 
 
-def _pairwise_total(blocks, f) -> float:
-    """np.sum of the values of f over the blocks joined in order, bit for
-    bit, with no joined array.
+def _pairwise_total(n, f) -> float:
+    """np.sum of the values of the cells [0, n), bit for bit, with no array
+    of them all: f(lo, hi) gives the values of the cells [lo, hi).
 
-    len(block) is the cell count of a block, and f(block, lo, hi) gives the
-    values of its cells [lo, hi). The cells are split as numpy's pairwise
-    summation splits one array, n2 = n // 2 less n2 % 8, down to leaves of
-    at most _LEAF cells, each summed by np.sum; f is called once per piece
-    of a leaf in one block, and only the pieces of a leaf that spans blocks
-    are joined.
+    The range is split as numpy's pairwise summation splits one array,
+    n2 = n // 2 less n2 % 8, down to leaves of at most _LEAF cells; f is
+    called once per leaf, in order, and each leaf is summed by np.sum
+    before f is called for the next, so f may return one buffer each time.
     """
-    starts = [0]
-    for b in blocks:
-        starts.append(starts[-1] + len(b))
-
-    def leaf(lo, hi):
-        parts = []
-        for k in range(bisect.bisect_right(starts, lo) - 1, len(blocks)):
-            if starts[k] >= hi:
-                break
-            a, z = max(lo, starts[k]), min(hi, starts[k + 1])
-            if a < z:
-                parts.append(f(blocks[k], a - starts[k], z - starts[k]))
-        return np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
-
-    return float(_pairwise_tree(0, starts[-1], leaf)) if starts[-1] else 0.0
+    return float(_pairwise_tree(0, n, f))
 
 
-def _pairwise_tree(lo, n, leaf):
-    """leaf(lo, hi) over the leaves of numpy's pairwise split of the n cells
+def _pairwise_tree(lo, n, f):
+    """np.sum of f over the leaves of numpy's pairwise split of the n cells
     from lo, added up the tree. A module function, not a closure calling
-    itself, which would keep what the leaves read alive in a cycle."""
+    itself, which would keep what f reads alive in a cycle."""
     if n <= _LEAF:
-        return leaf(lo, lo + n)
+        return np.sum(f(lo, lo + n))
     n2 = n // 2
     n2 -= n2 % 8
-    return _pairwise_tree(lo, n2, leaf) + _pairwise_tree(lo + n2, n - n2, leaf)
+    return _pairwise_tree(lo, n2, f) + _pairwise_tree(lo + n2, n - n2, f)
 
 
-def _pair_block(group, xm, xp, w):
-    """The _PairBlock of the atom pairs from xm to xp, of weights w, on
-    _PAIR_GRID; None when none of their cells is in the fundamental domain.
+def _pair_chunk(group, xm, xp, w):
+    """The runs of the atom pairs from xm to xp, of weights w, on _PAIR_GRID:
+    (a0, b0, c0, d0, beta0, weight, first, stop) per run, the seeds and
+    weight of its pair and its columns [first, stop).
 
     A pair's cells are the in-domain cells of its row of the grid
     (_domain_runs), which takes the pair's window from the closed form of
@@ -596,24 +583,21 @@ def _pair_block(group, xm, xp, w):
         (first[:, None], stop[:, None]), np.isnan(lo) | np.isnan(hi), (0, width), width,
         lambda row, col: _test_cells(points, lambda x, y: group.containing_letter(x, y) < 0, row, col),
     )
-    if not len(pair):
-        return None
-    ends = np.cumsum(stop - first)
-    return _PairBlock(tuple(v[pair] for v in seeds), w[pair], stop - ends, ends)
+    return *(v[pair] for v in seeds), w[pair], first, stop
 
 
 def _pair_field(measure, hat_delta):
     """Fundamental-domain samples of the geodesic-pair quadrature.
 
-    Returns (blocks, den, estimates). The field is kept as the _PairBlock
-    blocks it is built in, one per _CHUNK atom pairs that have samples;
-    joined in order they are the whole field. A block keeps what rebuilds
-    its cells, not their coordinates, which quadrature_report rebuilds where
-    an integrand reads them: the default Schottky field of 1,929,601 cells
-    in 35,516 runs keeps 2.2 MiB, against 44.9 MiB for its (x, y, theta).
+    Returns (table, den, estimates). The field is built _CHUNK atom pairs at
+    a time, which bounds the build's temporaries, and the runs of all chunks
+    are joined once into the _PairRuns table. It keeps what rebuilds the
+    cells, not their coordinates, which quadrature_report rebuilds where an
+    integrand reads them: the default Schottky field of 1,929,601 cells in
+    35,516 runs keeps 2.2 MiB, against 44.9 MiB for its (x, y, theta).
     A cell's weight is its pair's: both atom masses, the boundary-separation
     kernel and the grid cell width. den is the sum of all cell weights, the
-    normalizer, summed as np.sum sums the joined weights (_pairwise_total).
+    normalizer, summed as np.sum sums them (_pairwise_total).
     All three are cached on the measure, keyed by the exponent alone, since
     the grid _PAIR_GRID and the atom count _PAIR_ATOMS are fixed: the field
     is integrand-independent, so several test functions share one geometry
@@ -639,18 +623,20 @@ def _pair_field(measure, hat_delta):
         + hat_delta * (np.log1p(xi[ii] ** 2) + np.log1p(xi[jj] ** 2))
     )
     logw -= np.max(logw)  # common scale cancels in the normalized integral
-    blocks = []
+    chunks = []
     for lo in range(0, len(ii), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        block = _pair_block(measure.group, xi[ii[sl]], xi[jj[sl]], np.exp(logw[sl]) * dt)
-        if block is not None:
-            blocks.append(block)
-    if not blocks:
+        chunks.append(_pair_chunk(measure.group, xi[ii[sl]], xi[jj[sl]], np.exp(logw[sl]) * dt))
+    *seeds, weight, first, stop = (np.concatenate(v) for v in zip(*chunks))
+    del chunks
+    if not len(weight):
         raise MeasureError("pair quadrature found no fundamental-domain samples")
-    den = _pairwise_total(blocks, lambda b, lo, hi: b.weights(lo, hi))
+    ends = np.cumsum(stop - first)
+    table = _PairRuns(tuple(seeds), weight, stop - ends, ends)
+    den = _pairwise_total(len(table), table.weights)
     if not 0.0 < den < math.inf:
         raise MeasureError("pair quadrature normalizer is %r, not a positive number" % den)
-    out = blocks, den, {}
+    out = table, den, {}
     measure._pair_cache[key] = out
     return out
 
@@ -674,7 +660,7 @@ def quadrature_report(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> 
     The measure keeps, per exponent, the pair field and the report of every
     integrand asked for on it, so each integrand is evaluated once per
     field, on one piece of it at a time, and its products with the cell
-    weights are summed as np.sum sums them joined (_pairwise_total).
+    weights are summed as np.sum sums them (_pairwise_total).
     Integrands are keyed by identity, not by value: the cache holds each
     one, so its id cannot be reused while its entry lasts, and an equal but
     distinct integrand is evaluated afresh.
@@ -688,39 +674,43 @@ def quadrature_report(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> 
     the dense pass over the whole field. An integrand whose group has other
     half-disks than the measure's raises MeasureError.
     """
-    _check_domain(psi, measure)
-    blocks, den, estimates = _pair_field(measure, hat_delta)
+    disk = _check_domain(psi, measure)
+    table, den, estimates = _pair_field(measure, hat_delta)
     hit = estimates.get(id(psi))
     if hit is not None:
         return hit[1]
     from .averages import ConstantFunction  # here, since averages imports this module
 
     if isinstance(psi, ConstantFunction):
-        def values(b, lo, hi):
-            return b.weights(lo, hi) * psi.value
+        def values(lo, hi):
+            return table.weights(lo, hi) * psi.value
     else:
-        runs = dict(zip(map(id, blocks), _support_runs(blocks, psi.support())))
+        first, stop = _support_runs(table, disk)
+        # one leaf's products, refilled for each leaf: fresh leaf and weight
+        # arrays per leaf took five times the page faults of the default
+        # Schottky bumps and made their passes about 15% slower
+        leaf = np.empty(min(_LEAF, len(table)))
 
-        def values(b, lo, hi):
+        def values(lo, hi):
             # the runs r0, r0 + 1, ... with cells in [lo, hi), those of their
-            # cells to rebuild, and groups of runs of about _PIECE such cells
-            first, stop = runs[id(b)]
-            r0 = np.searchsorted(b.ends, lo, side="right")
-            r1 = np.searchsorted(b.ends, hi) + 1
-            first = np.clip(first[r0:r1], lo, hi)
-            stop = np.clip(stop[r0:r1], lo, hi)
-            total = np.cumsum(stop - first)
+            # cells to rebuild, and groups of runs of about _PIECE such cells;
+            # every other cell's product is zero, as a cell's weight is finite
+            r0 = np.searchsorted(table.ends, lo, side="right")
+            r1 = np.searchsorted(table.ends, hi) + 1
+            a = np.clip(first[r0:r1], lo, hi)
+            z = np.clip(stop[r0:r1], lo, hi)
+            total = np.cumsum(z - a)
             cuts = [0, *np.searchsorted(total, np.arange(_PIECE, total[-1], _PIECE)), len(total)]
-            out = np.zeros(hi - lo)
+            out = leaf[:hi - lo]
+            out.fill(0.0)
             for g0, g1 in zip(cuts[:-1], cuts[1:]):
-                cell, x, y, theta = _run_points(b, slice(r0 + g0, r0 + g1), first[g0:g1], stop[g0:g1])
+                cell, x, y, theta, w = _run_points(table, slice(r0 + g0, r0 + g1), a[g0:g1], z[g0:g1])
                 if len(cell):
-                    out[cell - lo] = _evaluate(psi, x, y, theta)
-            out *= b.weights(lo, hi)
+                    out[cell - lo] = _evaluate(psi, x, y, theta) * w
             return out
 
-    num = _pairwise_total(blocks, values)
-    report = num / den, sum(len(b) for b in blocks), float(_PAIR_GRID[1] - _PAIR_GRID[0])
+    num = _pairwise_total(len(table), values)
+    report = num / den, len(table), float(_PAIR_GRID[1] - _PAIR_GRID[0])
     if not math.isfinite(report[0]):
         raise MeasureError("pair quadrature estimate is %r" % report[0])
     estimates[id(psi)] = (psi, report)
@@ -728,20 +718,24 @@ def quadrature_report(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> 
 
 
 def _check_domain(psi, measure):
-    """MeasureError unless psi is evaluated at points (evaluate_points) and
+    """psi's support disk (x0, y0, reach), or the disk that is not a number,
+    which takes every cell, when psi names none.
+
+    MeasureError unless psi is evaluated at points (evaluate_points) and
     names no group or one with the half-disks of the measure's group: a
     quadrature keeps the samples in the outside of the measure's
     half-disks, which is a fundamental domain of psi's group only then."""
     if not callable(getattr(psi, "evaluate_points", None)):
         raise MeasureError("a quadrature evaluates its integrand at points, which a %s is not" % type(psi).__name__)
     group = getattr(psi, "group", None)
-    if group is None or group is measure.group:
-        return
-    own, theirs = (sorted(zip(g._centers.tolist(), g._radii.tolist())) for g in (group, measure.group))
-    if own != theirs:
-        raise MeasureError(
-            "the integrand's group has the half-disks (center, radius) %r, the measure's %r" % (own, theirs)
-        )
+    if group is not None and group is not measure.group:
+        own, theirs = (sorted(zip(g._centers.tolist(), g._radii.tolist())) for g in (group, measure.group))
+        if own != theirs:
+            raise MeasureError(
+                "the integrand's group has the half-disks (center, radius) %r, the measure's %r" % (own, theirs)
+            )
+    disk = psi.support()
+    return (math.nan,) * 3 if disk is None else disk
 
 
 def _pair_support(disk, seeds):
@@ -768,27 +762,20 @@ def _pair_support(disk, seeds):
     return np.where(meets, lo, np.inf), np.where(meets, hi, -np.inf)
 
 
-def _support_runs(blocks, disk):
-    """Per block, the cells [first, stop) of each run that an integrand of
-    support disk is evaluated on; every cell of the run when disk is None.
+def _support_runs(table, disk):
+    """The cells [first, stop) of each run of the table that an integrand
+    of support disk is evaluated on.
 
     Each run is a row of its cells, and its window the columns of its
     pair's closed-form support window (_pair_support), padded by _PAD
-    cells a side (_support_windows). The runs of all blocks are taken at
-    once.
+    cells a side (_support_windows).
     """
-    starts = [b.ends - np.diff(b.ends, prepend=0) for b in blocks]
-    if disk is None:
-        return [(s, b.ends) for s, b in zip(starts, blocks)]
-    seeds = [np.concatenate(v) for v in zip(*(b.seeds for b in blocks))]
-    shift = np.concatenate([b.shift for b in blocks])
+    seeds, shift, ends = table.seeds, table.shift, table.ends
     first, stop = _grid_window(_PAIR_GRID, *_pair_support(disk, seeds))
-    first, stop = _support_windows(
-        (first - shift, stop - shift), (np.concatenate(starts), np.concatenate([b.ends for b in blocks])), disk,
+    return _support_windows(
+        (first - shift, stop - shift), (ends - np.diff(ends, prepend=0), ends), disk,
         lambda run, cell: _pair_frames([v[run] for v in seeds], cell + shift[run]),
     )
-    cuts = np.cumsum([len(b.ends) for b in blocks])[:-1]
-    return list(zip(np.split(first, cuts), np.split(stop, cuts)))
 
 
 def _plaque_support(disk, xi, E):
@@ -850,7 +837,7 @@ def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
     integrand whose group has other half-disks than the measure's raises
     MeasureError.
     """
-    _check_domain(psi, measure)
+    disk = _check_domain(psi, measure)
     t_grid = _BOX_GRID
     dt = float(t_grid[1] - t_grid[0])
     group = measure.group
@@ -864,7 +851,6 @@ def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
     width = len(sigma)
     cols = np.flatnonzero(np.abs(sigma) <= _WINDOW_SPAN)
     w0, w1 = (cols[0], cols[-1] + 1) if len(cols) else (0, 0)
-    disk = psi.support()
     b0 = -np.log(xi * xi + 1.0)  # leaf coordinate of [[1, xi], [0, 1]]
     r2 = group._radii * group._radii
     n = len(xi)
@@ -920,10 +906,7 @@ def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
         def inside(row, col):
             return _test_cells(points, lambda x, y: group.containing_letter(x, y) < 0, row, col)
 
-        if disk is None:
-            support = np.zeros(len(xr), dtype=int), np.full(len(xr), width)
-        else:
-            support = _support_windows(_grid_window(sigma, *_plaque_support(disk, xr, E[:, 0])), (0, width), disk, points)
+        support = _support_windows(_grid_window(sigma, *_plaque_support(disk, xr, E[:, 0])), (0, width), disk, points)
         # the in-domain cells of each row from its reference window to its
         # support window: their integer count in the reference window, row by
         # row, so blocks of rows give the same counts, and their runs in the

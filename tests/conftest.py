@@ -86,12 +86,9 @@ def conjugate(group, rng):
             return conj, m
 
 
-def joined_field(blocks):
-    """The pair field's (x, y, theta, weight) per cell, joined from its
-    blocks, each cell's coordinates rebuilt from its pair's seeds by the
-    quadrature's own rebuild."""
-    parts = []
-    for b in blocks:
-        _, x, y, theta = measures._run_points(b, slice(None), b.ends - np.diff(b.ends, prepend=0), b.ends)
-        parts.append((x, y, theta, b.weights(0, len(b))))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+def joined_field(table):
+    """The pair field's (x, y, theta, weight) per cell, each cell's
+    coordinates rebuilt from its pair's seeds by the quadrature's own
+    rebuild."""
+    ends = table.ends
+    return measures._run_points(table, slice(None), ends - np.diff(ends, prepend=0), ends)[1:]

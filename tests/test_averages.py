@@ -420,7 +420,21 @@ def test_periodic_closure_residual_sees_a_wrong_time(groups_with_cusps, name, la
     group, u = closure_case(groups_with_cusps, name, label, s)
     t0, _ = periodic_closure(group, label, u=u)
     target = mobius_apply(group.generator(label).matrix, u)
-    assert frame_distance(target, horocycle_flow(u, t0 * (1.0 + 1e-6))) > 1e-8
+    gap = frame_distance(target, horocycle_flow(u, t0 * (1.0 + 1e-6)))
+    # relative to the frame's size, as periodic_closure reports it
+    assert gap / math.hypot(*target.frame.entries()) > 1e-8
+
+
+def test_periodic_closure_residual_is_relative(cus):
+    # the residual is the frame gap relative to the frame of p u, so a
+    # closed leaf flowed far out stays at rounding (as an absolute gap it
+    # read 4.65e136 at dilation 700), and an open leaf, off the fixed point
+    # 0 of p, stays far from closure at every dilation
+    for xi, low, high in ((0.0, 0.0, 1e-15), (0.1, 0.09, 0.14)):
+        u0 = from_coordinates(BoundaryPoint(xi), INFINITY, 0.0)
+        for s in (0.0, 0.5, 2.0, 100.0, 350.0, 700.0):
+            _, res = periodic_closure(cus, "p", u=geodesic_flow(u0, s))
+            assert low <= res <= high, (xi, s, res)
 
 
 def test_series_validation(u8, m_sch):

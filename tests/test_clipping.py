@@ -148,11 +148,11 @@ def assert_same_field(monkeypatch, measure, delta, t_grid, top_k):
     return the measure with those constants set and the oracle's field
     (x, y, theta, weight)."""
     measure = quadrature_constants(monkeypatch, measure, _PAIR_GRID=t_grid, _PAIR_ATOMS=top_k)
-    blocks, _, _ = _pair_field(measure, delta)
-    # the blocks keep seeds and one weight per run of a pair's cells; each
+    table, _, _ = _pair_field(measure, delta)
+    # the table keeps seeds and one weight per run of a pair's cells; each
     # cell's coordinates are rebuilt from its pair's seeds and it takes its
     # pair's weight
-    got = joined_field(blocks)
+    got = joined_field(table)
     want = full_pair_field(measure, delta, t_grid, top_k)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -365,9 +365,10 @@ def cut_pair_support(step):
     return cut
 
 
-def whole_runs(blocks, runs):
-    """Per block, which runs its cells [first, stop) in runs take whole."""
-    return [(f == b.ends - np.diff(b.ends, prepend=0)) & (z == b.ends) for b, (f, z) in zip(blocks, runs)]
+def whole_runs(table, runs):
+    """Which runs of the table its cells [first, stop) in runs take whole."""
+    first, stop = runs
+    return (first == table.ends - np.diff(table.ends, prepend=0)) & (stop == table.ends)
 
 
 @pytest.mark.parametrize("name", ["schottky", "cusped"])
@@ -378,17 +379,17 @@ def test_short_support_windows_widen_their_runs(builtin_measures, monkeypatch, n
     # rebuilt whole to match the oracle
     group, measure, delta = builtin_measures[name]
     measure, field = assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 60)
-    blocks, _, _ = _pair_field(measure, delta)
+    table, _, _ = _pair_field(measure, delta)
     cut = cut_pair_support((measures._PAD + 1) * (DEFAULT_T[1] - DEFAULT_T[0]))
     widened = 0
     for psi in pair_integrands(name, group)[:-2]:  # the bumps
-        whole = whole_runs(blocks, measures._support_runs(blocks, psi.support()))
+        whole = whole_runs(table, measures._support_runs(table, psi.support()))
         with monkeypatch.context() as patch:
             patch.setattr(measures, "_pair_support", cut)
-            taken = whole_runs(blocks, measures._support_runs(blocks, psi.support()))
+            taken = whole_runs(table, measures._support_runs(table, psi.support()))
             got = measures.quadrature_report(psi, measure, delta)[0]
         assert got.hex() == dense_estimate(psi, field).hex()
-        widened += sum(int(np.sum(t & ~w)) for t, w in zip(taken, whole))
+        widened += int(np.sum(taken & ~whole))
     assert widened > 0
 
 
@@ -414,9 +415,9 @@ def test_support_disk_that_is_not_a_number_takes_every_cell(builtin_measures, mo
     run_points = measures._run_points
     rebuilt = []
 
-    def counting(block, runs, first, stop):
+    def counting(table, runs, first, stop):
         rebuilt.append(int(np.sum(stop - first)))
-        return run_points(block, runs, first, stop)
+        return run_points(table, runs, first, stop)
 
     monkeypatch.setattr(measures, "_run_points", counting)
     (psi,) = bumps(group, DEFAULT_BUMPS[name][:1])
@@ -582,15 +583,18 @@ def test_pieces_of_rows_match_full_grid(builtin_measures, monkeypatch, leaf, pie
         assert passes == pieces * 33
 
 
-def test_pair_blocks_match_full_grid(builtin_measures, monkeypatch):
-    # 40 atoms make 1,560 pairs, which blocks of 97 pairs do not divide
+def test_pair_chunks_join_into_the_same_table(builtin_measures, monkeypatch):
+    # 40 atoms make 1,560 pairs, which chunks of 97 pairs do not divide; the
+    # runs of every chunk join into the table that the default chunks give,
+    # array for array and bit for bit
     _, measure, delta = builtin_measures["schottky"]
+    measure = quadrature_constants(monkeypatch, measure, _PAIR_ATOMS=40)
+    want, den, _ = _pair_field(measure, delta)
     monkeypatch.setattr(measures, "_CHUNK", 97)
-    blocks, _, _ = _pair_field(quadrature_constants(monkeypatch, measure, _PAIR_ATOMS=40), delta)
-    # one block per 97 pairs, which keeps the runs of its pairs' cells, one
-    # run per pair with cells here
-    assert len(blocks) == 17
-    assert all(len(b.weight) <= 97 for b in blocks) and len(blocks[-1].weight) <= 8
+    got, den97, _ = _pair_field(dataclasses.replace(measure, _pair_cache={}), delta)
+    for g, w in zip((*got.seeds, got.weight, got.shift, got.ends), (*want.seeds, want.weight, want.shift, want.ends)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert den97 == den and len(got.weight) > 97
     assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 40)
 
 

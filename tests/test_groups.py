@@ -87,7 +87,7 @@ def level_words(group, max_len):
     are rebuilt from the level before in the walk's order, letter-major and
     in parent order within a letter, and must end in the walk's last letters."""
     out, prev = [], [()]
-    for mats, disp, last in group._walk(max_len):
+    for mats, disp, last in group._walk(max_len, None):
         cur = [
             w + (l,) for l in group.order for w in prev
             if not w or group.letters[w[-1]].inverse_label != l
@@ -216,7 +216,7 @@ def test_word_count_rank_two_length_three():
 def test_word_counter_charges_enumeration():
     g = schottky_group()
     reset_word_counter()
-    list(g._walk(3))
+    list(g._walk(3, None))
     assert enumerated_word_count() == 53
     reset_word_counter()
     assert enumerated_word_count() == 0
@@ -567,7 +567,7 @@ def test_walk_memory_no_higher_than_whole_levels():
     # (2.47 MiB)
     assert peak_mib(lambda: critical_exponent(cusped_group(), t_max=18.0)) <= 7.0
     g = schottky_group()
-    assert peak_mib(lambda: [None for _ in g._walk(9)]) <= 2.47
+    assert peak_mib(lambda: [None for _ in g._walk(9, None)]) <= 2.47
 
 
 def test_enumeration_refuses_lost_determinants():
@@ -578,7 +578,7 @@ def test_enumeration_refuses_lost_determinants():
     with pytest.raises(GroupError, match="of 224553 word products lost their determinant"):
         critical_exponent(g, t_max=32.0)
     with pytest.raises(GroupError, match="1 of 78732 word products lost their determinant"):
-        for _ in g._walk(10):
+        for _ in g._walk(10, None):
             pass
     # a row with a zero, a negative and a NaN determinant, pruned or not
     for row, det in (([[1.0, 1.0], [1.0, 1.0]], "0.0"), ([[0.0, 1.0], [1.0, 0.0]], "-"),
@@ -816,7 +816,8 @@ def test_letter_order_pairs_inverses(monkeypatch):
     # settle_frames finds a letter's inverse at position k ^ 1 of the order
     for make in (schottky_group, cusped_group, unit_parabolic_group):
         h = make()
-        assert np.array_equal(h._inv_index, np.arange(len(h.order)) ^ 1)
+        inverse = [h.order.index(h.letters[l].inverse_label) for l in h.order]
+        assert np.array_equal(inverse, np.arange(len(h.order)) ^ 1)
     # an order that sorts by plain label (A, B, a, b) is refused
     monkeypatch.setattr(groups, "sorted", lambda items, key=None: builtins.sorted(items), raising=False)
     with pytest.raises(GroupError, match="inverse next to it"):

@@ -59,7 +59,7 @@ def letter_loop_children(group, mats, last, letters, cap=None):
     (mats, disp, last) cut to cap, and the number of children formed."""
     blocks = [(np.empty((0, 2, 2)), np.empty(0, np.int64))]
     for j in letters:
-        ok = last != group._inv_index[j]
+        ok = last != j ^ 1  # order puts each letter's inverse at j ^ 1
         if not ok.any():
             continue
         child = mats[ok] @ group._mats[j]

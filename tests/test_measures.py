@@ -399,14 +399,13 @@ def default_bumps(group):
             for cd in DEFAULT_BUMPS["schottky"]]
 
 
-def test_quadrature_report_sums_the_blocks_as_one_field(sch, m_sch):
-    # the default field is kept in the blocks it is built in; each integrand
-    # is evaluated piece by piece, and the estimate is the one pairwise sum
-    # over the whole field
+def test_quadrature_report_sums_the_table_as_one_field(sch, m_sch):
+    # the default field is one table of runs; each integrand is evaluated
+    # piece by piece, and the estimate is the one pairwise sum over the
+    # whole field
     measure = dataclasses.replace(m_sch, _pair_cache={})
-    blocks, den, _ = _pair_field(measure, DELTA_SCH)
-    assert len(blocks) == 24
-    x, y, th, w = joined_field(blocks)
+    table, den, _ = _pair_field(measure, DELTA_SCH)
+    x, y, th, w = joined_field(table)
     assert den == float(np.sum(w))
     # no two cells share a hash of (x, y, theta), so a cell is found by it
     cells = _triples(x, y, th)
@@ -443,10 +442,10 @@ def test_pair_quadrature_memory(sch, m_sch, monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        blocks, _, _ = _pair_field(measure, DELTA_SCH)
+        table, _, _ = _pair_field(measure, DELTA_SCH)
         field_bytes, peak = tracemalloc.get_traced_memory()
         field_bytes -= base
-        runs = sum(len(b.weight) for b in blocks)
+        runs = len(table.weight)
         assert field_bytes <= 72 * runs
         assert field_bytes <= 6 * 2**20
         assert peak - base - field_bytes <= 8 * 2**20
@@ -488,13 +487,13 @@ def test_pair_field_is_freed_with_its_measure(sch, m_sch, monkeypatch):
     # does, without waiting for the cycle collector
     t = np.arange(-8.0, 8.0 + 1e-9, 0.2)
     measure = quadrature_constants(monkeypatch, m_sch, _PAIR_GRID=t, _PAIR_ATOMS=40)
-    blocks, _, _ = _pair_field(measure, DELTA_SCH)
+    table, _, _ = _pair_field(measure, DELTA_SCH)
     quadrature_report(default_bumps(sch)[0], measure, DELTA_SCH)
-    block = weakref.ref(blocks[0])
+    field = weakref.ref(table)
     gc.disable()
     try:
-        del blocks, measure
-        assert block() is None
+        del table, measure
+        assert field() is None
     finally:
         gc.enable()
 

@@ -64,8 +64,8 @@ MANIFEST_DIGESTS = {
     "equidist": "5312c45d94819fce1616ec6431475454097d468328fa4de3e29b4eb757718e6b",
     "mixing": "3c3de88760db730e52aed45c200ebdb8fc07c915b3c109468e8e5df8a643eb7d",
     "nondiv": "317e3cf89989ca72efb491b1e4ac280950f30c607cd4d3caf9e5fee7bf9b44ca",
-    "closure": "6fd9311b05fc4f72305f0a8ff19e41a21a37a73d503a38db4a77ad7a86dd59ff",
-    "checks": "8739f1a3085753f87aa2f945f5a7f5c2db87449b521515a124fb3315b1b4b307",
+    "closure": "4080f775ca449848605ed2d606f2cc395781eccc3a700a2fa4d40c0334b96669",
+    "checks": "0dea94477a052659a7e0007a95da34589885538213901a46eb35c52e04a67128",
 }
 
 BATTERY_WORDS = 171_944
@@ -90,7 +90,7 @@ BATTERY_DETAILS = {
     "mixing-approach": "|average/integral - 1| at t=6 is 0.00436 <= 0.2",
     "thick-part-mass": "min thick-part mass over radii 0.8823 >= 0.80 at height cap 6",
     "periodic-closure": (
-        "closure residual 0 <= 1e-08, dilation law error 1.78e-15 <= 1e-08 (t0 -4.000000)"
+        "closure residual 0 <= 1e-08, dilation law error 5.55e-16 <= 1e-08 (t0 -4.000000)"
     ),
 }
 

@@ -22,9 +22,13 @@ bare name or as an attribute) passes it by position or by keyword, or passes
 default counts as setting it. Dataclass fields are out of the scan's reach:
 their __init__ is not written out, so they are not scanned.
 
-A name or option kept for another reason is listed in KEPT with that
-reason, an option as 'module.function(parameter)'. Only the standard
-library's ast is needed.
+Every default is used by some run: an optional parameter counts as used
+when a call of that name leaves it out, or passes *args or **kwargs, which
+may leave it out. A parameter that every call passes could be required.
+
+A name, option or default kept for another reason is listed in KEPT with
+that reason, an option as 'module.function(parameter)' and a default as
+'module.function(parameter=)'. Only the standard library's ast is needed.
 """
 
 import ast
@@ -38,6 +42,17 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 KEPT: dict[str, str] = {
     "groups.LimitSample.width": "the enclosure certificate of a sampled limit "
     "point, which the tests check and run manifests are to report",
+    # public entry points whose default only outside callers use
+    "cli.parse_config_text(source=)": "a config text read from no file, named "
+    "'<config>' in its errors",
+    "geometry.same_leaf(tol=)": "the public leaf test at its documented "
+    "tolerance; hamenstadt_distance passes its own",
+    "groups.parse_group_text(name=)": "a group text read from no file, named "
+    "in no error",
+    "groups.FuchsianGroup.__init__(name=)": "a group built from its letters "
+    "in a script, which needs no name",
+    "io.line_plot_svg(title=)": "a plot of a series that carries no "
+    "experiment id",
 }
 
 
@@ -193,18 +208,28 @@ def options(tree) -> list[tuple[str, str, int | None, str]]:
     return out
 
 
+def spread(call) -> bool:
+    """Whether the call passes *args or **kwargs."""
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+
+
 def sets(call, position, param) -> bool:
     """Whether the call passes the parameter, or may through *args/**kwargs."""
-    if any(isinstance(a, ast.Starred) for a in call.args):
+    if spread(call) or (position is not None and len(call.args) > position):
         return True
-    if position is not None and len(call.args) > position:
-        return True
-    return any(k.arg is None or k.arg == param for k in call.keywords)
+    return any(k.arg == param for k in call.keywords)
 
 
-def unset(sources: dict[str, str], bench: list[str]) -> list[str]:
-    """'module.function(parameter)' for each optional parameter that no call
-    in the sources or the benchmark files sets."""
+def leaves(call, position, param) -> bool:
+    """Whether the call leaves the parameter to its default, or may through
+    *args/**kwargs."""
+    return spread(call) or not sets(call, position, param)
+
+
+def scan(sources: dict[str, str], bench: list[str], found, shown: str) -> list[str]:
+    """shown % (module, function, parameter) for each optional parameter
+    for which found(call, position, parameter) holds for no call in the
+    sources or the benchmark files."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     calls = {}
     for tree in list(trees.values()) + [ast.parse(text) for text in bench]:
@@ -214,11 +239,23 @@ def unset(sources: dict[str, str], bench: list[str]) -> list[str]:
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
     return sorted(
-        "%s.%s(%s)" % (mod, shown, param)
+        shown % (mod, function, param)
         for mod, tree in trees.items()
-        for shown, callee, position, param in options(tree)
-        if not any(sets(c, position, param) for c in calls.get(callee, ()))
+        for function, callee, position, param in options(tree)
+        if not any(found(c, position, param) for c in calls.get(callee, ()))
     )
+
+
+def unset(sources: dict[str, str], bench: list[str]) -> list[str]:
+    """'module.function(parameter)' for each optional parameter that no call
+    in the sources or the benchmark files sets."""
+    return scan(sources, bench, sets, "%s.%s(%s)")
+
+
+def unused_defaults(sources: dict[str, str], bench: list[str]) -> list[str]:
+    """'module.function(parameter=)' for each optional parameter whose
+    default no call in the sources or the benchmark files leaves it at."""
+    return scan(sources, bench, leaves, "%s.%s(%s=)")
 
 
 def test_scan_finds_unread_exports():
@@ -298,8 +335,36 @@ def test_scan_finds_unset_options():
     assert unset(sources, bench) == []
 
 
-def _kept(options: bool) -> list[str]:
-    return sorted(k for k in KEPT if k.endswith(")") == options)
+def test_scan_finds_unused_defaults():
+    sources = {
+        "a": (
+            "def fit(xs, step=0.5, *, window=None):\n    return xs\n"
+            "def plot(xs, title='t'):\n    return xs\n"
+            "def lonely(q=1):\n    return q\n"
+            "class Box:\n"
+            "    def __init__(self, n, label='box'):\n        self.n = n\n"
+            "    def grow(self, k=1, *, by=2):\n        return k\n"
+            "print(fit([1], 0.25, window=2), plot([1], 'p'), Box(1, 'b').grow(by=3))\n"
+        ),
+    }
+    bench = ["import a\na.Box(2, label='c').grow(4)\n"]
+    # a def that nothing calls uses none of its defaults
+    assert unused_defaults(sources, bench) == [
+        "a.Box.__init__(label=)", "a.fit(step=)", "a.fit(window=)", "a.lonely(q=)", "a.plot(title=)"
+    ]
+    # a call that leaves a parameter out uses its default, and one that
+    # spreads *args or **kwargs may
+    sources["a"] += "args = ([1],)\nplot(*args)\nfit([1], **{})\nBox(0)\nlonely()\n"
+    assert unused_defaults(sources, bench) == []
+
+
+def _kept(kind: str) -> list[str]:
+    """The KEPT entries of one kind: an option ('...(parameter)'), a default
+    ('...(parameter=)') or a name (any other)."""
+    def of(k):
+        return "default" if k.endswith("=)") else "option" if k.endswith(")") else "name"
+
+    return sorted(k for k in KEPT if of(k) == kind)
 
 
 def test_every_export_is_read():
@@ -307,11 +372,18 @@ def test_every_export_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     bench = [p.read_text(encoding="utf-8") for p in BENCH]
     # a KEPT entry that is read, or no longer defined, is stale
-    assert unread(sources, bench) == _kept(options=False)
+    assert unread(sources, bench) == _kept("name")
 
 
 def test_every_option_is_set():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     bench = [p.read_text(encoding="utf-8") for p in BENCH]
     # a KEPT option that some call sets, or that is gone, is stale
-    assert unset(sources, bench) == _kept(options=True)
+    assert unset(sources, bench) == _kept("option")
+
+
+def test_every_default_is_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    bench = [p.read_text(encoding="utf-8") for p in BENCH]
+    # a KEPT default that some call leaves in place, or that is gone, is stale
+    assert unused_defaults(sources, bench) == _kept("default")
