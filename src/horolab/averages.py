@@ -121,7 +121,6 @@ def _leaf_frames(u: UnitTangent, s: np.ndarray) -> np.ndarray:
 
 def _flowed(frames, t: float) -> np.ndarray:
     """Frames (n, 2, 2) pushed by the time-t geodesic flow."""
-    frames = np.asarray(frames, dtype=float)
     e = flow_scale(t)
     out = np.empty_like(frames)
     out[:, :, 0] = frames[:, :, 0] * e
@@ -143,8 +142,9 @@ class Integrand:
     fundamental-domain coordinates of its `group`, which the quadratures
     call directly; one whose group is None, such as ConstantFunction, is
     evaluated where the frame lies. Frames reach evaluate_points by one
-    rule, that of _values, which __call__ applies to a single vector; leaf
-    averages and Simpson grids settle each (group, flow times) once.
+    path, _Rows: a leaf average and a Simpson grid read the frames of their
+    leaf through one _Rows per key (group, flow times), and __call__ reads
+    the frame of u as the one-row leaf of u at s = 0.
 
     The quadratures form a sample's coordinates only where the result reads
     them: each evaluates an integrand only near its support(), and the pair
@@ -155,7 +155,9 @@ class Integrand:
     """
 
     def __call__(self, u: UnitTangent) -> float:
-        return float(_values(self, np.reshape(u.frame.entries(), (1, 2, 2)))[0])
+        inner, times = _peeled(self)
+        x, y, theta = _Rows(inner.group, times, u, np.zeros(1)).coords(0, 1)
+        return float(inner.evaluate_points(x, y, theta)[0])
 
     def support(self):
         """A disk (x0, y0, reach) outside which evaluate_points vanishes, the
@@ -177,8 +179,8 @@ class TestFunction(Integrand):
 
     group: FuchsianGroup
     center: UnitTangent
-    base_width: float = 0.5
-    angle_width: float = 1.1
+    base_width: float
+    angle_width: float
     label: str = "psi"
 
     def __post_init__(self):
@@ -226,7 +228,7 @@ class ConstantFunction(Integrand):
     """Constant test integrand; keeps the quadrature interfaces uniform."""
 
     value: float = 1.0
-    label: str = "one"
+    label = "one"  # not a field: the name of its quadrature row
     group = None  # not a field: a constant is evaluated where the frame lies
 
     def evaluate_points(self, x, y, theta):
@@ -240,7 +242,6 @@ class ShiftedFunction(Integrand):
     def __init__(self, psi, t: float):
         self.psi = psi
         self.t = t
-        self.label = "%s.g%g" % (getattr(psi, "label", "psi"), t)
 
 
 class WeightedFunction(Integrand):
@@ -251,7 +252,6 @@ class WeightedFunction(Integrand):
         self.psi = psi
         self.group = psi.group
         self.density = density
-        self.label = "weighted"
 
     def evaluate_points(self, x, y, theta):
         return self.psi.evaluate_points(x, y, theta) * self.density(x, y)
@@ -272,8 +272,7 @@ class CuspHeightCap(Integrand):
 
     group: FuchsianGroup
     k_height: float
-    ramp: float = 0.1
-    label: str = "compact-part"
+    ramp: float
 
     def __post_init__(self):
         self._charts = [
@@ -326,46 +325,60 @@ def _peeled(psi):
     return psi, tuple(times)
 
 
-def _settled(group, times, frames):
-    """(settled, moves) of settle_frames on group of the frames pushed by the
-    geodesic flow for each of times in turn; with no group the frames stay
-    where they lie and move in no round."""
-    for t in times:
-        frames = _flowed(frames, t)
-    if group is None:
-        return np.array(frames, dtype=float), np.zeros(len(frames), dtype=np.int64)
-    return group.settle_frames(frames)
-
-
-def _values(psi, frames) -> np.ndarray:
-    """psi at a stack of frames (n, 2, 2): the frames flowed by its shifts,
-    reduced on its group as one batch with reduce_frames, then evaluated."""
-    inner, times = _peeled(psi)
-    for t in times:
-        frames = _flowed(frames, t)
-    if inner.group is not None:
-        frames = inner.group.reduce_frames(frames)
-    return inner.evaluate_points(*_frame_coordinates(frames))
-
-
 class _Rows:
-    """Frames settled one by one (see settle_frames), with each row's moves
-    count. coords applies the batch rule of reduce_frames to a slice of the
-    rows through replayed."""
+    """The leaf frames of u at the parameters s, on one key (group, flow
+    times): each frame flowed by the times in turn and settled on the group
+    (see settle_frames), or left where it lies when the group is None. Rows
+    settle at their first read; the store keeps the span [lo, hi) it has
+    settled, and its arrays are allocated at the first read, after the rows
+    are settled, so the two peaks do not add up. A Simpson grid passes the
+    _Rows of the previous grid as coarse: when that grid's nodes are its
+    even nodes bit for bit, their rows are taken there and only the odd
+    nodes settle, and the coarse rows are released at the first read."""
 
-    def __init__(self, n: int):
-        self.frames = np.empty((n, 2, 2))
-        self.moves = np.zeros(n, dtype=np.int64)
-
-    def put(self, at, settled: np.ndarray, moves: np.ndarray) -> None:
-        """Record settled frames and their moves counts at the rows `at`."""
-        self.frames[at] = settled
-        self.moves[at] = moves
+    def __init__(self, group, times, u: UnitTangent, s: np.ndarray, coarse=None):
+        self.group, self.times, self.u, self.s = group, times, u, s
+        if coarse is not None and s[::2].tobytes() != coarse.s.tobytes():
+            coarse = None
+        self.coarse = coarse
+        self.frames = self.moves = None
+        self.span = (0, 0)
 
     def coords(self, lo: int, hi: int):
         """(x, y, theta) of the rows [lo, hi) as reduce_frames gives them on
-        those rows as one batch."""
+        those rows as one batch: the batch rule replayed on the settled rows
+        (see replayed)."""
+        self._settle(lo, hi)
         return _frame_coordinates(replayed(self.frames[lo:hi], self.moves[lo:hi]))
+
+    def _settle(self, lo: int, hi: int) -> None:
+        """Settle the rows [lo, hi) not settled yet, allocating the store at
+        the first call; its temporaries end with the call."""
+        a, b = self.span
+        if self.frames is None:
+            whole = self.coarse is not None
+            new = slice(1, None, 2) if whole else slice(lo, hi)
+            span = (0, len(self.s)) if whole else (lo, hi)
+        elif lo < a or hi > b:
+            new = np.concatenate([np.arange(lo, a), np.arange(b, hi)])
+            span = (min(lo, a), max(hi, b))
+        else:
+            return
+        frames = _leaf_frames(self.u, self.s[new])
+        for t in self.times:
+            frames = _flowed(frames, t)
+        if self.group is None:
+            moves = np.zeros(len(frames), dtype=np.int64)
+        else:
+            frames, moves = self.group.settle_frames(frames)
+        if self.frames is None:
+            self.frames = np.empty((len(self.s), 2, 2))
+            self.moves = np.zeros(len(self.s), dtype=np.int64)
+            if self.coarse is not None:
+                self.frames[::2], self.moves[::2] = self.coarse.frames, self.coarse.moves
+                self.coarse = None
+        self.frames[new], self.moves[new] = frames, moves
+        self.span = span
 
 
 class _Leaf:
@@ -381,21 +394,7 @@ class _Leaf:
         self.u = u
         self.cond = conditional_on_horocycle(u, measure, hat_delta)
         self.own = (measure.group, ())
-        self.stores = {}  # key -> (its _Rows, the span [lo, hi) settled)
-
-    def _rows(self, group, times, lo: int, hi: int) -> _Rows:
-        """The store of (group, times), settled at least over rows [lo, hi)."""
-        key = (group, times)
-        if key not in self.stores:
-            if key != self.own:
-                self.stores = {k: v for k, v in self.stores.items() if k == self.own}
-            self.stores[key] = (_Rows(len(self.cond.params)), (lo, lo))
-        rows, (a, b) = self.stores[key]
-        if lo < a or hi > b:
-            new = np.concatenate([np.arange(lo, a), np.arange(b, hi)])
-            rows.put(new, *_settled(group, times, _leaf_frames(self.u, self.cond.params[new])))
-            self.stores[key] = (rows, (min(lo, a), max(hi, b)))
-        return rows
+        self.stores = {}  # key -> its _Rows
 
     def average(self, r: float, psi) -> float:
         """Mean over the leaf ball {h^s u : |s| < r}."""
@@ -409,8 +408,13 @@ class _Leaf:
         lw = self.cond.log_weights[lo:hi]
         w = np.exp(lw - np.max(lw))
         inner, times = _peeled(psi)
-        x, y, theta = self._rows(inner.group, times, lo, hi).coords(lo, hi)
-        return float(np.sum(w * inner.evaluate_points(x, y, theta)) / np.sum(w))
+        key = (inner.group, times)
+        rows = self.stores.get(key)
+        if rows is None:
+            if key != self.own:
+                self.stores = {k: v for k, v in self.stores.items() if k == self.own}
+            rows = self.stores[key] = _Rows(*key, self.u, params)
+        return float(np.sum(w * inner.evaluate_points(*rows.coords(lo, hi))) / np.sum(w))
 
 
 def average_ps(
@@ -451,22 +455,6 @@ def flow_commutation_residual(
     return out
 
 
-def _settle_grid(group, times, u: UnitTangent, s: np.ndarray, prev):
-    """(s, rows) of the leaf frames at the nodes s, settled through _settled.
-    When the nodes of the previous pair are bit for bit the even nodes of s,
-    its rows are kept there and only the odd nodes are settled."""
-    fresh = prev is None or s[::2].tobytes() != prev[0].tobytes()
-    at = slice(None) if fresh else slice(1, None, 2)
-    # settled before the rows are allocated, so the two peaks do not add up
-    settled = _settled(group, times, _leaf_frames(u, s[at]))
-    rows = _Rows(len(s))
-    if not fresh:
-        old = prev[1]
-        rows.frames[::2], rows.moves[::2] = old.frames, old.moves
-    rows.put(at, *settled)
-    return s, rows
-
-
 # error bound of average_lebesgue's Simpson rule, per unit length of window
 _SIMPSON_TOL = 1e-6
 
@@ -477,9 +465,9 @@ def average_lebesgue(u: UnitTangent, t: float, psi) -> float:
     Composite Simpson rule, refined until the classical stepwise error
     estimate meets the absolute tolerance _SIMPSON_TOL * (2t); the shipped
     bumps are resolved already at the initial step 0.05. Each halving
-    settles only the new midpoints and applies the batch rule of
-    reduce_frames over the whole grid (see _Rows.coords), which gives the
-    bits of reducing the grid afresh.
+    settles only the new midpoints and replays the batch rule of
+    reduce_frames over the whole grid (see _Rows), which gives the bits of
+    reducing the grid afresh.
     """
     return _lebesgue_means(u, t, [psi])[0]
 
@@ -497,7 +485,7 @@ def _lebesgue_means(u: UnitTangent, t: float, funcs) -> list[float]:
     peeled = [_peeled(psi) for psi in funcs]
     coarse = [None] * len(funcs)
     means = [None] * len(funcs)
-    grids = {}  # (group, flow times) -> its (s, rows) grid
+    grids = {}  # (group, flow times) -> the _Rows of its grid
     for _ in range(8):
         coords = {}
         s = np.linspace(-t, t, 2 * m + 1)
@@ -507,8 +495,8 @@ def _lebesgue_means(u: UnitTangent, t: float, funcs) -> list[float]:
                 continue
             key = (inner.group, times)
             if key not in coords:
-                grids[key] = _settle_grid(inner.group, times, u, s, grids.get(key))
-                coords[key] = grids[key][1].coords(0, len(s))
+                grids[key] = _Rows(*key, u, s, grids.get(key))
+                coords[key] = grids[key].coords(0, len(s))
             f = inner.evaluate_points(*coords[key])
             integral = (h / 3.0) * (
                 f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-2:2])

@@ -20,11 +20,13 @@ from . import __version__
 from .defaults import (
     BUILTIN_NAMES,
     BUMP_WIDTHS,
+    CLOSURE_DILATIONS,
     DEFAULT_BUMPS,
     DEFECT_LADDER,
     EQUIDIST_RADII,
     EXPERIMENT_PERIODS,
     EXPONENT_RADIUS,
+    MIXING_BALL_RADIUS,
     MIXING_LEAF_COORDINATE,
     MIXING_TIMES,
     NONDIV_HEIGHT,
@@ -84,7 +86,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0
+    seconds: float
 
 
 def witnesses() -> dict:
@@ -279,7 +281,7 @@ def check_mixing_approach(load: dict[str, Loader]):
     sch = load["schottky"]
     delta, m, psi = sch.exponent, sch.measure(), sch.bumps()[0]
     u, _ = sch.vector(s=MIXING_LEAF_COORDINATE)
-    ser = mixing_series(u, 1.0, psi, MIXING_TIMES, m, delta)
+    ser = mixing_series(u, MIXING_BALL_RADIUS, psi, MIXING_TIMES, m, delta)
     final = abs(ser.values[-1] / ser.reference - 1.0)
     ok = final <= TOLERANCES["mixing_final_rel"]
     return ok, "|average/integral - 1| at t=%g is %.3g <= %.2g" % (
@@ -309,7 +311,7 @@ def check_periodic_closure(load: dict[str, Loader]):
     # the default vector of periodic_closure, so t0 is the base of the law
     u0 = from_coordinates(BoundaryPoint(0.0), INFINITY, 0.0)
     worst = 0.0
-    for s in (0.5, 1.0, 2.0):
+    for s in CLOSURE_DILATIONS:
         ts, res = periodic_closure(group, "p", u=geodesic_flow(u0, s))
         worst = max(worst, abs(ts / (math.exp(s) * t0) - 1.0), res)
     ok = residual <= 1e-8 and worst <= 1e-8

@@ -22,11 +22,13 @@ from . import __version__
 from . import io as artifacts
 from .defaults import (
     BUMP_WIDTHS,
+    CLOSURE_DILATIONS,
     DEFAULT_BUMPS,
     EQUIDIST_RADII,
     EXPERIMENT_PERIODS,
     FIT_GRID_STEP,
     KNOWN_EXPONENTS,
+    MIXING_BALL_RADIUS,
     MIXING_LEAF_COORDINATE,
     MIXING_TIMES,
     NONDIV_HEIGHT,
@@ -426,8 +428,7 @@ def run_patterson(st: Settings, args):
     if loader.builtin in DEFAULT_BUMPS or st.bump_keys():
         funcs, _, _ = _bumps(st, loader)
     measure, delta = loader.measure(), loader.exponent
-    rows = [("one", *quadrature_report(ConstantFunction(), measure, delta))]
-    rows += [(psi.label, *quadrature_report(psi, measure, delta)) for psi in funcs]
+    rows = [(psi.label, *quadrature_report(psi, measure, delta)) for psi in [ConstantFunction(), *funcs]]
     defects = {lab: conformality_defect(measure, lab, delta) for lab in loader.group.order}
     files = [
         ("atoms.csv", artifacts.atoms_csv_text(measure)),
@@ -498,7 +499,7 @@ def run_equidist(st: Settings, args):
 def run_mixing(st: Settings, args):
     loader = _measure_loader(st, "builtin:schottky")
     u, witness = _vector(st, loader, args.seed, default_s=MIXING_LEAF_COORDINATE)
-    ball_radius = st.get("ball_radius", 1.0)
+    ball_radius = st.get("ball_radius", MIXING_BALL_RADIUS)
     times = sorted(st.get("times", MIXING_TIMES))
     funcs, coords, widths = _bumps(st, loader)
     psi = funcs[0]
@@ -569,7 +570,7 @@ def run_closure(st: Settings, args):
             "%s: key 'letter': group %s has no parabolic letter %r"
             % (st.where("letter"), spec, letter)
         )
-    dilations = sorted(st.get("dilations", (0.5, 1.0, 2.0)))
+    dilations = sorted(st.get("dilations", CLOSURE_DILATIONS))
     gen = group.letters[letter]
     t0, res0 = periodic_closure(group, letter)
     fp, _ = fixed_points(gen.matrix)

@@ -34,6 +34,8 @@ __all__ = [
     "RATIO_BUMPS",
     "BUMP_WIDTHS",
     "MIXING_LEAF_COORDINATE",
+    "MIXING_BALL_RADIUS",
+    "CLOSURE_DILATIONS",
     "NONDIV_HEIGHT",
     "EQUIDIST_RADII",
     "MIXING_TIMES",
@@ -155,6 +157,11 @@ BUMP_WIDTHS = (1.2, 1.8)
 # starting leaf coordinate for the mixing run: the unit ball flowed to t = 6
 # then covers the same comb window as the e^6 equidistribution ball
 MIXING_LEAF_COORDINATE = -6.0
+
+# the leaf-ball radius of the mixing averages and the flow times by which
+# the closure run dilates its leaf, in the CLI and the battery alike
+MIXING_BALL_RADIUS = 1.0
+CLOSURE_DILATIONS = (0.5, 1.0, 2.0)
 
 # cusp-height cap for the non-divergence experiment (compact mass >= 0.8)
 NONDIV_HEIGHT = 6.0

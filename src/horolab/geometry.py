@@ -128,7 +128,7 @@ class BoundaryPoint:
     than by feeding a large float through the finite-chart arithmetic.
     """
 
-    value: float | None = None
+    value: float | None
 
     def __post_init__(self):
         if self.value is not None and not math.isfinite(self.value):

@@ -52,8 +52,8 @@ class PattersonConfig:
     """
 
     exponent: float
-    cutoff: int = 14
-    radius: float | None = None
+    cutoff: int
+    radius: float | None
 
     def __post_init__(self):
         if not (self.exponent > 0 and math.isfinite(self.exponent)):
@@ -273,7 +273,8 @@ def conditional_on_horocycle(
 _PAD = 2
 _BAND = _PAD + 1
 # two atoms in one interval span a geodesic inside its half-disk; the pair
-# is skipped only when both sit deeper than this times the squared radius
+# is skipped only when both sit deeper than this times the squared radius.
+# A plaque that misses a circle by more than this (relative) cuts no hole.
 _EDGE = 1e-9
 # rows handled at once, which bounds the transient arrays: atom pairs per
 # chunk of the pair field's build, and (leaf coordinate, atom) rows per
@@ -301,11 +302,6 @@ _ARC_SPAN = 30.0
 _ARC_STEP = 0.05
 _WINDOW_SPAN = 5.0
 _BOX_ATOMS = 200
-
-
-def _evaluate(psi, x, y, theta):
-    """Test-function values at already-reduced phase points."""
-    return np.asarray(psi.evaluate_points(x, y, theta), dtype=float)
 
 
 def _grid_window(grid, lo, hi):
@@ -706,7 +702,7 @@ def quadrature_report(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> 
             for g0, g1 in zip(cuts[:-1], cuts[1:]):
                 cell, x, y, theta, w = _run_points(table, slice(r0 + g0, r0 + g1), a[g0:g1], z[g0:g1])
                 if len(cell):
-                    out[cell - lo] = _evaluate(psi, x, y, theta) * w
+                    out[cell - lo] = psi.evaluate_points(x, y, theta) * w
             return out
 
     num = _pairwise_total(len(table), values)
@@ -809,7 +805,7 @@ def _row_sums(psi, points, runs, part, width):
         rows, place = np.unique(row, return_inverse=True)
         vals = np.zeros((len(rows), width))
         X, Y, C, D = points(row, col)
-        vals[place, col] = _evaluate(psi, X, Y, frame_angle(C, D))
+        vals[place, col] = psi.evaluate_points(X, Y, frame_angle(C, D))
         sums[rows - part.start] = np.sum(vals, axis=1)
     return sums
 
@@ -860,7 +856,7 @@ def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
     # u = xi - c_k and al = u^2 - r_k^2. For the letter whose interval holds
     # xi (al < 0) the domain part lies between the roots, or near the vertex
     # when there is none; atoms in no interval keep the whole grid. Every
-    # other letter (al > 0) cuts out the cells between its roots.
+    # other letter (al > 0) cuts out the cells between its roots, if any.
     # Rows are a block's (leaf coordinate, atom) pairs, leaf coordinate major.
     num = 0.0
     den = 0.0
@@ -872,7 +868,8 @@ def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
         u = xr[:, None] - group._centers[None, :]
         al = u * u - r2
         held = al < 0.0
-        sq = np.sqrt(np.maximum(E * E * r2 - al * al, 0.0))
+        gap = E * E * r2 - al * al
+        sq = np.sqrt(np.maximum(gap, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             s1 = (-u * E - sq) / al
             s2 = (-u * E + sq) / al
@@ -883,11 +880,13 @@ def br_integral(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> float:
             np.where(held, s1, np.inf).min(axis=1),
         )
         # holes [cut, back), the cells between a letter's roots less the
-        # padding, sorted by position (unused letters sort last); a hole too
-        # short for the padding is empty and splits its segment, so that the
-        # cells around it are tested. Segments run between the holes.
-        cut = np.where(al > 0.0, np.searchsorted(sigma, s1, side="right") + _PAD, width)
-        back = np.maximum(np.where(al > 0.0, np.searchsorted(sigma, s2) - _PAD, width), cut)
+        # padding, sorted by position (unused letters, and letters whose
+        # plaque misses their circle by more than _EDGE al^2, sort last); a
+        # hole too short for the padding is empty and splits its segment,
+        # so that the cells around it are tested. Segments run between them.
+        hole = (al > 0.0) & (gap > -_EDGE * al * al)
+        cut = np.where(hole, np.searchsorted(sigma, s1, side="right") + _PAD, width)
+        back = np.maximum(np.where(hole, np.searchsorted(sigma, s2) - _PAD, width), cut)
         order = np.argsort(cut, axis=1, kind="stable")
         cut = np.take_along_axis(cut, order, axis=1)
         back = np.maximum.accumulate(np.take_along_axis(back, order, axis=1), axis=1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from horolab.defaults import (
+    BUILTIN_NAMES,
     BUMP_WIDTHS,
     DEFAULT_BUMPS,
     EQUIDIST_RADII,
@@ -16,6 +17,7 @@ from horolab.defaults import (
     RATIO_BUMPS,
     Loader,
     cusped_group,
+    resolve_group,
     schottky_group,
     unit_parabolic_group,
 )
@@ -45,7 +47,7 @@ from horolab.averages import (
     _flowed,
     _frame_coordinates,
     _leaf_frames,
-    _values,
+    _peeled,
     average_lebesgue,
     average_ps,
     build_vector,
@@ -57,7 +59,7 @@ from horolab.averages import (
     ratio_series,
 )
 
-from conftest import conjugate
+from conftest import conjugate, random_frame
 
 DELTA_SCH = 0.4322791205538202
 DELTA_CUS = 0.646822563859683
@@ -131,7 +133,7 @@ def test_pointed_frame_round_trip():
 
 def test_bump_peaks_at_center(sch):
     c = pointed_frame(0.0, 1.4, 0.3)
-    psi = TestFunction(sch, c)
+    psi = TestFunction(sch, c, base_width=0.5, angle_width=1.1)
     assert psi(c) == pytest.approx(1.0, abs=1e-12)
     assert psi(pointed_frame(0.0, 1.4, 0.3 + 2.0)) < 1.0
 
@@ -154,9 +156,9 @@ def test_bump_group_invariance(sch, cus):
 
 def test_bump_validation(sch):
     with pytest.raises(AveragesError):
-        TestFunction(sch, pointed_frame(2.0, 0.3, 0.0))  # inside a generator disk
+        TestFunction(sch, pointed_frame(2.0, 0.3, 0.0), base_width=WB, angle_width=WA)  # inside a generator disk
     with pytest.raises(AveragesError):
-        TestFunction(sch, pointed_frame(0.0, 1.0, 0.0), base_width=0.0)
+        TestFunction(sch, pointed_frame(0.0, 1.0, 0.0), base_width=0.0, angle_width=WA)
 
 
 def _bump_formula(psi, x, y, theta):
@@ -458,7 +460,43 @@ def test_shifted_and_weighted_functions(sch, u8):
     frames = np.array([np.array(v.frame.entries()).reshape(2, 2)])
     assert _values(wf, frames)[0] == pytest.approx(2.0 * _values(psi, frames)[0], rel=1e-12)
 
+
+def test_single_frame_matches_fresh_batch(rng):
+    # psi(u) reads the frame of u as a one-row leaf; it has the bits of one
+    # reduce_frames batch of that frame, on every kind of group and shift
+    funcs = [ConstantFunction(2.5)]
+    for name in BUILTIN_NAMES:
+        group = resolve_group(name)
+        psi = TestFunction(group, pointed_frame(0.0, 1.4, 0.3), base_width=WB, angle_width=WA)
+        funcs += [
+            psi,
+            CuspHeightCap(group, NONDIV_HEIGHT, 0.1),
+            ShiftedFunction(psi, 1.5),
+            ShiftedFunction(ShiftedFunction(psi, 0.5), -0.7),
+        ]
+    nonzero = 0
+    for _ in range(40):
+        u = random_frame(rng)
+        frames = np.reshape(u.frame.entries(), (1, 2, 2))
+        for f in funcs:
+            got = f(u)
+            assert same_bits(got, _values(f, frames)[0]), type(f).__name__
+            nonzero += got != 0.0
+    assert nonzero > 40 * 4  # more than the constant and the caps alone
+
 # ------------------------------------------- one settled leaf, exact replay
+
+
+def _values(psi, frames) -> np.ndarray:
+    """psi at a stack of frames (n, 2, 2): the frames flowed by its shifts,
+    reduced on its group as one batch with reduce_frames, then evaluated.
+    The fresh-batch oracle of every path by which frames reach an integrand."""
+    inner, times = _peeled(psi)
+    for t in times:
+        frames = _flowed(frames, t)
+    if inner.group is not None:
+        frames = inner.group.reduce_frames(frames)
+    return inner.evaluate_points(*_frame_coordinates(frames))
 
 
 def fresh_average(u, r, psi, measure, delta):
@@ -482,7 +520,7 @@ def _integrands(group, name):
     must not be that of the bump psi[0] on group itself."""
     psi = _bumps(group, name)
     return psi + [
-        CuspHeightCap(group, NONDIV_HEIGHT),
+        CuspHeightCap(group, NONDIV_HEIGHT, 0.1),
         ConstantFunction(),
         ShiftedFunction(psi[0], 1.5),
         ShiftedFunction(ShiftedFunction(psi[0], 0.5), 0.7),
@@ -517,20 +555,20 @@ def test_leaf_averages_match_fresh_computation(request, name):
         got = {}
         for r, f in calls:
             got[r, id(f)] = average_ps(u, r, f, m, delta)
-            assert same_bits(got[r, id(f)], fresh_average(u, r, f, m, delta)), (label, r, f.label)
+            assert same_bits(got[r, id(f)], fresh_average(u, r, f, m, delta)), (label, r, type(f).__name__)
         differ |= any(not same_bits(got[r, id(own)], got[r, id(foreign)]) for r in LEAF_RADII)
         ser = mixing_series(u, math.e ** 3, funcs[0], MIXING_TIMES, m, delta)
         for t, v in zip(MIXING_TIMES, ser.values):
             want = fresh_average(u, math.e ** 3, ShiftedFunction(funcs[0], t), m, delta)
             assert same_bits(v, want), (label, t)
         ser = mass_in_compact(u, LEAF_RADII, NONDIV_HEIGHT, m, delta)
-        cap = CuspHeightCap(group, NONDIV_HEIGHT)
+        cap = CuspHeightCap(group, NONDIV_HEIGHT, 0.1)
         for r, v in zip(LEAF_RADII, ser.values):
             assert same_bits(v, fresh_average(u, r, cap, m, delta)), (label, r)
     # mass_in_compact on a leaf nobody has settled yet
     u = horocycle_flow(base, 1.1)
     ser = mass_in_compact(u, LEAF_RADII[::-1], NONDIV_HEIGHT, m, delta)
-    cap = CuspHeightCap(group, NONDIV_HEIGHT)
+    cap = CuspHeightCap(group, NONDIV_HEIGHT, 0.1)
     assert all(same_bits(v, fresh_average(u, r, cap, m, delta)) for r, v in zip(LEAF_RADII, ser.values))
     # on the Schottky leaves the bump on the builtin group and the bump on
     # its copy can be told apart, so sharing a store would show
@@ -583,7 +621,7 @@ def test_simpson_reuse_matches_full_rereduction(sch, cus, u8, u9):
     cases.append((deep, math.e ** 3, _bumps(cus, "cusped")))
     halvings = []
     for u, t, bumps in cases:
-        for psi in bumps + [CuspHeightCap(bumps[0].group, NONDIV_HEIGHT)]:
+        for psi in bumps + [CuspHeightCap(bumps[0].group, NONDIV_HEIGHT, 0.1)]:
             mean, grids = rereduced_lebesgue(u, t, psi)
             assert same_bits(average_lebesgue(u, t, psi), mean)
             halvings.append(grids - 1)
@@ -661,7 +699,7 @@ def test_flowed_leaf_averages_match_fresh_computation(request, name):
     m = request.getfixturevalue({"schottky": "m_sch", "cusped": "m_cus"}[name])
     delta = {"schottky": DELTA_SCH, "cusped": DELTA_CUS}[name]
     base = _vector(group, name)
-    inner = _bumps(group, name)[:2] + [CuspHeightCap(group, NONDIV_HEIGHT)]
+    inner = _bumps(group, name)[:2] + [CuspHeightCap(group, NONDIV_HEIGHT, 0.1)]
     rng = np.random.default_rng(405)
     orders = {
         "ascending": LEAF_RADII,
@@ -675,9 +713,10 @@ def test_flowed_leaf_averages_match_fresh_computation(request, name):
             for f in inner:
                 got = average_ps(u, r, ShiftedFunction(f, 1.2), m, delta)
                 want = fresh_average(u, r, ShiftedFunction(f, 1.2), m, delta)
-                assert same_bits(got, want), (label, r, f.label)
+                assert same_bits(got, want), (label, r, type(f).__name__)
         leaf = m._leaf
-        (key, (_, (lo, hi))), = leaf.stores.items()
+        (key, rows), = leaf.stores.items()
+        lo, hi = rows.span
         assert leaf.key == (u.frame.entries(), delta)
         assert key == (group, (1.2,)) and hi - lo == np.count_nonzero(np.abs(leaf.cond.params) < max(radii))
         # two flow times alternating on one leaf: each call starts the other over
@@ -686,7 +725,7 @@ def test_flowed_leaf_averages_match_fresh_computation(request, name):
                 for f in inner:
                     got = average_ps(u, r, ShiftedFunction(f, t), m, delta)
                     want = fresh_average(u, r, ShiftedFunction(f, t), m, delta)
-                    assert same_bits(got, want), (label, r, t, f.label)
+                    assert same_bits(got, want), (label, r, t, type(f).__name__)
         assert m._leaf is leaf and list(leaf.stores) == [(group, (-0.9,))]
     # a leaf keeps its own unflowed store and the newest other one
     u = horocycle_flow(base, 0.3)
@@ -718,7 +757,7 @@ def test_flow_commutation_grid_matches_cellwise_residuals(sch, u8, m_sch):
 
 def test_ratio_pair_shares_grids_bit_for_bit(cus, u9, m_cus, monkeypatch):
     psi, phi = _bumps(cus, "cusped")
-    cap = CuspHeightCap(cus, NONDIV_HEIGHT)
+    cap = CuspHeightCap(cus, NONDIV_HEIGHT, 0.1)
     calls = []
     settle = type(cus).settle_frames
 

@@ -41,7 +41,6 @@ from horolab.measures import (
     MeasureError,
     PattersonConfig,
     _busemann_at_origin,
-    _evaluate,
     _pair_field,
     br_integral,
     build_patterson,
@@ -134,7 +133,7 @@ def full_br_integral(
         mask = measure.group.containing_letter(X, Y) < 0
         if mask.any():
             vals = np.zeros_like(X)
-            vals[mask] = _evaluate(psi, X[mask], Y[mask], frame_angle(C[mask], D[mask]))
+            vals[mask] = psi.evaluate_points(X[mask], Y[mask], frame_angle(C[mask], D[mask]))
             num += float(np.sum(scale * np.sum(vals, axis=1) * sigma_step))
         den += float(np.sum(scale * np.sum(mask[:, win], axis=1) * sigma_step))
     if den <= 0.0:
@@ -165,7 +164,7 @@ def dense_estimate(psi, field):
     """The pair quadrature's estimate from the oracle's field (x, y, theta,
     weight), with psi evaluated on every cell."""
     x, y, theta, w = field
-    return float(np.sum(w * _evaluate(psi, x, y, theta))) / float(np.sum(w))
+    return float(np.sum(w * psi.evaluate_points(x, y, theta))) / float(np.sum(w))
 
 
 def pair_integrands(name, group):
@@ -175,7 +174,7 @@ def pair_integrands(name, group):
     c, r = group._centers[0], group._radii[0]
     assert group.in_fundamental_domain(complex(c, 1.02 * r))
     (near,) = bumps(group, [(c, 1.02 * r, 0.3)])
-    return bumps(group, DEFAULT_BUMPS[name]) + [near, CuspHeightCap(group, NONDIV_HEIGHT), ConstantFunction(2.5)]
+    return bumps(group, DEFAULT_BUMPS[name]) + [near, CuspHeightCap(group, NONDIV_HEIGHT, 0.1), ConstantFunction(2.5)]
 
 
 def box_integral(monkeypatch, psi, measure, delta, **kwargs):
@@ -479,7 +478,7 @@ def test_weighted_and_cap_integrands_match_full_grid(builtin_measures, monkeypat
     # cap name none and keep every in-domain cell
     group, measure, delta = builtin_measures["cusped"]
     (psi,) = bumps(group, RATIO_BUMPS[:1])
-    cap = CuspHeightCap(group, NONDIV_HEIGHT)
+    cap = CuspHeightCap(group, NONDIV_HEIGHT, 0.1)
 
     def density(x, y):
         return 1.0 + x * x * y
@@ -575,7 +574,7 @@ def test_pieces_of_rows_match_full_grid(builtin_measures, monkeypatch, leaf, pie
 
     monkeypatch.setattr(measures, "_LEAF", leaf)
     monkeypatch.setattr(measures, "_row_sums", counting)
-    for psi in (ConstantFunction(), CuspHeightCap(group, NONDIV_HEIGHT)):
+    for psi in (ConstantFunction(), CuspHeightCap(group, NONDIV_HEIGHT, 0.1)):
         passes.clear()
         assert box_integral(monkeypatch, psi, measure, delta, **SMALL_BOX) == full_br_integral(
             psi, measure, delta, **SMALL_BOX
@@ -652,3 +651,34 @@ def test_grazing_plaques_match_full_grid(builtin_measures, monkeypatch, xi, labe
     for psi in (ConstantFunction(), near):
         got = box_integral(monkeypatch, psi, one, delta, t_grid=t_grid)
         assert got > 0.0 and got == full_br_integral(psi, one, delta, t_grid=t_grid)
+
+
+def test_box_holes_only_where_plaques_meet_their_circles(builtin_measures, monkeypatch):
+    # a letter whose plaque misses its circle cuts no hole: an empty hole,
+    # which splits its segment, comes only from a letter whose plaque meets
+    # its circle, or misses it by no more than rounding, so a row has no
+    # more splits than such letters
+    group, measure, delta = builtin_measures["cusped"]
+    seen = []
+
+    def recording(segments, lost, span, width, inside):
+        seen.append(segments)
+        return DOMAIN_RUNS(segments, lost, span, width, inside)
+
+    monkeypatch.setattr(measures, "_domain_runs", recording)
+    br_integral(ConstantFunction(), measure, delta)
+    # the rows of all blocks in order: (leaf coordinate, atom), leaf
+    # coordinate major
+    a, z = (np.concatenate(v) for v in zip(*seen))
+    inner = (a[:, 1:] == z[:, :-1]) & (z[:, :-1] > a[:, :1]) & (z[:, :-1] < z[:, -1:])
+    splits = np.count_nonzero(inner, axis=1)
+    # the plaque geometry of br_integral, bit for bit
+    xi = measure.points[measure.heaviest(measures._BOX_ATOMS)]
+    e = np.exp(0.5 * (measures._BOX_GRID[:, None] + np.log(xi * xi + 1.0))).ravel()
+    E = (e * e)[:, None]
+    u = np.tile(xi, len(measures._BOX_GRID))[:, None] - group._centers
+    al = u * u - group._radii * group._radii
+    gap = E * E * (group._radii * group._radii) - al * al
+    near = np.count_nonzero((al > 0.0) & (gap > -measures._EDGE * al * al), axis=1)
+    assert len(splits) == len(near) and splits.sum() > 500
+    assert np.all(splits <= near)

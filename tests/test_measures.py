@@ -105,11 +105,11 @@ def test_too_shallow_rejected(sch):
 
 def test_config_validation():
     with pytest.raises(MeasureError):
-        PattersonConfig(0.0, 14)
+        PattersonConfig(0.0, 14, None)
     with pytest.raises(MeasureError):
-        PattersonConfig(float("nan"), 14)
+        PattersonConfig(float("nan"), 14, None)
     with pytest.raises(MeasureError):
-        PattersonConfig(0.5, 3)
+        PattersonConfig(0.5, 3, None)
 
 
 def test_mirror_symmetry(m_sch):
@@ -329,8 +329,8 @@ def test_ps_integral_frozen_values(sch, m_sch):
 
 
 def test_ps_integral_mirror_pair(sch, m_sch):
-    a = ps_integral(TestFunction(sch, pointed_frame(1.5, 1.3, 0.7)), m_sch, DELTA_SCH)
-    b = ps_integral(TestFunction(sch, pointed_frame(-1.5, 1.3, math.pi - 0.7)), m_sch, DELTA_SCH)
+    a = ps_integral(TestFunction(sch, pointed_frame(1.5, 1.3, 0.7), 0.5, 1.1), m_sch, DELTA_SCH)
+    b = ps_integral(TestFunction(sch, pointed_frame(-1.5, 1.3, math.pi - 0.7), 0.5, 1.1), m_sch, DELTA_SCH)
     assert a == pytest.approx(b, rel=1e-9)
 
 

@@ -19,8 +19,11 @@ function, or of a method of a top-level class, counts as set when a call in
 src/horolab or perfbench/ to a function, method or class of that name (by
 bare name or as an attribute) passes it by position or by keyword, or passes
 *args or **kwargs. A call that passes a parameter through with its own
-default counts as setting it. Dataclass fields are out of the scan's reach:
-their __init__ is not written out, so they are not scanned.
+default counts as setting it. Each field of a top-level dataclass that has a
+default is an optional parameter of the class's __init__, at its place among
+the fields; a field whose name has a leading underscore is state that no
+call passes, and is not scanned. A call of cls in a class statement is a
+call of that class.
 
 Every default is used by some run: an optional parameter counts as used
 when a call of that name leaves it out, or passes *args or **kwargs, which
@@ -53,6 +56,12 @@ KEPT: dict[str, str] = {
     "in a script, which needs no name",
     "io.line_plot_svg(title=)": "a plot of a series that carries no "
     "experiment id",
+    # options that every run leaves at their default and the tests vary
+    "averages.ConstantFunction.__init__(value)": "a constant other than one "
+    "shows that a quadrature or a leaf mean carries the value through its "
+    "normalizer, which the constant one cannot",
+    "groups.WordSpec.__init__(depth)": "the nesting depth of a sampled limit "
+    "point, which the tests raise and lower to check its enclosure width",
 }
 
 
@@ -92,6 +101,14 @@ def internals(tree) -> list[tuple[str, str]]:
     return private + public
 
 
+def fields(cls) -> list[ast.AnnAssign]:
+    """The annotated fields of a class statement, in order, when it is a
+    dataclass; none otherwise."""
+    if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        return []
+    return [node for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
 def attributes(tree) -> list[tuple[str, str]]:
     """(shown, name) of each annotated field of a top-level dataclass and of
     each attribute assigned on self in a method of a top-level class, shown
@@ -100,9 +117,7 @@ def attributes(tree) -> list[tuple[str, str]]:
         (cls.name, node.target.id)
         for cls in tree.body
         if isinstance(cls, ast.ClassDef)
-        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
-        for node in cls.body
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        for node in fields(cls)
     }
     found |= {
         (cls, node.attr)
@@ -193,13 +208,21 @@ def _options(node, skip):
 
 def options(tree) -> list[tuple[str, str, int | None, str]]:
     """(shown, callee, position, parameter) of each optional parameter of a
-    top-level function or of a method of a top-level class; the callee is the
-    name a call uses, the class's own for __init__."""
+    top-level function, of a method of a top-level class, and of the __init__
+    of a top-level dataclass, a field with a default; the callee is the name
+    a call uses, the class's own for __init__."""
     out = [
         (node.name, node.name, i, p)
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for i, p in _options(node, 0)
+    ]
+    out += [
+        ("%s.__init__" % cls.name, cls.name, i, node.target.id)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for i, node in enumerate(fields(cls))
+        if node.value is not None and not node.target.id.startswith("_")
     ]
     for cls, m in methods(tree):
         static = any(ast.unparse(d) == "staticmethod" for d in m.decorator_list)
@@ -238,6 +261,12 @@ def scan(sources: dict[str, str], bench: list[str], found, shown: str) -> list[s
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                calls.setdefault(cls.name, []).extend(
+                    node for node in ast.walk(cls)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "cls"
+                )
     return sorted(
         shown % (mod, function, param)
         for mod, tree in trees.items()
@@ -333,6 +362,20 @@ def test_scan_finds_unset_options():
     ]
     sources["a"] += "args = ([1],)\nplot(*args)\nfit([1], **{})\nBox(0).grow(2)\nBox.make(n=4)\n"
     assert unset(sources, bench) == []
+    # a dataclass field with a default is an option of the class, set by
+    # position or keyword, or by a call of cls in the class; a field with a
+    # leading underscore is state, and a field with no default no option
+    sources["b"] = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\nclass Spec:\n    period: int\n    head: int = 0\n    depth: int = 24\n"
+        "    _cache: dict = field(default_factory=dict)\n"
+        "    @classmethod\n    def random(cls):\n        return cls(1, head=2)\n"
+        "@dataclass\nclass Pair:\n    left: int = 0\n    right: int = 1\n"
+        "print(Spec.random(), Pair(3))\n"
+    )
+    assert unset(sources, bench) == ["b.Pair.__init__(right)", "b.Spec.__init__(depth)"]
+    sources["b"] += "print(Spec(1, 2, 3), Pair(right=4))\n"
+    assert unset(sources, bench) == []
 
 
 def test_scan_finds_unused_defaults():
@@ -356,6 +399,13 @@ def test_scan_finds_unused_defaults():
     # spreads *args or **kwargs may
     sources["a"] += "args = ([1],)\nplot(*args)\nfit([1], **{})\nBox(0)\nlonely()\n"
     assert unused_defaults(sources, bench) == []
+    # a dataclass field's default is used by a call that leaves the field out
+    sources["b"] = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass Result:\n    name: str\n    seconds: float = 0.0\n    note: str = ''\n"
+        "print(Result('a', 1.0), Result('b', seconds=2.0))\n"
+    )
+    assert unused_defaults(sources, bench) == ["b.Result.__init__(seconds=)"]
 
 
 def _kept(kind: str) -> list[str]:
