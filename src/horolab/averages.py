@@ -147,7 +147,8 @@ class Integrand:
     the frame of u as the one-row leaf of u at s = 0.
 
     The quadratures form a sample's coordinates only where the result reads
-    them: each evaluates an integrand only near its support(), and the pair
+    them: each evaluates an integrand only near its support(), the pair
+    quadrature only near its direction_window() too, and the pair
     quadrature sums a ConstantFunction as its value times the cell weights,
     forming no coordinate. They sample the fundamental domain of the
     measure's group, so an integrand whose group has other half-disks
@@ -164,7 +165,21 @@ class Integrand:
         set (x - x0)^2 + (y - y0)^2 < reach y; None, the default, names no
         support. Both quadratures evaluate the integrand only on the grid
         cells of its window along each sampled curve, padded by a few cells;
-        a disk that is not a number gives every cell."""
+        a disk that is not a number gives every cell. The pair quadrature
+        also reads direction_window()."""
+        return None
+
+    def direction_window(self):
+        """(th0, width): evaluate_points is exactly 0.0 wherever the
+        direction angle theta is at least width from th0 around the circle;
+        None, the default, names no such window.
+
+        Along the geodesic of an atom pair the angle turns monotonically
+        through half a turn, so the pair quadrature evaluates the integrand
+        only on the leaf coordinates, at most two intervals per pair, where
+        the angle is within width of th0 (see measures._pair_directions).
+        The box quadrature reads no direction window: on the default ratio
+        bumps every cell inside their disks is inside their windows too."""
         return None
 
 
@@ -175,6 +190,12 @@ class TestFunction(Integrand):
     Evaluation reduces the input to its fundamental-domain representative
     first, which makes the function invariant under the group by
     construction; the bump must therefore be centered inside the domain.
+
+    The bump is exactly 0.0 outside its support disk and outside its
+    direction window (th0, angle_width): where the wrapped angle offset dth
+    has |dth| >= angle_width, (dth / angle_width)^2 >= 1, so rho2 >= 1 (or
+    is NaN) and the bump takes the value 0.0 it has outside rho2 < 1. A
+    square that overflows is inf, which reads as outside the bump, as it is.
     """
 
     group: FuchsianGroup
@@ -206,13 +227,19 @@ class TestFunction(Integrand):
     def evaluate_points(self, x, y, theta):
         """Bump values at fundamental-domain coordinates (no reduction)."""
         x, y, theta = np.broadcast_arrays(x, y, theta)
-        d2 = (x - self._x0) ** 2 + (y - self._y0) ** 2
+        with np.errstate(over="ignore"):
+            d2 = (x - self._x0) ** 2 + (y - self._y0) ** 2
         out = np.zeros(d2.shape)
         near = ~(d2 >= self._reach * y)  # NaN stays near and is computed
         d2, y = d2[near], y[near]
         dist = np.arccosh(1.0 + d2 / (2.0 * y * self._y0))
-        dth = np.mod(theta[near] - self._th0 + np.pi, 2.0 * np.pi) - np.pi
-        rho2 = (dist / self.base_width) ** 2 + (dth / self.angle_width) ** 2
+        dth = theta[near]
+        dth -= self._th0
+        dth += np.pi
+        dth = _wrapped(dth)
+        dth -= np.pi
+        with np.errstate(over="ignore"):
+            rho2 = (dist / self.base_width) ** 2 + (dth / self.angle_width) ** 2
         vals = np.zeros_like(rho2)
         inside = rho2 < 1.0
         vals[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
@@ -221,6 +248,26 @@ class TestFunction(Integrand):
 
     def support(self):
         return (self._x0, self._y0, self._reach)
+
+    def direction_window(self):
+        return (self._th0, self.angle_width)
+
+
+_TURN = 2.0 * np.pi
+
+
+def _wrapped(v):
+    """np.mod(v, 2 pi) bit for bit, shifting v in place by one turn where it
+    lies in [-2 pi, 4 pi), as it does when theta and th0 lie in [-pi, pi]:
+    v + 2 pi on [-2 pi, 0) rounds as np.mod's fmod-and-add does, v - 2 pi
+    on [2 pi, 4 pi) is exact (Sterbenz), and fmod returns v itself on
+    [0, 2 pi), where adding 0.0 keeps v and turns -0.0 into np.mod's 0.0.
+    Any other v, a NaN among them, goes through np.mod. The shift takes
+    about a quarter of np.mod's time."""
+    if not (v.size and v.min() >= -_TURN and v.max() < 2.0 * _TURN):
+        return np.mod(v, _TURN)
+    v += np.where(v >= _TURN, -_TURN, np.where(v < 0.0, _TURN, 0.0))
+    return v
 
 
 @dataclass

@@ -274,7 +274,8 @@ _PAD = 2
 _BAND = _PAD + 1
 # two atoms in one interval span a geodesic inside its half-disk; the pair
 # is skipped only when both sit deeper than this times the squared radius.
-# A plaque that misses a circle by more than this (relative) cuts no hole.
+# A plaque that misses a circle by more than this (relative) cuts no hole,
+# and a direction window is widened by this (relative, at least 1e-9 rad).
 _EDGE = 1e-9
 # rows handled at once, which bounds the transient arrays: atom pairs per
 # chunk of the pair field's build, and (leaf coordinate, atom) rows per
@@ -516,7 +517,7 @@ def _pair_frames(seeds, col):
 
 def _run_points(table, runs, first, stop):
     """(cell, x, y, theta, weight) of the cells first <= cell < stop of the
-    table's runs, a slice, in order."""
+    table's runs, indices or a slice, one run per range, in order."""
     k = stop - first
     cell = np.arange(np.sum(k)) + np.repeat(first - (np.cumsum(k) - k), k)
     seeds = [np.repeat(v[runs], k) for v in table.seeds]
@@ -665,10 +666,12 @@ def quadrature_report(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> 
     Cell coordinates are rebuilt only where the result reads them: a
     ConstantFunction is summed as its value times the weights, and any
     other integrand is evaluated on the cells of each run that
-    _support_runs finds near its support, every cell when it names none.
-    Its value is zero on every other cell, so each product has the bits of
-    the dense pass over the whole field. An integrand whose group has other
-    half-disks than the measure's raises MeasureError.
+    _support_runs finds near its support, every cell when it names none,
+    and of those only on the at most two windows of each run that
+    _direction_runs finds near its direction window, when it names one.
+    Its value is exactly zero on every other cell, so each product has the
+    bits of the dense pass over the whole field. An integrand whose group
+    has other half-disks than the measure's raises MeasureError.
     """
     disk = _check_domain(psi, measure)
     table, den, estimates = _pair_field(measure, hat_delta)
@@ -681,26 +684,31 @@ def quadrature_report(psi, measure: AtomicBoundaryMeasure, hat_delta: float) -> 
         def values(lo, hi):
             return table.weights(lo, hi) * psi.value
     else:
-        first, stop = _support_runs(table, disk)
+        first, stop = _direction_runs(table, psi.direction_window(), *_support_runs(table, disk))
+        # k windows per run, run-major: window j belongs to run j // k
+        k = first.shape[1]
+        first, stop = first.ravel(), stop.ravel()
         # one leaf's products, refilled for each leaf: fresh leaf and weight
         # arrays per leaf took five times the page faults of the default
         # Schottky bumps and made their passes about 15% slower
         leaf = np.empty(min(_LEAF, len(table)))
 
         def values(lo, hi):
-            # the runs r0, r0 + 1, ... with cells in [lo, hi), those of their
-            # cells to rebuild, and groups of runs of about _PIECE such cells;
-            # every other cell's product is zero, as a cell's weight is finite
-            r0 = np.searchsorted(table.ends, lo, side="right")
-            r1 = np.searchsorted(table.ends, hi) + 1
-            a = np.clip(first[r0:r1], lo, hi)
-            z = np.clip(stop[r0:r1], lo, hi)
+            # the windows of the runs r0, r0 + 1, ... with cells in [lo, hi),
+            # those of their cells to rebuild, and groups of windows of about
+            # _PIECE such cells; every other cell's product is zero, as a
+            # cell's weight is finite
+            w0 = k * np.searchsorted(table.ends, lo, side="right")
+            w1 = k * (np.searchsorted(table.ends, hi) + 1)
+            a = np.clip(first[w0:w1], lo, hi)
+            z = np.clip(stop[w0:w1], lo, hi)
+            runs = np.arange(w0, w0 + len(a)) // k
             total = np.cumsum(z - a)
             cuts = [0, *np.searchsorted(total, np.arange(_PIECE, total[-1], _PIECE)), len(total)]
             out = leaf[:hi - lo]
             out.fill(0.0)
             for g0, g1 in zip(cuts[:-1], cuts[1:]):
-                cell, x, y, theta, w = _run_points(table, slice(r0 + g0, r0 + g1), a[g0:g1], z[g0:g1])
+                cell, x, y, theta, w = _run_points(table, runs[g0:g1], a[g0:g1], z[g0:g1])
                 if len(cell):
                     out[cell - lo] = psi.evaluate_points(x, y, theta) * w
             return out
@@ -746,10 +754,13 @@ def _pair_support(disk, seeds):
     """
     x0, y0, reach = disk
     a0, b0, c0, d0, beta0 = seeds
-    P = (a0 - x0 * c0) ** 2 + (y0 * c0) ** 2
-    Q = (b0 - x0 * d0) ** 2 + (y0 * d0) ** 2
     R = 2.0 * y0 + reach
-    disc = R * R - 4.0 * P * Q
+    # a square past float range is inf and a difference of two is NaN, which
+    # takes the pair whole
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = (a0 - x0 * c0) ** 2 + (y0 * c0) ** 2
+        Q = (b0 - x0 * d0) ** 2 + (y0 * d0) ** 2
+        disc = R * R - 4.0 * P * Q
     meets = ~(disc <= 0.0)  # a NaN meets, so that its pair is taken whole
     root = R + np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -772,6 +783,81 @@ def _support_runs(table, disk):
         (first - shift, stop - shift), (ends - np.diff(ends, prepend=0), ends), disk,
         lambda run, cell: _pair_frames([v[run] for v in seeds], cell + shift[run]),
     )
+
+
+def _leaf_offset(alpha):
+    """u = log(tan(alpha / 2)), the leaf coordinate less beta0 at which a
+    pair's frame has turned by alpha in [0, pi]: -inf at 0, +inf at pi,
+    and the half angle taken from the nearer end."""
+    if alpha <= 0.0:
+        return -math.inf
+    if alpha >= math.pi:
+        return math.inf
+    if alpha <= 0.5 * math.pi:
+        return math.log(math.tan(0.5 * alpha))
+    return -math.log(math.tan(0.5 * (math.pi - alpha)))
+
+
+def _pair_directions(window):
+    """Leaf coordinates less beta0, (lo, hi) of shape (2, 2), between which
+    a pair's frame points within the direction window (th0, width): row 0
+    for the pairs with d0 > 0, row 1 for d0 < 0, at most two intervals each,
+    in ascending order, an empty one (inf, -inf); None where the window,
+    widened by _EDGE, covers the whole circle or is not a number.
+
+    A pair's frame at leaf coordinate t has second row (c0 e, d0 / e),
+    e = exp((t - beta0) / 2), with c0 > 0 and d0 = +-c0, so frame_angle
+    gives theta = atan2(1/E - E, +-2), E = e^2, that is theta = pi/2 -+ alpha
+    with alpha = 2 atan(E), which rises from 0 to pi with u = t - beta0.
+    So |wrap(theta - th0)| < width exactly where |wrap(alpha - c)| < width,
+    c = +-(pi/2 - th0): alpha in (0, pi) and within width of c + 2 pi k, at
+    most two intervals, mapped to u by _leaf_offset. The widening, 1e-9
+    radians at least, covers the rounding of frame_angle and of the wrap in
+    TestFunction.evaluate_points, a few 1e-15 radians, so a cell whose
+    column is outside these intervals and their padding has a wrapped
+    offset of at least width, where the integrand is exactly 0.0.
+    """
+    th0, width = window
+    width += _EDGE * max(width, 1.0)
+    if not (width < math.pi and math.isfinite(th0)):
+        return None
+    lo = np.full((2, 2), math.inf)
+    hi = np.full((2, 2), -math.inf)
+    for row, sign in enumerate((1.0, -1.0)):
+        c = math.remainder(sign * (0.5 * math.pi - th0), 2.0 * math.pi)
+        j = 0
+        for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+            a = max(c + turn - width, 0.0)
+            z = min(c + turn + width, math.pi)
+            if a < z:
+                lo[row, j], hi[row, j] = _leaf_offset(a), _leaf_offset(z)
+                j += 1
+    return lo, hi
+
+
+def _direction_runs(table, window, first, stop):
+    """The cells [first, stop) of each run, of shape (runs, k), that lie in
+    the run's direction window (th0, width) or its padding, cut from its
+    cells [first, stop): k = 2 windows per run, ordered and disjoint, or
+    k = 1, the cells given, where no window applies (_pair_directions).
+    The leaf coordinates of _pair_directions, shifted by the run's beta0,
+    are taken to columns by _grid_window, padded by _PAD cells a side; a
+    run whose beta0 or orientation is not a number keeps its cells."""
+    first, stop = first[:, None], stop[:, None]
+    bands = None if window is None else _pair_directions(window)
+    if bands is None:
+        return first, stop
+    lo, hi = bands
+    d0, beta0 = table.seeds[3], table.seeds[4][:, None]
+    row = (d0 < 0.0).astype(np.intp)
+    lost = ~((d0 > 0.0) | (d0 < 0.0))[:, None]
+    a, z = _grid_window(_PAIR_GRID, np.where(lost, np.nan, beta0 + lo[row]), beta0 + hi[row])
+    shift = table.shift[:, None]
+    a = np.clip(a - shift, first, stop)
+    z = np.clip(z - shift, a, stop)
+    a[:, 1] = np.maximum(a[:, 1], z[:, 0])
+    z[:, 1] = np.maximum(z[:, 1], a[:, 1])
+    return a, z
 
 
 def _plaque_support(disk, xi, E):

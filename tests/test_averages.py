@@ -173,6 +173,52 @@ def _bump_formula(psi, x, y, theta):
     return out
 
 
+def test_bump_wrap_matches_np_mod(sch):
+    # the in-place shift of evaluate_points against np.mod, bit for bit, on
+    # the offsets v = theta - th0 + pi of angles at the ends and middle of
+    # [-pi, pi] (some land exactly on 0 and 2 pi), on the ends of
+    # [-2 pi, 4 pi) and -0.0, and, through the np.mod fallback, on NaN and
+    # past those ends, as a theta outside [-pi, pi] gives
+    turn = 2.0 * math.pi
+    angles = np.array([-math.pi, -0.5 * math.pi, -0.0, 0.0, 0.5 * math.pi, math.pi])
+    theta, th0 = (v.ravel() for v in np.meshgrid(angles, angles))
+    v = theta - th0 + np.pi
+    assert {0.0, turn} <= set(v.tolist())
+    edges = [-turn, np.nextafter(-turn, 0.0), -1e-300, -0.0, 0.0, np.nextafter(turn, 0.0), turn,
+             np.nextafter(2.0 * turn, 0.0)]
+    outside = [np.nextafter(-turn, -np.inf), 2.0 * turn, 10.0 - (-math.pi) + math.pi, -1e9, 1e300]
+    for case in (v, edges, outside, [0.5, np.nan, 3.0], [np.nan]):
+        case = np.array(case)
+        want = np.mod(case, turn)
+        got = averages._wrapped(case.copy())
+        assert got.tobytes() == want.tobytes()
+    # and the whole bump against its np.mod formula, at each of those
+    # center angles, and at angles outside [-pi, pi] or NaN
+    psi = TestFunction(sch, pointed_frame(0.0, 1.4, 0.0), base_width=WB, angle_width=WA)
+    x, y = np.full(len(theta) + 3, 0.05), np.full(len(theta) + 3, 1.45)
+    for center in angles:
+        psi._th0 = center
+        th = np.concatenate([theta, [10.0, -7.0, np.nan]])
+        want = _bump_formula(psi, x, y, th)
+        assert psi.evaluate_points(x, y, th).tobytes() == want.tobytes()
+        assert np.count_nonzero(want) > 0
+
+
+def test_bump_overflowing_squares_read_as_outside(sch):
+    # a bump centred at height 1e300 squares base-point offsets past float
+    # range, and one of angle width 1e-300 squares its angle offsets past
+    # it: each such square is inf, outside the bump, as the point is, and
+    # raises no overflow warning (an error in this suite)
+    x = np.array([0.0, 0.5, -3.0])
+    y = np.array([1.4, 0.8, 2.0])
+    high = TestFunction(sch, pointed_frame(0.0, 1e300, 0.0), base_width=WB, angle_width=WA)
+    assert high.evaluate_points(x, y, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    narrow = TestFunction(sch, pointed_frame(0.0, 1.4, 0.0), base_width=WB, angle_width=1e-300)
+    th = narrow._th0 + np.array([0.0, 1e-3, -1.0, 2.0])
+    got = narrow.evaluate_points(np.zeros(4), np.full(4, 1.4), th)
+    assert got.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_bump_support_filter_matches_formula(sch, cus):
     rng = np.random.default_rng(2024)
     for group, name in ((sch, "schottky"), (cus, "cusped")):

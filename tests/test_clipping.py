@@ -392,6 +392,49 @@ def test_short_support_windows_widen_their_runs(builtin_measures, monkeypatch, n
     assert widened > 0
 
 
+def test_direction_windows_cut_the_default_schottky_passes(builtin_measures, monkeypatch):
+    # the three default Schottky bumps rebuild only the cells of each run
+    # that lie in the bump's direction window (at most two windows a run,
+    # padded, ordered, disjoint and inside the run's support window), which
+    # cuts runs of either orientation: 478,102, 708,308 and 113,419 cells,
+    # against 956,279, 1,096,373 and 226,655 in the support windows alone
+    group, measure, delta = builtin_measures["schottky"]
+    table, _, _ = _pair_field(measure, delta)
+    run_points = measures._run_points
+    rebuilt = []
+
+    def counting(table, runs, first, stop):
+        rebuilt.append(int(np.sum(stop - first)))
+        return run_points(table, runs, first, stop)
+
+    monkeypatch.setattr(measures, "_run_points", counting)
+    d0 = table.seeds[3]
+    counts, supported, orientations = [], [], []
+    for psi in bumps(group, DEFAULT_BUMPS["schottky"]):
+        first, stop = measures._support_runs(table, psi.support())
+        a, z = measures._direction_runs(table, psi.direction_window(), first, stop)
+        assert a.shape == z.shape == (len(first), 2)
+        assert np.all((first[:, None] <= a) & (a <= z) & (z <= stop[:, None]))
+        assert np.all(z[:, 0] <= a[:, 1])
+        cut = np.sum(z - a, axis=1) < stop - first
+        orientations.append((cut[d0 > 0].any(), cut[d0 < 0].any()))
+        rebuilt.clear()
+        measures.quadrature_report(psi, measure, delta)
+        assert sum(rebuilt) == int(np.sum(z - a))
+        counts.append(sum(rebuilt))
+        supported.append(int(np.sum(stop - first)))
+    assert counts == [478102, 708308, 113419]
+    assert supported == [956279, 1096373, 226655]
+    # psi1 and psi3 point along the real axis, and their windows of 1.8
+    # radians, wider than a quarter turn, cover every angle of the pairs
+    # with d0 > 0 (pi/2 - alpha for alpha in (0, pi))
+    assert orientations == [(False, True), (True, True), (False, True)]
+    # a window of half a turn or more, or one that is not a number, cuts
+    # nothing
+    for window in ((0.0, math.pi), (0.0, 4.0), (math.nan, 1.8), (0.0, math.nan)):
+        assert measures._pair_directions(window) is None
+
+
 class _WithSupport(Integrand):
     """An integrand of psi's values that names the support disk given."""
 
@@ -431,17 +474,25 @@ def test_support_disk_that_is_not_a_number_takes_every_cell(builtin_measures, mo
         assert got == full_br_integral(psi, measure, delta, **SMALL_BOX)
 
 
-def random_bumps(name, group, rng, k, moved=Isometry.identity()):
+def random_bumps(name, group, rng, k, moved=Isometry.identity(), widths=(BUMP_WIDTHS[1],)):
     """k bumps of base width 0.3 to 2.0 on group, centred at points drawn in
-    the fundamental domain of the builtin `name` and then moved."""
+    the fundamental domain of the builtin `name` and then moved, their angle
+    widths taken in turn from widths."""
     builtin = resolve_group(name)
     out = []
     while len(out) < k:
         x, y = rng.uniform(-4.0, 4.0), math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
         if builtin.in_fundamental_domain(complex(x, y)):
             center = mobius_apply(moved, pointed_frame(x, y, rng.uniform(-math.pi, math.pi)))
-            out.append(TestFunction(group, center, base_width=rng.uniform(0.3, 2.0), angle_width=BUMP_WIDTHS[1]))
+            wa = widths[len(out) % len(widths)]
+            out.append(TestFunction(group, center, base_width=rng.uniform(0.3, 2.0), angle_width=wa))
     return out
+
+
+# angle widths of the random bumps of the pair quadrature: direction
+# windows below a quarter turn, the default, between a quarter and half a
+# turn, and at least half a turn, which leave every cell of the support
+ANGLE_WIDTHS = (0.05, 0.3, 1.2, BUMP_WIDTHS[1], 2.4, math.pi, 4.5)
 
 
 SMALL_BOX = dict(t_grid=np.arange(-4.0, 4.01, 0.25), sigma_span=12.0, top_k=60)
@@ -449,14 +500,17 @@ SMALL_BOX = dict(t_grid=np.arange(-4.0, 4.01, 0.25), sigma_span=12.0, top_k=60)
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_bumps_match_full_grid(builtin_measures, monkeypatch, seed):
-    # the box quadrature, and the pair quadrature on 60 atoms (the bumps of
-    # seeds 1 and 3 miss the geodesics between those atoms and read zero)
+    # the box quadrature, and the pair quadrature on 60 atoms, whose passes
+    # skip the cells outside each bump's direction window on the pairs of
+    # either orientation; bump i of seed s has angle width
+    # ANGLE_WIDTHS[(3 s + i) % 7], so each group sees each kind of window
     name = ("schottky", "cusped")[seed % 2]
     group, measure, delta = builtin_measures[name]
     pairs, field = assert_same_field(monkeypatch, measure, delta, DEFAULT_T, 60)
     rng = np.random.default_rng(7000 + seed)
     values = []
-    for psi in random_bumps(name, group, rng, 3):
+    widths = ANGLE_WIDTHS[3 * seed % 7:] + ANGLE_WIDTHS[:3 * seed % 7]
+    for psi in random_bumps(name, group, rng, 3, widths=widths):
         got = box_integral(monkeypatch, psi, measure, delta, **SMALL_BOX)
         assert got == full_br_integral(psi, measure, delta, **SMALL_BOX)
         values.append(got)

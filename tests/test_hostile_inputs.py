@@ -224,6 +224,21 @@ def test_bump_too_wide_for_float_range_exits_1(experiment, value, tmp_path, caps
     assert not (tmp_path / "run").exists()
 
 
+def test_bump_squares_past_float_range_raise_no_warning(tmp_path, capsys):
+    # a bump centred at height 1e300, and one of angle width 1e-300, square
+    # offsets past float range; the runs once printed "overflow encountered
+    # in square" (an error in this suite) for results they got right: psi1
+    # integrates to 0.0, and its relative gap is undefined
+    out = tmp_path / "run"
+    assert main(["patterson", "--out", str(out), "--override", "bump1=0 1e300 0"]) == 0
+    rows = (out / "quadrature.csv").read_text().splitlines()
+    assert rows[2].startswith("psi1,0.0,")
+    capsys.readouterr()
+    argv = ["equidist", "--out", str(tmp_path / "eq"), "--override", "angle_width=1e-300"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("numeric failure: the invariant integral of psi1 is 0: ")
+
+
 def test_closure_far_down_the_cusp(tmp_path, capsys):
     # the leaf flowed by -700 sits at height e^700 in the cusp chart, so its
     # closure time -4 e^-700 is near the bottom of float range, and exact
